@@ -105,6 +105,12 @@ REBALANCE_MODE: dict[str, Any] = {**SHARD_MODE, "n_views": 9}
 #: (saturated/tcp/sweep, locality off) is ``398.9`` upd/s.
 LOCALITY_SPEEDUP_TARGET = 2.0
 LOCALITY_MESSAGE_REDUCTION_TARGET = 3.0
+#: A batching scheduler must not get slower when every source is covered.
+#: Its saturated cells last 10-25 ms -- two to five of the driver's 5 ms
+#: quiescence polls -- so each twin of that pair is the best of this many
+#: runs, and the gate allows one poll's worth of jitter on the ratio.
+BATCHED_PAIR_REPEATS = 5
+BATCHED_PAIR_TOLERANCE = 0.1
 
 #: The codec row family pins the binary wire codec (v3) against the JSON
 #: flat-row codec (v2) on the message-bound saturated sweep workload --
@@ -320,12 +326,12 @@ def run_suite(quick: bool = False) -> list[dict]:
             continue
         for transport in TRANSPORTS:
             for algorithm in ALGORITHMS:
-                rows.append(run_cell(mode, transport, algorithm, **params))
+                rows.append(_best_cell(mode, transport, algorithm, **params))
     # Locality family: the saturated regime with every source covered.
     for transport in TRANSPORTS:
         for algorithm in ALGORITHMS:
             rows.append(
-                run_cell(
+                _best_cell(
                     "saturated",
                     transport,
                     algorithm,
@@ -382,6 +388,18 @@ def run_suite(quick: bool = False) -> list[dict]:
     # appended updates instead of the default 8.
     rows.append(run_shard_cell(1, durable=True, fsync_batch=32, **SHARD_MODE))
     return rows
+
+
+def _best_cell(mode: str, transport: str, algorithm: str, **kwargs) -> dict:
+    """:func:`run_cell`, repeated for the twins of the batched locality gate."""
+    gated = mode == "saturated" and "batched" in algorithm
+    return max(
+        (
+            run_cell(mode, transport, algorithm, **kwargs)
+            for _ in range(BATCHED_PAIR_REPEATS if gated else 1)
+        ),
+        key=lambda row: row["updates_per_sec"],
+    )
 
 
 def _row_key(row: dict) -> str:
@@ -457,10 +475,12 @@ def locality_problems(
     ``min_speedup`` faster and ``min_message_reduction`` lighter on the
     wire than its same-run remote twin; every per-update ``+aux`` pair
     must cut messages by at least 2x, while batching schedulers -- whose
-    remote twin already collapsed the round trips, and whose all-covered
-    batches legitimately degenerate to singleton installs -- must simply
-    not get heavier; and no pair may lose its remote twin's consistency
-    verdict.
+    remote twin already collapsed the round trips -- must not get
+    heavier on the wire **or slower** than that twin (a covered burst is
+    one composite install, never singleton installs; best of
+    ``BATCHED_PAIR_REPEATS`` runs each, ``BATCHED_PAIR_TOLERANCE`` of
+    poll jitter allowed); and no pair may lose its remote twin's
+    consistency verdict.
     """
     problems = []
     ratios = speedups(rows)
@@ -488,6 +508,13 @@ def locality_problems(
             problems.append(
                 f"{key}: only {reduction}x message reduction"
                 f" (< {floor:g}x)"
+            )
+        if "batched" in algorithm and (
+            ratios[key] < 1.0 - BATCHED_PAIR_TOLERANCE
+        ):
+            problems.append(
+                f"{key}: {ratios[key]}x throughput -- covering every"
+                f" source made the batching scheduler slower than remote"
             )
         off = by_key[f"saturated/{transport}/{algorithm}"]
         aux = by_key[f"saturated/{transport}/{algorithm}+aux"]
@@ -791,6 +818,8 @@ def format_suite(rows: list[dict]) -> str:
 __all__ = [
     "ALGORITHMS",
     "BASELINE_UPDATES_PER_SEC",
+    "BATCHED_PAIR_REPEATS",
+    "BATCHED_PAIR_TOLERANCE",
     "CODEC_BYTES_REDUCTION_TARGET",
     "CODEC_SPEEDUP_TARGET",
     "CODEC_VERSIONS",

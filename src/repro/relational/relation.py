@@ -254,7 +254,11 @@ class Relation(BagBase):
             self.add(row, count)
 
     def copy(self) -> "Relation":
-        """An independent copy (same schema object, copied counts)."""
+        """An independent copy (same schema object, copied counts).
+
+        Hash indexes are **not** copied: the copy answers joins by
+        scanning until its holder calls :meth:`create_index` again.
+        """
         return Relation._from_validated(self.schema, dict(self._counts))
 
 
@@ -280,5 +284,8 @@ class FrozenRelation(Relation):
         raise TypeError("FrozenRelation is read-only; copy() it to mutate")
 
     def copy(self) -> "Relation":
-        """A mutable, independent copy (escape hatch for holders)."""
+        """A mutable, independent copy (escape hatch for holders).
+
+        Like :meth:`Relation.copy`, it carries no hash indexes.
+        """
         return Relation._from_validated(self.schema, dict(self._counts))

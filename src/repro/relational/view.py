@@ -166,6 +166,21 @@ class ViewDefinition:
                 f" {self.name!r}"
             ) from None
 
+    def join_attributes_of(self, index: int) -> tuple[str, ...]:
+        """Attributes of relation ``index`` named by some join condition.
+
+        Whoever stores relation ``index`` -- its source, or a warehouse
+        auxiliary copy -- hash-indexes exactly these columns, so a sweep
+        step probes with the partial's rows instead of scanning.
+        """
+        schema = self.schema_of(index)
+        attrs: list[str] = []
+        for cond in self.join_conditions:
+            for attr in cond.attributes():
+                if attr in schema and attr not in attrs:
+                    attrs.append(attr)
+        return tuple(attrs)
+
     def _check_index(self, index: int) -> None:
         if not 1 <= index <= self.n_relations:
             raise IndexError(

@@ -43,12 +43,9 @@ class MemoryBackend(SourceBackend):
             self._relation = Relation(schema)
         # Index the local join columns: ComputeJoin probes become
         # O(|delta|) lookups instead of O(|relation|) scans.
-        self._indexed_attrs: list[tuple[str, ...]] = []
-        for cond in view.join_conditions:
-            for attr in cond.attributes():
-                if attr in schema and (attr,) not in self._indexed_attrs:
-                    self._indexed_attrs.append((attr,))
-                    self._relation.create_index((attr,))
+        self._indexed_attrs = [(a,) for a in view.join_attributes_of(index)]
+        for attrs in self._indexed_attrs:
+            self._relation.create_index(attrs)
         #: True while an outstanding snapshot shares our counts dict.
         self._snapshot_shared = False
 

@@ -47,6 +47,7 @@ from collections.abc import Generator
 
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
+from repro.simulation.process import Delay
 from repro.sources.messages import MultiQueryRequest, UpdateNotice, next_request_id
 from repro.warehouse.base import QueueDrivenWarehouse
 from repro.warehouse.errors import ProtocolError
@@ -163,6 +164,11 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
         self.max_batch = max_batch
         self.batch_cap = AdaptiveBatchCap(ceiling=max_batch) if adaptive else None
         self.batches_processed = 0
+        #: True while a popped head waits out the settle turns below.
+        self._settling = False
+
+    def pending_work(self) -> bool:
+        return self._settling or super().pending_work()
 
     # ------------------------------------------------------------------
     # The batch-draining UpdateView process (replaces one-at-a-time pop)
@@ -186,6 +192,23 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
                 yield from self._handle_control(msg)
                 continue
             batch: list[UpdateNotice] = [msg.payload]
+            locality = self._live_locality()
+            if locality is not None and locality.covers_all():
+                # A plan that leaves the site yields at its first query,
+                # and the rest of a burst queues up behind that round
+                # trip.  An all-covered batch never yields, so it would
+                # install the burst's first notice alone and meet the
+                # others one scheduler turn later, one by one: let the
+                # zero-delay deliveries already in flight land first.
+                self._settling = True
+                depth = -1
+                while len(self.update_queue) > depth and (
+                    not self.max_batch
+                    or len(self.update_queue) + 1 < self.max_batch
+                ):
+                    depth = len(self.update_queue)
+                    yield Delay(0.0)
+                self._settling = False
             cap = self._drain_cap(msg.payload)
             # Drain everything already queued into this batch.  Updates
             # delivered *after* this point stay queued; the wavefront

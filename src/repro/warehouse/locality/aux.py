@@ -28,9 +28,16 @@ Deltas are applied with :meth:`~repro.relational.relation.Relation.
 apply_delta`, which validates before applying -- a drifted copy (a
 delete of a row the copy does not hold) fails loudly instead of serving
 a silently wrong local answer.
+
+Every copy is hash-indexed on the join columns its views use against it
+(:meth:`~repro.relational.view.ViewDefinition.join_attributes_of`, the
+rule sources apply to themselves), so a covered step costs O(|Delta|)
+probes like the ``ComputeJoin`` it replaces, not a scan of the copy.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
@@ -40,13 +47,22 @@ from repro.relational.view import ViewDefinition
 class AuxiliaryStore:
     """Per-source local relation copies, keyed by 1-based chain index."""
 
-    def __init__(self, primary: ViewDefinition):
+    def __init__(
+        self, primary: ViewDefinition, family: Sequence[ViewDefinition] = ()
+    ):
         self.primary = primary
+        #: every view answered from these copies (the primary included).
+        self.family = tuple(family) or (primary,)
         self._copies: dict[int, Relation] = {}
 
     # ------------------------------------------------------------------
     def seed(self, index: int, relation: Relation) -> None:
-        """Install a copy for source ``index`` (copied, never aliased)."""
+        """Install an indexed copy for source ``index`` (never aliased).
+
+        The one entry point for construction, recovery and rebalance
+        adoption: ``Relation.copy()`` drops indexes, so they are built
+        here and kept current by ``apply_delta`` from then on.
+        """
         expected = self.primary.schema_of(index)
         if relation.schema.attributes != expected.attributes:
             from repro.relational.errors import SchemaError
@@ -56,7 +72,11 @@ class AuxiliaryStore:
                 f" schema {list(relation.schema.attributes)!r}, expected"
                 f" {list(expected.attributes)!r}"
             )
-        self._copies[index] = relation.copy()
+        copy = relation.copy()
+        for view in self.family:
+            for attr in view.join_attributes_of(index):
+                copy.create_index((attr,))
+        self._copies[index] = copy
 
     def drop(self, index: int) -> None:
         """Stop covering ``index`` (recovery demotion)."""

@@ -102,12 +102,13 @@ class QueryLocality:
         initial_states: dict[str, Relation],
         mode: str = "auto",
         budget_rows: int = 0,
+        family: Sequence[ViewDefinition] = (),
     ):
         self.mode = mode
         self.budget_rows = budget_rows
         self.primary = primary
         self.decisions = plan_coverage(primary, initial_states, mode, budget_rows)
-        self.aux = AuxiliaryStore(primary)
+        self.aux = AuxiliaryStore(primary, family)
         for index, decision in self.decisions.items():
             if decision == "aux":
                 self.aux.seed(index, initial_states[primary.name_of(index)])
@@ -142,6 +143,10 @@ class QueryLocality:
 
     def covers(self, index: int) -> bool:
         return self.decisions.get(index) == "aux"
+
+    def covers_all(self) -> bool:
+        """True when no sweep step of this warehouse can leave the site."""
+        return all(d == "aux" for d in self.decisions.values())
 
     def cached(self, index: int) -> bool:
         return self.cache is not None and self.decisions.get(index) == "cache"
@@ -315,6 +320,7 @@ def build_locality(config, views: Sequence[ViewDefinition], initial_states):
         initial_states,
         mode=mode,
         budget_rows=getattr(config, "locality_budget_rows", 0),
+        family=views,
     )
 
 

@@ -6,11 +6,13 @@ gates so a regression message fires exactly when a budget is exceeded.
 """
 
 from repro.harness.throughput import (
+    BATCHED_PAIR_TOLERANCE,
     DURABLE_OVERHEAD_TARGET,
     REBALANCE_OVERHEAD_TARGET,
     REPLICA_OVERHEAD_TARGET,
     compare_reports,
     durable_overhead,
+    locality_problems,
     rebalance_overhead,
     replica_overhead,
 )
@@ -97,3 +99,45 @@ def test_compare_reports_gates_replica_budget():
     assert any("replica_overhead" in p for p in problems)
     current["replica_overhead"] = REPLICA_OVERHEAD_TARGET - 0.01
     assert compare_reports(current, {"speedups": {}, "rows": []}) == []
+
+
+# ---------------------------------------------------------------------------
+# Locality gate: a covered batching scheduler may not be slower than remote
+# ---------------------------------------------------------------------------
+
+
+def locality_rows(batched_aux_rate):
+    """The tcp sweep / batched-sweep pairs, remote twin first."""
+
+    def row(algorithm, locality, rate, messages, consistency):
+        return {
+            "mode": "saturated",
+            "transport": "tcp",
+            "algorithm": algorithm,
+            "locality": locality,
+            "updates_per_sec": rate,
+            "messages_total": messages,
+            "consistency": consistency,
+        }
+
+    return [
+        row("sweep", "off", 1000.0, 1000, "complete"),
+        row("sweep", "aux", 5000.0, 200, "complete"),
+        row("batched-sweep", "off", 8000.0, 212, "strong"),
+        row("batched-sweep", "aux", batched_aux_rate, 200, "strong"),
+    ]
+
+
+def test_locality_gate_rejects_a_slower_covered_batching_scheduler():
+    # The pre-coalescing regime: one install per update, 0.5x the twin.
+    problems = locality_problems(locality_rows(4000.0))
+    assert len(problems) == 1
+    assert "locality/tcp/batched-sweep" in problems[0]
+    assert "slower than remote" in problems[0]
+
+
+def test_locality_gate_accepts_parity_within_poll_jitter():
+    assert locality_problems(locality_rows(8000.0)) == []
+    floor = 8000.0 * (1.0 - BATCHED_PAIR_TOLERANCE)
+    assert locality_problems(locality_rows(floor + 100.0)) == []
+    assert locality_problems(locality_rows(floor - 100.0)) != []
