@@ -415,9 +415,12 @@ def _add_rebalance_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    from repro.harness.rebalance import pick_migration
     from repro.runtime import RebalanceSpec, run_sharded
-    from repro.warehouse.sharding import partition_views, view_family
+    from repro.warehouse.sharding import (
+        partition_views,
+        pick_migration,
+        view_family,
+    )
 
     config = _workload_config(args, check_consistency=not args.no_check)
     if args.view is None or args.to_shard is None:
@@ -461,6 +464,45 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         return 2
     print(result.report())
     return 0
+
+
+def _add_scenario_parser(
+    sub: argparse._SubParsersAction,
+    name: str,
+    perturbation: str | None = None,
+    *,
+    help: str,
+    seeds: int = 30,
+    smoke: bool = False,
+) -> argparse.ArgumentParser:
+    """One fault-scenario command: the seed range, pacing and report
+    path every scenario shares (``--runs`` is the older spelling of
+    ``--seeds``).  ``perturbation`` is the repro.harness.scenarios
+    perturbation a sweep command sweeps; ``None`` is the conformance
+    matrix."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(perturbation=perturbation, smoke=False)
+    p.add_argument("--seed", "-s", type=int, default=0,
+                   help="first workload seed")
+    p.add_argument("--seeds", "--runs", dest="seeds", type=int, default=seeds,
+                   help="seeds per case: seed, seed+1, ...")
+    if perturbation is not None:
+        p.add_argument("--tcp-every", type=int, default=5,
+                       help="every Nth seed runs over loopback TCP"
+                            " (0 = local only)")
+    p.add_argument("--time-scale", type=float, default=0.002,
+                   help="wall seconds per virtual time unit")
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="wall-clock quiescence timeout per run")
+    if smoke:
+        p.add_argument("--smoke", action="store_true",
+                       help="also SIGKILL a serve-shard process of a real"
+                            " multiprocess fleet; the supervisor must"
+                            " restart (recovery) or promote over (failover)"
+                            " it")
+    p.add_argument("--json", default=name.removesuffix("-sweep") + "_report.json",
+                   metavar="PATH", help="where to write the JSON report")
+    return p
 
 
 def _add_serve_shard_parser(sub: argparse._SubParsersAction) -> None:
@@ -873,8 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
              " consistency unchanged)",
     )
 
-    conf = sub.add_parser(
-        "conformance",
+    conf = _add_scenario_parser(
+        sub, "conformance", seeds=1,
         help="run every algorithm through chaos fault profiles and check"
              " the consistency oracle's verdict against the claimed level",
     )
@@ -887,10 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated chaos profiles (default: healthy,delay,dup,"
              "crash,source-stall,source-reorder)",
     )
-    conf.add_argument("--seed", "-s", type=int, default=0,
-                      help="first workload seed")
-    conf.add_argument("--runs", type=int, default=1,
-                      help="seeds per case: seed, seed+1, ...")
     conf.add_argument("--transport", choices=("local", "tcp"), default="local")
     conf.add_argument(
         "--localities", default="off", metavar="M,N,...",
@@ -906,78 +944,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conf.add_argument("--updates", "-u", type=int, default=None)
     conf.add_argument("--sources", "-n", type=int, default=None)
-    conf.add_argument("--time-scale", type=float, default=None,
-                      help="wall seconds per virtual time unit")
-    conf.add_argument("--timeout", type=float, default=None,
-                      help="wall-clock quiescence timeout per case")
-    conf.add_argument("--json", default="conformance_report.json",
-                      metavar="PATH", help="where to write the JSON report")
-
-    rec = sub.add_parser(
-        "recovery-sweep",
+    _add_scenario_parser(
+        sub, "recovery-sweep", "crash-restart", smoke=True,
         help="crash one shard per seeded case, recover from checkpoint +"
              " WAL, and compare against the uncrashed baseline",
     )
-    rec.add_argument("--seed", "-s", type=int, default=0,
-                     help="first workload seed")
-    rec.add_argument("--runs", type=int, default=30,
-                     help="seeds per sweep: seed, seed+1, ...")
-    rec.add_argument("--tcp-every", type=int, default=5,
-                     help="every Nth seed runs over loopback TCP"
-                          " (0 = local only)")
-    rec.add_argument("--time-scale", type=float, default=0.002,
-                     help="wall seconds per virtual time unit")
-    rec.add_argument("--timeout", type=float, default=120.0,
-                     help="wall-clock quiescence timeout per run")
-    rec.add_argument("--smoke", action="store_true",
-                     help="also run the multiprocess kill-and-recover"
-                          " smoke (SIGKILL a serve-shard process under"
-                          " the supervisor's on-crash restart policy)")
-    rec.add_argument("--json", default="recovery_report.json",
-                     metavar="PATH", help="where to write the JSON report")
-
-    fo = sub.add_parser(
-        "failover-sweep",
+    _add_scenario_parser(
+        sub, "failover-sweep", "primary-kill", smoke=True,
         help="kill a shard's primary at deterministic protocol points,"
              " promote its hot standby, and compare against the uncrashed"
              " baseline",
     )
-    fo.add_argument("--seed", "-s", type=int, default=0,
-                    help="first workload seed")
-    fo.add_argument("--seeds", type=int, default=30,
-                    help="seeds per sweep: seed, seed+1, ...")
-    fo.add_argument("--tcp-every", type=int, default=5,
-                    help="every Nth seed runs over loopback TCP"
-                         " (0 = local only)")
-    fo.add_argument("--time-scale", type=float, default=0.002,
-                    help="wall seconds per virtual time unit")
-    fo.add_argument("--timeout", type=float, default=120.0,
-                    help="wall-clock quiescence timeout per run")
-    fo.add_argument("--smoke", action="store_true",
-                    help="also run the multiprocess promotion smoke"
-                         " (SIGKILL the primary serve-shard process; the"
-                         " supervisor must promote the standby)")
-    fo.add_argument("--json", default="failover_report.json",
-                    metavar="PATH", help="where to write the JSON report")
-
-    rb = sub.add_parser(
-        "rebalance-sweep",
+    _add_scenario_parser(
+        sub, "rebalance-sweep", "migrate",
         help="migrate one view between shards at deterministic protocol"
              " points and compare against a never-migrated baseline",
     )
-    rb.add_argument("--seed", "-s", type=int, default=0,
-                    help="first workload seed")
-    rb.add_argument("--seeds", type=int, default=30,
-                    help="seeds per sweep: seed, seed+1, ...")
-    rb.add_argument("--tcp-every", type=int, default=5,
-                    help="every Nth seed runs over loopback TCP"
-                         " (0 = local only)")
-    rb.add_argument("--time-scale", type=float, default=0.002,
-                    help="wall seconds per virtual time unit")
-    rb.add_argument("--timeout", type=float, default=120.0,
-                    help="wall-clock quiescence timeout per run")
-    rb.add_argument("--json", default="rebalance_report.json",
-                    metavar="PATH", help="where to write the JSON report")
 
     adv = sub.add_parser(
         "advise", help="recommend an algorithm for a workload"
@@ -1061,172 +1043,93 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recovery_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import recovery
-
-    def progress(row: dict) -> None:
-        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
-        print(
-            f"  {row['algorithm']:>13s} x {row['transport']:<5s}"
-            f" seed={row['seed']} ... {verdict}",
-            flush=True,
-        )
-
-    rows = recovery.run_recovery_sweep(
-        seeds=range(args.seed, args.seed + args.runs),
-        tcp_every=args.tcp_every,
-        time_scale=args.time_scale,
-        timeout=args.timeout,
-        progress=progress,
-    )
-    smoke = None
-    if args.smoke:
-        print("  kill-and-recover smoke (multiprocess) ...", flush=True)
-        smoke = recovery.kill_and_recover_smoke()
-    report = recovery.build_report(rows, smoke=smoke)
-    print()
-    print(recovery.format_report(report))
-    path = recovery.write_report(report, args.json)
-    print(f"\nwrote {path}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_failover_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import failover
-
-    def progress(row: dict) -> None:
-        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
-        print(
-            f"  {row['algorithm']:>13s} x {row['transport']:<5s}"
-            f" seed={row['seed']} {row['kill_point']:<16s} ... {verdict}",
-            flush=True,
-        )
-
-    rows = failover.run_failover_sweep(
-        seeds=range(args.seed, args.seed + args.seeds),
-        tcp_every=args.tcp_every,
-        time_scale=args.time_scale,
-        timeout=args.timeout,
-        progress=progress,
-    )
-    smoke = None
-    if args.smoke:
-        print("  promotion smoke (multiprocess SIGKILL) ...", flush=True)
-        smoke = failover.promotion_smoke()
-    report = failover.build_report(rows, smoke=smoke)
-    print()
-    print(failover.format_report(report))
-    path = failover.write_report(report, args.json)
-    print(f"\nwrote {path}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_rebalance_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import rebalance
-
-    def progress(row: dict) -> None:
-        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
-        mutated = " MUT" if row["mutated"] else ""
-        print(
-            f"  {row['algorithm']:>13s} x {row['transport']:<5s}"
-            f" seed={row['seed']} {row['migration_point']:<16s}{mutated}"
-            f" ... {verdict}",
-            flush=True,
-        )
-
-    rows = rebalance.run_rebalance_sweep(
-        seeds=range(args.seed, args.seed + args.seeds),
-        tcp_every=args.tcp_every,
-        time_scale=args.time_scale,
-        timeout=args.timeout,
-        progress=progress,
-    )
-    report = rebalance.build_report(rows)
-    print()
-    print(rebalance.format_report(report))
-    path = rebalance.write_report(report, args.json)
-    print(f"\nwrote {path}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro.harness import conformance
+def _conformance_rows(args: argparse.Namespace, progress) -> list[dict] | None:
+    """The conformance matrix, or ``None`` after reporting a usage error."""
+    from repro.harness import scenarios
+    from repro.runtime.chaos import PROFILES
+    from repro.warehouse.locality import MODES
 
     algorithms = (
         args.algorithms.split(",")
         if args.algorithms
-        else conformance.DEFAULT_ALGORITHMS
+        else scenarios.DEFAULT_ALGORITHMS
     )
     profiles = (
-        args.profiles.split(",") if args.profiles else conformance.DEFAULT_PROFILES
+        args.profiles.split(",") if args.profiles
+        else scenarios.DEFAULT_PROFILES
     )
-    from repro.runtime.chaos import PROFILES
-    from repro.warehouse.registry import ALGORITHMS
-
-    known = tuple(ALGORITHMS) + tuple(conformance.SHARDED_ALGORITHMS)
-    for name in algorithms:
-        if name not in known:
-            print(
-                f"unknown algorithm {name!r}; available: {','.join(known)}",
-                file=sys.stderr,
-            )
-            return 2
-    for name in profiles:
-        if name not in PROFILES:
-            print(
-                f"unknown chaos profile {name!r}; available:"
-                f" {','.join(PROFILES)}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.codec_version not in conformance.CODEC_CHOICES:
-        print(
-            f"unknown codec pin {args.codec_version!r}; available:"
-            f" {','.join(conformance.CODEC_CHOICES)}",
-            file=sys.stderr,
-        )
-        return 2
     localities = tuple(args.localities.split(","))
-    for name in localities:
-        if name not in ("off", "aux", "cache", "auto"):
-            print(
-                f"unknown locality mode {name!r}; available:"
-                f" off,aux,cache,auto",
-                file=sys.stderr,
-            )
-            return 2
+    for what, chosen, known in (
+        ("algorithm", algorithms,
+         (*scenarios.DEFAULT_ALGORITHMS, *scenarios.SHARDED_ALGORITHMS)),
+        ("chaos profile", profiles, tuple(PROFILES)),
+        ("codec pin", (args.codec_version,), scenarios.CODEC_CHOICES),
+        ("locality mode", localities, tuple(MODES)),
+    ):
+        for name in chosen:
+            if name not in known:
+                print(
+                    f"unknown {what} {name!r}; available: {','.join(known)}",
+                    file=sys.stderr,
+                )
+                return None
     case_kwargs = {}
     if args.updates is not None:
         case_kwargs["n_updates"] = args.updates
     if args.sources is not None:
         case_kwargs["n_sources"] = args.sources
-    if args.time_scale is not None:
-        case_kwargs["time_scale"] = args.time_scale
-    if args.timeout is not None:
-        case_kwargs["timeout"] = args.timeout
-
-    def progress(row: dict) -> None:
-        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
-        print(
-            f"  {row['algorithm']:>13s} x {row['profile']:<8s}"
-            f" seed={row['seed']} loc={row.get('locality', 'off')}"
-            f" ... {verdict}",
-            flush=True,
-        )
-
-    report = conformance.run_matrix(
+    return scenarios.run_matrix(
         algorithms,
         profiles,
-        seeds=range(args.seed, args.seed + args.runs),
+        seeds=range(args.seed, args.seed + args.seeds),
         transport=args.transport,
         localities=localities,
         codec=args.codec_version,
         progress=progress,
+        time_scale=args.time_scale,
+        timeout=args.timeout,
         **case_kwargs,
     )
+
+
+def _cmd_scenarios(args: argparse.Namespace) -> int:
+    """``conformance`` and the three ``*-sweep`` commands."""
+    from repro.harness import scenarios
+
+    def progress(row: dict) -> None:
+        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
+        print(
+            f"  {row['algorithm']:>16s} x {row['transport']:<5s}"
+            f" seed={row['seed']} loc={row['locality']} {row['scenario']}"
+            f"{' MUT' if row['mutated'] else ''} ... {verdict}",
+            flush=True,
+        )
+
+    smoke = None
+    if args.perturbation is None:
+        suite = "conformance"
+        rows = _conformance_rows(args, progress)
+        if rows is None:
+            return 2
+    else:
+        perturbation = scenarios.PERTURBATIONS[args.perturbation]()
+        suite = perturbation.suite
+        rows = scenarios.run_sweep(
+            [perturbation],
+            seeds=range(args.seed, args.seed + args.seeds),
+            tcp_every=args.tcp_every,
+            time_scale=args.time_scale,
+            timeout=args.timeout,
+            progress=progress,
+        )
+        if args.smoke:
+            print(f"  {perturbation.smoke.title} (multiprocess SIGKILL) ...",
+                  flush=True)
+            smoke = scenarios.sigkill_smoke(perturbation.smoke)
+    report = scenarios.build_report(suite, rows, smoke=smoke)
     print()
-    print(conformance.format_report(report))
-    path = conformance.write_report(report, args.json)
+    print(scenarios.format_report(report))
+    path = scenarios.write_report(report, args.json)
     print(f"\nwrote {path}")
     return 0 if report["ok"] else 1
 
@@ -1245,10 +1148,10 @@ _COMMANDS = {
     "experiments": _cmd_experiments,
     "advise": _cmd_advise,
     "bench-throughput": _cmd_bench_throughput,
-    "conformance": _cmd_conformance,
-    "recovery-sweep": _cmd_recovery_sweep,
-    "failover-sweep": _cmd_failover_sweep,
-    "rebalance-sweep": _cmd_rebalance_sweep,
+    "conformance": _cmd_scenarios,
+    "recovery-sweep": _cmd_scenarios,
+    "failover-sweep": _cmd_scenarios,
+    "rebalance-sweep": _cmd_scenarios,
 }
 
 

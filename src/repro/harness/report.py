@@ -7,7 +7,9 @@ library; values are stringified with sensible float formatting.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 
 def _fmt(value: object) -> str:
@@ -58,4 +60,15 @@ def format_dict_table(
     )
 
 
-__all__ = ["format_dict_table", "format_table"]
+def write_report(report: dict, path: str | Path) -> Path:
+    """Write a JSON report document (bench suite, scenario sweep)."""
+    path = Path(path)
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def load_report(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+__all__ = ["format_dict_table", "format_table", "load_report", "write_report"]

@@ -24,13 +24,11 @@ baseline report is a regression.
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 from typing import Any
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.report import format_table
+from repro.harness.report import format_table, load_report, write_report
 
 #: The `local` row of results/runtime_throughput.txt before batching.
 BASELINE_UPDATES_PER_SEC = 415.1
@@ -674,16 +672,6 @@ def build_report(rows: list[dict], quick: bool = False) -> dict:
         "replica_overhead": replica_overhead(rows),
         "rebalance_overhead": rebalance_overhead(rows),
     }
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def compare_reports(

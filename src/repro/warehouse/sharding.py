@@ -386,6 +386,20 @@ class RebalancePlan:
         )
 
 
+def pick_migration(plan: ShardPlan) -> tuple[str, int]:
+    """The default move under ``plan``: ``(view, to_shard)``.
+
+    Deterministic per plan: the first active shard hosting more than its
+    primary donates its first extra view to the next active shard.
+    """
+    for shard in plan.active_shards:
+        views = plan.views_for(shard)
+        if len(views) > 1:
+            recipients = [s for s in plan.active_shards if s != shard]
+            return views[1].name, recipients[0]
+    raise ValueError(f"no migratable view under [{plan.describe()}]")
+
+
 def view_family(base: ViewDefinition, n_views: int) -> list[ViewDefinition]:
     """A deterministic family of ``n_views`` SPJ variants of ``base``.
 
@@ -443,6 +457,7 @@ __all__ = [
     "canonical_view_bytes",
     "parse_member",
     "partition_views",
+    "pick_migration",
     "stable_shard_of",
     "view_family",
 ]
