@@ -182,6 +182,14 @@ class RunResult:
         ]
         return ",".join(passed) if passed else "unchecked"
 
+    def __repr__(self) -> str:
+        # Bounded: the generated dataclass repr renders the whole workload,
+        # recorder and warehouse, and asyncio reprs a finished task's result.
+        return (
+            f"{type(self).__name__}({self.config.algorithm},"
+            f" installs={self.installs})"
+        )
+
     def report(self) -> str:
         """Multi-line human-readable summary of the run."""
         lines = [

@@ -4,7 +4,7 @@ The simulation kernel and this runtime expose the same contract --
 ``now``, ``schedule``, ``spawn`` -- so every protocol object in
 :mod:`repro.warehouse` and :mod:`repro.sources` runs unchanged on either
 host.  The runtime adds what a real deployment needs and a simulator does
-not: transports (in-process bounded queues or loopback/remote TCP with
+not: transports (in-process direct hand-off or loopback/remote TCP with
 FIFO sessions, retries and backpressure), wall-clock scheduling with a
 configurable virtual-time scale, and quiescence detection by polling
 instead of an empty event heap.

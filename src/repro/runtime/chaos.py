@@ -153,9 +153,9 @@ PROFILES: dict[str, ChaosConfig] = {
     ),
     # What a crashing-and-recovering peer looks like from the outside:
     # long dark windows plus stalls while it replays its durable state.
-    # (Actual kill-and-recover of a *shard* is driven by the durability
-    # harness -- see repro.harness.recovery -- which pairs this profile
-    # with a CrashPlan.)
+    # (Actual kill-and-recover of a *shard* is driven by the scenario
+    # harness -- CrashRestart in repro.harness.scenarios -- which pairs
+    # this profile with a CrashPlan.)
     "crash-restart": ChaosConfig(
         name="crash-restart",
         drop_prob=0.1,

@@ -5,7 +5,7 @@
 :class:`~repro.harness.config.ExperimentConfig` produces the same seeded
 workload, but the sites are hosted on an :class:`AsyncRuntime` and talk
 through real transports -- loopback TCP sessions (``transport="tcp"``) or
-in-process bounded queues (``transport="local"``).  Latency-model knobs are
+in-process direct hand-off (``transport="local"``).  Latency-model knobs are
 ignored: the network *is* the latency.  Everything else -- metrics, trace,
 consistency oracle, report rendering -- is the same machinery, so a
 distributed run and a simulator run are directly comparable.
@@ -56,7 +56,7 @@ from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.registry import algorithm_info
 
 
-@dataclass
+@dataclass(repr=False)  # keep RunResult's bounded __repr__
 class DistributedRunResult(RunResult):
     """A :class:`RunResult` produced by the asyncio runtime."""
 

@@ -18,10 +18,16 @@ as simulator runs.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from collections.abc import Callable, Coroutine, Generator
 
 from repro.runtime.errors import QuiescenceTimeout
 from repro.simulation.process import Process
+
+#: Zero-delay callbacks one ``_pump`` call may run before it hands the loop
+#: back, so timers, sockets and ``wait_until`` run between slices however
+#: long the ready queue keeps refilling itself.
+_PUMP_SLICE = 256
 
 
 class AsyncRuntime:
@@ -44,6 +50,8 @@ class AsyncRuntime:
         self._failed = asyncio.Event()
         self._events_executed = 0
         self._closed = False
+        self._ready: deque[Callable[[], None]] = deque()
+        self._pump_armed = False
 
     # ------------------------------------------------------------------
     # The kernel contract (duck-type of Simulator)
@@ -58,21 +66,29 @@ class AsyncRuntime:
         """Scheduled callbacks fired so far (parity with the simulator)."""
         return self._events_executed
 
-    def schedule(self, delay: float, callback: Callable[[], None]):
-        """Run ``callback`` after ``delay`` virtual units of wall time."""
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` after ``delay`` virtual units of wall time.
+
+        Zero-delay callbacks (process starts, mailbox wake-ups -- the hot
+        path) go on a FIFO ready queue that one loop callback runs to
+        completion, so a message's whole causal chain costs one loop turn
+        instead of one turn per hop.
+        """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         if delay == 0:
-            # call_soon skips the timer heap -- zero-delay wakeups dominate
-            # the hot path (process starts, mailbox handoffs).
-            return self._loop.call_soon(self._guarded, callback)
-        return self._loop.call_later(
-            delay * self.time_scale, self._guarded, callback
-        )
+            self._ready.append(callback)
+            if not self._pump_armed:
+                self._pump_armed = True
+                self._loop.call_soon(self._pump)
+        else:
+            self._loop.call_later(
+                delay * self.time_scale, self._guarded, callback
+            )
 
-    def schedule_at(self, time: float, callback: Callable[[], None]):
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute virtual ``time`` (clamped to now)."""
-        return self.schedule(max(0.0, time - self.now), callback)
+        self.schedule(max(0.0, time - self.now), callback)
 
     def spawn(self, name: str, generator: Generator) -> Process:
         """Host an unchanged simulation process on the event loop."""
@@ -145,12 +161,15 @@ class AsyncRuntime:
         return [p for p in self._processes if p.is_blocked]
 
     def settled(self) -> bool:
-        """True when every process has either finished or awaits a mailbox.
+        """True when every process has either finished or awaits a mailbox
+        and no zero-delay callback is waiting to run.
 
         A process mid-``Delay`` (e.g. a pending scheduled update or a
         source still inside its service time) keeps the runtime unsettled.
         """
-        return all(p.finished or p.is_blocked for p in self._processes)
+        return not self._ready and all(
+            p.finished or p.is_blocked for p in self._processes
+        )
 
     async def aclose(self) -> None:
         """Cancel every runtime-owned task (idempotent)."""
@@ -165,6 +184,18 @@ class AsyncRuntime:
         self._tasks.clear()
 
     # ------------------------------------------------------------------
+    def _pump(self) -> None:
+        """Run ready callbacks FIFO, including ones they enqueue."""
+        ready = self._ready
+        budget = _PUMP_SLICE
+        while ready and budget:
+            budget -= 1
+            self._guarded(ready.popleft())
+        if ready:
+            self._loop.call_soon(self._pump)
+        else:
+            self._pump_armed = False
+
     def _guarded(self, callback: Callable[[], None]) -> None:
         self._events_executed += 1
         try:

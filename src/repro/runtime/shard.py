@@ -1069,6 +1069,13 @@ class ShardedRunResult:
             achieved >= level for achieved in self.levels.values()
         )
 
+    def __repr__(self) -> str:
+        # Bounded for the same reason as ``RunResult.__repr__``.
+        return (
+            f"{type(self).__name__}({self.config.algorithm},"
+            f" installs={self.installs})"
+        )
+
     def report(self) -> str:
         lines = [
             f"sharded run      : {self.n_shards} shard(s),"
@@ -1207,8 +1214,8 @@ async def run_sharded_async(
     the answer path (only the authoritative member's views and verdicts
     appear on the result).  ``failover`` additionally kills the chosen
     shard's primary at a deterministic protocol point and promotes its
-    first standby -- the in-process half of the failover-equivalence
-    harness (:mod:`repro.harness.failover`).
+    first standby -- the in-process half of the scenario harness's
+    ``PrimaryKill`` perturbation (:mod:`repro.harness.scenarios`).
 
     ``rebalance`` migrates one non-primary view to another active shard
     *mid-run*: the donor seals and drains at the chosen protocol point,

@@ -6,15 +6,15 @@ guarantees reliable FIFO delivery into the destination mailbox -- the one
 communication assumption the paper's correctness argument needs
 (Section 2).  Two implementations ship:
 
-* :class:`LocalChannel` -- an in-process ``asyncio.Queue`` with a single
-  delivery task (FIFO by construction); and
+* :class:`LocalChannel` -- an in-process direct hand-off into the
+  destination mailbox (FIFO by construction); and
 * :class:`repro.runtime.tcp.TcpChannel` -- length-prefixed JSON frames over
   a TCP session with sequence numbers, acknowledgements and reconnect.
 
-Both apply **backpressure** with a bounded send queue: ``send`` raises
-:class:`TransportOverflowError` when the bound is hit, and pacing producers
-``await channel.drain()`` to stay below the high-water mark (protocol
-traffic is self-limiting; only workload injectors need to pace).
+Both apply **backpressure** with a bound on what ``send`` accepts:
+it raises :class:`TransportOverflowError` when the bound is hit, and pacing
+producers ``await channel.drain()`` to stay below the high-water mark
+(protocol traffic is self-limiting; only workload injectors need to pace).
 """
 
 from __future__ import annotations
@@ -98,10 +98,12 @@ class RuntimeChannel:
 
 
 class LocalChannel(RuntimeChannel):
-    """In-process transport: one bounded queue, one delivery task.
+    """In-process transport: ``send`` puts the message in the mailbox.
 
-    ``delivery_delay`` (virtual units) optionally models link latency --
-    useful to widen the interference window in demos without a network.
+    The mailbox wakes its consumer through a zero-delay kernel event, so
+    the receiver is never re-entered from the sender and FIFO is the
+    mailbox's own.  With no queue to fill, ``max_queue`` bounds what a
+    producer may hand off before it yields to the runtime's ready queue.
     """
 
     def __init__(
@@ -111,56 +113,36 @@ class LocalChannel(RuntimeChannel):
         destination: "Mailbox",
         metrics: MetricsCollector | None = None,
         max_queue: int = 1024,
-        delivery_delay: float = 0.0,
     ):
         super().__init__(runtime, name, metrics, max_queue)
         self.destination = destination
-        self.delivery_delay = delivery_delay
-        self._undelivered = 0
-        self._queue: asyncio.Queue[Message] = asyncio.Queue(maxsize=max_queue)
-        self._task = runtime.create_task(self._deliver_loop(), f"deliver:{name}")
+        self._unyielded = 0
 
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
         self._account(message)
-        try:
-            self._queue.put_nowait(message)
-        except asyncio.QueueFull:
+        if self._unyielded >= self.max_queue:
             raise TransportOverflowError(
-                f"channel {self.name!r}: bounded send queue full"
-                f" ({self.max_queue} messages); pace the producer with drain()"
-            ) from None
-        self._undelivered += 1
+                f"channel {self.name!r}: {self.max_queue} messages handed"
+                " off without yielding; pace the producer with drain()"
+            )
+        if self._unyielded == 0:
+            self.runtime.schedule(0.0, self._yielded)
+        self._unyielded += 1
+        message.delivered_at = message.sent_at
+        self.destination.put(message)
 
     @property
     def idle(self) -> bool:
-        return self._undelivered == 0
+        return self._unyielded == 0
 
     @property
     def queued(self) -> int:
-        return self._undelivered
+        return self._unyielded
 
     # ------------------------------------------------------------------
-    async def _deliver_loop(self) -> None:
-        while True:
-            message = await self._queue.get()
-            if self.delivery_delay > 0:
-                await self.runtime.sleep(self.delivery_delay)
-            message.delivered_at = self.runtime.now
-            self.destination.put(message)
-            self._undelivered -= 1
-            # Fast path: drain whatever else arrived this tick in one go
-            # instead of paying a task wakeup per message.  FIFO order is
-            # preserved -- same queue, same task.
-            if self.delivery_delay <= 0:
-                while True:
-                    try:
-                        message = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    message.delivered_at = self.runtime.now
-                    self.destination.put(message)
-                    self._undelivered -= 1
+    def _yielded(self) -> None:
+        self._unyielded = 0
 
 
 __all__ = ["LocalChannel", "RuntimeChannel"]

@@ -16,6 +16,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from statistics import mean
 
+from repro.relational.incremental import PartialView
+from repro.relational.relation import BagBase
+
 
 def estimate_size(payload: object) -> int:
     """Number of rows a payload would occupy on the wire.
@@ -23,9 +26,10 @@ def estimate_size(payload: object) -> int:
     Understands the engine's bags, partial views and containers; anything
     else counts as one row.
     """
-    from repro.relational.incremental import PartialView
-    from repro.relational.relation import BagBase
-
+    # Protocol payloads (notices, requests, answers) size themselves and
+    # are what nearly every ``send`` carries, so they go first.
+    if hasattr(payload, "payload_size"):
+        return max(1, int(payload.payload_size()))
     if payload is None:
         return 1
     if isinstance(payload, BagBase):
@@ -58,8 +62,6 @@ def estimate_size(payload: object) -> int:
             if stride > 1:
                 return max(1, len(payload["f"]) // stride)
         return max(1, sum(estimate_size(v) for v in payload.values()))
-    if hasattr(payload, "payload_size"):
-        return max(1, int(payload.payload_size()))
     return 1
 
 

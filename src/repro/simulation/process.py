@@ -23,10 +23,10 @@ from repro.simulation.errors import (
     ProcessKilled,
     SimulationError,
 )
+from repro.simulation.mailbox import Get
 
 if TYPE_CHECKING:
     from repro.simulation.kernel import Simulator
-    from repro.simulation.mailbox import Get
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +49,7 @@ class Process:
         self._generator = generator
         self.finished = False
         self.failed: BaseException | None = None
-        self._blocked_on: "Get | None" = None
+        self._blocked_on: Get | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -85,14 +85,11 @@ class Process:
         self._handle(effect)
 
     def _handle(self, effect: Any) -> None:
-        # Imported lazily to avoid a circular module dependency.
-        from repro.simulation.mailbox import Get
-
-        if isinstance(effect, Delay):
-            self.sim.schedule(effect.duration, lambda: self._advance(None))
-        elif isinstance(effect, Get):
+        if isinstance(effect, Get):
             self._blocked_on = effect
             effect.mailbox._register_waiter(self)
+        elif isinstance(effect, Delay):
+            self.sim.schedule(effect.duration, lambda: self._advance(None))
         else:
             self.finished = True
             raise SimulationError(

@@ -55,6 +55,9 @@ class TestRunResult:
         text = result.report()
         assert "algorithm" in text and "consistency" in text
         assert "complete" in text
+        # asyncio reprs a finished task's result: one bounded line, not
+        # the whole workload / recorder / warehouse.
+        assert repr(result) == "RunResult(sweep, installs=8)"
 
     def test_zero_update_run(self):
         result = run_experiment(ExperimentConfig(n_updates=0))

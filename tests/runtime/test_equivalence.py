@@ -8,12 +8,14 @@ achieving complete consistency and its exact 2(n-1) per-update message
 cost on real transports too.
 """
 
+import asyncio
+
 import pytest
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
-from repro.runtime import run_distributed
+from repro.runtime import run_distributed, run_distributed_async
 
 
 def config_for(algorithm, **overrides):
@@ -96,3 +98,32 @@ def test_distributed_result_report_mentions_transport():
     )
     text = result.report()
     assert "transport" in text and "local" in text
+    assert repr(result) == "DistributedRunResult(sweep, installs=4)"
+
+
+def test_local_sweep_costs_a_bounded_number_of_loop_turns_per_update():
+    """An in-process message is one mailbox append and an update's causal
+    chain runs inside one loop turn: ~2 loop iterations per update plus
+    quiescence polls (12 when every message cost a queue + task hop)."""
+    config = config_for("sweep", n_updates=200, mean_interarrival=1.5)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        run_once = loop._run_once
+        turns = 0
+
+        def counted():
+            nonlocal turns
+            turns += 1
+            run_once()
+
+        loop._run_once = counted
+        result = await run_distributed_async(
+            config, transport="local", time_scale=0.001, timeout=60.0
+        )
+        return result, turns
+
+    result, turns = asyncio.run(main())
+    assert turns <= 6 * config.n_updates
+    assert result.metrics.messages_total == 5 * config.n_updates
+    assert result.final_view == run_experiment(config).final_view

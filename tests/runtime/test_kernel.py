@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.runtime import AsyncRuntime, QuiescenceTimeout
+from repro.runtime.kernel import _PUMP_SLICE
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.process import Delay
 
@@ -130,3 +131,89 @@ def test_schedule_rejects_negative_delay():
             runtime.schedule(-1.0, lambda: None)
 
     run(main())
+
+
+# ---------------------------------------------------------------------------
+# The zero-delay ready queue (one loop callback pumps it to completion)
+# ---------------------------------------------------------------------------
+
+def test_zero_delay_chain_runs_before_later_loop_callbacks():
+    """``a`` schedules ``b``: both run inside the pump's one loop turn,
+    ahead of a ``call_soon`` queued after ``a`` was scheduled."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        order = []
+
+        def a():
+            order.append("a")
+            runtime.schedule(0.0, lambda: order.append("b"))
+
+        runtime.schedule(0.0, a)
+        asyncio.get_running_loop().call_soon(order.append, "marker")
+        assert not runtime.settled()  # ready queue non-empty
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        return order, runtime.settled(), runtime.events_executed
+
+    order, settled, executed = run(main())
+    assert order == ["a", "b", "marker"]
+    assert settled
+    assert executed == 2
+
+
+def test_pump_slice_keeps_tasks_and_timers_running():
+    """A callback that re-schedules itself forever yields the loop every
+    ``_PUMP_SLICE`` callbacks: other tasks and timers still make progress."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        spins = 0
+        stop = False
+        timer_fired = asyncio.Event()
+
+        def spin():
+            nonlocal spins
+            spins += 1
+            if not stop:
+                runtime.schedule(0.0, spin)
+
+        async def ticker():
+            seen = []
+            for _ in range(5):
+                await asyncio.sleep(0)
+                seen.append(spins)
+            return seen
+
+        runtime.schedule(0.0, spin)
+        runtime.schedule(0.001, timer_fired.set)
+        seen = await asyncio.wait_for(ticker(), timeout=5.0)
+        await asyncio.wait_for(timer_fired.wait(), timeout=5.0)
+        stop = True
+        await runtime.wait_until(runtime.settled, timeout=5.0)
+        return seen
+
+    seen = run(main())
+    gaps = [b - a for a, b in zip(seen, seen[1:])]
+    assert gaps and all(0 < gap <= _PUMP_SLICE for gap in gaps)
+
+
+def test_raising_callback_is_recorded_once_and_does_not_stop_the_pump():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        ran = []
+
+        def boom():
+            raise RuntimeError("pump failure")
+
+        runtime.schedule(0.0, lambda: ran.append("before"))
+        runtime.schedule(0.0, boom)
+        runtime.schedule(0.0, lambda: ran.append("after"))
+        await asyncio.sleep(0)
+        assert ran == ["before", "after"]
+        assert len(runtime._failures) == 1
+        assert runtime.events_executed == 3
+        runtime.check()
+
+    with pytest.raises(RuntimeError, match="pump failure"):
+        run(main())

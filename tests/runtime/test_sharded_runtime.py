@@ -107,6 +107,7 @@ def test_report_names_plan_views_and_verdicts():
     assert "complete" in text
     for name in result.final_views:
         assert name in text
+    assert repr(result) == f"ShardedRunResult(sweep, installs={result.installs})"
 
 
 # ---------------------------------------------------------------------------

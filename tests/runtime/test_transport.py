@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.harness.config import ExperimentConfig
 from repro.relational.delta import Delta
 from repro.runtime import (
     AsyncRuntime,
@@ -13,8 +14,10 @@ from repro.runtime import (
     TcpChannelConfig,
     TransportOverflowError,
     WireCodec,
+    run_distributed,
 )
 from repro.simulation.channel import Message
+from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.sources.messages import UpdateNotice
 
@@ -253,3 +256,54 @@ def test_tcp_listener_survives_channel_restart(paper_view):
     got, connections = run(main())
     assert got == [1, 2, 3, 4, 5]
     assert connections == 2
+
+
+# ---------------------------------------------------------------------------
+# LocalChannel is a direct hand-off
+# ---------------------------------------------------------------------------
+
+def test_local_channel_send_is_a_direct_handoff(paper_view):
+    """When ``send`` returns the message is already in the mailbox,
+    stamped; the consumer still wakes through a kernel event, not
+    re-entrantly from the sender."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        box = Mailbox(runtime, "wh-inbox")
+        got = []
+
+        def consumer():
+            while True:
+                got.append((yield box.get()))
+
+        runtime.spawn("consumer", consumer())
+        await runtime.wait_until(runtime.settled, timeout=5.0)
+        channel = LocalChannel(runtime, "R1->wh", box)
+        message = Message("update", "R1", make_notice(paper_view, 1))
+        channel.send(message)
+        at_return = (len(box), list(got), channel.idle, runtime.settled())
+        await channel.flush()
+        await runtime.aclose()
+        return message, at_return, got
+
+    message, (buffered, got_at_return, idle, settled), got = run(main())
+    assert buffered == 1 and got_at_return == []
+    assert not idle and not settled  # quiescence sees the pending wake-up
+    assert message.sent_at is not None
+    assert message.delivered_at == message.sent_at
+    assert got == [message]
+
+
+def test_local_fleet_has_no_delivery_tasks(monkeypatch):
+    names = []
+    original = AsyncRuntime.create_task
+
+    def recording(self, coro, name=""):
+        names.append(name)
+        return original(self, coro, name)
+
+    monkeypatch.setattr(AsyncRuntime, "create_task", recording)
+    config = ExperimentConfig(algorithm="sweep", n_sources=3, n_updates=5, seed=3)
+    result = run_distributed(config, transport="local", time_scale=0.001)
+    assert result.recorder.updates_delivered == 5
+    assert not [name for name in names if name.startswith("deliver:")]

@@ -210,9 +210,10 @@ class TestProcesses:
         def weird():
             yield "not-an-effect"
 
-        sim.spawn("w", weird())
+        p = sim.spawn("w", weird())
         with pytest.raises(SimulationError):
             sim.run()
+        assert p.finished
 
     def test_resume_dead_process_rejected(self):
         sim = Simulator()

@@ -12,13 +12,20 @@ import asyncio
 
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
-from repro.runtime import AsyncRuntime, LocalChannel
+from repro.relational.relation import Relation
+from repro.runtime import AsyncRuntime, LocalChannel, binwire
 from repro.simulation.channel import Channel, Message
 from repro.simulation.kernel import Simulator
 from repro.simulation.latency import ConstantLatency
 from repro.simulation.mailbox import Mailbox
-from repro.simulation.metrics import MetricsCollector
-from repro.sources.messages import MultiQueryAnswer, MultiQueryRequest
+from repro.simulation.metrics import MetricsCollector, estimate_size
+from repro.sources.messages import (
+    MultiQueryAnswer,
+    MultiQueryRequest,
+    QueryAnswer,
+    QueryRequest,
+    UpdateNotice,
+)
 
 
 def _partials(paper_view):
@@ -111,3 +118,28 @@ def test_simulator_and_runtime_account_batched_frames_identically(paper_view):
         sim_metrics.summary()["by_channel"]
         == run_metrics.summary()["by_channel"]
     )
+
+
+def test_estimate_size_rows_per_payload_type(paper_view):
+    """Row counts per payload type, pinned: the protocol payloads that
+    size themselves, the engine's bags, and the serialized forms."""
+    two_rows = Delta(paper_view.schema_of(1), {(1, 3): 1, (4, 9): -1})
+    partial = _partials(paper_view)[0]
+    flat = {"w": 2, "f": [1, 3, 1, 4, 9, -1, 5, 5, 2]}
+    cases = [
+        (None, 1),
+        (two_rows, 2),
+        (Relation(paper_view.schema_of(1)), 1),  # empty still travels
+        (partial, 2),
+        ([two_rows, partial], 4),
+        (flat, 3),
+        ({"a": two_rows, "b": None}, 3),
+        (binwire.dumps(flat), 3),
+        (b"not binwire", 1),
+        (UpdateNotice(source_index=1, seq=1, delta=two_rows), 2),
+        (QueryRequest(request_id=1, partial=partial, target_index=2), 2),
+        (QueryAnswer(request_id=1, partial=partial), 2),
+        ("scalar", 1),
+    ]
+    for payload, rows in cases:
+        assert estimate_size(payload) == rows, payload
