@@ -52,24 +52,26 @@ MODES: dict[str, dict[str, Any]] = {
 ALGORITHMS = ("sweep", "batched-sweep", "pipelined-sweep")
 TRANSPORTS = ("local", "tcp")
 
-#: Sharded-runtime bench: a saturated multi-view workload whose per-step
-#: cost is the query service time, the quantity sharding divides.  With 8
-#: views on one shard every sweep step pays 8 joins serially; split 2 per
-#: shard across 4 shards the per-shard pipelines overlap.  Virtual units
-#: deliberately dwarf transport latency so the measured ratio isolates
-#: the sharding effect (every shard count runs the identical workload).
+#: Sharded-runtime bench: a saturated 8-view workload with a per-join
+#: ``query_service_time``.  The family shares one join, so every shard
+#: sweeps one class and a step costs one service time on *any* shard
+#: count: the rows exist as the twins of the durable / replica /
+#: rebalance overhead pairs below, not as a shards=N-over-shards=1
+#: speedup (what sharding divides and multiplies: docs/sharding.md).
+#: The service time is 8 units because the overhead budgets below were
+#: set against the 8 serial joins x 1 unit a step used to sleep: one
+#: class x 8 units keeps the 32 ms of modelled source work per update
+#: they are fractions of (at 1 unit the cells last 0.3 s and the pairs'
+#: run-to-run spread alone reaches the 15% budgets).
 SHARD_MODE: dict[str, Any] = {
     "n_updates": 60,
     "mean_interarrival": 0.05,
     "time_scale": 0.002,
     "n_views": 8,
-    "query_service_time": 1.0,
+    "query_service_time": 8.0,
 }
 SHARD_COUNTS = (1, 2, 4)
 QUICK_SHARD_COUNTS = (1, 2)
-#: Required throughput ratio of shards=4 over shards=1 (shards=2 in quick
-#: mode is gated via the recorded speedup ratios like every other cell).
-SHARD_SPEEDUP_TARGET = 1.8
 
 #: Maximum fraction of throughput the durability subsystem may cost on
 #: the saturated multi-view workload (checkpoints + WAL fsyncs versus the
@@ -87,10 +89,14 @@ REPLICA_OVERHEAD_TARGET = 0.15
 #: with one mid-run drain/handoff/re-route (seal the donor, ship the
 #: handoff blob, replay the gap on the recipient) and must stay within
 #: this budget of the static-plan cell.  The pair runs a 9-view family
-#: so the move is *load-neutral* -- the donor starts one view heavier
-#: (3/2/2/2 at four shards) and hands that view to a lighter shard, so
-#: the bottleneck shard serves 3 views before and after and the measured
-#: cost is the protocol (seal, handoff, gap replay), not placement skew.
+#: so the move is *load-neutral*: the ninth view joins differently from
+#: the other eight and lives on the donor, so the donor sweeps two
+#: classes per step before and after it hands off a same-join view.  The
+#: recipient sweeps one class plus, once the gap closes, one view-only
+#: replay per backlogged update -- two sweeps per update, the donor's
+#: load -- so the bottleneck shard does the same join work in both cells
+#: and the measured cost is the protocol (seal, handoff, gap replay
+#: beyond that one sweep), not placement skew.
 REBALANCE_OVERHEAD_TARGET = 0.15
 REBALANCE_MODE: dict[str, Any] = {**SHARD_MODE, "n_views": 9}
 
@@ -195,6 +201,39 @@ def _wire_columns(counters: dict, delivered: int) -> dict:
     }
 
 
+def _with_own_join_views(config: ExperimentConfig, same_join: int) -> list:
+    """``view_family`` for the first ``same_join`` views of the config's
+    family; every view past them adds a cross-relation join condition of
+    its own, i.e. is a sweep class of its own on whichever shard hosts it
+    (round-robin puts view ``SHARD_MODE["n_views"]`` on shard 0, the
+    ``+rebal`` donor, at shards=1, 2 and 4)."""
+    from repro.harness.runner import build_workload
+    from repro.relational.predicate import AttrCompare, Or
+    from repro.relational.view import ViewDefinition
+    from repro.simulation.rng import RngRegistry
+    from repro.warehouse.sharding import view_family
+
+    base = build_workload(config, RngRegistry(config.seed)).view
+    views = view_family(base, same_join)
+    left, right = (base.schema_of(i).attributes[-1] for i in (1, 2))
+    for k in range(same_join, config.n_views):
+        threshold = 100 + (k * 211) % 800
+        extra = Or(
+            AttrCompare(left, "<", threshold),
+            AttrCompare(right, "<", threshold),
+        )
+        views.append(
+            ViewDefinition(
+                name=f"{base.name}#j{k}",
+                relation_names=base.relation_names,
+                schemas=base.schemas,
+                join_conditions=base.join_conditions + (extra,),
+                projection=base.projection,
+            )
+        )
+    return views
+
+
 def run_shard_cell(
     n_shards: int,
     n_updates: int,
@@ -231,6 +270,8 @@ def run_shard_cell(
         query_service_time=query_service_time,
     )
     kwargs = {}
+    if n_views > SHARD_MODE["n_views"]:
+        kwargs["views"] = _with_own_join_views(config, SHARD_MODE["n_views"])
     if durable:
         import tempfile
 
@@ -429,20 +470,6 @@ def speedups(rows: list[dict]) -> dict[str, float]:
                 out[f"locality/{transport}/{algorithm}"] = round(
                     aux["updates_per_sec"] / off["updates_per_sec"], 2
                 )
-    shard_base = by_key.get("sharded/local/sweep@shards=1")
-    if shard_base and shard_base["updates_per_sec"]:
-        for row in rows:
-            if row["mode"] != "sharded" or row is shard_base:
-                continue
-            # Codec-family shard cells run over TCP against their own
-            # same-codec twin (see codec_efficiency); they are not
-            # comparable to the local shards=1 base.
-            if row.get("codec") or row["transport"] != "local":
-                continue
-            count = row["algorithm"].partition("@")[2]  # "shards=N[+durable]"
-            out[f"sharded/local/{count}"] = round(
-                row["updates_per_sec"] / shard_base["updates_per_sec"], 2
-            )
     return out
 
 
@@ -771,10 +798,6 @@ def format_suite(rows: list[dict]) -> str:
         f" {BASELINE_UPDATES_PER_SEC} upd/s"
         f" = {SPEEDUP_TARGET * BASELINE_UPDATES_PER_SEC:.0f} upd/s"
     )
-    lines.append(
-        f"floor: sharded shards=4 >= {SHARD_SPEEDUP_TARGET}x shards=1 on"
-        " the saturated multi-view workload (full suite)"
-    )
     overhead = durable_overhead(rows)
     if overhead is not None:
         lines.append(
@@ -821,7 +844,6 @@ __all__ = [
     "REPLICA_OVERHEAD_TARGET",
     "SHARD_COUNTS",
     "SHARD_MODE",
-    "SHARD_SPEEDUP_TARGET",
     "SPEEDUP_TARGET",
     "TRANSPORTS",
     "build_report",

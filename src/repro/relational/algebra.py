@@ -22,6 +22,7 @@ predicate.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
 from repro.relational.delta import Delta
 from repro.relational.errors import HeterogeneousSchemaError
@@ -31,6 +32,7 @@ from repro.relational.predicate import (
     TruePredicate,
     compile_cached,
     conjunction,
+    memo_put,
 )
 from repro.relational.relation import BagBase, Relation
 from repro.relational.schema import Schema
@@ -46,6 +48,28 @@ def _result_type(*operands: BagBase) -> type[BagBase]:
 def concat_schemas(left: Schema, right: Schema) -> Schema:
     """Schema of the concatenation (convenience re-export of Schema.concat)."""
     return left.concat(right)
+
+
+# ---------------------------------------------------------------------------
+# Operator plans
+# ---------------------------------------------------------------------------
+
+#: A maintenance run repeats the same handful of sweep steps and installs
+#: for every update, on bags of a few rows each, where re-deriving what
+#: does not depend on the rows (output schema, column positions, compiled
+#: tests) costs more than the operator itself.  ``join`` and
+#: ``select_project`` memoise that part, keyed by value and bounded by
+#: the predicate compile cache's own policy (``memo_put``).
+_TRUE = TruePredicate()
+
+
+def _row_key(indices: tuple[int, ...]):
+    """``row -> tuple(row[i] for i in indices)`` without a generator per
+    row (the key shape :meth:`BagBase.create_index` buckets by)."""
+    if len(indices) == 1:
+        (only,) = indices
+        return lambda row: (row[only],)
+    return itemgetter(*indices)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +92,47 @@ def project(bag: BagBase, attributes: Sequence[str]) -> BagBase:
     rows) into view rows with multiplicities, e.g. both ``(1,3,5,6)`` and
     ``(2,3,5,6)`` collapsing to ``(5,6)[2]`` in the paper's example.
     """
-    indices = bag.schema.project_indices(attributes)
-    out_schema = bag.schema.project(attributes)
+    return select_project(bag, _TRUE, attributes)
+
+
+_SELECT_PROJECT_PLANS: dict[tuple, tuple] = {}
+
+
+def select_project(
+    bag: BagBase, predicate: Predicate, attributes: Sequence[str] | None
+) -> BagBase:
+    """``project(select(bag, predicate), attributes)`` in one pass.
+
+    The finalize step of every install: no intermediate bag, and the
+    compiled test, projection positions and output schema are planned
+    once per (predicate, attributes, schema).  ``attributes=None`` keeps
+    every column; a TRUE predicate with no projection returns ``bag``.
+    """
+    if attributes is None:
+        if isinstance(predicate, TruePredicate):
+            return bag
+        return select(bag, predicate)
+    schema = bag.schema
+    attributes = tuple(attributes)
+    # Schema equality ignores keys, but the output schema carries them.
+    key = (predicate, attributes, schema.attributes, schema.key)
+    plan = _SELECT_PROJECT_PLANS.get(key)
+    if plan is None:
+        test = None
+        if not isinstance(predicate, TruePredicate):
+            test = compile_cached(predicate, schema)
+        # ``Schema.project`` first: it rejects an empty or unknown
+        # attribute list with a SchemaError before ``_row_key`` sees it.
+        out_schema = schema.project(attributes)
+        pick = _row_key(schema.project_indices(attributes))
+        plan = memo_put(_SELECT_PROJECT_PLANS, key, (test, pick, out_schema))
+    test, pick, out_schema = plan
     cls = _result_type(bag)
     counts: dict[tuple, int] = {}
     for row, count in bag.items():
-        key = tuple(row[i] for i in indices)
-        counts[key] = counts.get(key, 0) + count
+        if test is None or test(row):
+            picked = pick(row)
+            counts[picked] = counts.get(picked, 0) + count
     # Signed rows collapsing onto one projected row may cancel exactly.
     if cls is Delta:
         counts = {row: c for row, c in counts.items() if c}
@@ -192,6 +250,38 @@ def _split_join_condition(
     return pairs, conjunction(residual)
 
 
+_JOIN_PLANS: dict[tuple, tuple] = {}
+
+
+def _join_plan(condition: Predicate, left: Schema, right: Schema) -> tuple:
+    """``(out_schema, l_idx, r_idx, l_key, r_key, residual_test)``.
+
+    ``l_idx``/``r_idx`` are the positions of the hashable cross equalities
+    (empty: nested loop), ``l_key``/``r_key`` extract them from a row, and
+    ``residual_test`` is the compiled remainder over the concatenated row
+    (``None`` when every conjunct is hashed).
+    """
+    # Schema equality ignores keys, but the output schema carries them.
+    key = (condition, left.attributes, left.key, right.attributes, right.key)
+    plan = _JOIN_PLANS.get(key)
+    if plan is None:
+        out_schema = left.concat(right)
+        pairs, residual = _split_join_condition(condition, left, right)
+        residual_test = None
+        if not isinstance(residual, TruePredicate):
+            residual_test = compile_cached(residual, out_schema)
+        l_idx = tuple(left.index_of(a) for a, _ in pairs)
+        r_idx = tuple(right.index_of(b) for _, b in pairs)
+        l_key = _row_key(l_idx) if pairs else None
+        r_key = _row_key(r_idx) if pairs else None
+        plan = memo_put(
+            _JOIN_PLANS,
+            key,
+            (out_schema, l_idx, r_idx, l_key, r_key, residual_test),
+        )
+    return plan
+
+
 def join(
     left: BagBase,
     right: BagBase,
@@ -204,32 +294,25 @@ def join(
     (or :class:`TruePredicate`) computes the cross product -- view chains
     always pass explicit equalities.
     """
-    out_schema = left.schema.concat(right.schema)
+    out_schema, l_idx, r_idx, l_key, r_key, residual_test = _join_plan(
+        _TRUE if condition is None else condition, left.schema, right.schema
+    )
     cls = _result_type(left, right)
     if not left or not right:
         return cls._from_validated(out_schema, {})
-    if condition is None:
-        condition = TruePredicate()
-
-    pairs, residual = _split_join_condition(condition, left.schema, right.schema)
-    residual_test = None
-    if not isinstance(residual, TruePredicate):
-        residual_test = compile_cached(residual, out_schema)
 
     # Accumulate into a plain dict: concatenated rows need no arity check,
     # and signed counts may cancel, so zero-filtering happens once at the
     # end rather than on every add.
     counts: dict[tuple, int] = {}
 
-    if pairs:
-        l_idx = tuple(left.schema.index_of(a) for a, _ in pairs)
-        r_idx = tuple(right.schema.index_of(b) for _, b in pairs)
+    if l_idx:
         # Prebuilt hash indexes (sources index their join columns) let a
         # small operand probe a large one without scanning it.
         r_index = right.get_index(r_idx)
         if r_index is not None and left.distinct_count <= right.distinct_count:
             for lrow, lcount in left.items():
-                for rrow in r_index.get(tuple(lrow[i] for i in l_idx), ()):
+                for rrow in r_index.get(l_key(lrow), ()):
                     combined = lrow + rrow
                     if residual_test is None or residual_test(combined):
                         counts[combined] = counts.get(combined, 0) + (
@@ -239,7 +322,7 @@ def join(
             l_index = left.get_index(l_idx)
             if l_index is not None and right.distinct_count <= left.distinct_count:
                 for rrow, rcount in right.items():
-                    for lrow in l_index.get(tuple(rrow[i] for i in r_idx), ()):
+                    for lrow in l_index.get(r_key(rrow), ()):
                         combined = lrow + rrow
                         if residual_test is None or residual_test(combined):
                             counts[combined] = counts.get(combined, 0) + (
@@ -249,11 +332,9 @@ def join(
             elif left.distinct_count <= right.distinct_count:
                 table: dict[tuple, list[tuple[tuple, int]]] = {}
                 for lrow, lcount in left.items():
-                    table.setdefault(tuple(lrow[i] for i in l_idx), []).append(
-                        (lrow, lcount)
-                    )
+                    table.setdefault(l_key(lrow), []).append((lrow, lcount))
                 for rrow, rcount in right.items():
-                    bucket = table.get(tuple(rrow[i] for i in r_idx))
+                    bucket = table.get(r_key(rrow))
                     if not bucket:
                         continue
                     for lrow, lcount in bucket:
@@ -265,11 +346,9 @@ def join(
             else:
                 table = {}
                 for rrow, rcount in right.items():
-                    table.setdefault(tuple(rrow[i] for i in r_idx), []).append(
-                        (rrow, rcount)
-                    )
+                    table.setdefault(r_key(rrow), []).append((rrow, rcount))
                 for lrow, lcount in left.items():
-                    bucket = table.get(tuple(lrow[i] for i in l_idx))
+                    bucket = table.get(l_key(lrow))
                     if not bucket:
                         continue
                     for rrow, rcount in bucket:
@@ -299,6 +378,7 @@ __all__ = [
     "project",
     "scale",
     "select",
+    "select_project",
     "union",
     "union_in_place",
 ]

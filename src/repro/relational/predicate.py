@@ -270,6 +270,18 @@ _COMPILE_HITS = 0
 _COMPILE_MISSES = 0
 
 
+def memo_put(cache: dict, key, value):
+    """``cache[key] = value``, clearing the memo outright once it is full.
+
+    The one eviction policy of the compile cache and of the operator-plan
+    memos in :mod:`repro.relational.algebra`.
+    """
+    if len(cache) >= _COMPILE_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 def compile_cached(predicate: Predicate, schema: Schema) -> Callable[[tuple], bool]:
     """``predicate.compile(schema)`` memoized on the (predicate, schema) pair."""
     global _COMPILE_HITS, _COMPILE_MISSES
@@ -277,10 +289,7 @@ def compile_cached(predicate: Predicate, schema: Schema) -> Callable[[tuple], bo
     test = _COMPILE_CACHE.get(key)
     if test is None:
         _COMPILE_MISSES += 1
-        test = predicate.compile(schema)
-        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[key] = test
+        test = memo_put(_COMPILE_CACHE, key, predicate.compile(schema))
     else:
         _COMPILE_HITS += 1
     return test

@@ -311,14 +311,9 @@ class ViewDefinition:
 
     def finalize(self, wide: BagBase) -> BagBase:
         """Apply selection and projection to a wide (full-width) result."""
-        from repro.relational.algebra import project, select
+        from repro.relational.algebra import select_project
 
-        out = wide
-        if not isinstance(self.selection, TruePredicate):
-            out = select(out, self.selection)
-        if self.projection is not None:
-            out = project(out, self.projection)
-        return out
+        return select_project(wide, self.selection, self.projection)
 
     def evaluate(self, states: Mapping[str, BagBase]) -> Relation:
         """Recompute the materialized view from scratch over ``states``."""

@@ -175,8 +175,24 @@ def _encode(obj, buf: bytearray, interns: dict) -> None:
     if kind is list or kind is tuple:
         buf.append(_TAG_LIST)
         _append_varint(buf, len(obj))
+        # Row blocks and checkpoint bodies are flat lists of small ints:
+        # encode those inline (same bytes as the int branch above) rather
+        # than paying one recursive call per scalar.
+        append = buf.append
         for item in obj:
-            _encode(item, buf, interns)
+            if type(item) is int:
+                z = item << 1 if item >= 0 else (-item << 1) - 1
+                if z < 0x80:
+                    append(_FIXINT | z)
+                elif z < 0x4000:
+                    append(_TAG_INT)
+                    append((z & 0x7F) | 0x80)
+                    append(z >> 7)
+                else:
+                    append(_TAG_INT)
+                    _append_varint(buf, z)
+            else:
+                _encode(item, buf, interns)
         return
     if kind is float:
         buf.append(_TAG_FLOAT)

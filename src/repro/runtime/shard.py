@@ -516,9 +516,11 @@ class ShardedSourceFront:
 
     ``query_service_time`` models the per-join evaluation cost: a
     MultiQueryRequest carrying ``k`` partial view changes takes
-    ``k * query_service_time`` virtual units, which is the quantity
-    sharding actually divides (fewer views per shard means fewer joins
-    per step means shorter steps).
+    ``k * query_service_time`` virtual units.  A shard sends one partial
+    per *sweep class* (see :mod:`repro.warehouse.multiview`), so ``k`` is
+    the number of distinct join sets among the shard's views -- one for a
+    ``view_family`` -- not its view count: spreading same-join views over
+    more shards shortens no step, it repeats the class's join per shard.
     """
 
     def __init__(

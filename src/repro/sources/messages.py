@@ -153,9 +153,10 @@ class MultiQueryRequest:
     """One sweep step on behalf of several views at once.
 
     The multi-view warehouse batches the partial view changes of all its
-    views into a single message per source per update, keeping message
-    *count* independent of the number of maintained views (payload rows
-    still scale with the views).
+    sweep classes (one per distinct join set among its views; batched
+    sweeps: one per class and active term) into a single message per
+    source per step, keeping message *count* independent of the number
+    of maintained views; payload rows scale with the classes.
     """
 
     request_id: int
@@ -169,7 +170,7 @@ class MultiQueryRequest:
 
 @dataclass(slots=True)
 class MultiQueryAnswer:
-    """Per-view answers to a :class:`MultiQueryRequest` (same order)."""
+    """Per-partial answers to a :class:`MultiQueryRequest` (same order)."""
 
     request_id: int
     partials: list[PartialView]

@@ -590,6 +590,17 @@ class ViewMigrationMixin:
                 view, index, after_batch=after_batch, batch_count=batch_count
             )
         floor = st.pos.get(index, 0)
+        if floor == self.applied_counts.get(index, 0):
+            # The floor filter is a no-op here, so answer like the default
+            # and let ``V`` share its shard's sweep class again.  ``floor``
+            # is a seq and ``applied_counts`` a count; what makes the
+            # filter idle is the *shard's* stream, not ``V``'s: channels
+            # deliver each source hole-free, so every update still queued
+            # (or in the batch in flight) has a seq above the shard's
+            # applied count -- the FIFO prefix property the default relies
+            # on -- hence above ``floor``, for both ``after_batch`` values
+            # and even when a ``relaxed`` ``V`` reached this seq over a hole.
+            return None
         if after_batch:
             floor += batch_count
         return floor

@@ -2,19 +2,29 @@
 
 A production warehouse rarely materializes a single view.  This module
 maintains **any number of views over the same source chain** with SWEEP
-semantics, and batches the per-view partial view changes of each sweep
-step into one :class:`~repro.sources.messages.MultiQueryRequest` -- so the
-message *count* per update stays ``2(n-1)``, independent of how many views
-are maintained (payload rows grow with the views, nothing else does).
+semantics, at the paper's per-*update* cost: the message count per update
+stays ``2(n-1)`` however many views are maintained, and so does the join
+count for every set of views that share their join conditions.
 
 All views must agree on the relation chain (names and schemas, in order);
 they are free to differ in join conditions, selections and projections.
+A sweep never looks at a view's selection or projection -- the partial
+view change it carries is the *wide* join -- so views with equal
+``join_conditions`` that apply the same updates from the same position
+form one **sweep class** and share one partial view change through the
+:class:`~repro.sources.messages.MultiQueryRequest`, the source's
+``ComputeJoin``, the answer cache and the compensation.  Only at install
+does each member finalize (its own selection + projection) the class's
+shared wide delta.  A family with ``k`` distinct join sets sweeps ``k``
+partials per step; payload rows grow with the classes, not the views.
+
 Each view gets its own :class:`~repro.warehouse.view_store.MaterializedView`
 and (optionally) its own consistency recorder; every view is maintained
-with complete consistency, exactly as if it ran its own SWEEP -- the
-batching changes the envelope, not the algebra, because every per-view
-join inside one batched step is evaluated against the same atomic source
-state and compensated against the same queued updates.
+with complete consistency, exactly as if it ran its own SWEEP -- sharing
+changes the envelope and who computes the join, not the algebra, because
+every class's join inside one step is evaluated against the same atomic
+source state and compensated against the same queued updates its members
+would each have used.
 """
 
 from __future__ import annotations
@@ -149,6 +159,65 @@ class MultiViewStateMixin:
         """Per-view position accounting, after ``mark_applied`` and before
         the installs of a unit of work."""
 
+    # ------------------------------------------------------------------
+    # Sweep classes: one partial view change per distinct sweep.
+    # ------------------------------------------------------------------
+    def _sweep_classes(
+        self, assignment: dict[str, list[UpdateNotice]]
+    ) -> list[list[ViewDefinition]]:
+        """Group the participating views by the sweep they need.
+
+        Two views need the *same* sweep -- identical partials at every
+        step, identical error terms -- exactly when they join alike,
+        apply the same notices and compensate from the same per-source
+        floor.  A view mid-migration differs from its shard in the last
+        two and so lands in a class of its own.  Classes and their
+        members keep ``self.views`` order; a class's first member is its
+        representative (the ``view`` its partials are tagged with).
+        """
+        sources = range(1, self.view.n_relations + 1)
+        classes: dict[tuple, list[ViewDefinition]] = {}
+        for view in self.views:
+            notices = assignment[view.name]
+            if not notices:
+                # Skips this unit of work (migration duplicates).
+                continue
+            key = (
+                view.join_conditions,
+                tuple(map(id, notices)),
+                tuple(
+                    self._pending_floor(
+                        view, j, after_batch=False, batch_count=0
+                    )
+                    for j in sources
+                ),
+            )
+            classes.setdefault(key, []).append(view)
+        return list(classes.values())
+
+    def _install_classes(
+        self,
+        classes: list[list[ViewDefinition]],
+        wide_deltas: list[Delta],
+        note: str,
+    ) -> None:
+        """Install each class's wide delta into every member, in
+        ``self.views`` order; each member finalizes (selects + projects)
+        the shared delta for itself."""
+        wide_of = {
+            view.name: wide
+            for members, wide in zip(classes, wide_deltas)
+            for view in members
+        }
+        for view in self.views:
+            wide = wide_of.get(view.name)
+            if wide is None:
+                continue
+            if view.name == self.view.name:
+                self.install_wide(wide, note=note)
+            else:
+                self._install_extra(view, wide, note)
+
 
 class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
     """SWEEP maintaining several views with batched sweep steps.
@@ -187,67 +256,57 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
         i = notice.source_index
         n = self.view.n_relations
         assignment = self._partition_batch([notice])
-        participants = [view for view in self.views if assignment[view.name]]
-        if not participants:
+        classes = self._sweep_classes(assignment)
+        if not classes:
             # Every view skipped this update (migration duplicate); the
             # shard position still advances past it.
             self.mark_applied([notice])
             self._note_applied_for_views(assignment)
             return
-        partials = {
-            view.name: PartialView.initial(view, i, notice.delta)
-            for view in participants
-        }
+        reps = [members[0] for members in classes]
+        partials = [PartialView.initial(rep, i, notice.delta) for rep in reps]
         sweep_order = list(range(i - 1, 0, -1)) + list(range(i + 1, n + 1))
         for j in sweep_order:
-            temps = dict(partials)
             locality = self._live_locality()
             if locality is not None and locality.covers(j):
-                # Covered source: every view's step is answered from the
+                # Covered source: every class's step is answered from the
                 # same local copy, compensation-free (sequential install
                 # order makes the copy exactly this update's position).
-                for view in participants:
-                    partials[view.name] = locality.aux_answer(
-                        j, partials[view.name]
-                    )
+                partials = [locality.aux_answer(j, p) for p in partials]
                 continue
-            ordered = [partials[view.name] for view in participants]
+            answers = None
             if locality is not None:
-                hits = locality.cache_lookup_many(j, ordered)
-                if hits is not None:
-                    self._pending_at_answer = self._queued_update_payloads()
-                    for view, hit in zip(participants, hits):
-                        partials[view.name] = self._compensate_one(
-                            j, hit, temps[view.name], view=view
-                        )
-                    continue
-            request = MultiQueryRequest(
-                request_id=next_request_id(), partials=ordered, target_index=j
-            )
-            self.send_query(j, request)
-            msg, pending = yield self._answer_box.get()
-            self._pending_at_answer = pending
-            answer = msg.payload
-            if answer.request_id != request.request_id:
-                raise ProtocolError(
-                    f"answer {answer.request_id} does not match request"
-                    f" {request.request_id}"
+                answers = locality.cache_lookup_many(j, partials)
+            if answers is not None:
+                self._pending_at_answer = self._queued_update_payloads()
+            else:
+                request = MultiQueryRequest(
+                    request_id=next_request_id(),
+                    partials=partials,
+                    target_index=j,
                 )
-            for view, got in zip(participants, answer.partials):
-                partials[view.name] = self._compensate_one(
-                    j, got, temps[view.name], view=view
-                )
+                self.send_query(j, request)
+                msg, pending = yield self._answer_box.get()
+                self._pending_at_answer = pending
+                answer = msg.payload
+                if answer.request_id != request.request_id:
+                    raise ProtocolError(
+                        f"answer {answer.request_id} does not match request"
+                        f" {request.request_id}"
+                    )
+                answers = answer.partials
+            partials = [
+                self._compensate_one(j, got, temp, rep)
+                for rep, got, temp in zip(reps, answers, partials)
+            ]
 
         self.mark_applied([notice])
         self._note_applied_for_views(assignment)
-        note = f"update src={notice.source_index} seq={notice.seq}"
-        for view in participants:
-            partial = partials[view.name]
-            if view.name == self.view.name:
-                self.store.install_wide(partial.delta)
-                self._after_install(note)
-            else:
-                self._install_extra(view, partial.delta, note)
+        self._install_classes(
+            classes,
+            [partial.delta for partial in partials],
+            f"update src={notice.source_index} seq={notice.seq}",
+        )
         self.metrics.increment("multiview_installs")
 
     # ------------------------------------------------------------------
@@ -256,15 +315,14 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
         index: int,
         answer: PartialView,
         temp: PartialView,
-        view: ViewDefinition | None = None,
+        rep: ViewDefinition,
     ) -> PartialView:
+        """SWEEP's local compensation for one class (``rep`` stands for
+        every member: a class shares its floor by construction)."""
         pending = self.pending_updates_from(index)
-        if view is not None:
-            floor = self._pending_floor(
-                view, index, after_batch=False, batch_count=0
-            )
-            if floor is not None:
-                pending = [p for p in pending if p.seq > floor]
+        floor = self._pending_floor(rep, index, after_batch=False, batch_count=0)
+        if floor is not None:
+            pending = [p for p in pending if p.seq > floor]
         if not pending:
             return answer
         self.metrics.increment("compensations")
@@ -277,11 +335,11 @@ class MultiViewBatchedSweepWarehouse(MultiViewStateMixin, BatchedSweepWarehouse)
     """Batched sweep scheduler generalized to a family of same-chain views.
 
     One drained batch is maintained for *all* views with one pair of
-    wavefronts: at each wave step the active terms of every view are
-    packed into a single :class:`MultiQueryRequest`, so the message count
-    per batch stays ``<= 4(n-1)`` regardless of how many views the shard
-    hosts -- the same envelope-sharing trick as
-    :class:`MultiViewSweepWarehouse`, applied to
+    wavefronts: at each wave step the active terms of every sweep class
+    are packed into a single :class:`MultiQueryRequest`, so the message
+    count per batch stays ``<= 4(n-1)`` regardless of how many views the
+    shard hosts, and same-join views share their terms -- the same
+    sharing as :class:`MultiViewSweepWarehouse`, applied to
     :class:`~repro.warehouse.batched.BatchedSweepWarehouse`'s composite
     sweep.  Every view receives one install per batch with the identical
     claimed vector, so each view independently satisfies the batched
@@ -312,162 +370,121 @@ class MultiViewBatchedSweepWarehouse(MultiViewStateMixin, BatchedSweepWarehouse)
         self.metrics.increment("batched_sweeps")
         self.metrics.observe("batch_size", len(batch))
 
-        # Merge same-source deltas per view over that view's participating
-        # prefix of the batch (normally the whole batch for every view).
+        # One composite sweep per class: merge same-source deltas over the
+        # class's participating prefix of the batch (normally the whole
+        # batch, and one class) and seed one term per touched source.
         assignment = self._partition_batch(batch)
-        merged_by_view: dict[str, dict[int, Delta]] = {}
-        counts: dict[str, dict[int, int]] = {}
-        for view in self.views:
-            merged: dict[int, Delta] = {}
+        classes = self._sweep_classes(assignment)
+        reps = [members[0] for members in classes]
+        merged: list[dict[int, Delta]] = []
+        counts: list[dict[int, int]] = []
+        for rep in reps:
+            deltas: dict[int, Delta] = {}
             count: dict[int, int] = {}
-            for notice in assignment[view.name]:
-                seen = merged.get(notice.source_index)
+            for notice in assignment[rep.name]:
+                seen = deltas.get(notice.source_index)
                 if seen is None:
-                    merged[notice.source_index] = notice.delta.copy()
+                    deltas[notice.source_index] = notice.delta.copy()
                 else:
                     seen.merge_in_place(notice.delta)
                 count[notice.source_index] = count.get(notice.source_index, 0) + 1
-            merged_by_view[view.name] = merged
-            counts[view.name] = count
-        # terms[view.name][i]: the term seeded with Delta-R_i, per view.
-        terms: dict[str, dict[int, PartialView]] = {
-            view.name: {
-                index: PartialView.initial(view, index, delta)
-                for index, delta in merged_by_view[view.name].items()
+            merged.append(deltas)
+            counts.append(count)
+        # terms[c][i]: class c's term seeded with its Delta-R_i.
+        terms: list[dict[int, PartialView]] = [
+            {
+                index: PartialView.initial(rep, index, delta)
+                for index, delta in deltas.items()
             }
-            for view in self.views
-        }
-        union_sources = sorted(
-            {i for merged in merged_by_view.values() for i in merged}
-        )
+            for rep, deltas in zip(reps, merged)
+        ]
 
-        # Leftward wave: every view's term i wants R_j^new for j < i.
+        # Leftward wave: every class's term i wants R_j^new for j < i.
         for j in range(n - 1, 0, -1):
-            active_by_view = {
-                view.name: sorted(
-                    i for i in merged_by_view[view.name] if i > j
-                )
-                for view in self.views
-            }
-            if not any(active_by_view.values()):
+            slots = [
+                (c, i)
+                for c, deltas in enumerate(merged)
+                for i in sorted(deltas)
+                if i > j
+            ]
+            if not slots:
                 continue
             locality = self._live_locality()
             if locality is not None and locality.covers(j):
-                for view in self.views:
-                    batch_delta = merged_by_view[view.name].get(j)
-                    for i in active_by_view[view.name]:
-                        terms[view.name][i] = self._local_wave_answer(
-                            j, terms[view.name][i], batch_delta
-                        )
-                continue
-            answers = yield from self._multi_query_views(
-                j, terms, active_by_view
-            )
-            for view in self.views:
-                floor = self._pending_floor(
-                    view,
-                    j,
-                    after_batch=True,
-                    batch_count=counts[view.name].get(j, 0),
-                )
-                for i in active_by_view[view.name]:
-                    terms[view.name][i] = self._compensate_queued(
-                        j,
-                        answers[view.name][i],
-                        terms[view.name][i],
-                        floor=floor,
+                for c, i in slots:
+                    terms[c][i] = self._local_wave_answer(
+                        j, terms[c][i], merged[c].get(j)
                     )
+                continue
+            answers = yield from self._multi_query(
+                j, [terms[c][i] for c, i in slots]
+            )
+            floors = [
+                self._pending_floor(
+                    rep, j, after_batch=True, batch_count=count.get(j, 0)
+                )
+                for rep, count in zip(reps, counts)
+            ]
+            for (c, i), answer in zip(slots, answers):
+                terms[c][i] = self._compensate_queued(
+                    j, answer, terms[c][i], floor=floors[c]
+                )
 
         # Rightward wave: term i wants R_j^old for j > i; subtract the
-        # view's own batch delta at j on top of the queued-update
+        # class's own batch delta at j on top of the queued-update
         # compensation.
         for j in range(2, n + 1):
-            active_by_view = {
-                view.name: sorted(
-                    i for i in merged_by_view[view.name] if i < j
-                )
-                for view in self.views
-            }
-            if not any(active_by_view.values()):
+            slots = [
+                (c, i)
+                for c, deltas in enumerate(merged)
+                for i in sorted(deltas)
+                if i < j
+            ]
+            if not slots:
                 continue
             locality = self._live_locality()
             if locality is not None and locality.covers(j):
-                # The covered copy is R_j^old for every view alike.
-                for view in self.views:
-                    for i in active_by_view[view.name]:
-                        terms[view.name][i] = locality.aux_answer(
-                            j, terms[view.name][i]
-                        )
+                # The covered copy is R_j^old for every class alike.
+                for c, i in slots:
+                    terms[c][i] = locality.aux_answer(j, terms[c][i])
                 continue
-            temps = {
-                view.name: {
-                    i: terms[view.name][i] for i in active_by_view[view.name]
-                }
-                for view in self.views
-            }
-            answers = yield from self._multi_query_views(
-                j, temps, active_by_view
+            answers = yield from self._multi_query(
+                j, [terms[c][i] for c, i in slots]
             )
-            for view in self.views:
-                batch_delta = merged_by_view[view.name].get(j)
-                floor = self._pending_floor(
-                    view, j, after_batch=False, batch_count=0
+            floors = [
+                self._pending_floor(rep, j, after_batch=False, batch_count=0)
+                for rep in reps
+            ]
+            for (c, i), answer in zip(slots, answers):
+                temp = terms[c][i]
+                answer = self._compensate_queued(
+                    j, answer, temp, floor=floors[c]
                 )
-                for i in active_by_view[view.name]:
-                    temp = temps[view.name][i]
-                    answer = self._compensate_queued(
-                        j, answers[view.name][i], temp, floor=floor
-                    )
-                    if batch_delta is not None:
-                        answer = answer.compensate(temp.extend(j, batch_delta))
-                    terms[view.name][i] = answer
+                batch_delta = merged[c].get(j)
+                if batch_delta is not None:
+                    answer = answer.compensate(temp.extend(j, batch_delta))
+                terms[c][i] = answer
 
         self.mark_applied(batch)
         self._note_applied_for_views(assignment)
         self.metrics.observe("updates_per_install", len(batch))
-        note = f"batch of {len(batch)} update(s), sources {union_sources}"
-        for view in self.views:
-            if not assignment[view.name]:
-                # View skipped the whole batch (migration duplicates).
-                continue
+        union_sources = sorted({i for deltas in merged for i in deltas})
+        composites: list[Delta] = []
+        for class_terms in terms:
+            # Sum the class's terms into one composite wide delta.
             composite: PartialView | None = None
-            for index in sorted(terms[view.name]):
-                term = terms[view.name][index]
+            for index in sorted(class_terms):
+                term = class_terms[index]
                 composite = (
                     term if composite is None else composite.add_in_place(term)
                 )
-            if view.name == self.view.name:
-                self.install_wide(composite.delta, note=note)
-            else:
-                self._install_extra(view, composite.delta, note)
+            composites.append(composite.delta)
+        self._install_classes(
+            classes,
+            composites,
+            f"batch of {len(batch)} update(s), sources {union_sources}",
+        )
         self.metrics.increment("multiview_installs")
-
-    # ------------------------------------------------------------------
-    def _multi_query_views(
-        self,
-        index: int,
-        terms: dict[str, dict[int, PartialView]],
-        active_by_view: dict[str, list[int]],
-    ) -> Generator:
-        """One wave step for every view at once: a single MultiQueryRequest
-        carries each (view, active term) partial, and the answer is split
-        back per view.  All joins are evaluated against the same atomic
-        source state, which is what keeps every view's batch boundary
-        aligned with the same delivery-order prefix."""
-        flat = [
-            terms[view.name][i]
-            for view in self.views
-            for i in active_by_view[view.name]
-        ]
-        answers = yield from self._multi_query(index, flat)
-        out: dict[str, dict[int, PartialView]] = {}
-        pos = 0
-        for view in self.views:
-            out[view.name] = {}
-            for i in active_by_view[view.name]:
-                out[view.name][i] = answers[pos]
-                pos += 1
-        return out
 
 
 __all__ = [

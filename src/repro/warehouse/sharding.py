@@ -394,8 +394,8 @@ def pick_migration(plan: ShardPlan) -> tuple[str, int]:
     """
     for shard in plan.active_shards:
         views = plan.views_for(shard)
-        if len(views) > 1:
-            recipients = [s for s in plan.active_shards if s != shard]
+        recipients = [s for s in plan.active_shards if s != shard]
+        if len(views) > 1 and recipients:
             return views[1].name, recipients[0]
     raise ValueError(f"no migratable view under [{plan.describe()}]")
 

@@ -6,6 +6,8 @@ from repro.relational.predicate import AttrEq
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.view import ViewDefinition
+from repro.sources.memory import MemoryBackend
+from repro.warehouse.base import WarehouseBase
 
 R1_SCHEMA = Schema(("A", "B"))
 R2_SCHEMA = Schema(("C", "D"))
@@ -32,3 +34,24 @@ def paper_states() -> dict[str, Relation]:
         "R2": Relation(R2_SCHEMA, [(3, 7)]),
         "R3": Relation(R3_SCHEMA, [(5, 6), (7, 8)]),
     }
+
+
+@pytest.fixture
+def sweep_step_spy(monkeypatch):
+    """Counts what a run ships and joins: partials per multi-query
+    request and source ``compute_join`` calls."""
+    seen = {"partials_per_request": [], "compute_join_calls": 0}
+    send_query = WarehouseBase.send_query
+    compute_join = MemoryBackend.compute_join
+
+    def spying_send(self, index, payload):
+        seen["partials_per_request"].append(len(payload.partials))
+        return send_query(self, index, payload)
+
+    def spying_join(self, partial):
+        seen["compute_join_calls"] += 1
+        return compute_join(self, partial)
+
+    monkeypatch.setattr(WarehouseBase, "send_query", spying_send)
+    monkeypatch.setattr(MemoryBackend, "compute_join", spying_join)
+    return seen

@@ -15,6 +15,7 @@ from repro.harness.throughput import (
     locality_problems,
     rebalance_overhead,
     replica_overhead,
+    speedups,
 )
 
 
@@ -66,6 +67,12 @@ def test_rebalance_overhead_is_worst_pair_and_stays_out_of_replica():
         shard_row("sweep@shards=4+v9+rebal", 170.0),
     ]
     assert rebalance_overhead(rows) == 0.15
+    # A same-join family sweeps one class on any shard count: no
+    # shards=N-over-shards=1 ratio is recorded, let alone gated.
+    base = shard_row("sweep@shards=1", 50.0)
+    assert not any(
+        key.startswith("sharded/") for key in speedups([base, *rows])
+    )
     # "+rebal" splits on "+r" too; it must never count as a replica row.
     assert replica_overhead(rows) is None
 

@@ -60,6 +60,10 @@ class TestProject:
         out = project(d, ["B"])
         assert len(out) == 0  # +1 and -1 collapse to zero
 
+    def test_empty_projection_is_a_schema_error(self):
+        with pytest.raises(SchemaError):
+            project(Relation(AB, [(1, 2)]), [])
+
 
 class TestScale:
     def test_scale_counts(self):

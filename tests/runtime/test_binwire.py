@@ -12,6 +12,7 @@ Two layers of coverage:
 """
 
 import asyncio
+import enum
 import json
 import math
 import random
@@ -87,6 +88,48 @@ def test_kernel_round_trip(value):
 
 def test_tuple_encodes_as_list():
     assert binwire.loads(binwire.dumps((1, (2, 3)))) == [1, [2, 3]]
+
+
+class _Level(enum.IntEnum):
+    STRONG = 3
+    WIDE = 70
+
+
+#: Elements around every branch of the list encoder's inline int path.
+_LIST_ELEMENTS = [
+    0, 1, -1, 63, -63, -64, 64, -65,  # fixint | first two-byte varints
+    0x3FFF >> 1, -(0x4000 >> 1),  # zigzag 0x3FFE / 0x3FFF: last two-byte
+    0x4000 >> 1, -(0x4000 >> 1) - 1,  # zigzag 0x4000 / 0x4001: general
+    2**63, -(2**63), 2**80,
+    True, False, None, 1.5, -0.0,
+    _Level.STRONG, _Level.WIDE,
+    [5, -70, [8192, True]], (1, 2),
+]
+
+
+def _scalar_path_bytes(items) -> bytes:
+    """What the list would encode to one ``_encode`` call per element
+    (the encoding before lists inlined their ints)."""
+    buf = bytearray((binwire.MAGIC, binwire.FORMAT, binwire._TAG_LIST))
+    binwire._append_varint(buf, len(items))
+    for item in items:
+        if isinstance(item, (list, tuple)):
+            buf += _scalar_path_bytes(item)[2:]
+        else:
+            buf += binwire.dumps(item)[2:]
+    return bytes(buf)
+
+
+def test_flat_int_list_fast_path_is_byte_identical():
+    doc = binwire.dumps(_LIST_ELEMENTS)
+    assert doc == _scalar_path_bytes(_LIST_ELEMENTS)
+    expected = json.loads(json.dumps(_LIST_ELEMENTS))  # tuples, enums -> JSON
+    assert binwire.loads(doc) == expected
+    assert [type(x) for x in binwire.loads(doc)] == [type(x) for x in expected]
+    # The shape the fast path exists for: a v3 row block / checkpoint body.
+    flat = [v for k in range(-200, 20000, 97) for v in (k, -k, k % 64)]
+    assert binwire.dumps(flat) == _scalar_path_bytes(flat)
+    assert binwire.loads(binwire.dumps({"f": flat, "w": 3})) == {"f": flat, "w": 3}
 
 
 def test_nan_round_trips_as_nan():

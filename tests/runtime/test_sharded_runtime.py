@@ -15,11 +15,15 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.runtime import (
+    RebalanceSpec,
     ShardCrashed,
     ShardSupervisor,
     launch_sharded_processes,
     run_sharded,
 )
+from repro.warehouse.multiview import MultiViewStateMixin
+from repro.warehouse.sharding import canonical_view_bytes
+from tests.warehouse.helpers import final_states, mixed_family
 
 
 def config_for(algorithm, **overrides):
@@ -108,6 +112,184 @@ def test_report_names_plan_views_and_verdicts():
     for name in result.final_views:
         assert name in text
     assert repr(result) == f"ShardedRunResult(sweep, installs={result.installs})"
+
+
+# ---------------------------------------------------------------------------
+# Sweep classes: a shard's same-join views share one partial view change
+# ---------------------------------------------------------------------------
+
+def test_one_shard_joins_once_per_step_whatever_the_family_size(sweep_step_spy):
+    calls = {}
+    for n_views in (1, 8):
+        sweep_step_spy["partials_per_request"].clear()
+        sweep_step_spy["compute_join_calls"] = 0
+        config = config_for("sweep", n_views=n_views, mean_interarrival=0.05)
+        result = run_sharded(
+            config, n_shards=1, transport="local", time_scale=0.001,
+            timeout=60.0,
+        )
+        assert result.verified_at(ConsistencyLevel.COMPLETE)
+        assert set(sweep_step_spy["partials_per_request"]) == {1}
+        calls[n_views] = (
+            result.metrics.by_kind["query"].count,
+            sweep_step_spy["compute_join_calls"],
+        )
+    # The paper's per-update cost: (n-1) queries, one join each.
+    assert calls[1] == calls[8] == (2 * config.n_updates,) * 2
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+@pytest.mark.parametrize(
+    "algorithm,claimed",
+    [
+        ("sweep", ConsistencyLevel.COMPLETE),
+        ("batched-sweep", ConsistencyLevel.STRONG),
+    ],
+)
+def test_mixed_family_classes_are_exact(
+    algorithm, claimed, transport, sweep_step_spy
+):
+    """Round-robin puts {V, V#sel | V#theta} on shard 0 (two classes, the
+    second tagged on the wire with its non-primary representative) and
+    {V#proj, V#both} on shard 1 (one class led by the shard's primary):
+    every view must equal its own recomputation, under compensation."""
+    views = mixed_family()
+    compensations = 0
+    for seed in range(50):
+        sweep_step_spy["partials_per_request"].clear()
+        config = config_for(
+            algorithm, seed=seed, n_updates=10, n_views=len(views),
+            mean_interarrival=0.05,
+        )
+        result = run_sharded(
+            config, n_shards=2, transport=transport, time_scale=0.001,
+            timeout=60.0, strategy="round-robin", views=views,
+        )
+        assert result.verified_at(claimed), seed
+        compensations += result.metrics.counters.get("compensations", 0)
+        if algorithm == "sweep":
+            # One partial per class: 2 from shard 0, 1 from shard 1.
+            assert set(sweep_step_spy["partials_per_request"]) == {1, 2}
+        states = final_states(result)
+        for view in views:
+            assert canonical_view_bytes(result.final_views[view.name]) == (
+                canonical_view_bytes(view.evaluate(states))
+            ), (seed, view.name)
+    assert compensations > 0
+
+
+@pytest.mark.parametrize("algorithm", ["sweep", "batched-sweep"])
+def test_migrating_view_never_shares_a_class_across_positions(
+    algorithm, monkeypatch
+):
+    """While ``V#s2`` catches up on its new shard it sits at its own
+    position: whenever a class has several members, they all claim the
+    same position vector -- and once it has caught up it shares again."""
+    classify = MultiViewStateMixin._sweep_classes
+    shared_with_migrant = []
+
+    def checked(self, assignment):
+        classes = classify(self, assignment)
+        for members in classes:
+            vectors = [
+                # (a position of 0 may be absent or explicit)
+                {i: n for i, n in self._claimed_vector_for(view).items() if n}
+                for view in members
+            ]
+            assert all(vector == vectors[0] for vector in vectors), members
+            if len(members) > 1 and self._mig is not None:
+                shared_with_migrant.append(
+                    self._mig.role == "recipient"
+                    and any(v.name == "V#s2" for v in members)
+                )
+        return classes
+
+    monkeypatch.setattr(MultiViewStateMixin, "_sweep_classes", checked)
+    claimed = (
+        ConsistencyLevel.COMPLETE if algorithm == "sweep"
+        else ConsistencyLevel.STRONG
+    )
+    catchup_installs = 0
+    # Saturated (every update arrives within ~1 ms, the move fires at the
+    # 12th delivery): the donor seals with most of the run still queued,
+    # so catch-up replays it.  Paced: catch-up is short and the view then
+    # lives on as a member of its new shard's class.
+    for interarrival, trigger in (
+        (0.05, dict(after_deliveries=12)),
+        (2.0, dict(after_installs=2)),
+    ):
+        config = config_for(
+            algorithm, n_updates=24, seed=7, batch_max=2,
+            mean_interarrival=interarrival,
+        )
+        result = run_sharded(
+            config, n_shards=2, transport="local", time_scale=0.001,
+            timeout=60.0, strategy="round-robin",
+            rebalance=RebalanceSpec(view="V#s2", to_shard=1, **trigger),
+        )
+        assert result.rebalance_stats["completed"]
+        assert result.plan.shard_of("V#s2") == 1
+        assert result.verified_at(claimed)
+        catchup_installs += result.rebalance_stats["catchup_installs"]
+    assert catchup_installs > 0
+    assert any(shared_with_migrant)
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("algorithm", ["sweep", "batched-sweep"])
+def test_shared_floor_filters_no_queued_update(algorithm, relaxed, monkeypatch):
+    """The migrated view answers ``None`` (its shard's floor) where its
+    seq position equals the shard's applied count, and then shares a
+    class.  The int floors it would have answered must remove nothing:
+    every queued update lies above its position plus its share of the
+    unit of work (the post-batch floor, which bounds the pre-batch one)
+    -- also on a ``relaxed`` run, the straggler-skipping mutation, whose
+    view reached that seq over a hole."""
+    classify = MultiViewStateMixin._sweep_classes
+    shared_units = []
+
+    def checked(self, assignment):
+        classes = classify(self, assignment)
+        st = self._mig_active_view()
+        if st is None:
+            return classes
+        name = st.view_def.name
+        for members in classes:
+            if len(members) == 1 or all(v.name != name for v in members):
+                continue
+            shared_units.append(len(assignment[name]))
+            for j in range(1, self.view.n_relations + 1):
+                mine = sum(n.source_index == j for n in assignment[name])
+                explicit = st.pos.get(j, 0) + mine
+                assert all(
+                    queued.seq > explicit
+                    for queued in self._queued_update_payloads()
+                    if queued.source_index == j
+                ), (j, explicit)
+        return classes
+
+    monkeypatch.setattr(MultiViewStateMixin, "_sweep_classes", checked)
+    for interarrival, trigger in (
+        (0.05, dict(after_deliveries=12)),
+        (0.5, dict(after_installs=2)),
+        (2.0, dict(after_installs=2)),
+    ):
+        config = config_for(
+            algorithm, n_updates=24, seed=7, batch_max=2,
+            mean_interarrival=interarrival,
+        )
+        result = run_sharded(
+            config, n_shards=2, transport="local", time_scale=0.001,
+            timeout=60.0, strategy="round-robin",
+            rebalance=RebalanceSpec(
+                view="V#s2", to_shard=1, skip_straggler_forwarding=relaxed,
+                **trigger,
+            ),
+        )
+        assert result.rebalance_stats["completed"]
+    assert shared_units
+    if algorithm == "batched-sweep":
+        assert max(shared_units) > 1  # a real batch, so post- != pre-batch
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,17 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.multiview_runner import run_multi_view
 from repro.relational.errors import SchemaError
-from repro.relational.predicate import AttrCompare
+from repro.relational.predicate import AttrCompare, Or
 from repro.warehouse.multiview import validate_same_chain
+from repro.warehouse.sharding import canonical_view_bytes, view_family
 from repro.workloads.schema_gen import chain_view
 from repro.workloads.scenarios import make_workload
 from repro.workloads.stream import UpdateStreamConfig
+from tests.warehouse.helpers import (
+    final_states,
+    mixed_family,
+    same_chain_variant,
+)
 
 
 def three_views(n=3):
@@ -93,3 +99,68 @@ class TestMultiViewRuns:
         assert result.metrics.counters.get("compensations", 0) > 0
         for name, level in result.levels.items():
             assert level == ConsistencyLevel.COMPLETE, name
+
+
+# ---------------------------------------------------------------------------
+# Sweep classes: same-join views share one partial view change
+# ---------------------------------------------------------------------------
+
+class TestSweepClasses:
+    def test_join_work_is_per_update_not_per_view(self, sweep_step_spy):
+        """A same-join family of 8 ships and joins exactly what 1 view does."""
+        wl = workload(seed=9, n_updates=20, ia=0.5)
+        base = chain_view(3, name="V")
+        cost = {}
+        for k in (1, 8):
+            sweep_step_spy["partials_per_request"].clear()
+            sweep_step_spy["compute_join_calls"] = 0
+            result = run_multi_view(view_family(base, k), wl, seed=9, latency=8.0)
+            assert set(sweep_step_spy["partials_per_request"]) == {1}
+            assert result.metrics.counters["compensations"] > 0
+            stats = result.metrics.by_kind
+            cost[k] = (
+                stats["query"].count,
+                stats["query"].rows,
+                stats["answer"].rows,
+                sweep_step_spy["compute_join_calls"],
+                result.metrics.counters["compensations"],
+            )
+            assert all(
+                level == ConsistencyLevel.COMPLETE
+                for level in result.levels.values()
+            )
+        assert cost[1] == cost[8]
+        assert cost[8][3] == cost[8][0] == 2 * 20  # (n-1) joins per update
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_mixed_family_is_two_classes_and_exact(self, seed, sweep_step_spy):
+        views = mixed_family()
+        result = run_multi_view(
+            views, workload(seed=seed, n_updates=12, ia=0.5),
+            seed=seed, latency=8.0,
+        )
+        assert set(sweep_step_spy["partials_per_request"]) == {2}
+        assert result.metrics.counters["compensations"] > 0
+        states = final_states(result)
+        for view in views:
+            assert result.levels[view.name] == ConsistencyLevel.COMPLETE
+            assert canonical_view_bytes(result.final_views[view.name]) == (
+                canonical_view_bytes(view.evaluate(states))
+            ), view.name
+
+    def test_distinct_join_sets_stay_distinct_classes(self, sweep_step_spy):
+        """k different join sets are k classes: the per-view behaviour."""
+        base = chain_view(3, name="V")
+        views = [base] + [
+            same_chain_variant(
+                base, f"V#j{k}",
+                join_conditions=base.join_conditions
+                + (Or(AttrCompare("V1", "<", 100 * k), AttrCompare("V3", "<", 500)),),
+            )
+            for k in (2, 4, 6)
+        ]
+        result = run_multi_view(views, workload(seed=3), seed=3)
+        assert set(sweep_step_spy["partials_per_request"]) == {4}
+        states = final_states(result)
+        for view in views:
+            assert result.final_views[view.name] == view.evaluate(states)

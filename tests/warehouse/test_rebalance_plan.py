@@ -23,6 +23,7 @@ from repro.relational.schema import Schema
 from repro.warehouse.sharding import (
     RebalancePlan,
     partition_views,
+    pick_migration,
     view_family,
 )
 from repro.workloads.paper_example import paper_example_view
@@ -72,6 +73,18 @@ def test_rebalance_plan_rejects_inactive_recipient(family):
 def test_rebalance_plan_rejects_noop_move(plan):
     with pytest.raises(ValueError, match="already lives"):
         RebalancePlan(plan, "V#s2", 0)
+
+
+def test_pick_migration_default_move(plan):
+    assert pick_migration(plan) == ("V#s2", 1)
+
+
+def test_pick_migration_with_one_active_shard_is_a_value_error(family):
+    # Every view on one shard: a donor exists but no recipient does.
+    lonely = partition_views(family, 2, explicit={v.name: 1 for v in family})
+    assert lonely.active_shards == [1]
+    with pytest.raises(ValueError, match="no migratable view under"):
+        pick_migration(lonely)
 
 
 def test_result_plan_moves_exactly_one_view(plan):
