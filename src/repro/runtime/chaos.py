@@ -408,6 +408,7 @@ class ChaosLocalChannel(RuntimeChannel):
                 )
             self._pending.popleft()
             self._undelivered -= 1
+            self._dequeued()
 
     def _wire_deliver(self, seq: int, message: Message) -> None:
         """The receive filter: deliver in-sequence frames exactly once."""

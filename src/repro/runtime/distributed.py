@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import time as _time
 from dataclasses import dataclass
+from functools import partial
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
@@ -41,7 +42,12 @@ from repro.runtime.chaos import (
     profile,
 )
 from repro.runtime.kernel import AsyncRuntime
-from repro.runtime.nodes import CentralSourceNode, SourceNode, WarehouseNode
+from repro.runtime.nodes import (
+    CentralSourceNode,
+    SourceNode,
+    WarehouseNode,
+    hold_until_delivered,
+)
 from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.runtime.transport import LocalChannel
 from repro.simulation.mailbox import Mailbox
@@ -646,9 +652,8 @@ async def serve_warehouse_async(
                 what = "central source" if index == 0 else f"source R{index}"
                 await probe_peer(phost, pport, tcp_config, what=what)
         if expect_updates is None:
-            while True:  # serve until cancelled (Ctrl-C)
-                runtime.check()
-                await asyncio.sleep(0.2)
+            await runtime.until_failure()  # serve until cancelled (Ctrl-C)
+        hold_until_delivered(runtime, recorder, expect_updates)
         await runtime.wait_until(
             lambda: recorder.updates_delivered >= expect_updates
             and runtime.settled()
@@ -732,6 +737,7 @@ async def serve_source_async(
                 warehouse_address[1],
                 tcp_config,
                 what="warehouse",
+                heard=partial(node.listener.heard, f"wh->{node.name}"),
             )
         updater = None
         if drive and index in workload.schedules:
@@ -753,9 +759,7 @@ async def serve_source_async(
 
             await runtime.wait_until(_finished, timeout=timeout)
         else:
-            while True:  # serve until cancelled (Ctrl-C)
-                runtime.check()
-                await asyncio.sleep(0.2)
+            await runtime.until_failure()  # serve until cancelled (Ctrl-C)
     finally:
         await node.aclose()
         backend.close()

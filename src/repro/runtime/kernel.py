@@ -47,7 +47,14 @@ class AsyncRuntime:
         self._processes: list[Process] = []
         self._tasks: list[asyncio.Task] = []
         self._failures: list[BaseException] = []
-        self._failed = asyncio.Event()
+        #: resolved by the first recorded failure
+        self._failed: asyncio.Future = self._loop.create_future()
+        #: reasons the runtime cannot be quiescent yet: kernel timers that
+        #: have not fired plus caller-declared :meth:`hold`s
+        self._holds = 0
+        #: what a parked ``wait_until`` sleeps on; resolved (and dropped)
+        #: when holds reach 0
+        self._released: asyncio.Future | None = None
         self._events_executed = 0
         self._closed = False
         self._ready: deque[Callable[[], None]] = deque()
@@ -82,8 +89,9 @@ class AsyncRuntime:
                 self._pump_armed = True
                 self._loop.call_soon(self._pump)
         else:
+            self._holds += 1
             self._loop.call_later(
-                delay * self.time_scale, self._guarded, callback
+                delay * self.time_scale, self._timer_fired, callback
             )
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
@@ -113,18 +121,60 @@ class AsyncRuntime:
         return task
 
     async def sleep(self, duration: float) -> None:
-        """Sleep ``duration`` virtual units of wall time."""
-        await asyncio.sleep(duration * self.time_scale)
+        """Sleep ``duration`` virtual units of wall time on a kernel timer
+        (so the quiescence waiter stays parked meanwhile)."""
+        woke = self._loop.create_future()
+
+        def wake() -> None:
+            if not woke.done():  # a cancelled sleeper's future already is
+                woke.set_result(None)
+
+        self.schedule(duration, wake)
+        await woke
 
     def record_failure(self, exc: BaseException) -> None:
         """Register a fatal error; ``wait_until``/``check`` re-raise it."""
         self._failures.append(exc)
-        self._failed.set()
+        if not self._failed.done():
+            self._failed.set_result(None)
 
     def check(self) -> None:
         """Raise the first recorded failure, if any."""
         if self._failures:
             raise self._failures[0]
+
+    async def until_failure(
+        self, *wakers: asyncio.Future, timeout: float | None = None
+    ) -> None:
+        """Sleep until a failure is recorded, then raise it.
+
+        The wait is one ``asyncio.wait`` on the failure signal: an idle
+        process makes no wake-up at all, and a failure surfaces within two
+        loop turns of being recorded.  Returns without raising when one of
+        ``wakers`` completes or ``timeout`` wall seconds pass.
+        """
+        self.check()
+        await asyncio.wait(
+            (self._failed, *wakers),
+            timeout=timeout,
+            return_when=asyncio.FIRST_COMPLETED,
+        )
+        self.check()
+
+    def hold(self) -> Callable[[], None]:
+        """Keep ``wait_until`` parked until the returned release is called.
+
+        For work the caller knows is still to come but the kernel cannot
+        see -- a serving site still owed deliveries by remote peers.  A
+        kernel timer holds the runtime the same way until it has fired.
+        """
+        self._holds += 1
+        return self._release
+
+    @property
+    def holds(self) -> int:
+        """Kernel timers not yet fired plus unreleased :meth:`hold`s."""
+        return self._holds
 
     async def wait_until(
         self,
@@ -133,28 +183,46 @@ class AsyncRuntime:
         poll: float = 0.005,
         stable_polls: int = 2,
     ) -> None:
-        """Poll ``predicate`` until it holds ``stable_polls`` times in a row.
+        """Wait for quiescence: nothing held and ``predicate`` stable.
+
+        While a kernel timer is outstanding some process is mid-``Delay``
+        (a scheduled update still due, a source inside its service time),
+        so the runtime is not quiescent whatever ``predicate`` says: the
+        waiter parks on "holds reached 0, a failure, or the deadline" and
+        costs no loop wake-up.  Only with nothing held -- the drain tail
+        after the last scheduled update -- is ``predicate`` polled every
+        ``poll`` until it holds ``stable_polls`` times in a row.
 
         ``timeout`` and ``poll`` are **wall seconds** (deadlines guard real
         hangs, not virtual schedules).  The first failure recorded by any
-        process or transport is re-raised immediately.
+        process or transport is re-raised within two loop turns.
         """
         deadline = self._loop.time() + timeout
         consecutive = 0
         while True:
             self.check()
-            if predicate():
+            if self._holds:
+                consecutive = 0
+            elif predicate():
                 consecutive += 1
                 if consecutive >= stable_polls:
                     return
             else:
                 consecutive = 0
-            if self._loop.time() >= deadline:
+            remaining = deadline - self._loop.time()
+            if remaining <= 0:
+                blocked = ", ".join(p.name for p in self.blocked_processes())
                 raise QuiescenceTimeout(
-                    f"predicate not stable after {timeout}s"
-                    f" ({len(self.blocked_processes())} blocked processes)"
+                    f"not quiescent after {timeout}s: {self._holds} timer(s)"
+                    f" or hold(s) outstanding, blocked processes:"
+                    f" {blocked or 'none'}"
                 )
-            await asyncio.sleep(poll)
+            if self._holds:
+                if self._released is None:
+                    self._released = self._loop.create_future()
+                await self.until_failure(self._released, timeout=remaining)
+            else:
+                await asyncio.sleep(poll)
 
     def blocked_processes(self) -> list[Process]:
         """Processes currently waiting on a mailbox (diagnostics)."""
@@ -195,6 +263,18 @@ class AsyncRuntime:
             self._loop.call_soon(self._pump)
         else:
             self._pump_armed = False
+
+    def _timer_fired(self, callback: Callable[[], None]) -> None:
+        # Released after the callback: a process that delays again re-arms
+        # first, so back-to-back ``Delay``s never read as "nothing held".
+        self._guarded(callback)
+        self._release()
+
+    def _release(self) -> None:
+        self._holds -= 1
+        if not self._holds and self._released is not None:
+            self._released.set_result(None)
+            self._released = None
 
     def _guarded(self, callback: Callable[[], None]) -> None:
         self._events_executed += 1

@@ -323,4 +323,33 @@ class WarehouseNode:
         )
 
 
-__all__ = ["CentralSourceNode", "SourceNode", "WarehouseNode"]
+def hold_until_delivered(
+    runtime: AsyncRuntime, recorder: RunRecorder, target: int
+) -> None:
+    """Keep ``runtime``'s quiescence waiter parked until ``recorder`` has
+    seen ``target`` deliveries.
+
+    A site that hosts no updater has no kernel timer to tell it that
+    updates are still due -- they arrive from other processes -- so the
+    recorder's delivery hook releases the hold instead of a poll finding
+    the count reached.
+    """
+    if recorder.updates_delivered >= target:
+        return
+    release = runtime.hold()
+    on_delivery = recorder.on_delivery
+
+    def counted(notice) -> None:
+        on_delivery(notice)
+        if recorder.updates_delivered == target:
+            release()
+
+    recorder.on_delivery = counted
+
+
+__all__ = [
+    "CentralSourceNode",
+    "SourceNode",
+    "WarehouseNode",
+    "hold_until_delivered",
+]

@@ -52,6 +52,7 @@ import subprocess
 import sys
 import time as _time
 from dataclasses import dataclass
+from functools import partial
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
@@ -84,7 +85,7 @@ from repro.runtime.chaos import (
 from repro.runtime.codec import WireCodec
 from repro.runtime.errors import RuntimeHostError, TransportRetriesExceeded
 from repro.runtime.kernel import AsyncRuntime
-from repro.runtime.nodes import _listener_codec_cap
+from repro.runtime.nodes import _listener_codec_cap, hold_until_delivered
 from repro.runtime.tcp import (
     ChannelListener,
     TcpChannel,
@@ -1960,6 +1961,7 @@ async def serve_shard_async(
             # pending, plus everything past the durable marks.
             expected += len(recovered.pending) - recovered.delivered_total
         primary_recorder = recorders[shard_views[0].name]
+        hold_until_delivered(runtime, primary_recorder, expected)
 
         def finished() -> bool:
             return (
@@ -2091,11 +2093,15 @@ async def serve_sharded_source_async(
             reachable_shards: set[int] = set()
             for key, (phost, pport) in sorted(shard_addresses.items()):
                 try:
+                    label = _member_label(key)
                     await probe_peer(
                         phost,
                         pport,
                         tcp_config,
-                        what=f"member {_member_label(key)}",
+                        what=f"member {label}",
+                        heard=partial(
+                            node.listener.heard, f"{label}->{node.name}"
+                        ),
                     )
                     reachable_shards.add(_as_member(key).shard)
                 except TransportRetriesExceeded as exc:
@@ -2135,9 +2141,7 @@ async def serve_sharded_source_async(
 
             await runtime.wait_until(_finished, timeout=timeout)
         else:
-            while True:  # serve until cancelled (Ctrl-C)
-                runtime.check()
-                await asyncio.sleep(0.2)
+            await runtime.until_failure()  # serve until cancelled (Ctrl-C)
     finally:
         await node.aclose()
         backend.close()

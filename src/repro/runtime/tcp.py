@@ -78,6 +78,7 @@ import struct
 import time
 import zlib
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.runtime import binwire
@@ -185,6 +186,7 @@ async def probe_peer(
     port: int,
     config: TcpChannelConfig | None = None,
     what: str = "peer",
+    heard: Callable[[], bool] | None = None,
 ) -> None:
     """Verify a peer listener is reachable before serving against it.
 
@@ -195,11 +197,18 @@ async def probe_peer(
     and backoff up front: connect, immediately close (the listener treats
     a frameless connection as an ordinary disconnect), and raise
     :class:`TransportRetriesExceeded` when every attempt fails.
+
+    ``heard`` reports that the peer has meanwhile dialed *us* (see
+    :meth:`ChannelListener.heard`), which proves the address as well as a
+    connect does: a peer that came up, finished a short run and exited
+    between two back-off attempts is not a dead peer.
     """
     cfg = config if config is not None else TcpChannelConfig()
     delay = cfg.backoff_initial
     last_error: Exception | None = None
     for _ in range(max(1, cfg.max_retries)):
+        if heard is not None and heard():
+            return
         try:
             _, writer = await asyncio.wait_for(
                 asyncio.open_connection(host, port), cfg.connect_timeout
@@ -214,10 +223,52 @@ async def probe_peer(
             last_error = exc
             await asyncio.sleep(delay)
             delay = min(delay * cfg.backoff_factor, cfg.backoff_max)
+    if heard is not None and heard():
+        return
     raise TransportRetriesExceeded(
         f"{what}: {host}:{port} unreachable after {max(1, cfg.max_retries)}"
         f" attempts ({last_error})"
     )
+
+
+class _SilenceWatchdog:
+    """Turn ``timeout`` seconds without :meth:`heard` into a timeout error.
+
+    A context manager for a read loop: the enclosed task gets
+    ``asyncio.TimeoutError`` -- what ``asyncio.wait_for`` around each read
+    would raise -- but from one timer handle for the whole session.  The
+    handle is re-armed only when it fires (for whatever is left of the
+    window since the last frame), so a frame costs a clock read, not a
+    task and a timer.
+    """
+
+    def __init__(self, timeout: float):
+        self._timeout = timeout
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._heard_at = self._loop.time()
+        self._expired = False
+        self._handle = self._loop.call_later(timeout, self._fire)
+
+    def heard(self) -> None:
+        """The peer spoke: the silence window starts over."""
+        self._heard_at = self._loop.time()
+
+    def _fire(self) -> None:
+        left = self._heard_at + self._timeout - self._loop.time()
+        if left > 0:
+            self._handle = self._loop.call_later(left, self._fire)
+        else:
+            self._expired = True
+            self._task.cancel()
+
+    def __enter__(self) -> "_SilenceWatchdog":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._handle.cancel()
+        if self._expired and exc_type is asyncio.CancelledError:
+            raise asyncio.TimeoutError from exc
 
 
 class TcpChannel(RuntimeChannel):
@@ -336,6 +387,7 @@ class TcpChannel(RuntimeChannel):
                         self.dead = True
                         self._pending.clear()
                         self._inflight.clear()
+                        self._dequeued()
                         return
                     raise error from None
                 self.reconnects += 1
@@ -382,19 +434,20 @@ class TcpChannel(RuntimeChannel):
 
             # A plain task (not runtime-guarded): a dropped connection here
             # is a *recoverable* event consumed by the writer's retry loop,
-            # not a fatal runtime failure.
+            # not a fatal runtime failure.  Its end wakes the writer.
             ack_task = asyncio.ensure_future(self._read_acks(reader))
+            ack_task.add_done_callback(lambda _task: self._wake.set())
             try:
                 while not self._closed:
                     self._write_pending(writer)
                     await writer.drain()
+                    self._wake.clear()
+                    if not self._pending and not ack_task.done():
+                        await self._wake.wait()
                     if ack_task.done():
                         # Surface connection loss noticed by the ack reader.
                         ack_task.result()
                         raise ConnectionResetError("ack stream ended")
-                    self._wake.clear()
-                    if not self._pending:
-                        await self._wait_for_work(ack_task)
             finally:
                 ack_task.cancel()
                 try:
@@ -455,28 +508,21 @@ class TcpChannel(RuntimeChannel):
                 "encode_ns", time.perf_counter_ns() - started
             )
 
-    async def _wait_for_work(self, ack_task: asyncio.Task) -> None:
-        """Sleep until there is something to send or the connection died."""
-        wake = asyncio.ensure_future(self._wake.wait())
-        done, _ = await asyncio.wait(
-            {wake, ack_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if not wake.done():
-            wake.cancel()
-        if ack_task in done:
-            ack_task.result()
-            raise ConnectionResetError("connection closed by peer")
-
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            frame = await read_frame(reader, self.config.read_timeout)
-            if frame.get("t") != "ack":
-                raise WireProtocolError(
-                    f"channel {self.name!r}: unexpected frame {frame!r}"
-                )
-            acked = int(frame["seq"])
-            while self._inflight and self._inflight[0][0] <= acked:
-                self._inflight.popleft()
+        """Apply cumulative acks until the connection breaks or the peer
+        has been silent for ``read_timeout`` (``asyncio.TimeoutError``)."""
+        with _SilenceWatchdog(self.config.read_timeout) as watchdog:
+            while True:
+                frame = await read_frame(reader)
+                watchdog.heard()
+                if frame.get("t") != "ack":
+                    raise WireProtocolError(
+                        f"channel {self.name!r}: unexpected frame {frame!r}"
+                    )
+                acked = int(frame["seq"])
+                while self._inflight and self._inflight[0][0] <= acked:
+                    self._inflight.popleft()
+                self._dequeued()
 
     def _rewind(self, expect: int) -> None:
         """Align the send window with the receiver's expected sequence."""
@@ -518,6 +564,7 @@ class ChannelListener:
         self._epochs: dict[str, int] = {}
         self._server: asyncio.AbstractServer | None = None
         self.connections_accepted = 0
+        self._heard: set[str] = set()
         #: wall clock (time.monotonic) of the last frame handled; lets a
         #: serving process linger until its peers have gone quiet.
         self.last_frame_wall = 0.0
@@ -538,6 +585,10 @@ class ChannelListener:
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
+    def heard(self, channel: str) -> bool:
+        """True once the sender of ``channel`` completed a handshake here."""
+        return channel in self._heard
+
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()
@@ -557,6 +608,7 @@ class ChannelListener:
             if name not in self._registrations:
                 raise WireProtocolError(f"unknown channel {name!r}")
             self.connections_accepted += 1
+            self._heard.add(name)
             destination, codec = self._registrations[name]
             epoch = int(hello.get("epoch", 0))
             known = self._epochs.get(name, 0)

@@ -48,6 +48,9 @@ class RuntimeChannel:
         self.metrics = metrics
         self.max_queue = max_queue
         self.sent_count = 0
+        #: what a pacing producer inside :meth:`drain` sleeps on; resolved
+        #: (and dropped) when ``queued`` goes down
+        self._drain_waiter: asyncio.Future | None = None
 
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
@@ -72,8 +75,9 @@ class RuntimeChannel:
         """
         limit = below if below is not None else max(1, self.max_queue // 2)
         while self.queued >= limit:
-            self.runtime.check()
-            await asyncio.sleep(0.001)
+            if self._drain_waiter is None:
+                self._drain_waiter = asyncio.get_running_loop().create_future()
+            await self.runtime.until_failure(self._drain_waiter)
 
     async def flush(self, timeout: float = 30.0) -> None:
         """Wait (wall seconds) until every accepted message was delivered."""
@@ -85,6 +89,12 @@ class RuntimeChannel:
         """Release transport resources (idempotent)."""
 
     # ------------------------------------------------------------------
+    def _dequeued(self) -> None:
+        """``queued`` went down (subclasses call this): wake ``drain()``."""
+        if self._drain_waiter is not None:
+            self._drain_waiter.set_result(None)
+            self._drain_waiter = None
+
     def _account(self, message: Message) -> None:
         message.sent_at = self.runtime.now
         self.sent_count += 1
@@ -143,6 +153,7 @@ class LocalChannel(RuntimeChannel):
     # ------------------------------------------------------------------
     def _yielded(self) -> None:
         self._unyielded = 0
+        self._dequeued()
 
 
 __all__ = ["LocalChannel", "RuntimeChannel"]

@@ -33,9 +33,6 @@ class GeneratorState:
         self.next_key[index] = key + 1
         return key
 
-    def live_keys(self, index: int) -> list[int]:
-        return [row[0] for row in self.live_rows[index]]
-
 
 def foreign_value(
     state: GeneratorState,
@@ -47,9 +44,9 @@ def foreign_value(
     """A foreign value for relation ``index``: usually a live next-key."""
     if index >= view.n_relations:
         return rng.randrange(1_000_000)  # last relation: F is inert payload
-    candidates = state.live_keys(index + 1)
+    candidates = state.live_rows[index + 1]
     if candidates and rng.random() < match_fraction:
-        return rng.choice(candidates)
+        return rng.choice(candidates)[0]  # a live row's key, no key list built
     return 1_000_000 + rng.randrange(1_000_000)  # guaranteed miss
 
 

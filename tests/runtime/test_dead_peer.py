@@ -17,7 +17,10 @@ from repro.cli import main
 from repro.harness.config import ExperimentConfig
 from repro.runtime import (
     CLEAN_FAILURE_EXIT,
+    AsyncRuntime,
+    ChannelListener,
     TransportRetriesExceeded,
+    WireCodec,
     free_port,
     probe_peer,
     serve_shard_async,
@@ -25,7 +28,8 @@ from repro.runtime import (
     serve_source_async,
     serve_warehouse_async,
 )
-from repro.runtime.tcp import TcpChannelConfig
+from repro.runtime.tcp import TcpChannelConfig, read_frame, write_frame
+from repro.simulation.mailbox import Mailbox
 from repro.warehouse.sharding import ShardMember
 
 #: A retry budget small enough that every test fails in well under a second.
@@ -72,6 +76,50 @@ def test_probe_peer_passes_with_a_listener():
             await server.wait_closed()
 
     asyncio.run(scenario())
+
+
+def test_probe_accepts_a_peer_that_has_already_dialed_us():
+    """A fleet can finish a short run inside one back-off gap of a late
+    site's probe (seen as a 1-in-10 `ShardCrashed: member sh0 unreachable`
+    from an update-less source whose shards had verified and exited): a
+    peer that completed a handshake with our listener proved its address
+    as well as a connect would have."""
+    host, port = _dead_address()
+    asked = []
+
+    def heard():
+        asked.append(len(asked))
+        return len(asked) > 1  # the peer dials us during the first back-off
+
+    asyncio.run(probe_peer(host, port, TIGHT, what="member sh0", heard=heard))
+    assert asked == [0, 1]  # one refused connect, then the evidence
+
+    with pytest.raises(TransportRetriesExceeded, match="member sh0"):
+        asyncio.run(
+            probe_peer(host, port, TIGHT, what="member sh0", heard=lambda: False)
+        )
+
+
+def test_listener_remembers_which_channels_it_heard_from(paper_view):
+    async def scenario():
+        runtime = AsyncRuntime(time_scale=0.001)
+        codec = WireCodec(paper_view)
+        listener = ChannelListener(runtime)
+        for name in ("sh0->R2", "sh1->R2"):
+            listener.register(name, Mailbox(runtime, name), codec)
+        await listener.start()
+        reader, writer = await asyncio.open_connection(*listener.address)
+        write_frame(writer, {"t": "hello", "channel": "sh0->R2", "next": 1})
+        await writer.drain()
+        assert (await read_frame(reader))["t"] == "welcome"
+        writer.close()
+        await writer.wait_closed()
+        heard = listener.heard("sh0->R2"), listener.heard("sh1->R2")
+        await listener.aclose()
+        await runtime.aclose()
+        return heard
+
+    assert asyncio.run(scenario()) == (True, False)  # outlives the session
 
 
 def test_serve_warehouse_fails_fast_on_dead_source():

@@ -17,6 +17,8 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 from repro.runtime import run_distributed, run_distributed_async
 
+from .loop_spy import LoopSpy
+
 
 def config_for(algorithm, **overrides):
     base = dict(
@@ -101,29 +103,52 @@ def test_distributed_result_report_mentions_transport():
     assert repr(result) == "DistributedRunResult(sweep, installs=4)"
 
 
+async def counting_loop_turns(coro):
+    """Await ``coro``; returns ``(its result, event-loop iterations)``."""
+    spy = LoopSpy()
+    result = await coro
+    return result, spy.turns
+
+
 def test_local_sweep_costs_a_bounded_number_of_loop_turns_per_update():
     """An in-process message is one mailbox append and an update's causal
-    chain runs inside one loop turn: ~2 loop iterations per update plus
-    quiescence polls (12 when every message cost a queue + task hop)."""
+    chain runs inside one loop turn: ~2 loop iterations per update (12
+    when every message cost a queue + task hop)."""
     config = config_for("sweep", n_updates=200, mean_interarrival=1.5)
-
-    async def main():
-        loop = asyncio.get_running_loop()
-        run_once = loop._run_once
-        turns = 0
-
-        def counted():
-            nonlocal turns
-            turns += 1
-            run_once()
-
-        loop._run_once = counted
-        result = await run_distributed_async(
-            config, transport="local", time_scale=0.001, timeout=60.0
+    result, turns = asyncio.run(
+        counting_loop_turns(
+            run_distributed_async(
+                config, transport="local", time_scale=0.001, timeout=60.0
+            )
         )
-        return result, turns
-
-    result, turns = asyncio.run(main())
+    )
     assert turns <= 6 * config.n_updates
     assert result.metrics.messages_total == 5 * config.n_updates
+    assert result.final_view == run_experiment(config).final_view
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_sparse_run_makes_no_loop_turn_between_updates(transport):
+    """20 updates spread over more than a second of wall time: the loop
+    wakes for the updates and their messages, never for the clock.  While
+    an updater is mid-``Delay`` the quiescence waiter is parked on the
+    kernel's timer count, so an idle gap costs nothing -- polling every
+    5 ms made this run 540 turns local / 1,250 over TCP whatever it did.
+    Local: the timer's turn plus the pump's, per update.  TCP: a socket
+    event and a task resume at each end of each message and ack, ~5.4 per
+    message."""
+    config = config_for("sweep", n_updates=20, mean_interarrival=60.0)
+    result, turns = asyncio.run(
+        counting_loop_turns(
+            run_distributed_async(
+                config, transport=transport, time_scale=0.001, timeout=60.0
+            )
+        )
+    )
+    assert result.wall_seconds >= 1.0
+    assert result.metrics.messages_total == 5 * config.n_updates
+    if transport == "local":
+        assert turns <= 4 * config.n_updates + 20
+    else:
+        assert turns <= 7 * result.metrics.messages_total + 50
     assert result.final_view == run_experiment(config).final_view

@@ -4,10 +4,16 @@ import asyncio
 
 import pytest
 
+from repro.consistency.oracle import RunRecorder
+from repro.relational.delta import Delta
 from repro.runtime import AsyncRuntime, QuiescenceTimeout
 from repro.runtime.kernel import _PUMP_SLICE
+from repro.runtime.nodes import hold_until_delivered
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.process import Delay
+from repro.sources.messages import UpdateNotice
+
+from .loop_spy import LoopSpy
 
 
 def run(coro):
@@ -217,3 +223,169 @@ def test_raising_callback_is_recorded_once_and_does_not_stop_the_pump():
 
     with pytest.raises(RuntimeError, match="pump failure"):
         run(main())
+
+
+# ---------------------------------------------------------------------------
+# The tickless quiescence waiter: parked while anything is held
+# ---------------------------------------------------------------------------
+
+def test_waiter_parks_while_a_kernel_timer_is_outstanding():
+    """300 ms mid-``Delay``: the waiter arms its deadline once and the loop
+    turns for the timer, not 60 times for a 5 ms poll."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        polled = []
+
+        def sleeper():
+            yield Delay(300.0)
+
+        process = runtime.spawn("sleeper", sleeper())
+
+        def finished():
+            polled.append(runtime.holds)
+            return process.finished
+
+        await asyncio.sleep(0)  # the process starts and arms its Delay
+        assert runtime.holds == 1 and not runtime.settled()
+        spy = LoopSpy()
+        await runtime.wait_until(finished, timeout=5.0)
+        return spy.turns, len(spy.timers), polled
+
+    turns, timers, polled = run(main())
+    assert polled == [0, 0]  # evaluated only with nothing held, twice stable
+    assert timers == 2  # the park's deadline + one confirmation sleep
+    assert turns <= 6
+
+
+def test_hold_parks_the_waiter_until_released():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        loop = asyncio.get_running_loop()
+        release = runtime.hold()
+        started = loop.time()
+        loop.call_later(0.1, release)
+        spy = LoopSpy()
+        await runtime.wait_until(lambda: True, timeout=5.0, stable_polls=1)
+        return loop.time() - started, runtime.holds, spy.turns
+
+    elapsed, holds, turns = run(main())
+    assert elapsed >= 0.1
+    assert holds == 0
+    assert turns <= 4
+
+
+def test_runtime_sleep_is_a_kernel_timer():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        task = asyncio.ensure_future(runtime.sleep(50.0))
+        await asyncio.sleep(0)
+        held = runtime.holds
+        await runtime.wait_until(lambda: True, timeout=5.0, stable_polls=1)
+        return held, task.done(), runtime.holds
+
+    assert run(main()) == (1, True, 0)
+
+
+def test_failure_while_parked_surfaces_at_once_not_at_the_timeout():
+    """The failing process is not the one the waiter is parked behind."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        spy = LoopSpy()
+        failed_at = []
+
+        def long_sleeper():
+            yield Delay(20_000.0)
+
+        def bad():
+            yield Delay(50.0)
+            failed_at.append(spy.turns)
+            raise ValueError("failure while parked")
+
+        runtime.spawn("long-sleeper", long_sleeper())
+        runtime.spawn("bad", bad())
+        started = spy.loop.time()
+        try:
+            await runtime.wait_until(runtime.settled, timeout=20.0)
+        except ValueError:
+            return spy.turns - failed_at[0], spy.loop.time() - started
+        return None
+
+    turns_after_failure, elapsed = run(main())
+    # one turn for the failure signal's callback, one for the waiter's task
+    assert turns_after_failure <= 2
+    assert elapsed < 1.0
+
+
+def test_until_failure_raises_the_failure_and_returns_on_a_waker():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        loop = asyncio.get_running_loop()
+        waker = loop.create_future()
+        loop.call_later(0.02, waker.set_result, None)
+        await runtime.until_failure(waker)  # returns: no failure
+        await runtime.until_failure(timeout=0.01)  # returns: timed out
+        spy = LoopSpy()
+        loop.call_later(0.05, runtime.record_failure, RuntimeError("late"))
+        try:
+            await runtime.until_failure()
+        except RuntimeError:
+            return spy.turns, len(spy.timers)
+        return None
+
+    turns, timers = run(main())
+    assert timers == 1  # the test's own call_later; the wait armed none
+    assert turns <= 4
+
+
+def test_never_finishing_updater_times_out_at_the_deadline_naming_the_blocked():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        box = Mailbox(runtime, "box")
+
+        def stuck_consumer():
+            yield box.get()
+
+        def endless_updater():
+            while True:
+                yield Delay(40.0)
+
+        runtime.spawn("stuck-consumer", stuck_consumer())
+        runtime.spawn("endless-updater", endless_updater())
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            await runtime.wait_until(runtime.settled, timeout=0.3)
+        except QuiescenceTimeout as exc:
+            return loop.time() - started, str(exc)
+        return None
+
+    elapsed, message = run(main())
+    assert 0.3 <= elapsed <= 0.35
+    assert "stuck-consumer" in message
+    assert "1 timer(s)" in message
+
+
+def test_hold_until_delivered_releases_at_the_target_delivery(paper_view):
+    """A site without an updater is parked by its delivery count: the
+    recorder's hook releases the hold at the target, later deliveries
+    and an already-reached target hold nothing."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        recorder = RunRecorder(paper_view)
+        hold_until_delivered(runtime, recorder, 3)
+        held = [runtime.holds]
+        for seq in range(1, 5):
+            recorder.on_delivery(
+                UpdateNotice(1, seq, Delta(paper_view.schema_of(1)), float(seq))
+            )
+            held.append(runtime.holds)
+        hold_until_delivered(runtime, recorder, 4)  # already there
+        held.append(runtime.holds)
+        return held, recorder.updates_delivered
+
+    held, delivered = run(main())
+    assert held == [1, 1, 1, 0, 0, 0]
+    assert delivered == 4

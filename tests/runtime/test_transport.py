@@ -21,6 +21,8 @@ from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.sources.messages import UpdateNotice
 
+from .loop_spy import LoopSpy
+
 
 class Sink:
     """Mailbox stand-in that records delivery order."""
@@ -224,6 +226,62 @@ def test_tcp_overflow_raises(paper_view):
         await runtime.aclose()
 
     run(main())
+
+
+def test_drain_is_woken_by_the_queue_shrinking_not_by_a_clock(paper_view):
+    """A producer pacing 100 messages through a window of 8 -- over the
+    hand-off and over TCP, where an ack is what shrinks the queue --
+    sleeps on the channel's signal: ``drain`` arms no timer at all."""
+
+    async def main(make_channel):
+        runtime = AsyncRuntime(time_scale=0.001)
+        sink = Sink()
+        channel, aclose = await make_channel(runtime, sink)
+        spy = LoopSpy()
+        armed = 0
+        # seq 0 dials and handshakes (TCP arms its one-off timers here)
+        channel.send(Message("update", "R1", make_notice(paper_view, 0)))
+        await channel.flush()
+        waits = 0
+        for seq in range(1, 101):
+            if channel.queued >= 4:
+                waits += 1
+            before = len(spy.timers)
+            await channel.drain()
+            armed += len(spy.timers) - before
+            channel.send(Message("update", "R1", make_notice(paper_view, seq)))
+        await channel.flush()
+        await aclose()
+        await runtime.aclose()
+        return seqs(sink), waits, armed
+
+    async def local(runtime, sink):
+        async def nothing():
+            pass
+
+        return LocalChannel(runtime, "R1->wh", sink, max_queue=8), nothing
+
+    async def tcp(runtime, sink):
+        codec = WireCodec(paper_view)
+        listener = ChannelListener(runtime)
+        listener.register("R1->wh", sink, codec)
+        await listener.start()
+        channel = TcpChannel(
+            runtime, "R1->wh", *listener.address, codec, None,
+            TcpChannelConfig(max_queue=8),
+        )
+
+        async def aclose():
+            await channel.aclose()
+            await listener.aclose()
+
+        return channel, aclose
+
+    for make_channel in (local, tcp):
+        got, waits, armed = run(main(make_channel))
+        assert got == list(range(0, 101))
+        assert waits > 10  # the producer really was paced
+        assert armed == 0
 
 
 def test_tcp_listener_survives_channel_restart(paper_view):
