@@ -28,7 +28,7 @@ from repro.consistency.checker import (
 from repro.consistency.history import SourceHistory
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.snapshots import SnapshotLog
-from repro.relational.relation import Relation
+from repro.relational.relation import BagBase, Relation
 from repro.relational.view import ViewDefinition
 from repro.sources.messages import UpdateNotice
 
@@ -85,9 +85,12 @@ class RunRecorder:
         view_state: Relation,
         claimed_vector: dict[int, int] | None = None,
         note: str = "",
+        delta: BagBase | None = None,
     ) -> None:
-        """Warehouse-side hook: a view change was installed."""
-        self.snapshots.record(time, view_state, claimed_vector, note)
+        """Warehouse-side hook: a view change was installed.  With the
+        installed ``delta`` only that is logged and ``view_state`` is not
+        read; without one, ``view_state`` is copied as the full state."""
+        self.snapshots.record(time, view_state, claimed_vector, note, delta)
 
     # ------------------------------------------------------------------
     # Verdicts

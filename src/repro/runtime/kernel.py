@@ -167,9 +167,19 @@ class AsyncRuntime:
         For work the caller knows is still to come but the kernel cannot
         see -- a serving site still owed deliveries by remote peers.  A
         kernel timer holds the runtime the same way until it has fired.
+        The release is one-shot: calling it again is a no-op, so a double
+        release cannot cancel out somebody else's hold.
         """
         self._holds += 1
-        return self._release
+        spent = False
+
+        def release() -> None:
+            nonlocal spent
+            if not spent:
+                spent = True
+                self._release()
+
+        return release
 
     @property
     def holds(self) -> int:

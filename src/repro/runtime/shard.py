@@ -257,8 +257,8 @@ class _KillSwitch:
         wh.note_delivery = note_delivery
         orig_install = wh._after_install
 
-        def _after_install(note):
-            orig_install(note)
+        def _after_install(*install):
+            orig_install(*install)
             self._installs += 1
             if (
                 spec.after_installs is not None
@@ -368,8 +368,8 @@ class _RebalanceTrigger:
         wh.note_delivery = note_delivery
         orig_install = wh._after_install
 
-        def _after_install(note):
-            orig_install(note)
+        def _after_install(*install):
+            orig_install(*install)
             self._installs += 1
             if (
                 spec.after_installs is not None

@@ -27,7 +27,7 @@ from collections.abc import Generator
 from repro.consistency.oracle import RunRecorder
 from repro.relational.delta import Delta, merge_deltas
 from repro.relational.incremental import PartialView
-from repro.relational.relation import Relation
+from repro.relational.relation import BagBase, Relation
 from repro.relational.view import ViewDefinition
 from repro.simulation.channel import Channel, Message
 from repro.simulation.kernel import Simulator
@@ -144,24 +144,25 @@ class WarehouseBase:
 
     def install_wide(self, wide_delta: Delta, note: str = "") -> None:
         """Finalize and install a full-width view change, then snapshot."""
-        self.store.install_wide(wide_delta)
-        self._after_install(note)
+        self._after_install(note, self.store.install_wide(wide_delta))
 
     def install_view_delta(self, delta: Delta, note: str = "") -> None:
-        """Install a view-schema delta directly (Strobe-family local ops)."""
-        self.store.apply(delta)
-        self._after_install(note)
+        """Install a view-schema delta directly (Strobe-family local ops).
 
-    def _after_install(self, note: str) -> None:
+        ``delta`` is the caller's to build and the log's to keep: it must
+        not be mutated after this call (see ``MaterializedView.apply``).
+        """
+        self._after_install(note, self.store.apply(delta))
+
+    def _after_install(self, note: str, delta: BagBase | None = None) -> None:
+        """Account for an install; ``delta`` is what the store installed
+        (None logs the store's full current state instead)."""
         self.metrics.increment("installs")
         if self.durability is not None:
             self.durability.on_install()
         if self.recorder is not None:
             self.recorder.on_install(
-                self.sim.now,
-                self.store.relation,
-                claimed_vector=dict(self.applied_counts),
-                note=note,
+                self.sim.now, self.store.relation, self.applied_counts, note, delta
             )
         if self.trace:
             self.trace.record(

@@ -573,7 +573,7 @@ class ViewMigrationMixin:
             and st.adopted
             and view.name == st.view_def.name
         ):
-            return dict(st.pos)
+            return st.pos
         return super()._claimed_vector_for(view)
 
     def _pending_floor(

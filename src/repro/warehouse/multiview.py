@@ -100,14 +100,15 @@ class MultiViewStateMixin:
     def _install_extra(self, view: ViewDefinition, wide_delta, note: str) -> None:
         """Install one extra view's change and snapshot it for its oracle."""
         store = self.stores[view.name]
-        store.install_wide(wide_delta)
+        delta = store.install_wide(wide_delta)
         recorder = self.extra_recorders.get(view.name)
         if recorder is not None:
             recorder.on_install(
                 self.sim.now,
                 store.relation,
-                claimed_vector=self._claimed_vector_for(view),
-                note=note,
+                self._claimed_vector_for(view),
+                note,
+                delta,
             )
 
     def view_contents(self, name: str) -> Relation:
@@ -131,8 +132,9 @@ class MultiViewStateMixin:
         return {view.name: list(batch) for view in self.views}
 
     def _claimed_vector_for(self, view: ViewDefinition) -> dict[int, int]:
-        """The per-source position vector ``view``'s next install claims."""
-        return dict(self.applied_counts)
+        """The per-source position vector ``view``'s next install claims
+        (the live mapping: the snapshot log takes its own copy)."""
+        return self.applied_counts
 
     def _pending_floor(
         self,

@@ -13,7 +13,6 @@ of Section 3 into a measurable counter instead of a crash.
 from __future__ import annotations
 
 from repro.relational.delta import Delta
-from repro.relational.errors import NegativeCountError
 from repro.relational.relation import BagBase, Relation
 from repro.relational.view import ViewDefinition
 
@@ -81,28 +80,36 @@ class MaterializedView:
         """Attached aggregate views."""
         return tuple(self._aggregates)
 
-    def apply(self, delta: BagBase) -> None:
-        """Install a view-schema delta (``V = V + Delta-V``)."""
+    def apply(self, delta: BagBase) -> BagBase:
+        """Install a view-schema delta (``V = V + Delta-V``).
+
+        Returns the delta actually installed, which the snapshot log keeps
+        by reference: ``delta`` itself when strict (callers build one per
+        install and must not mutate it afterwards), the clamped *effective*
+        delta when tolerant -- so replaying the returned deltas over the
+        state before them always reproduces ``relation``.
+        """
         self.installs += 1
         if self.strict:
             self.relation.apply_delta(delta)
             for agg in self._aggregates:
                 agg.apply(delta)
-            return
+            return delta
+        effective: dict[tuple, int] = {}
         for row, count in delta.items():
             current = self.relation.count(row)
             new = current + count
             if new < 0:
                 self.anomalies += 1
                 new = 0
-            try:
+            if new != current:
                 self.relation.add(row, new - current)
-            except NegativeCountError:  # pragma: no cover - defensive
-                self.anomalies += 1
+                effective[row] = new - current
+        return Delta._from_validated(self.relation.schema, effective)
 
-    def install_wide(self, wide_delta: Delta) -> None:
+    def install_wide(self, wide_delta: Delta) -> BagBase:
         """Finalize (select + project) a wide sweep result and install it."""
-        self.apply(self.view.finalize(wide_delta))
+        return self.apply(self.view.finalize(wide_delta))
 
     def snapshot(self) -> Relation:
         """An independent copy of the current contents."""

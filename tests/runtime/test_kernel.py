@@ -275,6 +275,37 @@ def test_hold_parks_the_waiter_until_released():
     assert turns <= 4
 
 
+def test_double_release_cannot_cancel_an_outstanding_timer():
+    """A release is one-shot: a second call must not drive ``holds``
+    negative, or the next kernel timer would bring it back to 0 and the
+    waiter would confirm quiescence with a ``Delay`` outstanding."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        woke = []
+
+        def sleeper():
+            yield Delay(50.0)  # 50 ms of wall time
+            woke.append(runtime.now)
+
+        release = runtime.hold()
+        release()
+        release()
+        held = [runtime.holds]
+        runtime.spawn("sleeper", sleeper())
+        await asyncio.sleep(0)  # the process starts and arms its timer
+        held.append(runtime.holds)
+        waiter = asyncio.ensure_future(
+            runtime.wait_until(lambda: True, timeout=5.0, stable_polls=1)
+        )
+        await asyncio.sleep(0.02)
+        parked = (not waiter.done(), list(woke))
+        await waiter
+        return held, parked, len(woke), runtime.holds
+
+    assert run(main()) == ([0, 1], (True, []), 1, 0)
+
+
 def test_runtime_sleep_is_a_kernel_timer():
     async def main():
         runtime = AsyncRuntime(time_scale=0.001)
