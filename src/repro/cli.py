@@ -17,6 +17,7 @@ Commands
 ``recovery-sweep``   crash + recover each seeded case against its baseline
 ``failover-sweep``   kill primaries, promote standbys, compare baselines
 ``rebalance``        host a sharded fleet and migrate one view mid-run
+                     (the one command that migrates a view)
 ``rebalance-sweep``  migrate views at protocol points, compare baselines
 """
 
@@ -117,30 +118,49 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="row budget for the locality layer (0 = unlimited)")
 
 
+#: argparse destination -> ExperimentConfig field, for the flags of
+#: :func:`_add_workload_args` (``--time-scale`` is a fleet field).  The
+#: process launcher derives child command lines from the same table.
+_WORKLOAD_FLAGS = {
+    "algorithm": "algorithm",
+    "sources": "n_sources",
+    "updates": "n_updates",
+    "seed": "seed",
+    "backend": "backend",
+    "interarrival": "mean_interarrival",
+    "insert_fraction": "insert_fraction",
+    "rows": "rows_per_relation",
+    "views": "n_views",
+    "batch_max": "batch_max",
+    "adaptive_batch": "batch_adaptive",
+    "locality": "locality",
+    "locality_budget": "locality_budget_rows",
+}
+
+
 def _workload_config(args: argparse.Namespace, **extra):
     from repro.harness.config import ExperimentConfig
 
-    return ExperimentConfig(
-        algorithm=args.algorithm,
-        n_sources=args.sources,
-        n_updates=args.updates,
-        seed=args.seed,
-        backend=args.backend,
-        mean_interarrival=args.interarrival,
-        insert_fraction=args.insert_fraction,
-        rows_per_relation=args.rows,
-        n_views=args.views,
-        batch_max=args.batch_max,
-        batch_adaptive=args.adaptive_batch,
-        locality=args.locality,
-        locality_budget_rows=args.locality_budget,
-        **extra,
-    )
+    fields = {
+        field: getattr(args, dest) for dest, field in _WORKLOAD_FLAGS.items()
+    }
+    return ExperimentConfig(**fields, **extra)
 
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return (host or "127.0.0.1", int(port))
+
+
+def _source_addresses(args: argparse.Namespace) -> dict[int, tuple[str, int]]:
+    """``--source INDEX=HOST:PORT`` (repeated) of a warehouse-side site."""
+    addresses = {}
+    for spec in args.source:
+        index, _, addr = spec.partition("=")
+        addresses[int(index)] = _parse_address(addr)
+    if not addresses:
+        raise SystemExit(f"{args.command} needs at least one --source")
+    return addresses
 
 
 def _add_tcp_args(p: argparse.ArgumentParser) -> None:
@@ -169,22 +189,70 @@ def _add_tcp_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+#: argparse destination -> TcpChannelConfig field (see _WORKLOAD_FLAGS).
+_TCP_FLAGS = {
+    "codec_version": "codec_version",
+    "compress_min": "compress_min_bytes",
+    "max_retries": "max_retries",
+    "connect_timeout": "connect_timeout",
+}
+
+
 def _tcp_config(args: argparse.Namespace):
     """A TcpChannelConfig from CLI knobs, or None for pure defaults."""
-    kwargs = {}
-    if args.codec_version is not None:
-        kwargs["codec_version"] = args.codec_version
-    if args.compress_min is not None:
-        kwargs["compress_min_bytes"] = args.compress_min or None
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    if args.connect_timeout is not None:
-        kwargs["connect_timeout"] = args.connect_timeout
+    kwargs = {
+        field: getattr(args, dest)
+        for dest, field in _TCP_FLAGS.items()
+        if getattr(args, dest) is not None
+    }
     if not kwargs:
         return None
+    if "compress_min_bytes" in kwargs:
+        # ``--compress-min 0`` disables compression.
+        kwargs["compress_min_bytes"] = kwargs["compress_min_bytes"] or None
     from repro.runtime import TcpChannelConfig
 
     return TcpChannelConfig(**kwargs)
+
+
+def _add_loop_args(p: argparse.ArgumentParser, transport: str) -> None:
+    """What every all-sites-on-one-loop command takes."""
+    p.add_argument("--transport", choices=("tcp", "local"), default=transport)
+    p.add_argument("--host", default="127.0.0.1",
+                   help="interface the TCP listeners bind")
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="wall-clock quiescence timeout in seconds")
+    p.add_argument("--no-check", action="store_true",
+                   help="skip consistency verification")
+
+
+def _add_fleet_args(p: argparse.ArgumentParser, strategy: str) -> None:
+    """The shape of a sharded fleet hosted on one loop."""
+    p.add_argument("--shards", type=int, default=2,
+                   help="number of warehouse shards")
+    p.add_argument("--replicas", type=int, default=0,
+                   help="hot standbys per shard (0 = no replication; standbys"
+                        " migrate in lockstep with their primaries)")
+    p.add_argument("--strategy", choices=("hash", "round-robin"),
+                   default=strategy, help="view-to-shard assignment rule")
+    _add_loop_args(p, transport="local")
+
+
+def _add_durable_args(p: argparse.ArgumentParser) -> None:
+    """Durability of one warehouse-side site."""
+    p.add_argument("--durable-dir", default=None, metavar="DIR",
+                   help="persist checkpoints + update log here; on restart"
+                        " the site recovers and resumes from DIR")
+    p.add_argument("--checkpoint-every", type=int, default=None,
+                   metavar="N", help="checkpoint every N installed updates"
+                                     " (default 25)")
+    p.add_argument("--checkpoint-interval", type=float, default=None,
+                   metavar="SECONDS",
+                   help="also checkpoint when this much wall time has"
+                        " passed since the last one")
+    p.add_argument("--fsync-batch", type=int, default=8, metavar="N",
+                   help="fsync the WAL once per N appended updates"
+                        " (group commit; default: 8)")
 
 
 def _add_run_distributed_parser(sub: argparse._SubParsersAction) -> None:
@@ -194,17 +262,11 @@ def _add_run_distributed_parser(sub: argparse._SubParsersAction) -> None:
     )
     _add_workload_args(p)
     _add_tcp_args(p)
-    p.add_argument("--transport", choices=("tcp", "local"), default="tcp")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="interface the TCP listeners bind")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="wall-clock quiescence timeout in seconds")
+    _add_loop_args(p, transport="tcp")
     p.add_argument("--chaos", default=None, metavar="PROFILE",
                    help="inject transport faults from a named chaos profile"
                         " (healthy/delay/dup/drop/crash/hostile/source-stall/"
                         "source-burst/source-reorder/crash-restart)")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip consistency verification")
     p.add_argument("--show-view", action="store_true",
                    help="print the final materialized view")
 
@@ -213,15 +275,7 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
     from repro.runtime import run_distributed
 
     config = _workload_config(args, check_consistency=not args.no_check)
-    result = run_distributed(
-        config,
-        transport=args.transport,
-        time_scale=args.time_scale,
-        host=args.host,
-        timeout=args.timeout,
-        tcp_config=_tcp_config(args),
-        chaos=args.chaos,
-    )
+    result = run_distributed(config, **_site_fields(args))
     print(result.report())
     if args.show_view:
         print()
@@ -237,17 +291,7 @@ def _add_run_sharded_parser(sub: argparse._SubParsersAction) -> None:
     )
     _add_workload_args(p)
     _add_tcp_args(p)
-    p.add_argument("--shards", type=int, default=2,
-                   help="number of warehouse shards")
-    p.add_argument("--replicas", type=int, default=0,
-                   help="hot standbys per shard (0 = no replication)")
-    p.add_argument("--strategy", choices=("hash", "round-robin"),
-                   default="hash", help="view-to-shard assignment rule")
-    p.add_argument("--transport", choices=("tcp", "local"), default="local")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="interface the TCP listeners bind")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="wall-clock quiescence timeout in seconds")
+    _add_fleet_args(p, strategy="hash")
     p.add_argument("--chaos", default=None, metavar="PROFILE",
                    help="inject transport faults from a named chaos profile")
     p.add_argument("--processes", action="store_true",
@@ -267,113 +311,83 @@ def _add_run_sharded_parser(sub: argparse._SubParsersAction) -> None:
                         " processes (--processes with --durable-dir only)")
     p.add_argument("--max-restarts", type=int, default=2,
                    help="restart budget per shard process")
-    p.add_argument("--rebalance", default=None, metavar="VIEW@STEP",
-                   help="migrate VIEW to --rebalance-to mid-run; STEP is"
-                        " deliveries:N or installs:N (bare N counts"
-                        " deliveries) on the donor primary")
-    p.add_argument("--rebalance-to", type=int, default=None, metavar="SHARD",
-                   help="recipient shard of the --rebalance migration")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip consistency verification")
 
 
 def _checkpoint_policy(args: argparse.Namespace):
-    if getattr(args, "checkpoint_every", None) is None and (
-        getattr(args, "checkpoint_interval", None) is None
-    ):
+    """A CheckpointPolicy from whichever of its two flags the command has
+    and the user gave, or None for pure defaults."""
+    given = {
+        "every_installs": getattr(args, "checkpoint_every", None),
+        "every_time": getattr(args, "checkpoint_interval", None),
+    }
+    given = {field: value for field, value in given.items() if value is not None}
+    if not given:
         return None
     from repro.durability import CheckpointPolicy
 
-    kwargs = {}
-    if getattr(args, "checkpoint_every", None) is not None:
-        kwargs["every_installs"] = args.checkpoint_every
-    if getattr(args, "checkpoint_interval", None) is not None:
-        kwargs["every_time"] = args.checkpoint_interval
-    return CheckpointPolicy(**kwargs)
+    return CheckpointPolicy(**given)
 
 
-def _parse_rebalance(args: argparse.Namespace):
-    """``--rebalance VIEW@STEP`` + ``--rebalance-to`` -> RebalanceSpec."""
-    if args.rebalance is None:
-        if args.rebalance_to is not None:
-            raise SystemExit("--rebalance-to needs --rebalance VIEW@STEP")
-        return None
-    if args.rebalance_to is None:
-        raise SystemExit("--rebalance needs --rebalance-to SHARD")
-    from repro.runtime import RebalanceSpec
+#: Keyword argument of the ``run_*`` / ``serve_*`` entry points (for the
+#: sharded ones: FleetSpec field) -> the argparse destination that
+#: carries it, on the commands that have the flag.
+_SITE_FLAGS = {
+    "n_shards": "shards",
+    "strategy": "strategy",
+    "replicas": "replicas",
+    "transport": "transport",
+    "time_scale": "time_scale",
+    "host": "host",
+    "timeout": "timeout",
+    "durable_dir": "durable_dir",
+    "fsync_batch": "fsync_batch",
+    "chaos": "chaos",
+}
 
-    view, sep, step = args.rebalance.partition("@")
-    if not sep or not view or not step:
-        raise SystemExit(
-            f"--rebalance wants VIEW@STEP, got {args.rebalance!r}"
-        )
-    counter, sep, count = step.partition(":")
-    if not sep:
-        counter, count = "deliveries", step
-    if counter not in ("deliveries", "installs") or not count.isdigit():
-        raise SystemExit(
-            f"--rebalance STEP wants deliveries:N or installs:N, got {step!r}"
-        )
-    kwargs = {f"after_{counter}": int(count)}
-    return RebalanceSpec(view=view, to_shard=args.rebalance_to, **kwargs)
+
+def _site_fields(args: argparse.Namespace) -> dict:
+    """What a command line says about where and how its sites run."""
+    fields = {
+        name: getattr(args, dest)
+        for name, dest in _SITE_FLAGS.items()
+        if hasattr(args, dest)
+    }
+    fields["tcp_config"] = _tcp_config(args)
+    if hasattr(args, "checkpoint_every"):
+        fields["checkpoint_policy"] = _checkpoint_policy(args)
+    return fields
+
+
+def _usage_error(exc: ValueError) -> int:
+    """A fleet shape the spec (or the process launcher) refuses is
+    operator misconfiguration: a usage error, not a crash."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _cmd_run_sharded(args: argparse.Namespace) -> int:
     from repro.runtime import launch_sharded_processes, run_sharded
 
     config = _workload_config(args, check_consistency=not args.no_check)
-    rebalance = _parse_rebalance(args)
-    if args.processes and rebalance is not None:
-        raise SystemExit(
-            "--rebalance drives the single-loop fleet; it cannot be"
-            " combined with --processes"
-        )
-    if args.processes:
+    try:
+        if not args.processes:
+            print(run_sharded(config, **_site_fields(args)).report())
+            return 0
         outputs = launch_sharded_processes(
             config,
-            args.shards,
-            time_scale=args.time_scale,
-            strategy=args.strategy,
-            host=args.host,
-            timeout=args.timeout,
-            durable_root=args.durable_dir,
             restart=args.restart,
             max_restarts=args.max_restarts,
-            replicas=args.replicas,
-        )
-        for name in sorted(outputs):
-            text = outputs[name].strip()
-            if text:
-                print(f"--- {name} ---")
-                print(text)
-        print(f"\nsharded deployment of {len(outputs)} process(es) exited"
-              " cleanly (every shard verified its views)")
-        return 0
-    try:
-        result = run_sharded(
-            config,
-            n_shards=args.shards,
-            transport=args.transport,
-            time_scale=args.time_scale,
-            host=args.host,
-            timeout=args.timeout,
-            tcp_config=_tcp_config(args),
-            chaos=args.chaos,
-            strategy=args.strategy,
-            durable_dir=args.durable_dir,
-            checkpoint_policy=_checkpoint_policy(args),
-            fsync_batch=args.fsync_batch,
-            replicas=args.replicas,
-            rebalance=rebalance,
+            **_site_fields(args),
         )
     except ValueError as exc:
-        if rebalance is None:
-            raise
-        # A misconfigured --rebalance (primary view, unknown view,
-        # inactive recipient, durability combo) is a usage error.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.report())
+        return _usage_error(exc)
+    for name in sorted(outputs):
+        text = outputs[name].strip()
+        if text:
+            print(f"--- {name} ---")
+            print(text)
+    print(f"\nsharded deployment of {len(outputs)} process(es) exited"
+          " cleanly (every shard verified its views)")
     return 0
 
 
@@ -388,19 +402,7 @@ def _add_rebalance_parser(sub: argparse._SubParsersAction) -> None:
     # A one-view family has nothing migratable (the primary is pinned);
     # default to a family worth redistributing.
     p.set_defaults(views=4)
-    p.add_argument("--shards", type=int, default=2,
-                   help="number of warehouse shards")
-    p.add_argument("--replicas", type=int, default=0,
-                   help="hot standbys per shard (standbys migrate in"
-                        " lockstep with their primaries)")
-    p.add_argument("--strategy", choices=("hash", "round-robin"),
-                   default="round-robin",
-                   help="launch-time view-to-shard assignment rule")
-    p.add_argument("--transport", choices=("tcp", "local"), default="local")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="interface the TCP listeners bind")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="wall-clock quiescence timeout in seconds")
+    _add_fleet_args(p, strategy="round-robin")
     p.add_argument("--view", default=None, metavar="NAME",
                    help="view to migrate (default: the first non-primary"
                         " view of the first multi-view shard)")
@@ -410,58 +412,30 @@ def _add_rebalance_parser(sub: argparse._SubParsersAction) -> None:
                    help="fire after the donor primary's N-th delivery")
     p.add_argument("--after-installs", type=int, default=None, metavar="N",
                    help="fire after the donor primary's N-th install")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip consistency verification")
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    from repro.runtime import RebalanceSpec, run_sharded
-    from repro.warehouse.sharding import (
-        partition_views,
-        pick_migration,
-        view_family,
-    )
+    from repro.runtime import FleetSpec, RebalanceSpec, run_sharded
+    from repro.warehouse.sharding import pick_migration
 
     config = _workload_config(args, check_consistency=not args.no_check)
-    if args.view is None or args.to_shard is None:
-        from repro.harness.runner import build_workload
-        from repro.simulation.rng import RngRegistry
-
-        workload = build_workload(config, RngRegistry(config.seed))
-        family = view_family(workload.view, max(1, config.n_views))
-        plan = partition_views(family, args.shards, strategy=args.strategy)
-        view, to_shard = pick_migration(plan)
-        view = args.view if args.view is not None else view
-        to_shard = args.to_shard if args.to_shard is not None else to_shard
-    else:
-        view, to_shard = args.view, args.to_shard
-    kwargs = {}
+    fields = _site_fields(args)
     if args.after_installs is not None:
-        kwargs["after_installs"] = args.after_installs
+        trigger = {"after_installs": args.after_installs}
+    elif args.after_deliveries is not None:
+        trigger = {"after_deliveries": args.after_deliveries}
     else:
-        kwargs["after_deliveries"] = (
-            args.after_deliveries if args.after_deliveries is not None else 3
-        )
+        trigger = {"after_deliveries": 3}
     try:
-        spec = RebalanceSpec(view=view, to_shard=to_shard, **kwargs)
-        result = run_sharded(
-            config,
-            n_shards=args.shards,
-            transport=args.transport,
-            time_scale=args.time_scale,
-            host=args.host,
-            timeout=args.timeout,
-            tcp_config=_tcp_config(args),
-            strategy=args.strategy,
-            replicas=args.replicas,
-            rebalance=spec,
-        )
+        view, to_shard = args.view, args.to_shard
+        if view is None or to_shard is None:
+            picked = pick_migration(FleetSpec(config, **fields).plan)
+            view = view if view is not None else picked[0]
+            to_shard = to_shard if to_shard is not None else picked[1]
+        move = RebalanceSpec(view=view, to_shard=to_shard, **trigger)
+        result = run_sharded(config, rebalance=move, **fields)
     except ValueError as exc:
-        # Plan/spec validation (primary view, unknown view, inactive
-        # recipient, bad trigger) is operator misconfiguration: a usage
-        # error, not a crash.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     print(result.report())
     return 0
 
@@ -542,19 +516,7 @@ def _add_serve_shard_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--no-verify", action="store_true",
                    help="do not fail the process when a view misses its"
                         " claimed consistency level")
-    p.add_argument("--durable-dir", default=None, metavar="DIR",
-                   help="persist checkpoints + update log here; on restart"
-                        " the shard recovers and resumes from DIR")
-    p.add_argument("--checkpoint-every", type=int, default=None,
-                   metavar="N", help="checkpoint every N installed updates"
-                                     " (default 25)")
-    p.add_argument("--checkpoint-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="also checkpoint when this much wall time has"
-                        " passed since the last one")
-    p.add_argument("--fsync-batch", type=int, default=8, metavar="N",
-                   help="fsync the WAL once per N appended updates"
-                        " (group commit; default: 8)")
+    _add_durable_args(p)
 
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
@@ -572,32 +534,20 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
     if args.standby_of is not None:
         shard_id = args.standby_of
         replica = max(1, replica)
-    addresses = {}
-    for spec in args.source:
-        index, _, addr = spec.partition("=")
-        addresses[int(index)] = _parse_address(addr)
-    if not addresses:
-        raise SystemExit("serve-shard needs at least one --source")
+    addresses = _source_addresses(args)
     listen_host, listen_port = _parse_address(args.listen)
     result = asyncio.run(
         serve_shard_async(
             config,
             shard_id,
-            args.shards,
-            addresses,
+            source_addresses=addresses,
             listen_host=listen_host,
             listen_port=listen_port,
-            time_scale=args.time_scale,
             expect_updates=args.expect_updates,
-            timeout=args.timeout,
-            tcp_config=_tcp_config(args),
-            strategy=args.strategy,
             verify=not args.no_verify,
-            durable_dir=args.durable_dir,
-            checkpoint_policy=_checkpoint_policy(args),
-            fsync_batch=args.fsync_batch,
             replica=replica,
             seed_from=args.seed_from,
+            **_site_fields(args),
         )
     )
     print(result.report())
@@ -622,19 +572,7 @@ def _add_serve_warehouse_parser(sub: argparse._SubParsersAction) -> None:
              " scheduled updates; 0 serves forever)",
     )
     p.add_argument("--timeout", type=float, default=3600.0)
-    p.add_argument("--durable-dir", default=None, metavar="DIR",
-                   help="persist checkpoints + update log here; on restart"
-                        " the warehouse recovers and resumes from DIR")
-    p.add_argument("--checkpoint-every", type=int, default=None,
-                   metavar="N", help="checkpoint every N installed updates"
-                                     " (default 25)")
-    p.add_argument("--checkpoint-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="also checkpoint when this much wall time has"
-                        " passed since the last one")
-    p.add_argument("--fsync-batch", type=int, default=8, metavar="N",
-                   help="fsync the WAL once per N appended updates"
-                        " (group commit; default: 8)")
+    _add_durable_args(p)
 
 
 def _cmd_serve_warehouse(args: argparse.Namespace) -> int:
@@ -643,12 +581,7 @@ def _cmd_serve_warehouse(args: argparse.Namespace) -> int:
     from repro.runtime import serve_warehouse_async
 
     config = _workload_config(args)
-    addresses = {}
-    for spec in args.source:
-        index, _, addr = spec.partition("=")
-        addresses[int(index)] = _parse_address(addr)
-    if not addresses:
-        raise SystemExit("serve-warehouse needs at least one --source")
+    addresses = _source_addresses(args)
     listen_host, listen_port = _parse_address(args.listen)
     expect = args.expect_updates
     if expect is None:
@@ -659,13 +592,8 @@ def _cmd_serve_warehouse(args: argparse.Namespace) -> int:
             addresses,
             listen_host=listen_host,
             listen_port=listen_port,
-            time_scale=args.time_scale,
             expect_updates=expect or None,
-            timeout=args.timeout,
-            tcp_config=_tcp_config(args),
-            durable_dir=args.durable_dir,
-            checkpoint_policy=_checkpoint_policy(args),
-            fsync_batch=args.fsync_batch,
+            **_site_fields(args),
         )
     )
     if result is not None:
@@ -711,12 +639,10 @@ def _cmd_serve_source(args: argparse.Namespace) -> int:
     common = dict(
         listen_host=listen_host,
         listen_port=listen_port,
-        time_scale=args.time_scale,
         drive=not args.no_drive,
         exit_when_done=not args.serve_forever,
         linger=args.linger,
-        timeout=args.timeout,
-        tcp_config=_tcp_config(args),
+        **_site_fields(args),
     )
     if args.shard:
         from repro.runtime import serve_sharded_source_async

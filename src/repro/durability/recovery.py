@@ -3,9 +3,9 @@
 :func:`load_state` reads the durable directory back into a
 :class:`RecoveredState`; :func:`resume_warehouse` re-enters a freshly
 constructed warehouse at the exact FIFO position the durable state
-records; :func:`attach_durability` composes both with a new
-:class:`~repro.durability.manager.DurabilityManager` and is the one call
-sites use.
+records; :func:`attach_durability` resumes a warehouse from a loaded
+state under a new :class:`~repro.durability.manager.DurabilityManager`
+(sites load first: the state also decides their inbox and session epoch).
 
 Why this is correct (the Section 4 argument, restated for recovery):
 SWEEP's only ordering requirement is per-source FIFO between the update
@@ -227,22 +227,23 @@ def resume_warehouse(warehouse, state: RecoveredState) -> None:
 def attach_durability(
     warehouse,
     directory: str,
+    state: RecoveredState | None,
     policy: CheckpointPolicy | None = None,
     fsync_batch: int = 8,
     crash_plan: CrashPlan | None = None,
     binary: bool = True,
-) -> tuple[DurabilityManager, RecoveredState | None]:
-    """Recover (if durable state exists), resume, and start logging.
+) -> DurabilityManager:
+    """Resume ``warehouse`` from ``state`` and start logging.
 
-    Returns the manager and the recovered state (``None`` on a fresh
-    directory).  The manager immediately writes this incarnation's base
+    ``state`` is what :func:`load_state` read back from ``directory``
+    (``None`` on a fresh one); the site loads it *before* building the
+    warehouse because it also decides the site's inbox and session
+    epoch.  The manager immediately writes this incarnation's base
     checkpoint, so the WAL never straddles a crash boundary.  ``binary``
     picks the on-disk format for what this incarnation *writes*; reading
     always accepts both formats, so a JSON-era directory recovers here
     unchanged (and is upgraded in place by the base checkpoint).
     """
-    views = getattr(warehouse, "views", None) or [warehouse.view]
-    state = load_state(directory, list(views))
     if state is not None:
         resume_warehouse(warehouse, state)
     manager = DurabilityManager(
@@ -253,7 +254,7 @@ def attach_durability(
         binary=binary,
     )
     manager.attach(warehouse, state)
-    return manager, state
+    return manager
 
 
 def seed_standby_dir(source_dir: str, dest_dir: str) -> int | None:

@@ -19,8 +19,8 @@ An exception anywhere in a case is a verdict -- a failed row carrying the
 error -- never an aborted sweep.
 
 A :class:`Perturbation` describes one fault by what it adds to that
-shape: a deterministic per-seed spec, the ``run_sharded`` /
-``run_distributed`` keyword arguments that inject it, its row facts and
+shape: a deterministic per-seed spec, the ``FleetSpec`` field overrides
+(``run_distributed`` keyword arguments) that inject it, its row facts and
 checks, its report columns and, where the runtime has a mutation hook,
 a *mutant* the oracle must catch.  A mutant row passes only if the
 mutation was *non-vacuous* (it actually dropped or duplicated something)
@@ -54,7 +54,12 @@ from repro.durability.manager import CheckpointPolicy, CrashPlan
 from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_table, load_report, write_report
 from repro.runtime.chaos import PROFILES
-from repro.runtime.shard import CLAIMED_LEVELS, FailoverSpec, RebalanceSpec
+from repro.runtime.shard import (
+    CLAIMED_LEVELS,
+    FailoverSpec,
+    FleetSpec,
+    RebalanceSpec,
+)
 from repro.warehouse.locality import SUPPORTED_ALGORITHMS as LOCALITY_ALGORITHMS
 from repro.warehouse.registry import ALGORITHMS as REGISTRY
 from repro.warehouse.registry import algorithm_info
@@ -198,7 +203,7 @@ class Case:
     claimed: ConsistencyLevel
     #: the report row under construction; perturbations add their facts.
     row: dict
-    #: ``run(**kwargs)``: one run of the deployment under test.
+    #: ``run(**overrides)``: one run of the deployment under test.
     run: Callable[..., object]
     #: closed when the case ends (scratch directories).
     cleanup: contextlib.ExitStack
@@ -217,8 +222,10 @@ class Smoke:
     #: :class:`ExperimentConfig` fields beyond the shared smoke workload.
     workload: dict
     time_scale: float
-    #: scratch directory -> ``build_sharded_supervisor`` keyword arguments.
+    #: scratch directory -> :class:`FleetSpec` field overrides.
     fleet: Callable[[str], dict]
+    #: ``build_sharded_supervisor`` keyword arguments (restart policy).
+    policy: dict
     #: ``armed(scratch directory, seconds since launch)`` -> kill now.
     armed: Callable[[str, float], bool]
     #: ``verdict(supervisor, report)`` records what the supervisor did and
@@ -265,10 +272,10 @@ class Perturbation:
         return ":".join([self.name, *set_params])
 
     def arm(self, case: Case) -> dict:
-        """Record the per-seed spec on the row; return the run kwargs."""
+        """Record the per-seed spec on the row; return the overrides."""
         return {}
 
-    def prelude(self, case: Case, kwargs: dict) -> None:
+    def prelude(self, case: Case, overrides: dict) -> None:
         """A run that must happen before the judged one (the crash)."""
 
     def check(self, case: Case, result) -> str:
@@ -293,10 +300,10 @@ def _deliveries_check(case: Case, result, what: str) -> str:
     )
 
 
-def _has_wal(durable_root: str, _elapsed: float) -> bool:
+def _has_wal(durable_dir: str, _elapsed: float) -> bool:
     """shard0 holds durable state worth recovering: the attach-time
     checkpoint plus at least one WAL-logged update."""
-    wal_dir = os.path.join(durable_root, "shard0")
+    wal_dir = os.path.join(durable_dir, "shard0")
     return os.path.isdir(wal_dir) and any(
         name.endswith(".wal")
         and os.path.getsize(os.path.join(wal_dir, name)) > 64
@@ -372,9 +379,8 @@ class CrashRestart(Perturbation):
         title="kill-and-recover smoke",
         workload=dict(mean_interarrival=4.0, locality="aux"),
         time_scale=0.05,
-        fleet=lambda root: dict(
-            durable_root=root, restart="on-crash", max_restarts=2
-        ),
+        fleet=lambda root: dict(durable_dir=root),
+        policy=dict(restart="on-crash", max_restarts=2),
         armed=_has_wal,
         verdict=_restart_verdict,
     )
@@ -387,11 +393,11 @@ class CrashRestart(Perturbation):
         )
         return dict(durable_dir=root, checkpoint_policy=CHECKPOINT_POLICY)
 
-    def prelude(self, case: Case, kwargs: dict) -> None:
+    def prelude(self, case: Case, overrides: dict) -> None:
         spec = case.row["crash_spec"]
         plans = {case.row["crash_shard"]: CrashPlan(**spec)}
         try:
-            case.run(**kwargs, crash_plans=plans)
+            case.run(**overrides, crash_plans=plans)
         except SimulatedCrash:
             case.row["crash_fired"] = True
         else:
@@ -448,6 +454,7 @@ class PrimaryKill(Perturbation):
         workload=dict(mean_interarrival=5.0),
         time_scale=0.02,
         fleet=lambda _root: dict(replicas=1),
+        policy={},
         armed=lambda _root, elapsed: elapsed >= 2.5,
         verdict=_promotion_verdict,
     )
@@ -753,27 +760,34 @@ def run_case(
         **settings,
     )
 
-    def run(transport: str = transport, **kwargs):
-        kwargs.update(
-            transport=transport, time_scale=time_scale, timeout=timeout
+    pacing = dict(time_scale=time_scale, timeout=timeout)
+    if sharded:
+        fleet = FleetSpec(
+            config, n_shards=N_SHARDS, strategy="round-robin", **pacing
         )
-        if sharded:
-            return run_sharded(
-                config, n_shards=N_SHARDS, strategy="round-robin", **kwargs
+
+    def run(**overrides):
+        if not sharded:
+            return run_distributed(
+                config, **{"transport": "local", **pacing, **overrides}
             )
-        return run_distributed(config, **kwargs)
+        # (through repro.runtime.run_sharded, where tests intercept runs)
+        spec = dataclasses.replace(fleet, **overrides)
+        return run_sharded(
+            **{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+        )
 
     started = _time.perf_counter()
     with contextlib.ExitStack() as cleanup:
         case = Case(config, sharded, claimed, row, run, cleanup)
         try:
-            case.baseline = run(transport="local")
-            kwargs: dict = {}
+            case.baseline = run()
+            overrides: dict = {"transport": transport}
             for perturbation in perturbations:
-                kwargs.update(perturbation.arm(case))
+                overrides.update(perturbation.arm(case))
             for perturbation in perturbations:
-                perturbation.prelude(case, kwargs)
-            row["error"] = _judge(case, run(**kwargs), perturbations)
+                perturbation.prelude(case, overrides)
+            row["error"] = _judge(case, run(**overrides), perturbations)
             row["ok"] = not row["error"]
         except Exception as exc:  # noqa: BLE001 - a crash is a verdict row
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -965,15 +979,16 @@ def sigkill_smoke(
         "killed": "shard0",
     }
     with tempfile.TemporaryDirectory(prefix="repro-sigkill-") as root:
-        supervisor = build_sharded_supervisor(
+        fleet = FleetSpec(
             config,
-            N_SHARDS,
-            time_scale=smoke.time_scale,
+            n_shards=N_SHARDS,
             strategy="round-robin",
+            time_scale=smoke.time_scale,
             host=host,
             timeout=timeout,
             **smoke.fleet(root),
         )
+        supervisor = build_sharded_supervisor(fleet, **smoke.policy)
         try:
             target = supervisor.procs["shard0"]
             launched = _time.monotonic()

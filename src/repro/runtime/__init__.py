@@ -6,8 +6,9 @@ The simulation kernel and this runtime expose the same contract --
 host.  The runtime adds what a real deployment needs and a simulator does
 not: transports (in-process direct hand-off or loopback/remote TCP with
 FIFO sessions, retries and backpressure), wall-clock scheduling with a
-configurable virtual-time scale, and quiescence detection by polling
-instead of an empty event heap.
+configurable virtual-time scale, and quiescence that is *signalled*
+where the simulator reads it off an empty event heap (a waiter parks
+until no kernel timer is outstanding; see :mod:`repro.runtime.kernel`).
 
 Entry points:
 
@@ -47,6 +48,7 @@ from repro.runtime.nodes import CentralSourceNode, SourceNode, WarehouseNode
 from repro.runtime.shard import (
     CLEAN_FAILURE_EXIT,
     FailoverSpec,
+    FleetSpec,
     RebalanceCoordinator,
     RebalanceSpec,
     ShardCrashed,
@@ -72,6 +74,7 @@ __all__ = [
     "CLEAN_FAILURE_EXIT",
     "CentralSourceNode",
     "FailoverSpec",
+    "FleetSpec",
     "RebalanceCoordinator",
     "RebalanceSpec",
     "ChannelListener",

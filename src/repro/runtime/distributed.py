@@ -46,7 +46,9 @@ from repro.runtime.nodes import (
     CentralSourceNode,
     SourceNode,
     WarehouseNode,
+    drained_for,
     hold_until_delivered,
+    make_backend,
 )
 from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.runtime.transport import LocalChannel
@@ -55,9 +57,7 @@ from repro.simulation.metrics import MetricsCollector
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import TraceLog
 from repro.sources.central import CentralSource
-from repro.sources.memory import MemoryBackend
 from repro.sources.server import DataSourceServer
-from repro.sources.sqlite import SqliteBackend
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.registry import algorithm_info
 
@@ -82,12 +82,6 @@ class DistributedRunResult(RunResult):
                 f" ({self.chaos_stats.faults_injected} faults injected)\n"
             )
         return lines + super().report()
-
-
-def _make_backend(config: ExperimentConfig, view, index: int, initial):
-    if config.backend == "sqlite":
-        return SqliteBackend(view, index, initial)
-    return MemoryBackend(view, index, initial)
 
 
 class _System:
@@ -242,7 +236,7 @@ async def _wire_tcp(
     for index in range(1, view.n_relations + 1):
         name = view.name_of(index)
         initial = workload.initial_states[name]
-        backend = _make_backend(config, view, index, initial)
+        backend = make_backend(config, view, index, initial)
         system.backends.append(backend)
         node = SourceNode(
             runtime,
@@ -365,7 +359,7 @@ def _wire_local(
         for index in range(1, view.n_relations + 1):
             name = view.name_of(index)
             initial = workload.initial_states[name]
-            backend = _make_backend(config, view, index, initial)
+            backend = make_backend(config, view, index, initial)
             system.backends.append(backend)
             to_wh = _channel(f"{name}->wh", inbox)
             system.channels.append(to_wh)
@@ -714,7 +708,7 @@ async def serve_source_async(
     workload = build_workload(config, rngs)
     view = workload.view
     runtime = AsyncRuntime(time_scale=time_scale)
-    backend = _make_backend(
+    backend = make_backend(
         config, view, index, workload.initial_states[view.name_of(index)]
     )
     node = SourceNode(
@@ -745,19 +739,9 @@ async def serve_source_async(
                 runtime, node.name, node.server.local_update, workload.schedules[index]
             )
         if updater is not None and exit_when_done:
-            drained_at: list[float] = []
-
-            def _finished() -> bool:
-                if not (updater.done and node.quiescent()):
-                    drained_at.clear()
-                    return False
-                now = _time.monotonic()
-                if not drained_at:
-                    drained_at.append(now)
-                last = max(node.listener.last_frame_wall, drained_at[0])
-                return now - last >= linger
-
-            await runtime.wait_until(_finished, timeout=timeout)
+            await runtime.wait_until(
+                drained_for(node, updater, linger), timeout=timeout
+            )
         else:
             await runtime.until_failure()  # serve until cancelled (Ctrl-C)
     finally:

@@ -18,7 +18,17 @@ warehouse's queries.  The centralized (ECA) architecture uses
 
 from __future__ import annotations
 
+import time as _time
+
 from repro.consistency.oracle import RunRecorder
+from repro.durability.errors import RecoveryError
+from repro.durability.manager import (
+    CheckpointPolicy,
+    CrashPlan,
+    DurabilityManager,
+    LoggingMailbox,
+)
+from repro.durability.recovery import attach_durability, load_state
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
 from repro.runtime.codec import CODEC_VERSION_MAX, WireCodec
@@ -29,7 +39,10 @@ from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
 from repro.sources.base import SourceBackend
 from repro.sources.central import CentralSource
+from repro.sources.memory import MemoryBackend
 from repro.sources.server import DataSourceServer
+from repro.sources.sqlite import SqliteBackend
+from repro.warehouse.base import QueueDrivenWarehouse
 from repro.warehouse.registry import algorithm_info
 
 
@@ -42,6 +55,13 @@ def _listener_codec_cap(tcp_config: TcpChannelConfig | None) -> int:
     node accepts whatever the peer can speak.
     """
     return CODEC_VERSION_MAX if tcp_config is None else tcp_config.codec_version
+
+
+def make_backend(config, view: ViewDefinition, index: int, initial) -> SourceBackend:
+    """Source ``index``'s backend of the kind ``config.backend`` names."""
+    if config.backend == "sqlite":
+        return SqliteBackend(view, index, initial)
+    return MemoryBackend(view, index, initial)
 
 
 class SourceNode:
@@ -172,7 +192,87 @@ class CentralSourceNode:
         await self.listener.aclose()
 
 
-class WarehouseNode:
+class WarehouseSite:
+    """What hosting a warehouse takes, whichever warehouse and transport.
+
+    With ``durable_dir`` the site checkpoints its views and WAL-logs
+    every delivered update there (log-before-ack: a listener only acks a
+    frame once the :class:`LoggingMailbox` has appended it), and a site
+    restarted on the same directory recovers and resumes mid-protocol --
+    see :mod:`repro.durability`.  The durable state is read *first*: it
+    decides the inbox, the listener's ``adopt_next`` and the session
+    :attr:`epoch` of the query channels the subclass builds before it
+    hands its warehouse to :meth:`host`, which resumes it and starts
+    logging.
+    """
+
+    def __init__(self, runtime, label: str, views, durable_dir: str | None):
+        self.runtime = runtime
+        self.durable_dir = durable_dir
+        self.recovered_state = (
+            load_state(durable_dir, list(views))
+            if durable_dir is not None
+            else None
+        )
+        mailbox = LoggingMailbox if durable_dir is not None else Mailbox
+        self.inbox: Mailbox = mailbox(runtime, f"{label}-inbox")
+        self.listener: ChannelListener | None = None
+        self.query_channels: dict = {}
+        self.warehouse = None
+        self.durability: DurabilityManager | None = None
+
+    @property
+    def epoch(self) -> int:
+        """A recovered site announces a higher session epoch so the
+        sources' listeners reset their FIFO expectations to its hellos."""
+        state = self.recovered_state
+        return state.generation + 1 if state is not None else 0
+
+    def host(
+        self,
+        warehouse,
+        checkpoint_policy: CheckpointPolicy | None = None,
+        fsync_batch: int = 8,
+        crash_plan: CrashPlan | None = None,
+    ) -> None:
+        self.warehouse = warehouse
+        if self.durable_dir is not None:
+            self.durability = attach_durability(
+                warehouse,
+                self.durable_dir,
+                self.recovered_state,
+                policy=checkpoint_policy,
+                fsync_batch=fsync_batch,
+                crash_plan=crash_plan,
+            )
+
+    async def start(self) -> None:
+        if self.listener is not None:
+            await self.listener.start()
+
+    @property
+    def address(self) -> tuple[str, int]:
+        """Where sources should dial their update/answer channel."""
+        return self.listener.address
+
+    def quiescent(self) -> bool:
+        """Inbox drained, no queued updates mid-algorithm, channels idle."""
+        if len(self.inbox) != 0:
+            return False
+        if self.warehouse.pending_work():
+            return False
+        return all(channel.idle for channel in self.query_channels.values())
+
+    async def aclose(self) -> None:
+        if self.durability is not None:
+            self.durability.close()
+        for channel in self.query_channels.values():
+            await channel.aclose()
+        if self.listener is not None:
+            await self.listener.aclose()
+
+
+class WarehouseNode(WarehouseSite):
     """The warehouse site: hosts any registered maintenance algorithm.
 
     ``source_addresses`` maps 1-based source indices to ``(host, port)``
@@ -180,12 +280,8 @@ class WarehouseNode:
     centralized architecture, matching the simulator harness's convention
     of keying the central query channel as index 0.
 
-    With ``durable_dir`` the node checkpoints the view and WAL-logs every
-    delivered update there (log-before-ack: the listener only acks a
-    frame once the :class:`LoggingMailbox` has appended it), and a node
-    restarted on the same directory recovers and resumes mid-protocol --
-    see :mod:`repro.durability`.  Only queue-driven algorithms support
-    this; the recovery layer rejects the rest loudly.
+    Only queue-driven algorithms can run with ``durable_dir``; the rest
+    are rejected loudly.
     """
 
     def __init__(
@@ -204,31 +300,19 @@ class WarehouseNode:
         algorithm_kwargs: dict | None = None,
         locality=None,
         durable_dir: str | None = None,
-        checkpoint_policy: "CheckpointPolicy | None" = None,
-        crash_plan: "CrashPlan | None" = None,
+        checkpoint_policy: CheckpointPolicy | None = None,
+        crash_plan: CrashPlan | None = None,
         fsync_batch: int = 8,
     ):
-        from repro.durability.manager import LoggingMailbox
-        from repro.durability.recovery import load_state
-
-        self.runtime = runtime
+        super().__init__(runtime, "warehouse", [view], durable_dir)
         self.view = view
         self.info = algorithm_info(algorithm)
         self.codec = WireCodec(view)
-        state = None
-        if durable_dir is not None:
-            state = load_state(durable_dir, [view])
-            self.inbox = LoggingMailbox(runtime, "warehouse-inbox")
-        else:
-            self.inbox = Mailbox(runtime, "warehouse-inbox")
-        # A recovered node announces a higher session epoch so the
-        # sources' listeners reset their FIFO expectations to its hellos.
-        epoch = state.generation + 1 if state is not None else 0
         self.listener = ChannelListener(
             runtime,
             listen_host,
             listen_port,
-            adopt_next=state is not None,
+            adopt_next=self.recovered_state is not None,
             codec_version_max=_listener_codec_cap(tcp_config),
         )
         if self.info.architecture == "centralized":
@@ -249,11 +333,11 @@ class WarehouseNode:
                 self.codec,
                 metrics,
                 tcp_config,
-                epoch=epoch,
+                epoch=self.epoch,
             )
             for index, (host, port) in sorted(source_addresses.items())
         }
-        self.warehouse = self.info.cls(
+        warehouse = self.info.cls(
             runtime,
             view,
             self.query_channels,
@@ -265,56 +349,19 @@ class WarehouseNode:
             locality=locality,
             **(algorithm_kwargs or {}),
         )
-        self.durability = None
-        self.recovered_state = state
-        if durable_dir is not None:
-            from repro.durability.errors import RecoveryError
-            from repro.durability.manager import DurabilityManager
-            from repro.durability.recovery import resume_warehouse
-            from repro.warehouse.base import QueueDrivenWarehouse
-
-            if not isinstance(self.warehouse, QueueDrivenWarehouse):
-                raise RecoveryError(
-                    f"algorithm {self.info.name!r} is not queue-driven and"
-                    " cannot run with --durable-dir"
-                )
-            if state is not None:
-                resume_warehouse(self.warehouse, state)
-            self.durability = DurabilityManager(
-                durable_dir,
-                policy=checkpoint_policy,
-                fsync_batch=fsync_batch,
-                crash_plan=crash_plan,
+        if durable_dir is not None and not isinstance(
+            warehouse, QueueDrivenWarehouse
+        ):
+            raise RecoveryError(
+                f"algorithm {self.info.name!r} is not queue-driven and"
+                " cannot run with --durable-dir"
             )
-            self.durability.attach(self.warehouse, state)
+        self.host(warehouse, checkpoint_policy, fsync_batch, crash_plan)
 
     def _query_channel_name(self, index: int) -> str:
         if index == 0:
             return "wh->central"
         return f"wh->{self.view.name_of(index)}"
-
-    async def start(self) -> None:
-        await self.listener.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """Where sources should dial their update/answer channel."""
-        return self.listener.address
-
-    def quiescent(self) -> bool:
-        """Inbox drained, no queued updates mid-algorithm, channels idle."""
-        if len(self.inbox) != 0:
-            return False
-        if self.warehouse.pending_work():
-            return False
-        return all(channel.idle for channel in self.query_channels.values())
-
-    async def aclose(self) -> None:
-        if self.durability is not None:
-            self.durability.close()
-        for channel in self.query_channels.values():
-            await channel.aclose()
-        await self.listener.aclose()
 
     def __repr__(self) -> str:
         return (
@@ -347,9 +394,33 @@ def hold_until_delivered(
     recorder.on_delivery = counted
 
 
+def drained_for(node, updater, linger: float):
+    """Predicate for a driving source site's exit: its schedule drained,
+    every outbound frame was acknowledged, and no query has arrived for
+    ``linger`` wall seconds -- *other* sources' updates sweep through this
+    site too, so the local schedule draining does not mean the warehouse
+    is done asking questions."""
+    drained_at: list[float] = []
+
+    def finished() -> bool:
+        if not (updater.done and node.quiescent()):
+            drained_at.clear()
+            return False
+        now = _time.monotonic()
+        if not drained_at:
+            drained_at.append(now)
+        last = max(node.listener.last_frame_wall, drained_at[0])
+        return now - last >= linger
+
+    return finished
+
+
 __all__ = [
     "CentralSourceNode",
     "SourceNode",
     "WarehouseNode",
+    "WarehouseSite",
+    "drained_for",
     "hold_until_delivered",
+    "make_backend",
 ]

@@ -135,3 +135,43 @@ class TestCommands:
         assert "## T1 — stub section" in text
         assert "stub table" in text
         assert "report written" in capsys.readouterr().out
+
+
+class TestShardedCommands:
+    """``run-sharded`` and ``rebalance`` end to end (local transport)."""
+
+    FLEET = [
+        "--views", "4", "--shards", "2", "--strategy", "round-robin",
+        "-u", "8", "--interarrival", "1.0", "--time-scale", "0.001",
+    ]
+
+    def test_run_sharded(self, capsys):
+        assert main(["run-sharded", *self.FLEET]) == 0
+        out = capsys.readouterr().out
+        assert "2 shard(s)" in out and "shard 0: V, V#s2" in out
+        assert out.count(", complete") == 4
+
+    def test_rebalance(self, capsys):
+        code = main([
+            "rebalance", *self.FLEET, "--view", "V#s2", "--to-shard", "1",
+            "--after-deliveries", "3",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "rebalance        : 'V#s2' shard 0 -> 1" in out
+        assert "view V#s2        :" in out and "shard 1, complete" in out
+
+    def test_rebalance_picks_its_own_move_and_rejects_a_bad_one(self, capsys):
+        assert main(["rebalance", *self.FLEET]) == 0
+        assert "rebalance        : 'V#s2' shard 0 -> 1" in capsys.readouterr().out
+        assert main(["rebalance", *self.FLEET, "--view", "V"]) == 2
+        assert "primary" in capsys.readouterr().err
+
+    def test_run_sharded_has_no_second_way_to_migrate(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run-sharded", "--rebalance", "V#s2@3"])
+
+    def test_processes_refuses_what_it_cannot_carry(self, capsys):
+        code = main(["run-sharded", *self.FLEET, "--processes", "--chaos", "dup"])
+        assert code == 2
+        assert "cannot carry" in capsys.readouterr().err

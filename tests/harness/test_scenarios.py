@@ -529,8 +529,8 @@ class TestSigkillSmokeTeardown:
     def fleet(self, monkeypatch, supervisor):
         launched = {}
 
-        def build(config, n_shards, **kwargs):
-            launched.update(kwargs, config=config)
+        def build(spec, **policy):
+            launched.update(policy, spec=spec)
             return supervisor
 
         monkeypatch.setattr(
@@ -557,8 +557,8 @@ class TestSigkillSmokeTeardown:
         launched = self.fleet(monkeypatch, supervisor)
         armed = dataclasses.replace(PrimaryKill.smoke, armed=lambda *_: True)
         report = sigkill_smoke(armed)
-        assert launched["replicas"] == 1
-        assert "durable_root" not in launched
+        assert launched["spec"].replicas == 1
+        assert launched["spec"].durable_dir is None
         assert procs["shard0"].signals, "the kill was never sent"
         assert report["error"] == "TimeoutError: stuck" and not report["ok"]
         assert procs["shard0r1"].code == -15
@@ -567,8 +567,8 @@ class TestSigkillSmokeTeardown:
         procs = {"shard0": FakeProc(code=0), "shard1": FakeProc()}
         launched = self.fleet(monkeypatch, FakeSupervisor(procs))
         report = sigkill_smoke(CrashRestart.smoke)
-        assert launched["restart"] == "on-crash" and launched["durable_root"]
-        assert launched["config"].locality == "aux"
+        assert launched["restart"] == "on-crash" and launched["spec"].durable_dir
+        assert launched["spec"].config.locality == "aux"
         assert report["error"] == "shard0 exited before the kill was armed"
         assert not procs["shard0"].signals
         assert procs["shard1"].code == -15
