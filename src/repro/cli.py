@@ -12,7 +12,7 @@ Commands
 ``table1``           regenerate the measured Table 1
 ``fig5``             replay the paper's Figure 5 example
 ``experiments``      run every experiment module and print its table
-``bench-throughput`` run the throughput regression suite (BENCH_throughput.json)
+``advise``           recommend an algorithm for a described workload
 ``conformance``      sweep algorithms x chaos fault profiles against the oracle
 ``recovery-sweep``   crash + recover each seeded case against its baseline
 ``failover-sweep``   kill primaries, promote standbys, compare baselines
@@ -812,35 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--save", metavar="PATH",
                      help="also write a markdown report to PATH")
 
-    bench = sub.add_parser(
-        "bench-throughput",
-        help="run the throughput regression suite and emit JSON",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke subset (saturated regime only)")
-    bench.add_argument("--json", default="BENCH_throughput.json",
-                       metavar="PATH", help="where to write the JSON report")
-    bench.add_argument(
-        "--check-against", metavar="PATH", default=None,
-        help="fail when any shared cell regresses past --tolerance"
-             " versus this baseline report",
-    )
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional throughput drop (default 0.30)")
-    bench.add_argument(
-        "--require-locality-reduction", action="store_true",
-        help="fail unless the locality rows hit their floors (headline"
-             " cell 2x faster and 3x fewer messages; every +aux pair"
-             " at least 2x fewer messages, consistency preserved)",
-    )
-    bench.add_argument(
-        "--require-codec-efficiency", action="store_true",
-        help="fail unless codec v3 clears a gate arm on the saturated"
-             " TCP sweep pair (1.3x updates/sec or 2x fewer"
-             " pre-compression bytes per update vs the same-run v2 twin,"
-             " consistency unchanged)",
-    )
-
     conf = _add_scenario_parser(
         sub, "conformance", seeds=1,
         help="run every algorithm through chaos fault profiles and check"
@@ -922,50 +893,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         has_global_transactions=args.global_txns,
     )
     print(explain(facts))
-    return 0
-
-
-def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    from repro.harness.throughput import (
-        build_report,
-        codec_problems,
-        compare_reports,
-        format_suite,
-        load_report,
-        locality_problems,
-        run_suite,
-        write_report,
-    )
-
-    rows = run_suite(quick=args.quick)
-    print(format_suite(rows))
-    report = build_report(rows, quick=args.quick)
-    path = write_report(report, args.json)
-    print(f"\nwrote {path}")
-    if args.require_locality_reduction:
-        problems = locality_problems(rows)
-        if problems:
-            for problem in problems:
-                print(f"LOCALITY GATE: {problem}", file=sys.stderr)
-            return 1
-        print("locality gate passed")
-    if args.require_codec_efficiency:
-        problems = codec_problems(rows)
-        if problems:
-            for problem in problems:
-                print(f"CODEC GATE: {problem}", file=sys.stderr)
-            return 1
-        print("codec gate passed")
-    if args.check_against:
-        problems = compare_reports(
-            report, load_report(args.check_against), tolerance=args.tolerance
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check_against}"
-              f" (tolerance {args.tolerance:.0%})")
     return 0
 
 
@@ -1073,7 +1000,6 @@ _COMMANDS = {
     "fig5": _cmd_fig5,
     "experiments": _cmd_experiments,
     "advise": _cmd_advise,
-    "bench-throughput": _cmd_bench_throughput,
     "conformance": _cmd_scenarios,
     "recovery-sweep": _cmd_scenarios,
     "failover-sweep": _cmd_scenarios,

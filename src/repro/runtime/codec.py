@@ -17,9 +17,11 @@ Three codec versions exist, negotiated per channel during the TCP
 handshake (see :mod:`repro.runtime.tcp`) and selectable via
 ``WireCodec(view, version=...)``:
 
-* **v1** (default): ``[[row values], count]`` per row -- verbose but
-  self-describing.
-* **v2**: one flat array ``{"f": [v1, v2, ..., count, v1, v2, ...]}`` of
+* **v1**: ``[[row values], count]`` per row -- verbose but
+  self-describing.  What a bare ``WireCodec(view)`` encodes; no channel
+  negotiates it unless pinned to.
+* **v2** (``CODEC_VERSION_DEFAULT``, what channels advertise): one flat
+  array ``{"f": [v1, v2, ..., count, v1, v2, ...]}`` of
   ``arity + 1`` entries per row.  The receiver re-slices it using the
   schema both endpoints already share; for the small tuples this protocol
   ships, dropping the per-row array nesting roughly halves the JSON byte
@@ -72,8 +74,8 @@ from repro.sources.messages import (
 CODEC_VERSION_MAX = 3
 
 #: Version a channel *advertises* by default.  v3 is implemented but held
-#: at opt-in (``--codec-version 3``) until the bench gate keeps it honest;
-#: decode accepts all versions regardless.
+#: at opt-in (``--codec-version 3``) until ROADMAP 3-iv's A/B decides
+#: whether it pays on the wire; decode accepts all versions regardless.
 CODEC_VERSION_DEFAULT = 2
 
 

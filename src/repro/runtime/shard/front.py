@@ -4,22 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.durability.encoding import encode_bag
 from repro.relational.view import ViewDefinition
 from repro.simulation.channel import Message
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.process import Delay
 from repro.simulation.trace import TraceLog
 from repro.sources.messages import (
-    MultiQueryAnswer,
     MultiQueryRequest,
-    PositionAnswer,
     PositionRequest,
-    QueryAnswer,
-    SnapshotAnswer,
-    SnapshotRequest,
     UpdateNotice,
 )
+from repro.sources.server import build_answer
 from repro.warehouse.sharding import ShardMember
 
 
@@ -113,51 +108,26 @@ class ShardedSourceFront:
 
     # ------------------------------------------------------------------
     def _process_queries(self, key):
-        """ProcessQuery loop for one member (mirrors DataSourceServer)."""
+        """ProcessQuery loop for one member."""
         inbox = self.query_inboxes[key]
         channel = self.update_channels[key]
         while True:
             msg = yield inbox.get()
             request = msg.payload
-            if isinstance(request, PositionRequest):
-                # Recovery probe: current seq only, no join, no delay.
-                answer = PositionAnswer(
-                    request_id=request.request_id,
-                    source_index=self.index,
-                    position=self.update_seq,
-                    epoch=request.epoch,
+            # Per join evaluated (class docstring); why DataSourceServer
+            # charges per request instead is said in its loop.
+            if self.query_service_time > 0 and not isinstance(
+                request, PositionRequest
+            ):
+                joins = (
+                    max(1, len(request.partials))
+                    if isinstance(request, MultiQueryRequest)
+                    else 1
                 )
-            elif isinstance(request, SnapshotRequest):
-                if self.query_service_time > 0:
-                    yield Delay(self.query_service_time)
-                # Delta-encoded: codec-v2 flat rows, the checkpoint
-                # encoder's format (see repro.durability.encoding).
-                answer = SnapshotAnswer(
-                    request_id=request.request_id,
-                    source_index=self.index,
-                    rows=encode_bag(self.backend.snapshot()),
-                    epoch=request.epoch,
-                )
-            elif isinstance(request, MultiQueryRequest):
-                if self.query_service_time > 0:
-                    yield Delay(
-                        self.query_service_time * max(1, len(request.partials))
-                    )
-                answer = MultiQueryAnswer(
-                    request_id=request.request_id,
-                    partials=[
-                        self.backend.compute_join(p) for p in request.partials
-                    ],
-                    epoch=request.epoch,
-                )
-            else:
-                if self.query_service_time > 0:
-                    yield Delay(self.query_service_time)
-                answer = QueryAnswer(
-                    request_id=request.request_id,
-                    partial=self.backend.compute_join(request.partial),
-                    epoch=request.epoch,
-                )
+                yield Delay(self.query_service_time * joins)
+            answer = build_answer(
+                request, self.backend, self.index, self.update_seq
+            )
             channel.send(
                 Message(kind="answer", sender=self.name, payload=answer)
             )

@@ -42,6 +42,52 @@ from repro.sources.messages import (
 UpdateListener = Callable[[UpdateNotice], None]
 
 
+def build_answer(request, backend: SourceBackend, index: int, update_seq: int):
+    """The answer to one warehouse request, evaluated against ``backend``
+    as it stands now (the caller has already waited out any service time).
+
+    Shared by every ProcessQuery loop -- :class:`DataSourceServer` and the
+    sharded front -- which keep only their channel, trace line and
+    service-time policy.  The caller sends the answer on the same FIFO
+    channel as the source's update notices, so it orders correctly
+    against them.
+    """
+    if isinstance(request, PositionRequest):
+        # Recovery probe: just the current seq, no join.
+        return PositionAnswer(
+            request_id=request.request_id,
+            source_index=index,
+            position=update_seq,
+            epoch=request.epoch,
+        )
+    if isinstance(request, SnapshotRequest):
+        # Delta-encoded snapshot: ship codec-v2 flat rows (the
+        # checkpoint encoder's format) instead of a materialized
+        # relation -- same bytes the TCP codec would emit, built
+        # once here rather than per hop.
+        from repro.durability.encoding import encode_bag
+
+        return SnapshotAnswer(
+            request_id=request.request_id,
+            source_index=index,
+            rows=encode_bag(backend.snapshot()),
+            epoch=request.epoch,
+        )
+    if isinstance(request, MultiQueryRequest):
+        # One batched sweep step for several views: all joins are
+        # evaluated against the same atomic relation state.
+        return MultiQueryAnswer(
+            request_id=request.request_id,
+            partials=[backend.compute_join(p) for p in request.partials],
+            epoch=request.epoch,
+        )
+    return QueryAnswer(
+        request_id=request.request_id,
+        partial=backend.compute_join(request.partial),
+        epoch=request.epoch,
+    )
+
+
 class DataSourceServer:
     """One data-source site: backend storage plus the Figure 3 server.
 
@@ -139,67 +185,28 @@ class DataSourceServer:
         while True:
             msg = yield self.query_inbox.get()
             request = msg.payload
-            if isinstance(request, PositionRequest):
-                # Recovery probe: just the current seq, no join and no
-                # service delay -- but through the same FIFO channel, so
-                # the answer orders correctly against update notices.
-                answer = PositionAnswer(
-                    request_id=request.request_id,
-                    source_index=self.index,
-                    position=self.update_seq,
-                    epoch=request.epoch,
-                )
-                self.to_warehouse.send(
-                    Message(kind="answer", sender=self.name, payload=answer)
-                )
-                continue
-            if self.query_service_time > 0:
+            # Service-time policy, the one thing the two ProcessQuery
+            # loops do not share: here it is the *window* in which updates
+            # interfere with a request (what the simulator experiments
+            # vary), so a request waits once whatever it carries; the
+            # sharded front charges once per join in the request, because
+            # its runs compare join work across shard counts.  A position
+            # probe joins nothing and is charged by neither.
+            if self.query_service_time > 0 and not isinstance(
+                request, PositionRequest
+            ):
                 yield Delay(self.query_service_time)
-            if isinstance(request, SnapshotRequest):
-                # Delta-encoded snapshot: ship codec-v2 flat rows (the
-                # checkpoint encoder's format) instead of a materialized
-                # relation -- same bytes the TCP codec would emit, built
-                # once here rather than per hop.
-                from repro.durability.encoding import encode_bag
-
-                answer = SnapshotAnswer(
-                    request_id=request.request_id,
-                    source_index=self.index,
-                    rows=encode_bag(self.backend.snapshot()),
-                    epoch=request.epoch,
-                )
-                self.to_warehouse.send(
-                    Message(kind="answer", sender=self.name, payload=answer)
-                )
-                continue
-            if isinstance(request, MultiQueryRequest):
-                # One batched sweep step for several views: all joins are
-                # evaluated against the same atomic relation state.
-                results = [
-                    self.backend.compute_join(p) for p in request.partials
-                ]
-                answer = MultiQueryAnswer(
-                    request_id=request.request_id,
-                    partials=results,
-                    epoch=request.epoch,
-                )
-                self.to_warehouse.send(
-                    Message(kind="answer", sender=self.name, payload=answer)
-                )
-                continue
-            result = self.backend.compute_join(request.partial)
-            if self.trace:
+            answer = build_answer(
+                request, self.backend, self.index, self.update_seq
+            )
+            if self.trace and isinstance(answer, QueryAnswer):
                 self.trace.record(
                     self.sim.now,
                     self.name,
                     "compute-join",
-                    f"req={request.request_id} -> {result.delta.distinct_count} rows",
+                    f"req={request.request_id} ->"
+                    f" {answer.partial.delta.distinct_count} rows",
                 )
-            answer = QueryAnswer(
-                request_id=request.request_id,
-                partial=result,
-                epoch=request.epoch,
-            )
             self.to_warehouse.send(
                 Message(kind="answer", sender=self.name, payload=answer)
             )
@@ -213,4 +220,4 @@ class DataSourceServer:
         return f"DataSourceServer({self.name!r}, index={self.index})"
 
 
-__all__ = ["DataSourceServer"]
+__all__ = ["DataSourceServer", "build_answer"]

@@ -151,6 +151,16 @@ class QueryLocality:
     def cached(self, index: int) -> bool:
         return self.cache is not None and self.decisions.get(index) == "cache"
 
+    def adopt(self, index: int, relation: Relation) -> None:
+        """Cover ``index`` with a copy that arrived mid-run (a migration
+        handoff): seed it and flip the decision together, so a copy that
+        every install advances is also the copy the next sweep step asks.
+        ``relation`` must stand at this warehouse's installed position.
+        """
+        self.aux.seed(index, relation)
+        self.decisions[index] = "aux"
+        self._increment("locality_covered_sources")
+
     # ------------------------------------------------------------------
     # Covered path
     # ------------------------------------------------------------------

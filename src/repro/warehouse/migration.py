@@ -463,7 +463,7 @@ class ViewMigrationMixin:
             ):
                 self._mig.stats["aux_adopt_skipped"] += 1
                 continue
-            self.locality.aux.seed(
+            self.locality.adopt(
                 index, decode_relation(rows, vdef.schema_of(index))
             )
             self._mig.stats["aux_adopted"] += 1

@@ -112,3 +112,27 @@ def test_adaptive_batched_sweep_respects_ceiling_and_stays_strong():
     assert max(caps) > 1  # saturation actually grew the cap
     assert max(sizes) <= 4  # no drain ever exceeded the ceiling
     assert result.consistency[ConsistencyLevel.STRONG].ok
+
+
+# A drain of k updates is one composite sweep -- 2(n-1) messages, one
+# install -- where per-update SWEEP pays both k times: under a standing
+# backlog the scheduler must at least halve the message bill.
+SATURATED_MESSAGE_SHARE = 0.5
+
+
+@pytest.mark.parametrize("batch_max", [0, 16])  # whole-queue and capped drains
+def test_saturated_batching_amortizes_installs_and_messages(batch_max):
+    kwargs = dict(n_sources=3, n_updates=200, seed=7, mean_interarrival=0.01)
+    sweep = run_experiment(ExperimentConfig(algorithm="sweep", **kwargs))
+    batched = run_experiment(
+        ExperimentConfig(
+            algorithm="batched-sweep", batch_max=batch_max, **kwargs
+        )
+    )
+    counters = batched.metrics.counters
+    assert counters["updates_installed"] == 200
+    assert counters["installs"] < 200
+    assert batched.messages_total < (
+        SATURATED_MESSAGE_SHARE * sweep.messages_total
+    )
+    assert batched.classified_level >= ConsistencyLevel.STRONG

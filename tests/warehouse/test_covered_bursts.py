@@ -126,6 +126,12 @@ class TestIndexSurvival:
         ViewMigrationMixin._mig_adopt_aux(recipient, view, decoded)
         assert recipient._mig.stats["aux_adopted"] == 1
         assert_answers_by_probe(monkeypatch, view, 3, locality.aux.contents(3))
+        # The adopted copy is consulted, not just maintained: the next
+        # sweep step for R3 is answered at the warehouse.
+        assert locality.covers(3) and locality.covers_all()
+        row = next(iter(states["R2"].rows()))
+        step = PartialView.initial(view, 2, Delta.insert(view.schema_of(2), row))
+        assert locality.aux_answer(3, step) is not None
 
     def test_indexes_track_installed_deltas(self):
         view, states = paper_example_view(), paper_example_states()

@@ -329,6 +329,30 @@ class TestEndToEnd:
         # Only the unavoidable update notices remain on the wire.
         assert res.protocol_messages == 0
 
+    # Table 1 prices SWEEP at 2(n-1) query/answer messages per update on
+    # top of the notice; all-covered at n=3 keeps 1 message of 5, so 3x
+    # holds with room to spare.  A batching scheduler's remote twin has
+    # already collapsed the round trips: covering it must not add messages.
+    SATURATED_MESSAGE_REDUCTION = {
+        "sweep": 3.0, "pipelined-sweep": 3.0, "batched-sweep": 1.0,
+    }
+
+    @pytest.mark.parametrize("algorithm", LOCALITY_ALGS)
+    def test_saturated_covered_run_keeps_only_the_notices(self, algorithm):
+        """The backlog regime (200 updates, queue never empty): counters
+        only, so the verdict is the same on any machine."""
+        kwargs = dict(seed=7, n_sources=3, n_updates=200,
+                      mean_interarrival=0.01)
+        remote = run(algorithm, **kwargs)
+        covered = run(algorithm, locality="aux", **kwargs)
+        assert covered.locality_stats["covered_sources"] == 3
+        assert covered.protocol_messages == 0
+        assert remote.messages_total >= (
+            self.SATURATED_MESSAGE_REDUCTION[algorithm]
+            * covered.messages_total
+        )
+        assert covered.classified_level >= remote.classified_level
+
     def test_figure5_trajectory_survives_locality(self):
         from repro.workloads.paper_example import PAPER_EXPECTED_TRAJECTORY
 
