@@ -358,10 +358,11 @@ def _site_fields(args: argparse.Namespace) -> dict:
     return fields
 
 
-def _usage_error(exc: ValueError) -> int:
-    """A fleet shape the spec (or the process launcher) refuses is
-    operator misconfiguration: a usage error, not a crash."""
-    print(f"error: {exc}", file=sys.stderr)
+def _usage_error(problem: ValueError | str) -> int:
+    """A deployment the program refuses (a fleet shape, an algorithm a
+    serve command cannot host) is operator misconfiguration: a usage
+    error, not a crash."""
+    print(f"error: {problem}", file=sys.stderr)
     return 2
 
 
@@ -563,7 +564,7 @@ def _add_serve_warehouse_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--listen", default="127.0.0.1:7700", metavar="HOST:PORT")
     p.add_argument(
         "--source", action="append", default=[], metavar="INDEX=HOST:PORT",
-        help="address of each source's listener (repeat; 0=central for ECA)",
+        help="address of each source's listener (repeat for every source)",
     )
     _add_tcp_args(p)
     p.add_argument(
@@ -586,16 +587,19 @@ def _cmd_serve_warehouse(args: argparse.Namespace) -> int:
     expect = args.expect_updates
     if expect is None:
         expect = config.n_updates
-    result = asyncio.run(
-        serve_warehouse_async(
-            config,
-            addresses,
-            listen_host=listen_host,
-            listen_port=listen_port,
-            expect_updates=expect or None,
-            **_site_fields(args),
+    try:
+        result = asyncio.run(
+            serve_warehouse_async(
+                config,
+                addresses,
+                listen_host=listen_host,
+                listen_port=listen_port,
+                expect_updates=expect or None,
+                **_site_fields(args),
+            )
         )
-    )
+    except ValueError as exc:
+        return _usage_error(exc)
     if result is not None:
         print(result.report())
     return 0
@@ -635,6 +639,10 @@ def _cmd_serve_source(args: argparse.Namespace) -> int:
     if bool(args.warehouse) == bool(args.shard):
         raise SystemExit(
             "serve-source needs exactly one of --warehouse or --shard"
+        )
+    if not 1 <= args.index <= config.n_sources:
+        return _usage_error(
+            f"--index {args.index} is out of range 1..{config.n_sources}"
         )
     common = dict(
         listen_host=listen_host,

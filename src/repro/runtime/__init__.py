@@ -14,8 +14,15 @@ Entry points:
 
 - :func:`run_distributed` / :func:`quick_distributed` -- one-call runs,
   mirroring :func:`repro.harness.runner.run_experiment`.
-- :class:`SourceNode` / :class:`WarehouseNode` -- deployable sites for
-  multi-process setups (``repro serve-source`` / ``repro serve-warehouse``).
+- :func:`serve_warehouse_async` / :func:`serve_source_async` -- one site
+  per process (``repro serve-warehouse`` / ``repro serve-source``).
+- :func:`run_sharded` and the ``serve_shard*`` twins -- the same for a
+  view family partitioned across warehouse shards (:mod:`.shard`).
+
+Every fleet, single-warehouse or sharded, on one loop or one site per
+process, is built from the sites of :mod:`.nodes` (and :mod:`.shard.node`)
+over a *links* object -- :class:`LocalLinks` or :class:`TcpLinks` -- that
+is all a transport is.
 """
 
 from repro.runtime.chaos import (
@@ -44,7 +51,12 @@ from repro.runtime.errors import (
     WireProtocolError,
 )
 from repro.runtime.kernel import AsyncRuntime
-from repro.runtime.nodes import CentralSourceNode, SourceNode, WarehouseNode
+from repro.runtime.nodes import (
+    LocalLinks,
+    SourceSite,
+    TcpLinks,
+    WarehouseNode,
+)
 from repro.runtime.shard import (
     CLEAN_FAILURE_EXIT,
     FailoverSpec,
@@ -72,7 +84,6 @@ from repro.runtime.transport import LocalChannel, RuntimeChannel
 __all__ = [
     "AsyncRuntime",
     "CLEAN_FAILURE_EXIT",
-    "CentralSourceNode",
     "FailoverSpec",
     "FleetSpec",
     "RebalanceCoordinator",
@@ -85,6 +96,7 @@ __all__ = [
     "DistributedRunResult",
     "FaultPlan",
     "LocalChannel",
+    "LocalLinks",
     "PROFILES",
     "QuiescenceTimeout",
     "RuntimeChannel",
@@ -96,9 +108,10 @@ __all__ = [
     "ShardedRunResult",
     "ShardedSourceFront",
     "ShardedSourceNode",
-    "SourceNode",
+    "SourceSite",
     "TcpChannel",
     "TcpChannelConfig",
+    "TcpLinks",
     "TransportError",
     "TransportOverflowError",
     "TransportRetriesExceeded",

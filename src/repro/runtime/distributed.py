@@ -27,37 +27,24 @@ from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
-from repro.harness.runner import (
-    algorithm_kwargs,
-    build_workload,
-    record_predicate_cache_delta,
-)
+from repro.harness.runner import build_workload, record_predicate_cache_delta
 from repro.relational.predicate import compile_cache_stats
-from repro.warehouse.locality import build_locality
-from repro.runtime.chaos import (
-    ChaosConfig,
-    ChaosLocalChannel,
-    ChaosStats,
-    ChaosTcpProxy,
-    profile,
-)
+from repro.runtime.chaos import ChaosConfig, ChaosStats, profile
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.nodes import (
-    CentralSourceNode,
-    SourceNode,
+    SourceSite,
+    TcpLinks,
     WarehouseNode,
+    WarehouseSite,
     drained_for,
     hold_until_delivered,
-    make_backend,
+    links_for,
+    site_name,
 )
 from repro.runtime.tcp import TcpChannelConfig, probe_peer
-from repro.runtime.transport import LocalChannel
-from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import TraceLog
-from repro.sources.central import CentralSource
-from repro.sources.server import DataSourceServer
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.registry import algorithm_info
 
@@ -85,320 +72,76 @@ class DistributedRunResult(RunResult):
 
 
 class _System:
-    """Everything one distributed run wires together."""
+    """The sites of one distributed run, and the updaters driving them."""
 
-    def __init__(self) -> None:
-        self.updaters: list[ScheduledUpdater] = []
-        self.source_nodes: list = []
-        self.warehouse_node: WarehouseNode | None = None
-        self.warehouse = None
-        self.channels: list[LocalChannel] = []
-        self.backends: list = []
-        self.mailboxes: list[Mailbox] = []
-        self.proxies: list[ChaosTcpProxy] = []
-        self.chaos_stats: ChaosStats | None = None
+    def __init__(
+        self,
+        warehouse_site: WarehouseSite,
+        sources: list[SourceSite],
+        updaters: list[ScheduledUpdater],
+    ):
+        self.warehouse_site = warehouse_site
+        self.sources = sources
+        self.updaters = updaters
 
     def quiescent(self) -> bool:
-        if not all(updater.done for updater in self.updaters):
-            return False
-        if self.warehouse is not None and self.warehouse.pending_work():
-            return False
-        if self.warehouse_node is not None:
-            if not self.warehouse_node.quiescent():
-                return False
-            if not all(node.quiescent() for node in self.source_nodes):
-                return False
-        if not all(channel.idle for channel in self.channels):
-            return False
-        return all(len(box) == 0 for box in self.mailboxes)
+        return (
+            all(updater.done for updater in self.updaters)
+            and self.warehouse_site.quiescent()
+            and all(source.quiescent() for source in self.sources)
+        )
 
     async def aclose(self) -> None:
-        if self.warehouse_node is not None:
-            await self.warehouse_node.aclose()
-        for node in self.source_nodes:
-            await node.aclose()
-        for proxy in self.proxies:
-            await proxy.aclose()
-        for backend in self.backends:
-            backend.close()
+        for site in (self.warehouse_site, *self.sources):
+            await site.aclose()
 
 
-async def _wire_tcp(
+def _recorder(workload) -> RunRecorder:
+    """An oracle recorder that knows every source's initial state."""
+    view = workload.view
+    recorder = RunRecorder(view)
+    for index in range(1, view.n_relations + 1):
+        name = view.name_of(index)
+        recorder.register_source(index, name, workload.initial_states[name])
+    return recorder
+
+
+async def _start(
     runtime: AsyncRuntime,
+    links,
+    source_links,
     config: ExperimentConfig,
     workload,
     recorder: RunRecorder,
     metrics: MetricsCollector,
     trace: TraceLog | None,
-    host: str,
-    tcp_config: TcpChannelConfig | None,
-    chaos: ChaosConfig | None = None,
-    source_tcp_config: TcpChannelConfig | None = None,
 ) -> _System:
-    view = workload.view
-    info = algorithm_info(config.algorithm)
-    system = _System()
-    # Mixed-fleet knob: sources may run a different transport config than
-    # the warehouse (e.g. a v1-only source against a v3 warehouse -- the
-    # handshake then negotiates each pair down independently).
-    if source_tcp_config is None:
-        source_tcp_config = tcp_config
-    if chaos is not None and chaos.active:
-        system.chaos_stats = ChaosStats()
+    """Build the sites in the order they need each other: the warehouse's
+    inbox, the sources that send to it, the warehouse that queries them
+    -- then start the updaters."""
+    warehouse = WarehouseNode(runtime, links, config, workload)
+    await links.start()
+    sources = {
+        index: SourceSite(runtime, source_links, config, workload, index, trace)
+        for index in warehouse.sources
+    }
+    for site in sources.values():
+        site.server.add_update_listener(recorder.on_source_update)
+    await source_links.start()
+    warehouse.connect(sources, recorder, metrics, trace)
 
-    async def _front(link: str, address: tuple[str, int]) -> tuple[str, int]:
-        """Interpose a chaos proxy on one link (or pass through)."""
-        if system.chaos_stats is None:
-            return address
-        proxy = ChaosTcpProxy(
-            runtime,
-            link,
-            address,
-            chaos,
-            seed=config.seed,
-            stats=system.chaos_stats,
-            listen_host=host,
-        )
-        await proxy.start()
-        system.proxies.append(proxy)
-        return proxy.address
+    def local_update(index: int):
+        if 0 in sources:  # the central site holds every relation
+            return partial(sources[0].server.local_update, index)
+        return sources[index].server.local_update
 
-    # The warehouse listener must exist before sources dial it; sources'
-    # listeners must exist before the warehouse dials them.  TcpChannel
-    # dials lazily with retry, so either order works -- starting all
-    # listeners before constructing the warehouse merely avoids pointless
-    # reconnect cycles.
-    if info.architecture == "centralized":
-        # The warehouse needs the central node's listener address and the
-        # central node needs the warehouse's: break the cycle by bringing
-        # the central node up against a placeholder address and patching
-        # its (lazily dialed, not yet used) outbound channel afterwards.
-        placeholder = ("127.0.0.1", 1)
-        central_node = CentralSourceNode(
-            runtime,
-            view,
-            initial=workload.initial_states,
-            warehouse_address=placeholder,
-            query_service_time=config.query_service_time,
-            metrics=metrics,
-            trace=trace,
-            listen_host=host,
-            tcp_config=source_tcp_config,
-        )
-        await central_node.start()
-        warehouse_node = WarehouseNode(
-            runtime,
-            view,
-            config.algorithm,
-            {0: await _front("wh->central", central_node.address)},
-            initial_view=view.evaluate(workload.initial_states),
-            recorder=recorder,
-            metrics=metrics,
-            trace=trace,
-            listen_host=host,
-            tcp_config=tcp_config,
-            algorithm_kwargs=algorithm_kwargs(config),
-            locality=build_locality(config, [view], workload.initial_states),
-        )
-        await warehouse_node.start()
-        # Patch the central node's outbound channel now that the
-        # warehouse address is known (it has not dialed yet: no frames
-        # were sent before the updaters start).
-        central_node.to_warehouse.host, central_node.to_warehouse.port = (
-            await _front("central->wh", warehouse_node.address)
-        )
-        central = central_node.source
-        central.add_update_listener(recorder.on_source_update)
-        for index in range(1, view.n_relations + 1):
-            recorder.register_source(
-                index,
-                view.name_of(index),
-                workload.initial_states[view.name_of(index)],
-            )
-        system.source_nodes.append(central_node)
-        system.updaters = [
-            ScheduledUpdater(
-                runtime,
-                f"R{index}",
-                (lambda delta, i=index: central.local_update(i, delta)),
-                schedule,
-            )
-            for index, schedule in sorted(workload.schedules.items())
-        ]
-        system.mailboxes = [warehouse_node.inbox, central.query_inbox]
-        system.warehouse_node = warehouse_node
-        system.warehouse = warehouse_node.warehouse
-        return system
-
-    # Distributed architecture: one node per source.
-    servers: dict[int, DataSourceServer] = {}
-    placeholder = ("127.0.0.1", 1)
-    for index in range(1, view.n_relations + 1):
-        name = view.name_of(index)
-        initial = workload.initial_states[name]
-        backend = make_backend(config, view, index, initial)
-        system.backends.append(backend)
-        node = SourceNode(
-            runtime,
-            view,
-            index,
-            backend,
-            warehouse_address=placeholder,
-            query_service_time=config.query_service_time,
-            metrics=metrics,
-            trace=trace,
-            listen_host=host,
-            tcp_config=source_tcp_config,
-        )
-        await node.start()
-        node.server.add_update_listener(recorder.on_source_update)
-        recorder.register_source(index, name, initial)
-        servers[index] = node.server
-        system.source_nodes.append(node)
-        system.mailboxes.append(node.server.query_inbox)
-
-    warehouse_node = WarehouseNode(
-        runtime,
-        view,
-        config.algorithm,
-        {
-            index: await _front(f"wh->{node.name}", node.address)
-            for index, node in zip(servers, system.source_nodes)
-        },
-        initial_view=view.evaluate(workload.initial_states),
-        recorder=recorder,
-        metrics=metrics,
-        trace=trace,
-        listen_host=host,
-        tcp_config=tcp_config,
-        algorithm_kwargs=algorithm_kwargs(config),
-        locality=build_locality(config, [view], workload.initial_states),
-    )
-    await warehouse_node.start()
-    for node in system.source_nodes:
-        node.to_warehouse.host, node.to_warehouse.port = await _front(
-            f"{node.name}->wh", warehouse_node.address
-        )
-    system.mailboxes.append(warehouse_node.inbox)
-    system.warehouse_node = warehouse_node
-    system.warehouse = warehouse_node.warehouse
-    system.updaters = [
+    updaters = [
         ScheduledUpdater(
-            runtime, view.name_of(index), servers[index].local_update, schedule
+            runtime, workload.view.name_of(index), local_update(index), schedule
         )
         for index, schedule in sorted(workload.schedules.items())
     ]
-    return system
-
-
-def _wire_local(
-    runtime: AsyncRuntime,
-    config: ExperimentConfig,
-    workload,
-    recorder: RunRecorder,
-    metrics: MetricsCollector,
-    trace: TraceLog | None,
-    chaos: ChaosConfig | None = None,
-) -> _System:
-    view = workload.view
-    info = algorithm_info(config.algorithm)
-    system = _System()
-    if chaos is not None and chaos.active:
-        system.chaos_stats = ChaosStats()
-
-    def _channel(link: str, destination) -> LocalChannel:
-        if system.chaos_stats is None:
-            return LocalChannel(runtime, link, destination, metrics)
-        return ChaosLocalChannel(
-            runtime,
-            link,
-            destination,
-            metrics,
-            config=chaos,
-            seed=config.seed,
-            stats=system.chaos_stats,
-        )
-
-    inbox = Mailbox(runtime, "warehouse-inbox")
-    system.mailboxes.append(inbox)
-
-    if info.architecture == "centralized":
-        to_wh = _channel("central->wh", inbox)
-        system.channels.append(to_wh)
-        central = CentralSource(
-            runtime,
-            view,
-            to_wh,
-            initial=workload.initial_states,
-            query_service_time=config.query_service_time,
-            trace=trace,
-        )
-        central.add_update_listener(recorder.on_source_update)
-        for index in range(1, view.n_relations + 1):
-            recorder.register_source(
-                index,
-                view.name_of(index),
-                workload.initial_states[view.name_of(index)],
-            )
-        down = _channel("wh->central", central.query_inbox)
-        system.channels.append(down)
-        query_channels = {0: down}
-        system.mailboxes.append(central.query_inbox)
-        system.updaters = [
-            ScheduledUpdater(
-                runtime,
-                f"R{index}",
-                (lambda delta, i=index: central.local_update(i, delta)),
-                schedule,
-            )
-            for index, schedule in sorted(workload.schedules.items())
-        ]
-    else:
-        query_channels = {}
-        servers: dict[int, DataSourceServer] = {}
-        for index in range(1, view.n_relations + 1):
-            name = view.name_of(index)
-            initial = workload.initial_states[name]
-            backend = make_backend(config, view, index, initial)
-            system.backends.append(backend)
-            to_wh = _channel(f"{name}->wh", inbox)
-            system.channels.append(to_wh)
-            server = DataSourceServer(
-                runtime,
-                name,
-                index,
-                backend,
-                to_wh,
-                query_service_time=config.query_service_time,
-                trace=trace,
-            )
-            server.add_update_listener(recorder.on_source_update)
-            recorder.register_source(index, name, initial)
-            down = _channel(f"wh->{name}", server.query_inbox)
-            system.channels.append(down)
-            query_channels[index] = down
-            servers[index] = server
-            system.mailboxes.append(server.query_inbox)
-        system.updaters = [
-            ScheduledUpdater(
-                runtime, view.name_of(index), servers[index].local_update, schedule
-            )
-            for index, schedule in sorted(workload.schedules.items())
-        ]
-
-    system.warehouse = info.cls(
-        runtime,
-        view,
-        query_channels,
-        initial_view=view.evaluate(workload.initial_states),
-        recorder=recorder,
-        metrics=metrics,
-        trace=trace,
-        inbox=inbox,
-        locality=build_locality(config, [view], workload.initial_states),
-        **algorithm_kwargs(config),
-    )
-    return system
+    return _System(warehouse, list(sources.values()), updaters)
 
 
 async def run_distributed_async(
@@ -421,7 +164,7 @@ async def run_distributed_async(
     in-order delivery -- the run should end in the same state as a
     healthy one, just later.
 
-    ``source_tcp_config`` (TCP transport only) gives the source nodes a
+    ``source_tcp_config`` (TCP transport only) gives the source sites a
     different transport config than the warehouse -- the mixed-fleet
     case, e.g. a warehouse advertising codec v3 against sources that
     only speak v1; each channel pair negotiates down independently.
@@ -431,34 +174,29 @@ async def run_distributed_async(
         raise ValueError(f"unknown transport {transport!r}")
     chaos = profile(chaos)
     predicate_stats_before = compile_cache_stats()
-    rngs = RngRegistry(config.seed)
-    workload = build_workload(config, rngs)
-    view = workload.view
+    workload = build_workload(config, RngRegistry(config.seed))
     info = algorithm_info(config.algorithm)
 
     runtime = AsyncRuntime(time_scale=time_scale)
     metrics = MetricsCollector()
     trace = TraceLog(enabled=config.trace)
-    recorder = RunRecorder(view)
-    trace_arg = trace if config.trace else None
-
-    if transport == "tcp":
-        system = await _wire_tcp(
-            runtime,
-            config,
-            workload,
-            recorder,
-            metrics,
-            trace_arg,
-            host,
-            tcp_config,
-            chaos,
-            source_tcp_config=source_tcp_config,
-        )
-    else:
-        system = _wire_local(
-            runtime, config, workload, recorder, metrics, trace_arg, chaos
-        )
+    recorder = _recorder(workload)
+    links = links_for(
+        transport, runtime, metrics, chaos, config.seed, host, tcp_config
+    )
+    source_links = links
+    if transport == "tcp" and source_tcp_config is not None:
+        source_links = links.sibling(source_tcp_config)
+    system = await _start(
+        runtime,
+        links,
+        source_links,
+        config,
+        workload,
+        recorder,
+        metrics,
+        trace if config.trace else None,
+    )
 
     started = _time.perf_counter()
     try:
@@ -475,20 +213,21 @@ async def run_distributed_async(
         wall = _time.perf_counter() - started
         record_predicate_cache_delta(metrics, predicate_stats_before)
 
+        warehouse = system.warehouse_site.warehouse
         result = DistributedRunResult(
             config=config,
             info=info,
-            final_view=system.warehouse.current_view(),
+            final_view=warehouse.current_view(),
             sim_time=runtime.now,
             wall_seconds=wall,
             metrics=metrics,
             recorder=recorder,
-            warehouse=system.warehouse,
+            warehouse=warehouse,
             trace=trace if config.trace else None,
             transport=transport,
             time_scale=time_scale,
             chaos_profile=chaos.name if chaos is not None else None,
-            chaos_stats=system.chaos_stats,
+            chaos_stats=links.chaos_stats,
         )
         if config.check_consistency:
             for level in (
@@ -506,6 +245,7 @@ async def run_distributed_async(
         return result
     finally:
         await system.aclose()
+        await links.aclose()
         await runtime.aclose()
 
 
@@ -593,37 +333,38 @@ async def serve_warehouse_async(
     recovers and picks the protocol up where the durable state left it
     (see :mod:`repro.durability`).
     """
-    rngs = RngRegistry(config.seed)
-    workload = build_workload(config, rngs)
-    view = workload.view
     info = algorithm_info(config.algorithm)
+    if info.architecture == "centralized":
+        raise ValueError(
+            f"{info.name!r} needs the centralized architecture's single"
+            " source site, which no serve command hosts; run it with"
+            " `repro run-distributed`"
+        )
+    workload = build_workload(config, RngRegistry(config.seed))
+    view = workload.view
     runtime = AsyncRuntime(time_scale=time_scale)
     metrics = MetricsCollector()
     trace = TraceLog(enabled=config.trace)
-    recorder = RunRecorder(view)
-    for index in range(1, view.n_relations + 1):
-        recorder.register_source(
-            index, view.name_of(index), workload.initial_states[view.name_of(index)]
-        )
-    node = WarehouseNode(
-        runtime,
-        view,
-        config.algorithm,
-        source_addresses,
-        initial_view=view.evaluate(workload.initial_states),
-        recorder=recorder,
-        metrics=metrics,
-        trace=trace if config.trace else None,
-        listen_host=listen_host,
-        listen_port=listen_port,
-        tcp_config=tcp_config,
-        algorithm_kwargs=algorithm_kwargs(config),
-        locality=build_locality(config, [view], workload.initial_states),
-        durable_dir=durable_dir,
-        checkpoint_policy=checkpoint_policy,
-        fsync_batch=fsync_batch,
+    recorder = _recorder(workload)
+    links = TcpLinks(
+        runtime, metrics, tcp_config=tcp_config, listen=(listen_host, listen_port)
     )
-    await node.start()
+    links.peers.update(
+        {
+            f"wh->{site_name(view, index)}": address
+            for index, address in source_addresses.items()
+        }
+    )
+    node = WarehouseNode(runtime, links, config, workload, durable_dir)
+    node.connect(
+        source_addresses,
+        recorder,
+        metrics,
+        trace if config.trace else None,
+        checkpoint_policy,
+        fsync_batch,
+    )
+    await links.start()
     print(
         f"warehouse[{config.algorithm}] listening on"
         f" {node.address[0]}:{node.address[1]}"
@@ -643,8 +384,7 @@ async def serve_warehouse_async(
     try:
         if probe:
             for index, (phost, pport) in sorted(source_addresses.items()):
-                what = "central source" if index == 0 else f"source R{index}"
-                await probe_peer(phost, pport, tcp_config, what=what)
+                await probe_peer(phost, pport, tcp_config, what=f"source R{index}")
         if expect_updates is None:
             await runtime.until_failure()  # serve until cancelled (Ctrl-C)
         hold_until_delivered(runtime, recorder, expect_updates)
@@ -704,26 +444,18 @@ async def serve_source_async(
     process (:class:`~repro.runtime.errors.TransportRetriesExceeded`,
     non-zero exit from the CLI) instead of silently dropping the run.
     """
-    rngs = RngRegistry(config.seed)
-    workload = build_workload(config, rngs)
-    view = workload.view
+    workload = build_workload(config, RngRegistry(config.seed))
     runtime = AsyncRuntime(time_scale=time_scale)
-    backend = make_backend(
-        config, view, index, workload.initial_states[view.name_of(index)]
+    links = TcpLinks(
+        runtime, None, tcp_config=tcp_config, listen=(listen_host, listen_port)
     )
-    node = SourceNode(
-        runtime,
-        view,
-        index,
-        backend,
-        warehouse_address=warehouse_address,
-        query_service_time=config.query_service_time,
-        listen_host=listen_host,
-        listen_port=listen_port,
-        tcp_config=tcp_config,
-    )
-    await node.start()
-    print(f"source[{node.name}] listening on {node.address[0]}:{node.address[1]}")
+    # (name_of refuses index 0: no serve command hosts the central site.)
+    name = workload.view.name_of(index)
+    links.peers[f"{name}->wh"] = warehouse_address
+    site = SourceSite(runtime, links, config, workload, index)
+    await links.start()
+    host, port = site.listener.address
+    print(f"source[{name}] listening on {host}:{port}")
     try:
         if probe:
             await probe_peer(
@@ -731,22 +463,21 @@ async def serve_source_async(
                 warehouse_address[1],
                 tcp_config,
                 what="warehouse",
-                heard=partial(node.listener.heard, f"wh->{node.name}"),
+                heard=partial(site.listener.heard, f"wh->{name}"),
             )
         updater = None
         if drive and index in workload.schedules:
             updater = ScheduledUpdater(
-                runtime, node.name, node.server.local_update, workload.schedules[index]
+                runtime, name, site.server.local_update, workload.schedules[index]
             )
         if updater is not None and exit_when_done:
             await runtime.wait_until(
-                drained_for(node, updater, linger), timeout=timeout
+                drained_for(site, updater, linger), timeout=timeout
             )
         else:
             await runtime.until_failure()  # serve until cancelled (Ctrl-C)
     finally:
-        await node.aclose()
-        backend.close()
+        await site.aclose()
         await runtime.aclose()
 
 

@@ -1,13 +1,16 @@
-"""Deployable sites: one warehouse node, one node per data source.
+"""Deployable sites, and the links between them.
 
-A node owns exactly what one OS process would own in a real deployment:
-its protocol objects (the unchanged :class:`DataSourceServer` /
-warehouse algorithm), an inbound :class:`ChannelListener` and its outbound
-:class:`TcpChannel` sessions.  ``repro serve-source`` and
-``repro serve-warehouse`` host one node per process;
-``repro run-distributed`` (and the quickstart example) host all nodes on
-one event loop but still talk TCP through the loopback interface -- same
-code path, same frames.
+A site owns exactly what one OS process would own in a real deployment:
+its protocol objects (the unchanged :class:`DataSourceServer`,
+:class:`CentralSource` or warehouse algorithm) and the channels it sends
+on.  Sites are transport-blind: they ask a *links* object to ``bind``
+mailboxes under channel names and to make the ``channel`` with a given
+name, and :class:`LocalLinks` (direct hand-off) or :class:`TcpLinks`
+(listeners and FIFO sessions) answers.  That is the whole difference
+between ``transport="local"`` and ``"tcp"``, and between a fleet on one
+event loop (``repro run-distributed``) and one site per OS process
+(``repro serve-warehouse`` / ``serve-source``).  The sharded sites of
+:mod:`repro.runtime.shard.node` run over the same links.
 
 Channel naming mirrors the simulator: ``"R2->wh"`` carries source 2's
 update notices *and* query answers (sharing one FIFO session is the
@@ -18,6 +21,7 @@ warehouse's queries.  The centralized (ECA) architecture uses
 
 from __future__ import annotations
 
+import copy
 import time as _time
 
 from repro.consistency.oracle import RunRecorder
@@ -29,11 +33,19 @@ from repro.durability.manager import (
     LoggingMailbox,
 )
 from repro.durability.recovery import attach_durability, load_state
-from repro.relational.relation import Relation
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import algorithm_kwargs
 from repro.relational.view import ViewDefinition
+from repro.runtime.chaos import (
+    ChaosLocalChannel,
+    ChaosStats,
+    ChaosTcpProxy,
+    profile,
+)
 from repro.runtime.codec import CODEC_VERSION_MAX, WireCodec
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.tcp import ChannelListener, TcpChannel, TcpChannelConfig
+from repro.runtime.transport import LocalChannel
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
@@ -43,19 +55,173 @@ from repro.sources.memory import MemoryBackend
 from repro.sources.server import DataSourceServer
 from repro.sources.sqlite import SqliteBackend
 from repro.warehouse.base import QueueDrivenWarehouse
+from repro.warehouse.locality import build_locality
 from repro.warehouse.registry import algorithm_info
+from repro.workloads.scenarios import Workload
 
 
-def _listener_codec_cap(tcp_config: TcpChannelConfig | None) -> int:
-    """The codec version a node's listener welcomes.
+# ---------------------------------------------------------------------------
+# Links: the channel factory a transport is
+# ---------------------------------------------------------------------------
 
-    A node configured with ``--codec-version`` speaks at most that
-    version in *both* directions -- outbound channels advertise it,
-    and the inbound listener caps its welcome with it.  An unconfigured
-    node accepts whatever the peer can speak.
+class LocalLinks:
+    """``transport="local"``: a channel hands each message straight to the
+    mailbox bound under its name (through the chaos layer when ``chaos``
+    names an active profile, its faults keyed by ``seed``).  Bind before
+    asking for the channel."""
+
+    def __init__(
+        self,
+        runtime,
+        metrics: MetricsCollector | None,
+        chaos=None,
+        seed: int = 0,
+    ):
+        self.runtime = runtime
+        self.metrics = metrics
+        self.chaos = profile(chaos)
+        self.seed = seed
+        active = self.chaos is not None and self.chaos.active
+        #: what the fault layer did, when a profile is active.
+        self.chaos_stats = ChaosStats() if active else None
+        self._bound: dict[str, Mailbox] = {}
+
+    def bind(self, routes: dict[str, Mailbox], codec, adopt_next=False) -> None:
+        self._bound.update(routes)
+
+    def channel(self, name: str, codec, epoch: int = 0):
+        if self.chaos_stats is None:
+            return LocalChannel(self.runtime, name, self._bound[name], self.metrics)
+        return ChaosLocalChannel(
+            self.runtime,
+            name,
+            self._bound[name],
+            self.metrics,
+            config=self.chaos,
+            seed=self.seed,
+            stats=self.chaos_stats,
+        )
+
+    async def start(self) -> None:
+        """Make every name bound so far reachable (here: it already is)."""
+
+    async def aclose(self) -> None:
+        """Release what the links, not the sites, own (here: nothing)."""
+
+
+class TcpLinks(LocalLinks):
+    """``transport="tcp"``: one listener per ``bind``, one FIFO session per
+    channel, dialled where :attr:`peers` says the channel's name listens.
+
+    :meth:`start` starts the listeners bound since the last call and
+    enters their names into :attr:`peers` (behind a chaos proxy on
+    ``host`` when a profile is active), so a channel can only be made once
+    its peer is up; a peer in another process is entered by hand.
+    ``tcp_config`` configures the sessions, and caps the codec version the
+    listeners welcome: a site configured with ``--codec-version`` speaks
+    at most that version in *both* directions.
     """
-    return CODEC_VERSION_MAX if tcp_config is None else tcp_config.codec_version
 
+    def __init__(
+        self,
+        runtime,
+        metrics: MetricsCollector | None,
+        chaos=None,
+        seed: int = 0,
+        host: str = "127.0.0.1",
+        tcp_config: TcpChannelConfig | None = None,
+        listen: tuple[str, int] | None = None,
+    ):
+        super().__init__(runtime, metrics, chaos, seed)
+        self.host = host
+        self.tcp_config = tcp_config
+        self.listen = listen if listen is not None else (host, 0)
+        self.peers: dict[str, tuple[str, int]] = {}
+        self._unstarted: list[tuple[ChannelListener, list[str]]] = []
+        self._proxies: list[ChaosTcpProxy] = []
+
+    def sibling(self, tcp_config: TcpChannelConfig | None) -> TcpLinks:
+        """Links sharing these peers, listeners and chaos state whose
+        sessions and listeners use ``tcp_config`` instead -- the other
+        half of a mixed-version fleet.  Starting or closing either one
+        starts or closes both."""
+        twin = copy.copy(self)
+        twin.tcp_config = tcp_config
+        return twin
+
+    def bind(self, routes: dict[str, Mailbox], codec, adopt_next=False):
+        cap = CODEC_VERSION_MAX
+        if self.tcp_config is not None:
+            cap = self.tcp_config.codec_version
+        listener = ChannelListener(
+            self.runtime, *self.listen, adopt_next=adopt_next, codec_version_max=cap
+        )
+        for name, mailbox in routes.items():
+            listener.register(name, mailbox, codec)
+        self._unstarted.append((listener, list(routes)))
+        return listener
+
+    def channel(self, name: str, codec, epoch: int = 0) -> TcpChannel:
+        host, port = self.peers[name]
+        return TcpChannel(
+            self.runtime,
+            name,
+            host,
+            port,
+            codec,
+            self.metrics,
+            self.tcp_config,
+            epoch=epoch,
+        )
+
+    async def start(self) -> None:
+        while self._unstarted:
+            listener, names = self._unstarted.pop(0)
+            await listener.start()
+            for name in names:
+                self.peers[name] = await self._through_chaos(
+                    name, listener.address
+                )
+
+    async def _through_chaos(self, link: str, address: tuple[str, int]):
+        if self.chaos_stats is None:
+            return address
+        proxy = ChaosTcpProxy(
+            self.runtime,
+            link,
+            address,
+            self.chaos,
+            seed=self.seed,
+            stats=self.chaos_stats,
+            listen_host=self.host,
+        )
+        await proxy.start()
+        self._proxies.append(proxy)
+        return proxy.address
+
+    async def aclose(self) -> None:
+        for proxy in self._proxies:
+            await proxy.aclose()
+
+
+def links_for(
+    transport: str,
+    runtime,
+    metrics: MetricsCollector | None,
+    chaos=None,
+    seed: int = 0,
+    host: str = "127.0.0.1",
+    tcp_config: TcpChannelConfig | None = None,
+) -> LocalLinks:
+    """The links of a fleet hosted on one event loop."""
+    if transport == "tcp":
+        return TcpLinks(runtime, metrics, chaos, seed, host, tcp_config)
+    return LocalLinks(runtime, metrics, chaos, seed)
+
+
+# ---------------------------------------------------------------------------
+# The sites of a single-warehouse fleet
+# ---------------------------------------------------------------------------
 
 def make_backend(config, view: ViewDefinition, index: int, initial) -> SourceBackend:
     """Source ``index``'s backend of the kind ``config.backend`` names."""
@@ -64,61 +230,61 @@ def make_backend(config, view: ViewDefinition, index: int, initial) -> SourceBac
     return MemoryBackend(view, index, initial)
 
 
-class SourceNode:
-    """One data-source site: backend + Figure 3 server over TCP."""
+def site_name(view: ViewDefinition, index: int) -> str:
+    """The source site behind query-channel key ``index``: ``"central"``
+    for 0 (the centralized architecture), else the relation's name."""
+    return "central" if index == 0 else view.name_of(index)
+
+
+class SourceSite:
+    """One source site: the Figure 3 :class:`DataSourceServer` over source
+    ``index``'s backend -- or, for ``index == 0``, the centralized
+    architecture's :class:`CentralSource`, which holds every relation.
+
+    Its update/answer channel is ``links.channel("<name>->wh")`` (the
+    warehouse must be bound first); its query inbox is bound as
+    ``"wh-><name>"``.
+    """
 
     def __init__(
         self,
-        runtime: AsyncRuntime,
-        view: ViewDefinition,
+        runtime,
+        links,
+        config: ExperimentConfig,
+        workload: Workload,
         index: int,
-        backend: SourceBackend,
-        warehouse_address: tuple[str, int],
-        query_service_time: float = 0.0,
-        metrics: MetricsCollector | None = None,
         trace: TraceLog | None = None,
-        listen_host: str = "127.0.0.1",
-        listen_port: int = 0,
-        tcp_config: TcpChannelConfig | None = None,
     ):
-        self.runtime = runtime
-        self.view = view
-        self.index = index
-        self.name = view.name_of(index)
+        view = workload.view
+        self.name = site_name(view, index)
         self.codec = WireCodec(view)
-        self.to_warehouse = TcpChannel(
-            runtime,
-            f"{self.name}->wh",
-            warehouse_address[0],
-            warehouse_address[1],
-            self.codec,
-            metrics,
-            tcp_config,
+        self.to_warehouse = links.channel(f"{self.name}->wh", self.codec)
+        self.backend = None
+        if index == 0:
+            self.server = CentralSource(
+                runtime,
+                view,
+                self.to_warehouse,
+                initial=workload.initial_states,
+                query_service_time=config.query_service_time,
+                trace=trace,
+            )
+        else:
+            self.backend = make_backend(
+                config, view, index, workload.initial_states[self.name]
+            )
+            self.server = DataSourceServer(
+                runtime,
+                self.name,
+                index,
+                self.backend,
+                self.to_warehouse,
+                query_service_time=config.query_service_time,
+                trace=trace,
+            )
+        self.listener = links.bind(
+            {f"wh->{self.name}": self.server.query_inbox}, self.codec
         )
-        self.server = DataSourceServer(
-            runtime,
-            self.name,
-            index,
-            backend,
-            self.to_warehouse,
-            query_service_time=query_service_time,
-            trace=trace,
-        )
-        self.listener = ChannelListener(
-            runtime,
-            listen_host,
-            listen_port,
-            codec_version_max=_listener_codec_cap(tcp_config),
-        )
-        self.listener.register(f"wh->{self.name}", self.server.query_inbox, self.codec)
-
-    async def start(self) -> None:
-        await self.listener.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """Where the warehouse should dial this source's query channel."""
-        return self.listener.address
 
     def quiescent(self) -> bool:
         """No outbound frames in flight, no queries waiting locally."""
@@ -126,70 +292,13 @@ class SourceNode:
 
     async def aclose(self) -> None:
         await self.to_warehouse.aclose()
-        await self.listener.aclose()
+        if self.listener is not None:
+            await self.listener.aclose()
+        if self.backend is not None:
+            self.backend.close()
 
     def __repr__(self) -> str:
-        return f"SourceNode({self.name!r}, listen={self.listener.port})"
-
-
-class CentralSourceNode:
-    """The single-site source of the centralized (ECA) architecture."""
-
-    def __init__(
-        self,
-        runtime: AsyncRuntime,
-        view: ViewDefinition,
-        initial: dict[str, Relation],
-        warehouse_address: tuple[str, int],
-        query_service_time: float = 0.0,
-        metrics: MetricsCollector | None = None,
-        trace: TraceLog | None = None,
-        listen_host: str = "127.0.0.1",
-        listen_port: int = 0,
-        tcp_config: TcpChannelConfig | None = None,
-    ):
-        self.runtime = runtime
-        self.view = view
-        self.name = "central"
-        self.codec = WireCodec(view)
-        self.to_warehouse = TcpChannel(
-            runtime,
-            "central->wh",
-            warehouse_address[0],
-            warehouse_address[1],
-            self.codec,
-            metrics,
-            tcp_config,
-        )
-        self.source = CentralSource(
-            runtime,
-            view,
-            self.to_warehouse,
-            initial=initial,
-            query_service_time=query_service_time,
-            trace=trace,
-        )
-        self.listener = ChannelListener(
-            runtime,
-            listen_host,
-            listen_port,
-            codec_version_max=_listener_codec_cap(tcp_config),
-        )
-        self.listener.register("wh->central", self.source.query_inbox, self.codec)
-
-    async def start(self) -> None:
-        await self.listener.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.listener.address
-
-    def quiescent(self) -> bool:
-        return self.to_warehouse.idle and len(self.source.query_inbox) == 0
-
-    async def aclose(self) -> None:
-        await self.to_warehouse.aclose()
-        await self.listener.aclose()
+        return f"SourceSite({self.name!r})"
 
 
 class WarehouseSite:
@@ -246,10 +355,6 @@ class WarehouseSite:
                 crash_plan=crash_plan,
             )
 
-    async def start(self) -> None:
-        if self.listener is not None:
-            await self.listener.start()
-
     @property
     def address(self) -> tuple[str, int]:
         """Where sources should dial their update/answer channel."""
@@ -275,10 +380,13 @@ class WarehouseSite:
 class WarehouseNode(WarehouseSite):
     """The warehouse site: hosts any registered maintenance algorithm.
 
-    ``source_addresses`` maps 1-based source indices to ``(host, port)``
-    of each :class:`SourceNode` listener -- or ``{0: address}`` for the
-    centralized architecture, matching the simulator harness's convention
-    of keying the central query channel as index 0.
+    Building is two steps because the sites of a fleet need each other:
+    the constructor reads the durable state under ``durable_dir`` and
+    binds the inbox as ``"<source>->wh"`` for each of :attr:`sources`
+    (now sources can address it); :meth:`connect` then asks the links for
+    the query channels and hosts the warehouse.  :attr:`sources` are the
+    relation indices, or ``[0]`` for the centralized architecture -- the
+    simulator harness's key for the central query channel.
 
     Only queue-driven algorithms can run with ``durable_dir``; the rest
     are rejected loudly.
@@ -287,85 +395,70 @@ class WarehouseNode(WarehouseSite):
     def __init__(
         self,
         runtime: AsyncRuntime,
-        view: ViewDefinition,
-        algorithm: str,
-        source_addresses: dict[int, tuple[str, int]],
-        initial_view: Relation | None = None,
-        recorder: RunRecorder | None = None,
-        metrics: MetricsCollector | None = None,
-        trace: TraceLog | None = None,
-        listen_host: str = "127.0.0.1",
-        listen_port: int = 0,
-        tcp_config: TcpChannelConfig | None = None,
-        algorithm_kwargs: dict | None = None,
-        locality=None,
+        links,
+        config: ExperimentConfig,
+        workload: Workload,
         durable_dir: str | None = None,
-        checkpoint_policy: CheckpointPolicy | None = None,
-        crash_plan: CrashPlan | None = None,
-        fsync_batch: int = 8,
     ):
-        super().__init__(runtime, "warehouse", [view], durable_dir)
-        self.view = view
-        self.info = algorithm_info(algorithm)
-        self.codec = WireCodec(view)
-        self.listener = ChannelListener(
-            runtime,
-            listen_host,
-            listen_port,
-            adopt_next=self.recovered_state is not None,
-            codec_version_max=_listener_codec_cap(tcp_config),
-        )
-        if self.info.architecture == "centralized":
-            inbound = ["central->wh"]
-        else:
-            inbound = [
-                f"{view.name_of(index)}->wh"
-                for index in range(1, view.n_relations + 1)
-            ]
-        for channel_name in inbound:
-            self.listener.register(channel_name, self.inbox, self.codec)
-        self.query_channels = {
-            index: TcpChannel(
-                runtime,
-                self._query_channel_name(index),
-                host,
-                port,
-                self.codec,
-                metrics,
-                tcp_config,
-                epoch=self.epoch,
-            )
-            for index, (host, port) in sorted(source_addresses.items())
-        }
-        warehouse = self.info.cls(
-            runtime,
-            view,
-            self.query_channels,
-            initial_view=initial_view,
-            recorder=recorder,
-            metrics=metrics,
-            trace=trace,
-            inbox=self.inbox,
-            locality=locality,
-            **(algorithm_kwargs or {}),
-        )
-        if durable_dir is not None and not isinstance(
-            warehouse, QueueDrivenWarehouse
+        self.info = algorithm_info(config.algorithm)
+        if durable_dir is not None and not issubclass(
+            self.info.cls, QueueDrivenWarehouse
         ):
             raise RecoveryError(
                 f"algorithm {self.info.name!r} is not queue-driven and"
                 " cannot run with --durable-dir"
             )
-        self.host(warehouse, checkpoint_policy, fsync_batch, crash_plan)
+        self.view = view = workload.view
+        super().__init__(runtime, "warehouse", [view], durable_dir)
+        self.links = links
+        self.config = config
+        self.workload = workload
+        self.codec = WireCodec(view)
+        if self.info.architecture == "centralized":
+            self.sources = [0]
+        else:
+            self.sources = list(range(1, view.n_relations + 1))
+        self.listener = links.bind(
+            {f"{site_name(view, index)}->wh": self.inbox for index in self.sources},
+            self.codec,
+            adopt_next=self.recovered_state is not None,
+        )
 
-    def _query_channel_name(self, index: int) -> str:
-        if index == 0:
-            return "wh->central"
-        return f"wh->{self.view.name_of(index)}"
+    def connect(
+        self,
+        sources,
+        recorder: RunRecorder,
+        metrics: MetricsCollector,
+        trace: TraceLog | None = None,
+        checkpoint_policy: CheckpointPolicy | None = None,
+        fsync_batch: int = 8,
+    ) -> None:
+        """Dial ``sources`` (indices) and host the warehouse over them."""
+        view, config = self.view, self.config
+        initial = self.workload.initial_states
+        self.query_channels = {
+            index: self.links.channel(
+                f"wh->{site_name(view, index)}", self.codec, self.epoch
+            )
+            for index in sorted(sources)
+        }
+        warehouse = self.info.cls(
+            self.runtime,
+            view,
+            self.query_channels,
+            initial_view=view.evaluate(initial),
+            recorder=recorder,
+            metrics=metrics,
+            trace=trace,
+            inbox=self.inbox,
+            locality=build_locality(config, [view], initial),
+            **algorithm_kwargs(config),
+        )
+        self.host(warehouse, checkpoint_policy, fsync_batch)
 
     def __repr__(self) -> str:
         return (
-            f"WarehouseNode({self.info.name!r}, listen={self.listener.port},"
+            f"WarehouseNode({self.info.name!r},"
             f" sources={sorted(self.query_channels)})"
         )
 
@@ -416,11 +509,14 @@ def drained_for(node, updater, linger: float):
 
 
 __all__ = [
-    "CentralSourceNode",
-    "SourceNode",
+    "LocalLinks",
+    "SourceSite",
+    "TcpLinks",
     "WarehouseNode",
     "WarehouseSite",
     "drained_for",
     "hold_until_delivered",
+    "links_for",
     "make_backend",
+    "site_name",
 ]

@@ -1,13 +1,11 @@
-"""The two sites of a sharded fleet, and the links between them.
+"""The two sites of a sharded fleet.
 
 A fleet is built from two site types: a :class:`ShardNode` per
 replica-group member and a :class:`ShardedSourceNode` per source.  Both
-are transport-blind: they ask a *links* object to ``bind`` mailboxes
-under channel names and to make the ``channel`` with a given name, and
-:class:`LocalLinks` (direct hand-off) or :class:`TcpLinks` (listeners
-and FIFO sessions) answers.  That is the whole difference between
-``transport="local"`` and ``"tcp"``, and between a fleet on one event
-loop and one site per OS process.
+are transport-blind: they run over the *links* of
+:mod:`repro.runtime.nodes` (:class:`~repro.runtime.nodes.LocalLinks` or
+:class:`~repro.runtime.nodes.TcpLinks`), which :func:`make_links` builds
+from a spec -- the same links the single-warehouse sites run over.
 
 Channel names are the simulator's: ``"R2->sh0"`` carries source 2's
 update notices *and* its answers to member ``sh0`` (one FIFO session --
@@ -21,18 +19,11 @@ from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
-from repro.runtime.chaos import (
-    ChaosLocalChannel,
-    ChaosStats,
-    ChaosTcpProxy,
-    profile,
-)
 from repro.runtime.codec import WireCodec
-from repro.runtime.nodes import WarehouseSite, _listener_codec_cap, make_backend
+from repro.runtime.nodes import LocalLinks, WarehouseSite, links_for, make_backend
 from repro.runtime.shard.front import ShardedSourceFront
 from repro.runtime.shard.spec import FleetSpec
-from repro.runtime.tcp import ChannelListener, TcpChannel
-from repro.runtime.transport import LocalChannel
+from repro.runtime.tcp import TcpChannel
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
@@ -48,123 +39,17 @@ from repro.warehouse.multiview import (
 from repro.warehouse.sharding import ShardMember
 
 
-# ---------------------------------------------------------------------------
-# Links: the channel factory a transport is
-# ---------------------------------------------------------------------------
-
-class LocalLinks:
-    """``transport="local"``: a channel hands each message straight to the
-    mailbox bound under its name (through the chaos layer when the spec
-    names an active profile).  Bind before asking for the channel."""
-
-    def __init__(self, spec: FleetSpec, runtime, metrics: MetricsCollector | None):
-        self.spec = spec
-        self.runtime = runtime
-        self.metrics = metrics
-        self.chaos = profile(spec.chaos)
-        active = self.chaos is not None and self.chaos.active
-        #: what the fault layer did, when a profile is active.
-        self.chaos_stats = ChaosStats() if active else None
-        self._bound: dict[str, Mailbox] = {}
-
-    def bind(self, routes: dict[str, Mailbox], codec, adopt_next=False) -> None:
-        self._bound.update(routes)
-
-    def channel(self, name: str, codec, epoch: int = 0):
-        if self.chaos_stats is None:
-            return LocalChannel(self.runtime, name, self._bound[name], self.metrics)
-        return ChaosLocalChannel(
-            self.runtime,
-            name,
-            self._bound[name],
-            self.metrics,
-            config=self.chaos,
-            seed=self.spec.config.seed,
-            stats=self.chaos_stats,
-        )
-
-    async def start(self) -> None:
-        """Make every name bound so far reachable (here: it already is)."""
-
-    async def aclose(self) -> None:
-        """Release what the links, not the sites, own (here: nothing)."""
-
-
-class TcpLinks(LocalLinks):
-    """``transport="tcp"``: one listener per ``bind``, one FIFO session per
-    channel, dialled where :attr:`peers` says the channel's name listens.
-
-    :meth:`start` starts the listeners bound since the last call and
-    enters their names into :attr:`peers` (behind a chaos proxy when a
-    profile is active), so a channel can only be made once its peer is
-    up; a peer in another process is entered by hand.
-    """
-
-    def __init__(self, spec, runtime, metrics, listen: tuple[str, int] | None = None):
-        super().__init__(spec, runtime, metrics)
-        self.listen = listen if listen is not None else (spec.host, 0)
-        self.peers: dict[str, tuple[str, int]] = {}
-        self._unstarted: list[tuple[ChannelListener, list[str]]] = []
-        self._proxies: list[ChaosTcpProxy] = []
-
-    def bind(self, routes: dict[str, Mailbox], codec, adopt_next=False):
-        listener = ChannelListener(
-            self.runtime,
-            *self.listen,
-            adopt_next=adopt_next,
-            codec_version_max=_listener_codec_cap(self.spec.tcp_config),
-        )
-        for name, mailbox in routes.items():
-            listener.register(name, mailbox, codec)
-        self._unstarted.append((listener, list(routes)))
-        return listener
-
-    def channel(self, name: str, codec, epoch: int = 0) -> TcpChannel:
-        host, port = self.peers[name]
-        return TcpChannel(
-            self.runtime,
-            name,
-            host,
-            port,
-            codec,
-            self.metrics,
-            self.spec.tcp_config,
-            epoch=epoch,
-        )
-
-    async def start(self) -> None:
-        while self._unstarted:
-            listener, names = self._unstarted.pop(0)
-            await listener.start()
-            for name in names:
-                self.peers[name] = await self._through_chaos(
-                    name, listener.address
-                )
-
-    async def _through_chaos(self, link: str, address: tuple[str, int]):
-        if self.chaos_stats is None:
-            return address
-        proxy = ChaosTcpProxy(
-            self.runtime,
-            link,
-            address,
-            self.chaos,
-            seed=self.spec.config.seed,
-            stats=self.chaos_stats,
-            listen_host=self.spec.host,
-        )
-        await proxy.start()
-        self._proxies.append(proxy)
-        return proxy.address
-
-    async def aclose(self) -> None:
-        for proxy in self._proxies:
-            await proxy.aclose()
-
-
 def make_links(spec: FleetSpec, runtime, metrics) -> LocalLinks:
-    links = TcpLinks if spec.transport == "tcp" else LocalLinks
-    return links(spec, runtime, metrics)
+    """The links every site of ``spec``'s fleet runs over."""
+    return links_for(
+        spec.transport,
+        runtime,
+        metrics,
+        spec.chaos,
+        spec.config.seed,
+        spec.host,
+        spec.tcp_config,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +159,10 @@ class ShardNode(WarehouseSite):
                     index, name, spec.workload.initial_states[name]
                 )
         self.primary_recorder = self.recorders[self.views[0].name]
-        # A shard may adopt a view it does not host at launch, so under a
-        # rebalance its wire codec must span the whole family.
-        self.codec = _family_codec(
-            spec.family if spec.rebalance is not None else self.views
-        )
+        # The sources' codec spans the family, and a partial of the codec's
+        # base view travels untagged: a codec over only the hosted views
+        # would send the shard primary's partials as the family's first.
+        self.codec = _family_codec(spec.family)
         self.expected = (
             expect_updates
             if expect_updates is not None
@@ -453,10 +337,8 @@ class ShardedSourceNode:
 
 
 __all__ = [
-    "LocalLinks",
     "ShardNode",
     "ShardedSourceNode",
-    "TcpLinks",
     "build_shard_warehouse",
     "make_links",
 ]

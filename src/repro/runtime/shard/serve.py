@@ -17,8 +17,8 @@ from repro.durability.manager import CheckpointPolicy
 from repro.durability.recovery import seed_standby_dir
 from repro.harness.config import ExperimentConfig
 from repro.runtime.errors import RuntimeHostError, TransportRetriesExceeded
-from repro.runtime.nodes import drained_for, hold_until_delivered
-from repro.runtime.shard.node import ShardedSourceNode, ShardNode, TcpLinks
+from repro.runtime.nodes import TcpLinks, drained_for, hold_until_delivered
+from repro.runtime.shard.node import ShardedSourceNode, ShardNode
 from repro.runtime.shard.run import (
     ShardedRunResult,
     collect_result,
@@ -163,7 +163,7 @@ async def _host_shard(
     """Build, connect and start one member site; announce where it listens."""
     runtime = new_runtime(spec)
     metrics = MetricsCollector()
-    links = TcpLinks(spec, runtime, metrics, listen=listen)
+    links = TcpLinks(runtime, metrics, tcp_config=spec.tcp_config, listen=listen)
     links.peers.update(
         {
             f"{member.label}->{spec.chain.name_of(index)}": address
@@ -289,7 +289,9 @@ async def serve_sharded_source_async(
         tcp_config=tcp_config,
     )
     runtime = new_runtime(spec)
-    links = TcpLinks(spec, runtime, None, listen=(listen_host, listen_port))
+    links = TcpLinks(
+        runtime, None, tcp_config=tcp_config, listen=(listen_host, listen_port)
+    )
     name = spec.chain.name_of(index)
     links.peers.update(
         {

@@ -142,6 +142,23 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["serve-warehouse"])
 
+    def test_serve_warehouse_refuses_a_centralized_algorithm(self, capsys):
+        # No serve command hosts the central source: refuse before
+        # listening, and point at the command that runs ECA.
+        code = main(["serve-warehouse", "-a", "eca", "--listen", "127.0.0.1:0",
+                     "--source", "0=127.0.0.1:1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run-distributed" in err
+
+    @pytest.mark.parametrize("index", ["0", "4"])
+    def test_serve_source_refuses_an_index_out_of_range(self, capsys, index):
+        code = main(["serve-source", "-n", "3", "--index", index,
+                     "--warehouse", "127.0.0.1:1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1..3" in err
+
     def test_experiments_save(self, tmp_path, capsys, monkeypatch):
         import repro.cli as cli
 

@@ -15,7 +15,13 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
-from repro.runtime import run_distributed, run_distributed_async
+from repro.runtime import (
+    free_port,
+    run_distributed,
+    run_distributed_async,
+    serve_source_async,
+    serve_warehouse_async,
+)
 
 from .loop_spy import LoopSpy
 
@@ -68,18 +74,58 @@ def test_nested_sweep_runtime_matches_simulator(transport):
     assert distributed.consistency[ConsistencyLevel.STRONG].ok
 
 
+@pytest.mark.parametrize("transport", ["local", "tcp"])
 @pytest.mark.parametrize(
     "algorithm", ["pipelined-sweep", "eca", "strobe", "c-strobe"]
 )
-def test_other_algorithms_converge_to_simulator_view(algorithm):
-    """Every registered algorithm reaches the simulator's final view on TCP."""
+def test_other_algorithms_converge_to_simulator_view(algorithm, transport):
+    """Every registered algorithm reaches the simulator's final view on
+    both transports (ECA over the centralized site)."""
     config = config_for(algorithm, n_updates=8)
     simulated = run_experiment(config)
     distributed = run_distributed(
-        config, transport="tcp", time_scale=0.001, timeout=60.0
+        config, transport=transport, time_scale=0.001, timeout=60.0
     )
     assert distributed.final_view == simulated.final_view
     assert distributed.consistency[ConsistencyLevel.CONVERGENCE].ok
+
+
+def test_serve_entry_points_run_a_fleet_to_the_simulator_view():
+    """One ``serve_warehouse_async`` and one ``serve_source_async`` per
+    source, on one loop over loopback, told each other's addresses the way
+    separate processes are: every update is delivered and the warehouse
+    ends on the simulator's view."""
+    config = config_for("sweep", n_updates=8, mean_interarrival=2.0)
+    warehouse_port = free_port()
+    source_ports = {i: free_port() for i in range(1, config.n_sources + 1)}
+
+    async def fleet():
+        warehouse = serve_warehouse_async(
+            config,
+            {i: ("127.0.0.1", port) for i, port in source_ports.items()},
+            listen_port=warehouse_port,
+            time_scale=0.001,
+            expect_updates=config.n_updates,
+            timeout=60.0,
+        )
+        sources = [
+            serve_source_async(
+                config,
+                index,
+                ("127.0.0.1", warehouse_port),
+                listen_port=port,
+                time_scale=0.001,
+                linger=0.2,
+                timeout=60.0,
+            )
+            for index, port in source_ports.items()
+        ]
+        result, *_ = await asyncio.gather(warehouse, *sources)
+        return result
+
+    result = asyncio.run(fleet())
+    assert result.updates_delivered == config.n_updates
+    assert result.final_view == run_experiment(config).final_view
 
 
 def test_sweep_tcp_with_sqlite_backend_matches():

@@ -16,6 +16,7 @@ from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.runtime import run_distributed
 from repro.runtime.distributed import _System
+from repro.runtime.nodes import WarehouseSite
 from repro.simulation.channel import Message
 from repro.simulation.kernel import Simulator
 from repro.simulation.mailbox import Mailbox
@@ -86,10 +87,11 @@ def test_driver_quiescence_consults_pending_work():
         def pending_work(self):
             return self.pending
 
-    system = _System()
-    system.warehouse = StubWarehouse()
+    site = WarehouseSite(Simulator(), "warehouse", [], durable_dir=None)
+    site.warehouse = StubWarehouse()
+    system = _System(site, sources=[], updaters=[])
     assert not system.quiescent()
-    system.warehouse.pending = False
+    site.warehouse.pending = False
     assert system.quiescent()
 
 

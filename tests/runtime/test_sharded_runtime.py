@@ -178,6 +178,31 @@ def test_mixed_family_classes_are_exact(
     assert compensations > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tcp_shard_led_by_a_non_base_view_decodes_its_own_partials(seed):
+    """Round-robin over [V, V#theta] puts V#theta alone on shard 1.  The
+    wire codec tags a partial by view name unless it is the codec's base
+    view, so a shard whose codec started at V#theta sent its partials
+    untagged and every source decoded them as V's (NegativeCountError)."""
+    family = mixed_family()
+    views = [family[0], family[-1]]
+    config = config_for(
+        "sweep", seed=seed, n_updates=20, mean_interarrival=10.0,
+        n_views=len(views),
+    )
+    result = run_sharded(
+        config, n_shards=2, transport="tcp", time_scale=0.001,
+        timeout=60.0, strategy="round-robin", views=views,
+    )
+    assert result.plan.shard_of("V#theta") == 1
+    assert result.verified_at(ConsistencyLevel.COMPLETE)
+    states = final_states(result)
+    for view in views:
+        assert canonical_view_bytes(result.final_views[view.name]) == (
+            canonical_view_bytes(view.evaluate(states))
+        ), view.name
+
+
 @pytest.mark.parametrize("algorithm", ["sweep", "batched-sweep"])
 def test_migrating_view_never_shares_a_class_across_positions(
     algorithm, monkeypatch
