@@ -168,11 +168,11 @@ def _add_tcp_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--codec-version", type=int, default=None, metavar="N",
         choices=(1, 2, 3),
-        help="pin the advertised wire codec: 1 disables mb frames and"
-             " flat-row encoding, 2 is JSON flat rows, 3 serializes frames"
-             " through the binary kernel (binwire); peers negotiate the"
+        help="cap the advertised wire codec: 1 disables mb frames and"
+             " flat-row encoding, 2 is JSON flat rows, 3 packs one binary"
+             " record per message into binwire frames; peers negotiate the"
              " pairwise minimum and decode accepts every version"
-             " (default: 2; 3 is opt-in)",
+             " (default: 3)",
     )
     p.add_argument(
         "--compress-min", type=int, default=None, metavar="BYTES",

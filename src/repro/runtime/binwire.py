@@ -1,12 +1,13 @@
 """The binary serialization kernel shared by wire, WAL and checkpoints.
 
 One encoding, three consumers: TCP frames negotiated at codec **v3**
-(:mod:`repro.runtime.tcp`), WAL record payloads
+(:mod:`repro.runtime.tcp`; the messages inside them are packed records
+of :mod:`repro.runtime.codec`, carried as bytes values, whose row blocks
+fall back to a binwire document for non-int values), WAL record payloads
 (:mod:`repro.durability.wal`) and checkpoint bodies
 (:mod:`repro.durability.checkpoint`).  The value model is exactly JSON's
-(``None``/bool/int/float/str/list/dict with string keys), so every
-payload the JSON path can carry travels unchanged -- the codec layers
-above this module do not know or care which serializer framed them.
+(``None``/bool/int/float/str/list/dict with string keys) plus bytes, so
+every payload the JSON path can carry travels unchanged.
 
 Document format
 ---------------
@@ -40,9 +41,12 @@ tag    payload
 
 String interning is **per document**: the first occurrence of a string
 is a definition, every repeat a one- or two-byte reference.  Keys repeat
-relentlessly in the protocol's envelopes (a batched ``mb`` frame carries
-``"kind"``/``"seq"``/``"rows"``... once per message), which is where the
-bulk of the byte reduction over JSON comes from.
+relentlessly in dict-shaped documents (a WAL record or a checkpoint's
+pending notices carry ``"seq"``/``"rows"``... once per update), which is
+where the bulk of the byte reduction over JSON comes from.
+
+A reader trusts no length: a string, bytes, list or dict count larger
+than the bytes left is refused before anything is allocated for it.
 
 On top of the per-document table sits :data:`STATIC_STRINGS`, a table of
 well-known protocol strings that is *part of the format* (HPACK's static
@@ -259,6 +263,18 @@ def _read_varint(data, pos: int) -> tuple[int, int]:
         raise BinwireError("truncated varint") from None
 
 
+def _read_count(data, pos: int) -> tuple[int, int]:
+    """A list or dict element count; every element takes at least one
+    byte, so a count above the bytes left is a lie -- refuse it before
+    anything is allocated for it."""
+    count, pos = _read_varint(data, pos)
+    if count > len(data) - pos:
+        raise BinwireError(
+            f"count {count} exceeds the {len(data) - pos} byte(s) left"
+        )
+    return count, pos
+
+
 def _decode(data, pos: int, strings: list):
     try:
         tag = data[pos]
@@ -279,11 +295,14 @@ def _decode(data, pos: int, strings: list):
         end = pos + length
         if end > len(data):
             raise BinwireError("truncated string")
-        text = str(data[pos:end], "utf-8")
+        try:
+            text = str(data[pos:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise BinwireError(f"string is not UTF-8: {exc}") from None
         strings.append(text)
         return text, pos + length
     if tag == _TAG_DICT:
-        count, pos = _read_varint(data, pos)
+        count, pos = _read_count(data, pos)
         obj = {}
         for _ in range(count):
             key, pos = _decode(data, pos, strings)
@@ -291,7 +310,7 @@ def _decode(data, pos: int, strings: list):
             obj[key] = value
         return obj, pos
     if tag == _TAG_LIST:
-        count, pos = _read_varint(data, pos)
+        count, pos = _read_count(data, pos)
         items = [None] * count
         for index in range(count):
             items[index], pos = _decode(data, pos, strings)

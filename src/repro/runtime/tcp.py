@@ -4,7 +4,10 @@ Wire format
 -----------
 Every frame is a 4-byte big-endian length followed by a frame body: a
 UTF-8 JSON object on codec <= 2 sessions, a :mod:`repro.runtime.binwire`
-document on codec >= 3 sessions.  The length's most significant bit flags
+document on codec >= 3 sessions.  On v3 the envelope ``m`` of a ``msg``
+frame or ``mb`` entry is a bytes value: the message's packed record (see
+:mod:`repro.runtime.codec`), so binwire only walks the frame's few keys
+and sequence numbers.  The length's most significant bit flags
 a zlib-compressed body (large snapshot payloads shrink by an order of
 magnitude); the remaining 31 bits are the on-wire body length.  The
 compression threshold applies to the serialized body whichever serializer
@@ -29,7 +32,7 @@ the body's first byte (binwire's magic ``0xB3`` can never start compact
 JSON), so decode stays downgrade-safe without any frame-level flag.
 
 The **fast path**: protocol messages accepted by ``send`` while the
-writer task was busy are flushed as one ``mb`` frame -- one JSON
+writer task was busy are flushed as one ``mb`` frame -- one frame
 serialization, one ``write``, one ``drain()``, one ack for the whole
 batch -- so a k-update burst costs O(1) syscalls instead of O(k).
 Encoding happens at write time (not in ``send``), after the codec
@@ -122,10 +125,17 @@ async def read_frame(
             if compressed:
                 body = zlib.decompress(body)
             if binwire.is_binary(body):
-                return binwire.loads(body)
-            return json.loads(body)
-        except (json.JSONDecodeError, binwire.BinwireError, zlib.error) as exc:
+                frame = binwire.loads(body)
+            else:
+                frame = json.loads(body)
+        # ValueError: bad JSON, bad binwire, or invalid UTF-8 in either.
+        except (ValueError, zlib.error) as exc:
             raise WireProtocolError(f"undecodable frame: {exc}") from exc
+        if type(frame) is not dict:
+            raise WireProtocolError(
+                f"frame is a {type(frame).__name__}, not an object"
+            )
+        return frame
 
     if timeout is None:
         return await _read()
@@ -466,7 +476,8 @@ class TcpChannel(RuntimeChannel):
 
         On a codec>=2 session a multi-message burst leaves as a single
         ``mb`` frame -- one serialization, one write, one ack.  Codec>=3
-        sessions serialize frame bodies through binwire instead of JSON.
+        sessions carry each message as a packed record and serialize the
+        frame through binwire instead of JSON.
         """
         if not self._pending:
             return
@@ -605,14 +616,18 @@ class ChannelListener:
             if hello.get("t") != "hello":
                 raise WireProtocolError(f"expected hello, got {hello!r}")
             name = hello.get("channel", "?")
-            if name not in self._registrations:
+            if type(name) is not str or name not in self._registrations:
                 raise WireProtocolError(f"unknown channel {name!r}")
+            try:
+                epoch = int(hello.get("epoch", 0))
+                announced = int(hello.get("next", 1))
+                offered = int(hello.get("codec", 1))
+            except (TypeError, ValueError) as exc:
+                raise WireProtocolError(f"malformed hello {hello!r}") from exc
             self.connections_accepted += 1
             self._heard.add(name)
             destination, codec = self._registrations[name]
-            epoch = int(hello.get("epoch", 0))
             known = self._epochs.get(name, 0)
-            announced = int(hello.get("next", 1))
             if epoch > known:
                 # The sender restarted and renumbered: realign with it.
                 self._epochs[name] = epoch
@@ -632,9 +647,7 @@ class ChannelListener:
                 {
                     "t": "welcome",
                     "expect": self._expect[name],
-                    "codec": max(
-                        1, min(self.codec_version_max, int(hello.get("codec", 1)))
-                    ),
+                    "codec": max(1, min(self.codec_version_max, offered)),
                 },
             )
             await writer.drain()
@@ -644,12 +657,19 @@ class ChannelListener:
                 kind = frame.get("t")
                 if kind == "msg":
                     entries = (frame,)
-                elif kind == "mb":
+                elif kind == "mb" and type(frame.get("frames")) is list:
                     entries = frame["frames"]
                 else:
                     raise WireProtocolError(f"unexpected frame {frame!r}")
                 for entry in entries:
-                    seq = int(entry["seq"])
+                    try:
+                        seq = int(entry["seq"])
+                        body = entry["m"]
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise WireProtocolError(
+                            f"channel {name!r}: malformed {kind!r} entry"
+                            f" {entry!r} ({type(exc).__name__}: {exc})"
+                        ) from exc
                     expect = self._expect[name]
                     if seq > expect:
                         raise WireProtocolError(
@@ -657,7 +677,7 @@ class ChannelListener:
                             f" expected {expect})"
                         )
                     if seq == expect:  # not a duplicate from a resend
-                        message = codec.decode_message(entry["m"])
+                        message = codec.decode_message(body)
                         message.delivered_at = self.runtime.now
                         destination.put(message)
                         self._expect[name] = expect + 1

@@ -89,6 +89,34 @@ def test_corrupt_newest_binary_raises_not_falls_back(tmp_path, paper_view):
         ViewCheckpoint.load_latest(str(tmp_path))
 
 
+#: A 7-byte binwire document whose list count claims 2**32 - 1 elements.
+_LYING_LIST = bytes([0xB3, 1, 0x08, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F])
+
+
+def test_lying_count_checkpoint_is_corruption(tmp_path, paper_view):
+    path = _checkpoint(paper_view).write(str(tmp_path))
+    with open(path, "wb") as handle:
+        handle.write(_LYING_LIST)
+    with pytest.raises(CheckpointCorruptionError, match="exceeds"):
+        ViewCheckpoint.load(path)
+
+
+def test_lying_count_checkpoint_body_is_corruption(tmp_path, paper_view):
+    """The envelope and its CRC are fine; the body document lies."""
+    import zlib
+
+    from repro.runtime import binwire
+
+    path = _checkpoint(paper_view).write(str(tmp_path))
+    envelope = binwire.loads(open(path, "rb").read())
+    envelope["body"] = _LYING_LIST
+    envelope["crc"] = zlib.crc32(_LYING_LIST)
+    with open(path, "wb") as handle:
+        handle.write(binwire.dumps(envelope))
+    with pytest.raises(CheckpointCorruptionError, match="exceeds"):
+        ViewCheckpoint.load(path)
+
+
 def test_unsupported_format_raises(tmp_path, paper_view):
     path = _checkpoint(paper_view).write(str(tmp_path), binary=False)
     envelope = json.loads(open(path, encoding="utf-8").read())
@@ -108,3 +136,30 @@ def test_stale_tmp_file_is_ignored(tmp_path, paper_view):
     assert checkpoint_generations(str(tmp_path)) == [2]
     generation, _ = ViewCheckpoint.load_latest(str(tmp_path))
     assert generation == 2
+
+
+@pytest.mark.parametrize("n_views", [1, 4])
+@pytest.mark.parametrize("units, every", [(24, 5), (30, 7)])
+def test_cadence_counts_units_of_work_not_views(tmp_path, n_views, units, every):
+    """``every_installs=N`` rolls a shard's checkpoint every N units of
+    work, however many views it hosts: only the primary's install ticks
+    the policy, so a k-view SWEEP shard writes the attach-time checkpoint
+    plus one per N updates."""
+    from repro.durability.manager import CheckpointPolicy
+    from repro.harness.config import ExperimentConfig
+    from repro.runtime import run_sharded
+
+    config = ExperimentConfig(
+        algorithm="sweep", n_sources=3, n_updates=units, seed=3,
+        n_views=n_views,
+    )
+    result = run_sharded(
+        config,
+        n_shards=1,
+        durable_dir=str(tmp_path),
+        checkpoint_policy=CheckpointPolicy(every_installs=every),
+        time_scale=0.001,
+    )
+    counters = result.metrics.counters
+    assert counters["multiview_installs"] == units  # one sweep per update
+    assert counters["checkpoints_written"] == 1 + units // every

@@ -106,6 +106,32 @@ def test_undecodable_frame_raises(tmp_path):
         read_update_log(path)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # A list / dict count claiming 2**32 - 1 elements in 7 bytes.
+        bytes([0xB3, 1, 0x08, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+        bytes([0xB3, 1, 0x09, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+    ],
+    ids=["list", "dict"],
+)
+def test_lying_count_in_a_binwire_frame_is_corruption(tmp_path, payload):
+    """A CRC-valid frame whose document lies about its element count is
+    refused before anything is allocated for it, as corruption."""
+    import zlib
+
+    from repro.runtime import binwire
+
+    path = os.path.join(str(tmp_path), "update-00000002.wal")
+    header = binwire.dumps({"wal": 2, "generation": 2})
+    with open(path, "wb") as handle:
+        for frame in (header, payload):
+            handle.write(struct.pack("!II", len(frame), zlib.crc32(frame)))
+            handle.write(frame)
+    with pytest.raises(WalCorruptionError, match="exceeds"):
+        read_update_log(path)
+
+
 def test_encode_notice_round_trip(paper_view):
     notice = _notice(9, source=2)
     notice.txn_id = "txn-7"

@@ -4,7 +4,9 @@ Two layers of coverage:
 
 * kernel contract -- :mod:`repro.runtime.binwire` round-trips exactly
   the JSON value model (fuzzed against ``json`` itself), rejects what
-  JSON would reject, and fails loudly on truncated or trailing bytes;
+  JSON would reject, and fails loudly on truncated or trailing bytes,
+  lying counts and invalid UTF-8 -- as do ``read_frame`` and the
+  listener, with :class:`WireProtocolError`;
 * transport matrix -- every protocol payload type crosses a real frame
   (``write_frame``/``read_frame`` through an ``asyncio.StreamReader``)
   under codec v1/v2/v3 with compression off and on, and decodes to an
@@ -23,7 +25,12 @@ import pytest
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
 from repro.relational.relation import Relation
-from repro.runtime import WireCodec
+from repro.runtime import (
+    AsyncRuntime,
+    ChannelListener,
+    WireCodec,
+    WireProtocolError,
+)
 from repro.runtime import binwire
 from repro.runtime.tcp import read_frame, write_frame
 from repro.simulation.channel import Message
@@ -174,6 +181,138 @@ def test_truncated_document_rejected():
 def test_trailing_bytes_rejected():
     with pytest.raises(binwire.BinwireError, match="trailing"):
         binwire.loads(binwire.dumps(1) + b"\x00")
+
+
+#: A 7-byte document whose list count claims 2**32 - 1 elements.
+LYING_LIST = bytes([0xB3, 1, 0x08, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F])
+#: The same lie as a dict pair count.
+LYING_DICT = bytes([0xB3, 1, 0x09, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F])
+#: A string definition whose two bytes are not UTF-8.
+BAD_UTF8 = bytes([0xB3, 1, 0x05, 0x02, 0xFF, 0xFE])
+
+
+@pytest.mark.parametrize("doc", [LYING_LIST, LYING_DICT], ids=["list", "dict"])
+def test_count_beyond_the_bytes_left_is_refused_before_allocating(doc):
+    with pytest.raises(binwire.BinwireError, match="exceeds"):
+        binwire.loads(doc)
+
+
+def test_count_that_fits_is_still_read():
+    assert binwire.loads(bytes([0xB3, 1, 0x08, 0x02, 0x80, 0x82])) == [0, 1]
+    assert binwire.loads(bytes([0xB3, 1, 0x08, 0x00])) == []
+
+
+def test_invalid_utf8_string_is_a_binwire_error():
+    with pytest.raises(binwire.BinwireError, match="UTF-8"):
+        binwire.loads(BAD_UTF8)
+
+
+def _read_body(body: bytes) -> dict:
+    """``read_frame`` over one uncompressed frame holding ``body``."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(struct.pack(">I", len(body)) + body)
+        reader.feed_eof()
+        return await read_frame(reader)
+
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "body",
+    [BAD_UTF8, b'{"t":"\xff"}'],
+    ids=["binwire", "json"],
+)
+def test_read_frame_turns_invalid_utf8_into_a_protocol_error(body):
+    with pytest.raises(WireProtocolError, match="undecodable"):
+        _read_body(body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"[1,2]", b"7", b'"msg"', binwire.dumps([1, 2]), binwire.dumps(None)],
+    ids=["json-list", "json-int", "json-str", "binwire-list", "binwire-none"],
+)
+def test_read_frame_refuses_a_frame_that_is_not_an_object(body):
+    with pytest.raises(WireProtocolError, match="not an object"):
+        _read_body(body)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        [1, 2],
+        {"t": "mb", "frames": [{"m": {}}]},
+        {"t": "mb", "frames": [{"seq": 1}]},
+        {"t": "mb", "frames": [5]},
+        {"t": "mb", "frames": 5},
+        {"t": "msg", "seq": "one", "m": {}},
+    ],
+    ids=["list", "mb-no-seq", "mb-no-m", "mb-int-entry", "mb-int-frames",
+         "msg-bad-seq"],
+)
+def test_listener_records_a_malformed_frame_as_a_protocol_error(
+    paper_view, frame
+):
+    """Whatever a peer sends after the handshake, the session ends with a
+    :class:`WireProtocolError` recorded on the runtime -- never with an
+    ``AttributeError``/``KeyError`` that escapes the handler."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        listener = ChannelListener(runtime)
+        listener.register("R1->wh", asyncio.Queue(), WireCodec(paper_view))
+        await listener.start()
+        reader, writer = await asyncio.open_connection(*listener.address)
+        write_frame(writer, {"t": "hello", "channel": "R1->wh", "next": 1})
+        await writer.drain()
+        assert (await read_frame(reader, timeout=5.0))["t"] == "welcome"
+        write_frame(writer, frame)
+        await writer.drain()
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed
+        writer.close()
+        await listener.aclose()
+        try:
+            with pytest.raises(WireProtocolError):
+                runtime.check()
+        finally:
+            await runtime.aclose()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "hello",
+    [
+        {"t": "hello", "channel": ["R1->wh"], "next": 1},
+        {"t": "hello", "channel": "R1->wh", "next": "one"},
+        {"t": "hello", "channel": "R1->wh", "next": 1, "epoch": [2]},
+        {"t": "hello", "channel": "R1->wh", "next": 1, "codec": None},
+    ],
+    ids=["list-channel", "str-next", "list-epoch", "none-codec"],
+)
+def test_listener_records_a_malformed_hello_as_a_protocol_error(
+    paper_view, hello
+):
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        listener = ChannelListener(runtime)
+        listener.register("R1->wh", asyncio.Queue(), WireCodec(paper_view))
+        await listener.start()
+        reader, writer = await asyncio.open_connection(*listener.address)
+        write_frame(writer, hello)
+        await writer.drain()
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed
+        writer.close()
+        await listener.aclose()
+        try:
+            with pytest.raises(WireProtocolError):
+                runtime.check()
+        finally:
+            await runtime.aclose()
+
+    asyncio.run(main())
 
 
 def test_json_never_sniffs_as_binary():

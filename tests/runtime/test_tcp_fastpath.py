@@ -20,6 +20,7 @@ from repro.runtime import (
     TcpChannelConfig,
     WireCodec,
 )
+from repro.runtime.codec import CODEC_VERSION_DEFAULT
 from repro.runtime.tcp import read_frame, write_frame
 from repro.simulation.channel import Message
 from repro.sources.messages import UpdateNotice
@@ -177,7 +178,7 @@ async def _burst_over_tcp(paper_view, channel_config, n=30):
 def test_burst_coalesces_into_multi_message_frames(paper_view):
     stats, got = run(_burst_over_tcp(paper_view, TcpChannelConfig()))
     assert got == list(range(1, 31))  # FIFO preserved through mb frames
-    assert stats["negotiated_codec"] == 2
+    assert stats["negotiated_codec"] == CODEC_VERSION_DEFAULT
     assert stats["batches_sent"] >= 1
 
 
