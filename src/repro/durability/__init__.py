@@ -7,7 +7,7 @@ maintained view survive it:
 * :mod:`repro.durability.checkpoint` -- :class:`ViewCheckpoint`
   serializes every hosted view's materialized state plus the protocol
   position (claimed vectors, delivered high-water marks, the pending
-  update queue) using the codec-v2 flat-row encoding;
+  update queue) as the wire codec's v3 row blocks and records;
 * :mod:`repro.durability.wal` -- :class:`UpdateLog`, an append-only log
   of every source update delivered since the last checkpoint
   (length-prefixed CRC-checked frames, fsync-on-batch,

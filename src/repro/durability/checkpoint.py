@@ -20,16 +20,14 @@ Files are written atomically (tmp + fsync + rename), carry a CRC over
 the canonical body, and are named by generation; the matching WAL
 (``update-<generation>.wal``) records deliveries after the checkpoint.
 
-Two envelope formats exist, distinguished by the file's first byte:
-format 1 is a JSON envelope ``{"format": 1, "crc", "body"}`` with the CRC
-over the canonical (sorted, compact) JSON body; format 2 is a binwire
-envelope (the shared binary kernel codec v3 uses on the wire -- see
-:mod:`repro.runtime.binwire`) whose ``body`` is a nested binwire document
-carried as bytes, with the CRC over exactly those bytes.  :meth:`
-ViewCheckpoint.load` sniffs the first byte and accepts either, so
-pre-existing JSON checkpoints recover unchanged; the ``.json`` filename
-is kept for both (the generation glob patterns are part of the on-disk
-contract).
+What is written (format 4) is a binwire envelope ``{"format", "crc",
+"body"}`` whose body is a nested binwire document carried as bytes, CRC'd
+exactly; inside it every view and auxiliary copy is one v3 row block and
+every pending update one v3 record (:mod:`repro.durability.encoding`).
+Formats 1 (a JSON envelope, CRC over the canonical JSON body) and 2 (the
+binwire envelope around v2 flat-row dicts) are only read: :meth:`
+ViewCheckpoint.load` sniffs the first byte.  The ``.json`` filename is
+kept for all of them (the generation glob patterns are on-disk contract).
 """
 
 from __future__ import annotations
@@ -39,20 +37,40 @@ import os
 import zlib
 from dataclasses import dataclass, field
 
-from repro.durability.encoding import encode_bag, encode_notice
+from repro.durability.encoding import encode_bag, encode_block, encode_notice
 from repro.durability.errors import CheckpointCorruptionError
+from repro.durability.wal import _binwire, generations
 
-CHECKPOINT_FORMAT = 1
-CHECKPOINT_FORMAT_BINARY = 2
+#: The formats a reader accepts; only the last is written.
+CHECKPOINT_FORMAT = 1  # JSON envelope, v2 flat-row dicts
+CHECKPOINT_FORMAT_BINARY = 2  # binwire envelope, v2 flat-row dicts
+CHECKPOINT_FORMAT_RECORDS = 4  # binwire envelope, row blocks and records
+_BINWIRE_FORMATS = (CHECKPOINT_FORMAT_BINARY, CHECKPOINT_FORMAT_RECORDS)
 
 
-def _binwire():
-    # NOTE: imported lazily -- a module-level import of repro.runtime
-    # from the durability package would close the package import cycle
-    # (runtime -> distributed -> harness -> warehouse -> durability).
-    from repro.runtime import binwire
+def _seal(tag: int, body: dict) -> bytes:
+    """``body`` as a binwire document inside a binwire envelope of format
+    ``tag``, with a CRC over exactly the body's bytes."""
+    body_bytes = _binwire().dumps(body)
+    return _binwire().dumps(
+        {"format": tag, "crc": zlib.crc32(body_bytes), "body": body_bytes}
+    )
 
-    return binwire
+
+def _unseal(blob: bytes, formats: tuple, what: str) -> dict:
+    """The body :func:`_seal` wrapped, once its format and CRC check."""
+    envelope = _binwire().loads(blob)
+    _check(envelope, envelope["body"], formats, what)
+    return _binwire().loads(envelope["body"])
+
+
+def _check(envelope: dict, body_bytes: bytes, formats: tuple, what: str) -> None:
+    if int(envelope.get("format", 0)) not in formats:
+        raise CheckpointCorruptionError(
+            f"{what}: unsupported format {envelope.get('format')!r}"
+        )
+    if zlib.crc32(body_bytes) != int(envelope["crc"]):
+        raise CheckpointCorruptionError(f"{what}: body fails CRC")
 
 
 def checkpoint_path(directory: str, generation: int) -> str:
@@ -61,14 +79,7 @@ def checkpoint_path(directory: str, generation: int) -> str:
 
 def checkpoint_generations(directory: str) -> list[int]:
     """Generations with a checkpoint file present, ascending."""
-    found = []
-    for name in os.listdir(directory):
-        if name.startswith("checkpoint-") and name.endswith(".json"):
-            try:
-                found.append(int(name[len("checkpoint-") : -len(".json")]))
-            except ValueError:
-                continue
-    return sorted(found)
+    return generations(directory, "checkpoint-", ".json")
 
 
 @dataclass
@@ -78,11 +89,12 @@ class ViewCheckpoint:
     generation: int
     applied_counts: dict[int, int]
     delivered_marks: dict[int, int]
-    views: dict[str, dict]  # view name -> encoded v2 flat rows
-    pending: list[dict] = field(default_factory=list)  # encoded notices
-    #: source name -> encoded auxiliary copy (locality layer); absent in
+    # Row blocks and update records (v2 flat-row dicts in formats 1-2).
+    views: dict[str, bytes | dict]  # view name -> its contents
+    pending: list[bytes | dict] = field(default_factory=list)
+    #: source name -> auxiliary copy (locality layer); absent in
     #: pre-locality checkpoints, which decode to an empty dict.
-    aux: dict[str, dict] = field(default_factory=dict)
+    aux: dict[str, bytes | dict] = field(default_factory=dict)
     installs: int = 0
     request_watermark: int = 0
     written_at: float = 0.0
@@ -92,9 +104,7 @@ class ViewCheckpoint:
         return {
             "generation": self.generation,
             "applied_counts": {str(k): v for k, v in self.applied_counts.items()},
-            "delivered_marks": {
-                str(k): v for k, v in self.delivered_marks.items()
-            },
+            "delivered_marks": {str(k): v for k, v in self.delivered_marks.items()},
             "views": self.views,
             "pending": self.pending,
             "aux": self.aux,
@@ -107,9 +117,7 @@ class ViewCheckpoint:
     def from_json(cls, body: dict) -> "ViewCheckpoint":
         return cls(
             generation=int(body["generation"]),
-            applied_counts={
-                int(k): int(v) for k, v in body["applied_counts"].items()
-            },
+            applied_counts={int(k): int(v) for k, v in body["applied_counts"].items()},
             delivered_marks={
                 int(k): int(v) for k, v in body["delivered_marks"].items()
             },
@@ -122,37 +130,14 @@ class ViewCheckpoint:
         )
 
     # ------------------------------------------------------------------
-    def write(self, directory: str, binary: bool = True) -> str:
+    def write(self, directory: str) -> str:
         """Atomic write: tmp file, fsync, rename over the final name.
 
         On POSIX a crash can leave a stale tmp file but never a torn
         file under the final name, which is why recovery may treat any
-        present checkpoint as all-or-nothing.  ``binary`` selects the
-        format-2 binwire envelope (the default; ``load`` sniffs, so both
-        formats stay readable); ``binary=False`` writes the legacy JSON
-        envelope.
+        present checkpoint as all-or-nothing.
         """
-        if binary:
-            body_bytes = _binwire().dumps(self.to_json())
-            blob = _binwire().dumps(
-                {
-                    "format": CHECKPOINT_FORMAT_BINARY,
-                    "crc": zlib.crc32(body_bytes),
-                    "body": body_bytes,
-                }
-            )
-        else:
-            body = json.dumps(
-                self.to_json(), sort_keys=True, separators=(",", ":")
-            )
-            envelope = {
-                "format": CHECKPOINT_FORMAT,
-                "crc": zlib.crc32(body.encode("utf-8")),
-                "body": self.to_json(),
-            }
-            blob = json.dumps(
-                envelope, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
+        blob = _seal(CHECKPOINT_FORMAT_RECORDS, self.to_json())
         final = checkpoint_path(directory, self.generation)
         tmp = final + ".tmp"
         with open(tmp, "wb") as handle:
@@ -175,40 +160,20 @@ class ViewCheckpoint:
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
-            binwire = _binwire()
-            if binwire.is_binary(blob):
-                envelope = binwire.loads(blob)
-                if int(envelope.get("format", 0)) != CHECKPOINT_FORMAT_BINARY:
-                    raise CheckpointCorruptionError(
-                        f"{path}: unsupported checkpoint format"
-                        f" {envelope.get('format')!r}"
-                    )
-                body_bytes = envelope["body"]
-                if zlib.crc32(body_bytes) != int(envelope["crc"]):
-                    raise CheckpointCorruptionError(f"{path}: body fails CRC")
-                return cls.from_json(binwire.loads(body_bytes))
+            if _binwire().is_binary(blob):
+                return cls.from_json(_unseal(blob, _BINWIRE_FORMATS, path))
             envelope = json.loads(blob.decode("utf-8"))
-            if int(envelope.get("format", 0)) != CHECKPOINT_FORMAT:
-                raise CheckpointCorruptionError(
-                    f"{path}: unsupported checkpoint format"
-                    f" {envelope.get('format')!r}"
-                )
             body = envelope["body"]
             canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-            if zlib.crc32(canonical.encode("utf-8")) != int(envelope["crc"]):
-                raise CheckpointCorruptionError(f"{path}: body fails CRC")
+            _check(envelope, canonical.encode("utf-8"), (CHECKPOINT_FORMAT,), path)
             return cls.from_json(body)
         except CheckpointCorruptionError:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise CheckpointCorruptionError(
-                f"{path}: unreadable checkpoint: {exc}"
-            ) from exc
+            raise CheckpointCorruptionError(f"{path}: unreadable: {exc}") from exc
 
     @classmethod
-    def load_latest(
-        cls, directory: str
-    ) -> "tuple[int, ViewCheckpoint] | None":
+    def load_latest(cls, directory: str) -> "tuple[int, ViewCheckpoint] | None":
         """The newest checkpoint in ``directory``, or None if there is none.
 
         A corrupt *newest* checkpoint raises rather than silently falling
@@ -226,6 +191,7 @@ def capture_checkpoint(
     warehouse,
     generation: int,
     delivered_marks: dict[int, int],
+    codec,
     parked=(),
 ) -> ViewCheckpoint:
     """Snapshot a quiescent warehouse's durable image.
@@ -237,6 +203,7 @@ def capture_checkpoint(
     update queue, then any updates already in the inbox but not yet
     dispatched.  Redelivered twins of an already-captured (or already
     installed) update are skipped so no sequence number appears twice.
+    ``codec`` writes the update records.
     """
     from repro.sources.messages import next_request_id
 
@@ -248,7 +215,7 @@ def capture_checkpoint(
     pending = []
     for notice in parked:
         seen.add((notice.source_index, notice.seq))
-        pending.append(encode_notice(notice))
+        pending.append(encode_notice(notice, codec))
     live = list(warehouse.update_queue.peek_all())
     live.extend(
         msg for msg in warehouse.inbox.peek_all() if msg.kind == "update"
@@ -259,10 +226,10 @@ def capture_checkpoint(
         if key in seen or notice.seq <= applied.get(notice.source_index, 0):
             continue
         seen.add(key)
-        pending.append(encode_notice(notice))
+        pending.append(encode_notice(notice, codec))
     locality = getattr(warehouse, "locality", None)
     aux = (
-        {name: encode_bag(rel) for name, rel in locality.aux_relations().items()}
+        {name: encode_block(rel) for name, rel in locality.aux_relations().items()}
         if locality is not None
         else {}
     )
@@ -271,7 +238,7 @@ def capture_checkpoint(
         applied_counts=dict(warehouse.applied_counts),
         delivered_marks=dict(delivered_marks),
         views={
-            name: encode_bag(store.relation) for name, store in stores.items()
+            name: encode_block(store.relation) for name, store in stores.items()
         },
         pending=pending,
         aux=aux,
@@ -282,7 +249,7 @@ def capture_checkpoint(
 
 
 #: Envelope tag for a shard-rebalance view handoff (same binwire kernel
-#: and CRC discipline as a format-2 checkpoint, different payload shape).
+#: and CRC discipline as a checkpoint, v2 flat-row dicts inside).
 HANDOFF_FORMAT = 3
 
 
@@ -303,22 +270,15 @@ def encode_view_handoff(
     :meth:`ViewCheckpoint.write` so a torn or corrupt handoff is caught
     at decode time, not as a silently wrong view.
     """
-    body = {
-        "view": view_name,
-        "position": {str(k): int(v) for k, v in position.items()},
-        "rows": encode_bag(relation),
-        "aux": {
-            name: encode_bag(rel) for name, rel in (aux or {}).items()
-        },
-        "epoch": int(epoch),
-    }
-    body_bytes = _binwire().dumps(body)
-    return _binwire().dumps(
+    return _seal(
+        HANDOFF_FORMAT,
         {
-            "format": HANDOFF_FORMAT,
-            "crc": zlib.crc32(body_bytes),
-            "body": body_bytes,
-        }
+            "view": view_name,
+            "position": {str(k): int(v) for k, v in position.items()},
+            "rows": encode_bag(relation),
+            "aux": {name: encode_bag(rel) for name, rel in (aux or {}).items()},
+            "epoch": int(epoch),
+        },
     )
 
 
@@ -330,16 +290,7 @@ def decode_view_handoff(blob: bytes) -> dict:
     flat-row form for the caller to decode against its schemas (see
     :func:`repro.durability.encoding.decode_relation`).
     """
-    binwire = _binwire()
-    envelope = binwire.loads(blob)
-    if int(envelope.get("format", 0)) != HANDOFF_FORMAT:
-        raise CheckpointCorruptionError(
-            f"unsupported handoff format {envelope.get('format')!r}"
-        )
-    body_bytes = envelope["body"]
-    if zlib.crc32(body_bytes) != int(envelope["crc"]):
-        raise CheckpointCorruptionError("handoff body fails CRC")
-    body = binwire.loads(body_bytes)
+    body = _unseal(blob, (HANDOFF_FORMAT,), "handoff")
     return {
         "view": body["view"],
         "position": {int(k): int(v) for k, v in body["position"].items()},
@@ -352,6 +303,7 @@ def decode_view_handoff(blob: bytes) -> dict:
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_FORMAT_BINARY",
+    "CHECKPOINT_FORMAT_RECORDS",
     "HANDOFF_FORMAT",
     "ViewCheckpoint",
     "capture_checkpoint",

@@ -1,11 +1,12 @@
-"""Codec-v2 flat-row encoding for durable state and delta snapshots.
+"""Row and update encodings of durable state and delta snapshots.
 
-Everything durable (checkpoint view contents, WAL update frames) and the
-delta-encoded bootstrap snapshot reuses the wire codec's v2 row shape --
-one flat array of ``arity + 1`` entries per row -- so a checkpoint is
-byte-compatible with what travels the wire and the decoder is the one
-already exercised by every TCP conformance run.  The durable form adds a
-``"w"`` (width/arity) key so a frame is self-sizing without the schema.
+Durable state is written in the wire codec's v3 layouts
+(:mod:`repro.runtime.codec`): a view or auxiliary copy is one **row
+block**, a delivered update one ``UpdateNotice`` **record**.  Neither
+describes itself, so the readers take the schema or the view.  The v2
+flat-row dicts (``{"f": [...], "w": arity}``) remain the handoff and
+snapshot-answer encoding, and every decoder here still reads them (what
+checkpoint and WAL formats 1-2 hold).
 """
 
 from __future__ import annotations
@@ -16,13 +17,22 @@ from repro.relational.delta import Delta
 from repro.relational.relation import BagBase, Relation
 from repro.relational.schema import Schema
 from repro.relational.view import ViewDefinition
+from repro.simulation.channel import Message
 from repro.sources.messages import SnapshotAnswer, UpdateNotice
 
-# NOTE: repro.runtime.codec is imported lazily inside the two helpers
-# below.  The warehouse package reaches this module at import time (the
+# NOTE: repro.runtime.codec is imported lazily inside the helpers below.
+# The warehouse package reaches this module at import time (the
 # bootstrap path), and an eager import would close the cycle
 # warehouse -> durability -> runtime -> distributed -> harness ->
 # warehouse.
+
+#: The envelope of a durable update record.  It has no delivery stamps:
+#: on replay the dispatcher re-stamps, so a fresh recorder numbers the
+#: recovered run's deliveries from one.
+_DURABLE_ENVELOPE = Message(kind="update", sender="", payload=None)
+
+#: The first byte of an ``UpdateNotice`` record (its type byte).
+RECORD_PREFIX = b"\x01"
 
 
 def encode_bag(bag: BagBase) -> dict:
@@ -34,50 +44,63 @@ def encode_bag(bag: BagBase) -> dict:
     return obj
 
 
-def encoded_row_count(rows: dict) -> int:
-    """Distinct rows in an encoded bag, without decoding it."""
-    stride = int(rows.get("w", 0)) + 1
-    return len(rows["f"]) // stride if stride > 1 else len(rows["f"])
+def encode_block(bag: BagBase) -> bytes:
+    """``bag`` as one v3 row block."""
+    from repro.runtime.codec import _put_bag
+
+    buf = bytearray()
+    _put_bag(buf, bag)
+    return bytes(buf)
+
+
+def _counts(rows: Any, arity: int) -> dict[tuple, int]:
+    """Row counts of a v3 row block (``bytes``) or a v1/v2 encoding; a
+    malformed block raises what the codec's reader raises."""
+    from repro.runtime.codec import _decode_counts, _read_counts
+
+    if type(rows) is not bytes:
+        return _decode_counts(rows, arity)
+    counts, end = _read_counts(rows, 0, arity)
+    if end != len(rows):
+        raise ValueError(f"{len(rows) - end} trailing byte(s) after a row block")
+    return counts
 
 
 def decode_relation(rows: Any, schema: Schema) -> Relation:
-    from repro.runtime.codec import _decode_counts
-
-    return Relation(schema, _decode_counts(rows, len(schema)))
+    return Relation(schema, _counts(rows, len(schema)))
 
 
 def decode_delta(rows: Any, schema: Schema) -> Delta:
-    from repro.runtime.codec import _decode_counts
-
-    return Delta(schema, _decode_counts(rows, len(schema)))
+    return Delta(schema, _counts(rows, len(schema)))
 
 
 # ----------------------------------------------------------------------
 # Update notices (WAL frames / checkpoint pending queue)
 # ----------------------------------------------------------------------
-def encode_notice(notice: UpdateNotice) -> dict:
-    """A JSON-safe dict for one delivered update.
+def record_codec(view: ViewDefinition):
+    """The codec that writes and reads the update records of ``view``'s
+    sources."""
+    from repro.runtime.codec import WireCodec
 
-    Delivery stamps (``delivery_seq``/``delivered_at``) are deliberately
-    dropped: on replay the dispatcher re-stamps them, which is what lets
-    a fresh recorder number the recovered run's deliveries from one.
-    """
-    return {
-        "source_index": notice.source_index,
-        "seq": notice.seq,
-        "applied_at": notice.applied_at,
-        "txn_id": notice.txn_id,
-        "txn_total": notice.txn_total,
-        "rows": encode_bag(notice.delta),
-    }
+    return WireCodec(view, version=3)
 
 
-def decode_notice(obj: dict, view: ViewDefinition) -> UpdateNotice:
+def encode_notice(notice: UpdateNotice, codec) -> bytes:
+    """One delivered update as its v3 ``UpdateNotice`` record."""
+    return bytes(codec._write_update_notice(_DURABLE_ENVELOPE, notice))
+
+
+def decode_notice(obj: Any, codec) -> UpdateNotice:
+    """A record written by :func:`encode_notice`, or a v2-era dict."""
+    if type(obj) is bytes:
+        if obj[:1] != RECORD_PREFIX:
+            raise ValueError(f"not an update record: type byte {obj[:1].hex()!r}")
+        return codec._decode_record(obj).payload
     index = int(obj["source_index"])
     return UpdateNotice(
         source_index=index,
         seq=int(obj["seq"]),
-        delta=decode_delta(obj["rows"], view.schema_of(index)),
+        delta=decode_delta(obj["rows"], codec.view.schema_of(index)),
         applied_at=float(obj.get("applied_at", 0.0)),
         txn_id=obj.get("txn_id"),
         txn_total=int(obj.get("txn_total", 0)),
@@ -106,12 +129,14 @@ def snapshot_delta(answer: SnapshotAnswer, schema: Schema) -> Delta:
 
 
 __all__ = [
+    "RECORD_PREFIX",
     "decode_delta",
     "decode_notice",
     "decode_relation",
     "encode_bag",
+    "encode_block",
     "encode_notice",
-    "encoded_row_count",
+    "record_codec",
     "snapshot_delta",
     "snapshot_relation",
 ]

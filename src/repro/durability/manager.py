@@ -26,6 +26,7 @@ from repro.durability.checkpoint import (
     checkpoint_generations,
     checkpoint_path,
 )
+from repro.durability.encoding import encode_notice, record_codec
 from repro.durability.errors import SimulatedCrash
 from repro.durability.wal import UpdateLog, wal_generations, wal_path
 from repro.simulation.channel import Message
@@ -69,27 +70,16 @@ class CrashPlan:
 
     def tick_delivery(self) -> None:
         self.deliveries += 1
-        if (
-            not self.fired
-            and self.after_deliveries is not None
-            and self.deliveries >= self.after_deliveries
-        ):
-            self.fired = True
-            raise SimulatedCrash(
-                f"crash plan fired after delivery #{self.deliveries}"
-            )
+        self._maybe_fire("delivery", self.deliveries, self.after_deliveries)
 
     def tick_install(self) -> None:
         self.installs += 1
-        if (
-            not self.fired
-            and self.after_installs is not None
-            and self.installs >= self.after_installs
-        ):
+        self._maybe_fire("install", self.installs, self.after_installs)
+
+    def _maybe_fire(self, what: str, count: int, after: int | None) -> None:
+        if not self.fired and after is not None and count >= after:
             self.fired = True
-            raise SimulatedCrash(
-                f"crash plan fired after install #{self.installs}"
-            )
+            raise SimulatedCrash(f"crash plan fired after {what} #{count}")
 
 
 class LoggingMailbox(Mailbox):
@@ -124,18 +114,14 @@ class DurabilityManager:
         policy: CheckpointPolicy | None = None,
         fsync_batch: int = 8,
         crash_plan: CrashPlan | None = None,
-        binary: bool = True,
     ):
         self.directory = directory
         self.policy = policy if policy is not None else CheckpointPolicy()
         self.fsync_batch = fsync_batch
         self.crash_plan = crash_plan
-        #: serialize checkpoints/WAL frames through the shared binary
-        #: kernel (format 2); readers sniff, so either setting recovers
-        #: directories written by the other.
-        self.binary = binary
         os.makedirs(directory, exist_ok=True)
         self.warehouse = None
+        self.codec = None  # writes the update records (set by attach)
         self.generation = 0
         #: which incarnation of the warehouse this is (the attach-time
         #: base generation): stamped into every outgoing query and echoed
@@ -165,6 +151,7 @@ class DurabilityManager:
         """Bind to a warehouse (already resumed, if ``state`` is given) and
         write the incarnation's base checkpoint."""
         self.warehouse = warehouse
+        self.codec = record_codec(warehouse.view)
         warehouse.durability = self
         if isinstance(warehouse.inbox, LoggingMailbox):
             warehouse.inbox.manager = self
@@ -278,7 +265,7 @@ class DurabilityManager:
         """
         mark = self.logged_marks.get(notice.source_index, 0)
         if notice.seq > mark:
-            self.wal.append_notice(notice)
+            self.wal.append(encode_notice(notice, self.codec))
             self.logged_marks[notice.source_index] = notice.seq
         if crash_ok and self.crash_plan is not None:
             self.crash_plan.tick_delivery()
@@ -319,21 +306,19 @@ class DurabilityManager:
             warehouse,
             self.generation,
             self.logged_marks,
+            self.codec,
             parked=[
                 notice
                 for index in sorted(self._parked)
                 for notice in self._parked[index]
             ],
         )
-        checkpoint.write(self.directory, binary=self.binary)
+        checkpoint.write(self.directory)
         if self.wal is not None:
-            self.wal.close()
-        self.wal = UpdateLog(
-            self.directory,
-            self.generation,
-            fsync_batch=self.fsync_batch,
-            binary=self.binary,
-        )
+            # The durable checkpoint subsumes this log, which is about to
+            # be pruned: syncing it would buy nothing.
+            self.wal.close(sync=False)
+        self.wal = UpdateLog(self.directory, self.generation, self.fsync_batch)
         self._prune_before(self.generation)
         self.checkpoints_written += 1
         self._installs_since = 0

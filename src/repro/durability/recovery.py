@@ -42,17 +42,22 @@ stream and the query answers.  Recovery preserves it because
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-
 import shutil
+import struct
+from dataclasses import dataclass, field
 
 from repro.durability.checkpoint import (
     ViewCheckpoint,
     checkpoint_generations,
     checkpoint_path,
 )
-from repro.durability.encoding import decode_notice, decode_relation
-from repro.durability.errors import GenerationMismatchError, RecoveryError
+from repro.durability.encoding import decode_notice, decode_relation, record_codec
+from repro.durability.errors import (
+    CheckpointCorruptionError,
+    GenerationMismatchError,
+    RecoveryError,
+    WalCorruptionError,
+)
 from repro.durability.manager import CheckpointPolicy, CrashPlan, DurabilityManager
 from repro.durability.wal import read_update_log, wal_generations, wal_path
 from repro.relational.relation import Relation
@@ -82,15 +87,22 @@ class RecoveredState:
         return sum(self.delivered_marks.values())
 
 
-def load_state(
-    directory: str, views: list[ViewDefinition]
-) -> RecoveredState | None:
+def load_state(directory: str, views: list[ViewDefinition]) -> RecoveredState | None:
     """Read durable state back; ``None`` means a fresh (empty) directory.
 
     Raises loudly on anything that could yield a silently wrong view:
-    corrupt checkpoint, scrambled WAL frame, or a WAL whose generation
-    does not match the newest checkpoint.
+    corrupt checkpoint (an undecodable row block or record included),
+    scrambled or undecodable WAL frame, or a WAL whose generation does
+    not match the newest checkpoint.
     """
+    from repro.relational.errors import RelationalError
+    from repro.runtime.errors import WireProtocolError
+
+    # What decoding a damaged row block, record or v2-era dict raises.
+    undecodable = (
+        WireProtocolError, RelationalError, LookupError, TypeError, ValueError,
+        struct.error,
+    )
     if not os.path.isdir(directory):
         return None
     latest = ViewCheckpoint.load_latest(directory)
@@ -118,11 +130,6 @@ def load_state(
             f"{directory}: checkpoint views {sorted(checkpoint.views)} do not"
             f" match configured views {sorted(by_name)}"
         )
-    view_states = {
-        name: decode_relation(rows, by_name[name].view_schema)
-        for name, rows in checkpoint.views.items()
-    }
-
     source_schemas = {
         primary.name_of(i): primary.schema_of(i)
         for i in range(1, primary.n_relations + 1)
@@ -133,12 +140,21 @@ def load_state(
             f"{directory}: checkpoint auxiliary copies for unknown"
             f" source(s) {unknown_aux}"
         )
-    aux_states = {
-        name: decode_relation(rows, source_schemas[name])
-        for name, rows in checkpoint.aux.items()
-    }
-
-    pending = [decode_notice(obj, primary) for obj in checkpoint.pending]
+    codec = record_codec(primary)
+    try:
+        view_states = {
+            name: decode_relation(rows, by_name[name].view_schema)
+            for name, rows in checkpoint.views.items()
+        }
+        aux_states = {
+            name: decode_relation(rows, source_schemas[name])
+            for name, rows in checkpoint.aux.items()
+        }
+        pending = [decode_notice(obj, codec) for obj in checkpoint.pending]
+    except undecodable as exc:
+        raise CheckpointCorruptionError(
+            f"{directory}: undecodable checkpoint {generation}: {exc}"
+        ) from exc
     wal_records = 0
     torn = 0
     path = wal_path(directory, generation)
@@ -149,8 +165,10 @@ def load_state(
                 f"{path}: header claims generation {wal_gen}, checkpoint is"
                 f" generation {generation}"
             )
-        for obj in records:
-            pending.append(decode_notice(obj, primary))
+        try:
+            pending.extend(decode_notice(obj, codec) for obj in records)
+        except undecodable as exc:
+            raise WalCorruptionError(f"{path}: undecodable record: {exc}") from exc
         wal_records = len(records)
 
     delivered = dict(checkpoint.delivered_marks)
@@ -181,11 +199,13 @@ def load_state(
 def resume_warehouse(warehouse, state: RecoveredState) -> None:
     """Re-enter a freshly built warehouse at the recovered position.
 
-    Must run before the transports start delivering: view stores and
-    claimed vectors are overwritten and the recorders are rebased.  The
-    pending updates are *not* enqueued here -- the manager parks them at
-    attach and releases each one only when its source's position is
-    confirmed (see :meth:`DurabilityManager.ingest_update`).
+    The warehouse must have been built over ``state.view_states`` (the
+    sites do: a recovering member evaluates no view).  Must run before
+    the transports start delivering: claimed vectors are overwritten and
+    the recorders are rebased.  The pending updates are *not* enqueued
+    here -- the manager parks them at attach and releases each one only
+    when its source's position is confirmed (see
+    :meth:`DurabilityManager.ingest_update`).
     """
     from repro.warehouse.base import QueueDrivenWarehouse
 
@@ -194,11 +214,6 @@ def resume_warehouse(warehouse, state: RecoveredState) -> None:
             f"durability supports queue-driven warehouses, not"
             f" {type(warehouse).__name__}"
         )
-    stores = getattr(warehouse, "stores", None) or {
-        warehouse.view.name: warehouse.store
-    }
-    for name, relation in state.view_states.items():
-        stores[name].relation = relation.copy()
     warehouse.applied_counts.update(state.applied_counts)
     warehouse.store.installs = state.installs
     #: answers to pre-crash queries are stale at or below this id.
@@ -210,7 +225,7 @@ def resume_warehouse(warehouse, state: RecoveredState) -> None:
             state.applied_counts, warehouse.store.relation
         )
     for name, recorder in getattr(warehouse, "extra_recorders", {}).items():
-        recorder.resume_from(state.applied_counts, stores[name].relation)
+        recorder.resume_from(state.applied_counts, warehouse.stores[name].relation)
 
     locality = getattr(warehouse, "locality", None)
     if locality is not None:
@@ -231,7 +246,6 @@ def attach_durability(
     policy: CheckpointPolicy | None = None,
     fsync_batch: int = 8,
     crash_plan: CrashPlan | None = None,
-    binary: bool = True,
 ) -> DurabilityManager:
     """Resume ``warehouse`` from ``state`` and start logging.
 
@@ -239,9 +253,8 @@ def attach_durability(
     (``None`` on a fresh one); the site loads it *before* building the
     warehouse because it also decides the site's inbox and session
     epoch.  The manager immediately writes this incarnation's base
-    checkpoint, so the WAL never straddles a crash boundary.  ``binary``
-    picks the on-disk format for what this incarnation *writes*; reading
-    always accepts both formats, so a JSON-era directory recovers here
+    checkpoint, so the WAL never straddles a crash boundary.  Reading
+    accepts every durable format, so an older directory recovers here
     unchanged (and is upgraded in place by the base checkpoint).
     """
     if state is not None:
@@ -251,7 +264,6 @@ def attach_durability(
         policy=policy,
         fsync_batch=fsync_batch,
         crash_plan=crash_plan,
-        binary=binary,
     )
     manager.attach(warehouse, state)
     return manager

@@ -7,15 +7,14 @@ length-prefix convention)::
     | length (4B BE) | crc32 (4B BE)  | payload                |
     +----------------+----------------+------------------------+
 
-Frame 0 is a header record ``{"wal": <format>, "generation": G}`` binding
-the file to checkpoint generation ``G``; every later frame is one encoded
-:class:`~repro.sources.messages.UpdateNotice` in delivery order.  Format
-1 serializes payloads as UTF-8 JSON; format 2 serializes them through the
-shared binary kernel (:mod:`repro.runtime.binwire` -- the same encoder
-codec v3 uses on the wire), eliminating the second JSON encode on the
-durable path.  :func:`read_update_log` sniffs each payload's first byte,
-so logs of either format (and mixed tails left by an upgrade) recover
-identically.
+Frame 0 is a binwire header ``{"wal": 3, "generation": G}`` binding the
+file to checkpoint generation ``G``; every later frame is one delivered
+:class:`~repro.sources.messages.UpdateNotice` in delivery order, as the
+wire codec's v3 record (:func:`repro.durability.encoding.encode_notice`).
+Formats 1 (UTF-8 JSON dicts) and 2 (binwire dicts) are only read:
+:func:`read_update_log` sniffs each payload's first byte -- ``0x01`` a
+record, ``0xB3`` binwire, ``{`` JSON -- so logs of any format, and mixed
+directories left by an upgrade, recover identically.
 
 Damage policy (the satellite contract):
 
@@ -40,12 +39,14 @@ import os
 import struct
 import zlib
 
-from repro.durability.encoding import encode_notice
+from repro.durability.encoding import RECORD_PREFIX
 from repro.durability.errors import WalCorruptionError
 
 _FRAME_HEADER = struct.Struct("!II")
-WAL_FORMAT = 1
-WAL_FORMAT_BINARY = 2
+#: The formats a reader accepts; only the last is written.
+WAL_FORMAT = 1  # JSON dict frames
+WAL_FORMAT_BINARY = 2  # binwire dict frames
+WAL_FORMAT_RECORDS = 3  # v3 update records
 
 
 def _binwire():
@@ -61,16 +62,19 @@ def wal_path(directory: str, generation: int) -> str:
     return os.path.join(directory, f"update-{generation:08d}.wal")
 
 
-def wal_generations(directory: str) -> list[int]:
-    """Generations with a WAL file present, ascending."""
+def generations(directory: str, prefix: str, suffix: str) -> list[int]:
+    """Generation numbers of the ``<prefix><G><suffix>`` files, ascending."""
     found = []
     for name in os.listdir(directory):
-        if name.startswith("update-") and name.endswith(".wal"):
-            try:
-                found.append(int(name[len("update-") : -len(".wal")]))
-            except ValueError:
-                continue
+        number = name[len(prefix) : -len(suffix)]
+        if name.startswith(prefix) and name.endswith(suffix) and number.isdecimal():
+            found.append(int(number))
     return sorted(found)
+
+
+def wal_generations(directory: str) -> list[int]:
+    """Generations with a WAL file present, ascending."""
+    return generations(directory, "update-", ".wal")
 
 
 def _frame(payload: bytes) -> bytes:
@@ -80,48 +84,29 @@ def _frame(payload: bytes) -> bytes:
 class UpdateLog:
     """Writer half: an open, appendable WAL for one checkpoint generation."""
 
-    def __init__(
-        self,
-        directory: str,
-        generation: int,
-        fsync_batch: int = 8,
-        binary: bool = True,
-    ):
+    def __init__(self, directory: str, generation: int, fsync_batch: int = 8):
         if fsync_batch < 1:
             raise ValueError(f"fsync_batch must be >= 1, got {fsync_batch}")
         self.generation = generation
         self.fsync_batch = fsync_batch
-        self.binary = binary
         self.path = wal_path(directory, generation)
         self.appended = 0
         self._since_sync = 0
         self._file = open(self.path, "wb")
-        header = {
-            "wal": WAL_FORMAT_BINARY if binary else WAL_FORMAT,
-            "generation": generation,
-        }
-        self._file.write(_frame(self._serialize(header)))
+        header = {"wal": WAL_FORMAT_RECORDS, "generation": generation}
+        self._file.write(_frame(_binwire().dumps(header)))
         self._file.flush()
         os.fsync(self._file.fileno())
 
-    def _serialize(self, record: dict) -> bytes:
-        if self.binary:
-            return _binwire().dumps(record)
-        return json.dumps(record, separators=(",", ":")).encode("utf-8")
-
     # ------------------------------------------------------------------
-    def append(self, record: dict) -> None:
-        """Append one record; flushed now, fsynced once per batch."""
-        self._file.write(_frame(self._serialize(record)))
+    def append(self, record: bytes) -> None:
+        """Append one update record; flushed now, fsynced once per batch."""
+        self._file.write(_frame(record))
         self._file.flush()
         self.appended += 1
         self._since_sync += 1
         if self._since_sync >= self.fsync_batch:
             self.sync()
-
-    def append_notice(self, notice) -> None:
-        """Append one delivered :class:`UpdateNotice`."""
-        self.append(encode_notice(notice))
 
     def sync(self) -> None:
         """Force the outstanding batch to stable storage."""
@@ -129,13 +114,15 @@ class UpdateLog:
             os.fsync(self._file.fileno())
             self._since_sync = 0
 
-    def close(self) -> None:
+    def close(self, sync: bool = True) -> None:
+        """Flush and close; ``sync=False`` skips the fsync (a subsumed log)."""
         if not self._file.closed:
             self._file.flush()
-            try:
-                os.fsync(self._file.fileno())
-            except OSError:  # pragma: no cover - closing on teardown
-                pass
+            if sync:
+                try:
+                    os.fsync(self._file.fileno())
+                except OSError:  # pragma: no cover - closing on teardown
+                    pass
             self._file.close()
 
     def __repr__(self) -> str:
@@ -144,9 +131,10 @@ class UpdateLog:
 
 def read_update_log(
     path: str, repair: bool = False
-) -> tuple[int | None, list[dict], int]:
+) -> tuple[int | None, list[bytes | dict], int]:
     """Scan a WAL; returns ``(generation, records, torn_bytes)``.
 
+    ``records`` are update records (``bytes``; dicts in formats 1-2).
     ``generation`` is ``None`` when even the header frame is torn (the
     file carries nothing durable).  ``torn_bytes`` counts bytes dropped
     from the tail; with ``repair=True`` the file is truncated back to the
@@ -182,23 +170,27 @@ def read_update_log(
     binwire = _binwire()
 
     def _deserialize(frame: bytes):
-        # Per-frame sniff: JSON and binwire frames may coexist in one log
-        # (a process upgraded between restarts appends binary frames to
-        # no log it did not itself open, but mixed *logs* in one dir do
-        # happen), and decode must accept both regardless of format.
-        if binwire.is_binary(frame):
+        # Per-frame sniff: records, binwire and JSON frames decode
+        # whatever the header says (mixed *logs* in one directory do
+        # happen after an upgrade).
+        first = frame[:1]
+        if first == RECORD_PREFIX:
+            return frame
+        if first == binwire.MAGIC_PREFIX:
             return binwire.loads(frame)
-        return json.loads(frame)
+        if first == b"{":
+            return json.loads(frame)
+        raise ValueError(f"unknown record type byte {first.hex() or 'none'}")
 
     try:
         header = _deserialize(frames[0])
         generation = int(header["generation"])
-        if int(header.get("wal", 0)) not in (WAL_FORMAT, WAL_FORMAT_BINARY):
+        if int(header.get("wal", 0)) not in range(WAL_FORMAT, WAL_FORMAT_RECORDS + 1):
             raise WalCorruptionError(
                 f"{path}: unsupported WAL format {header.get('wal')!r}"
             )
         records = [_deserialize(frame) for frame in frames[1:]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise WalCorruptionError(f"{path}: undecodable frame: {exc}") from exc
     return generation, records, torn
 
@@ -207,6 +199,7 @@ __all__ = [
     "UpdateLog",
     "WAL_FORMAT",
     "WAL_FORMAT_BINARY",
+    "WAL_FORMAT_RECORDS",
     "read_update_log",
     "wal_generations",
     "wal_path",

@@ -15,7 +15,7 @@ from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
 from repro.harness.runner import build_latency_model
 from repro.relational.relation import Relation
-from repro.relational.view import ViewDefinition
+from repro.relational.view import ViewDefinition, evaluate_views
 from repro.simulation.channel import Channel
 from repro.simulation.kernel import Simulator
 from repro.simulation.mailbox import Mailbox
@@ -100,16 +100,17 @@ def run_multi_view(
             sim, name, server.local_update, workload.schedules.get(index, [])
         )
 
+    initial_views = evaluate_views(views, workload.initial_states)
     warehouse = MultiViewSweepWarehouse(
         sim,
         primary,
         query_channels,
-        initial_view=primary.evaluate(workload.initial_states),
+        initial_view=initial_views[primary.name],
         recorder=recorders[primary.name],
         metrics=metrics,
         inbox=inbox,
         extra_views=views[1:],
-        initial_states=workload.initial_states,
+        initial_views=initial_views,
         extra_recorders={v.name: recorders[v.name] for v in views[1:]},
     )
 

@@ -317,11 +317,7 @@ class ViewDefinition:
 
     def evaluate(self, states: Mapping[str, BagBase]) -> Relation:
         """Recompute the materialized view from scratch over ``states``."""
-        wide = self.evaluate_wide(states)
-        result = self.finalize(wide)
-        if isinstance(result, Delta):
-            result = result.positive_part()
-        return result
+        return evaluate_views([self], states)[self.name]
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
@@ -336,3 +332,22 @@ class ViewDefinition:
         if self.projection is not None:
             parts.append(f"project={list(self.projection)!r}")
         return ", ".join(parts) + ")"
+
+
+def evaluate_views(
+    views: Sequence[ViewDefinition], states: Mapping[str, BagBase]
+) -> dict[str, Relation]:
+    """Each view recomputed over ``states`` (name -> contents): one
+    :meth:`~ViewDefinition.evaluate_wide` per sweep class (distinct
+    ``(relation_names, join_conditions)``), then each view's finalize."""
+    wide_of: dict[tuple, BagBase] = {}
+    contents: dict[str, Relation] = {}
+    for view in views:
+        key = (view.relation_names, view.join_conditions)
+        if key not in wide_of:
+            wide_of[key] = view.evaluate_wide(states)
+        result = view.finalize(wide_of[key])
+        if isinstance(result, Delta):
+            result = result.positive_part()
+        contents[view.name] = result
+    return contents

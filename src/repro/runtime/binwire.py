@@ -3,8 +3,8 @@
 One encoding, three consumers: TCP frames negotiated at codec **v3**
 (:mod:`repro.runtime.tcp`; the messages inside them are packed records
 of :mod:`repro.runtime.codec`, carried as bytes values, whose row blocks
-fall back to a binwire document for non-int values), WAL record payloads
-(:mod:`repro.durability.wal`) and checkpoint bodies
+fall back to a binwire document for non-int values), WAL header frames
+(:mod:`repro.durability.wal`) and checkpoint envelopes and bodies
 (:mod:`repro.durability.checkpoint`).  The value model is exactly JSON's
 (``None``/bool/int/float/str/list/dict with string keys) plus bytes, so
 every payload the JSON path can carry travels unchanged.

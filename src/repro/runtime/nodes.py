@@ -435,7 +435,9 @@ class WarehouseNode(WarehouseSite):
     ) -> None:
         """Dial ``sources`` (indices) and host the warehouse over them."""
         view, config = self.view, self.config
-        initial = self.workload.initial_states
+        initial, state = self.workload.initial_states, self.recovered_state
+        # A recovering warehouse starts from its checkpoint, not a join.
+        initial_view = state.view_states[view.name] if state else view.evaluate(initial)
         self.query_channels = {
             index: self.links.channel(
                 f"wh->{site_name(view, index)}", self.codec, self.epoch
@@ -446,7 +448,7 @@ class WarehouseNode(WarehouseSite):
             self.runtime,
             view,
             self.query_channels,
-            initial_view=view.evaluate(initial),
+            initial_view=initial_view,
             recorder=recorder,
             metrics=metrics,
             trace=trace,

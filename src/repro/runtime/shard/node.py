@@ -74,6 +74,7 @@ def build_shard_warehouse(
     views: list[ViewDefinition],
     query_channels: dict,
     initial_states: dict[str, Relation],
+    initial_views: dict[str, Relation],
     recorders: dict[str, RunRecorder] | None,
     config: ExperimentConfig,
     inbox: Mailbox,
@@ -83,6 +84,7 @@ def build_shard_warehouse(
 ):
     """One shard's warehouse over its assigned views (SWEEP or batched).
 
+    ``initial_views`` holds every assigned view's starting contents.
     ``migratable`` selects the migration-capable subclasses (see
     :mod:`repro.warehouse.migration`) so a live rebalance can seal,
     donate, or adopt a view; they are behaviourally identical until the
@@ -104,13 +106,13 @@ def build_shard_warehouse(
         primary,
         query_channels,
         locality=build_locality(config, views, initial_states),
-        initial_view=primary.evaluate(initial_states),
+        initial_view=initial_views[primary.name],
         recorder=recorders.get(primary.name),
         metrics=metrics,
         trace=trace,
         inbox=inbox,
         extra_views=views[1:],
-        initial_states=initial_states,
+        initial_views=initial_views,
         extra_recorders={
             v.name: recorders[v.name] for v in views[1:] if v.name in recorders
         },
@@ -186,6 +188,8 @@ class ShardNode(WarehouseSite):
     def connect(self, sources, crash_plan=None) -> None:
         """Dial ``sources`` (indices) and host the warehouse over them."""
         spec, label = self.spec, self.member.label
+        # A recovering member starts from its checkpoint and joins nothing.
+        state = self.recovered_state
         self.query_channels = {
             index: self.links.channel(
                 f"{label}->{spec.chain.name_of(index)}", self.codec, self.epoch
@@ -198,6 +202,7 @@ class ShardNode(WarehouseSite):
                 self.views,
                 self.query_channels,
                 spec.workload.initial_states,
+                spec.initial_views if state is None else state.view_states,
                 self.recorders,
                 spec.config,
                 self.inbox,

@@ -282,6 +282,7 @@ class Fleet:
         await links.start()
         for member, site in self.members.items():
             site.connect(spec.source_indices, spec.crash_plan(member))
+        spec.started()
         self.updaters = [
             ScheduledUpdater(
                 runtime,

@@ -176,6 +176,7 @@ async def _host_shard(
     )
     seed_history_from_workload(node.recorders, spec.workload)
     node.connect(source_addresses)
+    spec.started()
     await links.start()
     recovered = node.recovered_state
     print(

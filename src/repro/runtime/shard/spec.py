@@ -28,7 +28,8 @@ from repro.consistency.levels import ConsistencyLevel
 from repro.durability.manager import CheckpointPolicy, CrashPlan
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import build_workload
-from repro.relational.view import ViewDefinition
+from repro.relational.relation import Relation
+from repro.relational.view import ViewDefinition, evaluate_views
 from repro.runtime.chaos import ChaosConfig, profile
 from repro.runtime.tcp import TcpChannelConfig
 from repro.simulation.rng import RngRegistry
@@ -129,6 +130,17 @@ class FleetSpec:
         if self.views is not None:
             return self.views
         return view_family(self.workload.view, max(1, self.config.n_views))
+
+    @cached_property
+    def initial_views(self) -> dict[str, Relation]:
+        """Every family view over the initial source states, one wide
+        join per sweep class however many members and shards it has.
+        Start-up only: :meth:`started` drops it."""
+        return evaluate_views(self.family, self.workload.initial_states)
+
+    def started(self) -> None:
+        """Every member is built (its stores copied their contents)."""
+        vars(self).pop("initial_views", None)
 
     @property
     def chain(self) -> ViewDefinition:

@@ -75,7 +75,7 @@ class MultiViewStateMixin:
     def _init_extra_views(
         self,
         extra_views: Sequence[ViewDefinition],
-        initial_states: dict[str, Relation] | None,
+        initial_views: dict[str, Relation] | None,
         extra_recorders: dict[str, RunRecorder] | None,
     ) -> None:
         self.views: list[ViewDefinition] = [self.view, *extra_views]
@@ -86,13 +86,9 @@ class MultiViewStateMixin:
         self.stores: dict[str, MaterializedView] = {self.view.name: self.store}
         self.extra_recorders = dict(extra_recorders or {})
         for view in self.views[1:]:
-            if initial_states is None:
-                raise SchemaError(
-                    "initial_states is required to initialize extra views"
-                )
-            self.stores[view.name] = MaterializedView.from_states(
-                view, initial_states
-            )
+            if view.name not in (initial_views or {}):
+                raise SchemaError(f"no initial contents for view {view.name!r}")
+            self.stores[view.name] = MaterializedView(view, initial_views[view.name])
             recorder = self.extra_recorders.get(view.name)
             if recorder is not None:
                 recorder.set_initial_view(self.stores[view.name].relation)
@@ -229,9 +225,9 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
     extra_views:
         Additional view definitions; the primary ``view`` is maintained
         too, as views[0].
-    initial_states:
-        Base relation contents used to initialize every extra view's
-        store (the primary store is initialized via ``initial_view``).
+    initial_views:
+        View name -> initial contents of each extra view's store (the
+        primary's is ``initial_view``), e.g. from ``evaluate_views``.
     extra_recorders:
         Optional ``{view_name: RunRecorder}`` for per-view consistency
         verification of the extra views.
@@ -243,12 +239,12 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
         self,
         *args,
         extra_views: Sequence[ViewDefinition] = (),
-        initial_states: dict[str, Relation] | None = None,
+        initial_views: dict[str, Relation] | None = None,
         extra_recorders: dict[str, RunRecorder] | None = None,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self._init_extra_views(extra_views, initial_states, extra_recorders)
+        self._init_extra_views(extra_views, initial_views, extra_recorders)
 
     # ------------------------------------------------------------------
     def view_change(self, notice: UpdateNotice) -> Generator:
@@ -348,7 +344,7 @@ class MultiViewBatchedSweepWarehouse(MultiViewStateMixin, BatchedSweepWarehouse)
     (strong) consistency the single-view scheduler guarantees.
 
     Accepts both sets of knobs: ``max_batch``/``adaptive`` from the
-    batched scheduler and ``extra_views``/``initial_states``/
+    batched scheduler and ``extra_views``/``initial_views``/
     ``extra_recorders`` from the multi-view warehouse.
     """
 
@@ -358,12 +354,12 @@ class MultiViewBatchedSweepWarehouse(MultiViewStateMixin, BatchedSweepWarehouse)
         self,
         *args,
         extra_views: Sequence[ViewDefinition] = (),
-        initial_states: dict[str, Relation] | None = None,
+        initial_views: dict[str, Relation] | None = None,
         extra_recorders: dict[str, RunRecorder] | None = None,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self._init_extra_views(extra_views, initial_states, extra_recorders)
+        self._init_extra_views(extra_views, initial_views, extra_recorders)
 
     # ------------------------------------------------------------------
     def process_batch(self, batch: list[UpdateNotice]) -> Generator:

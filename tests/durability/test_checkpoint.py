@@ -7,6 +7,8 @@ view silently stale.
 """
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -15,11 +17,21 @@ from repro.durability import (
     ViewCheckpoint,
 )
 from repro.durability.checkpoint import checkpoint_generations, checkpoint_path
-from repro.durability.encoding import decode_relation, encode_bag, encode_notice
+from repro.durability.encoding import (
+    decode_relation,
+    encode_block,
+    encode_notice,
+    record_codec,
+)
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.sources.messages import UpdateNotice
 
+#: A format-1 (JSON envelope) checkpoint, written before that writer was
+#: deleted (see test_format_compat.py).
+_JSON_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "data", "format1", "checkpoint-00000002.json"
+)
 
 def _checkpoint(paper_view, generation: int = 2) -> ViewCheckpoint:
     view_rows = Relation(paper_view.view_schema, {(1, 2): 1, (3, 4): 2})
@@ -30,8 +42,8 @@ def _checkpoint(paper_view, generation: int = 2) -> ViewCheckpoint:
         generation=generation,
         applied_counts={1: 3, 2: 1},
         delivered_marks={1: 4, 2: 1},
-        views={"V": encode_bag(view_rows)},
-        pending=[encode_notice(notice)],
+        views={"V": encode_block(view_rows)},
+        pending=[encode_notice(notice, record_codec(paper_view))],
         installs=7,
         request_watermark=19,
         written_at=42.5,
@@ -62,10 +74,10 @@ def test_load_latest_empty_directory(tmp_path):
 
 
 def test_corrupt_newest_raises_not_falls_back(tmp_path, paper_view):
+    """The newest checkpoint is a JSON-era one (the checked-in format-1
+    fixture) whose body no longer matches its CRC."""
     _checkpoint(paper_view, generation=1).write(str(tmp_path))
-    newest = _checkpoint(paper_view, generation=3).write(
-        str(tmp_path), binary=False
-    )
+    newest = shutil.copy(_JSON_CHECKPOINT, checkpoint_path(str(tmp_path), 3))
     envelope = json.loads(open(newest, encoding="utf-8").read())
     envelope["body"]["installs"] += 1  # body no longer matches the CRC
     with open(newest, "w", encoding="utf-8") as handle:
@@ -118,7 +130,7 @@ def test_lying_count_checkpoint_body_is_corruption(tmp_path, paper_view):
 
 
 def test_unsupported_format_raises(tmp_path, paper_view):
-    path = _checkpoint(paper_view).write(str(tmp_path), binary=False)
+    path = shutil.copy(_JSON_CHECKPOINT, checkpoint_path(str(tmp_path), 2))
     envelope = json.loads(open(path, encoding="utf-8").read())
     envelope["format"] = 99
     with open(path, "w", encoding="utf-8") as handle:
@@ -163,3 +175,63 @@ def test_cadence_counts_units_of_work_not_views(tmp_path, n_views, units, every)
     counters = result.metrics.counters
     assert counters["multiview_installs"] == units  # one sweep per update
     assert counters["checkpoints_written"] == 1 + units // every
+
+
+@pytest.mark.parametrize(
+    "field, damage",
+    [
+        ("views", b""),  # no block header at all
+        ("views", bytes([4 << 1, 0]) + b"\x01\x02\x03\x04"),  # 4 values, stride 3
+        ("views", bytes([3 << 1, 0x3F, 1, 2, 3])),  # int64 columns, 3 bytes
+        ("aux", bytes([2 << 1 | 1]) + b"\xb3\x01"),  # truncated fallback document
+        ("pending", None),  # a record cut short
+    ],
+    ids=["empty", "bad-stride", "lying-widths", "bad-fallback", "truncated-record"],
+)
+def test_corrupt_row_block_is_checkpoint_corruption(
+    tmp_path, paper_view, field, damage
+):
+    """A CRC-valid checkpoint whose row block or record is damaged raises
+    ``CheckpointCorruptionError`` at recovery, nothing from the codec."""
+    from repro.durability import load_state
+
+    checkpoint = _checkpoint(paper_view)
+    if field == "views":
+        checkpoint.views["V"] = damage
+    elif field == "aux":
+        checkpoint.aux["R1"] = damage
+    else:
+        checkpoint.pending[0] = checkpoint.pending[0][:-1]
+    checkpoint.write(str(tmp_path))
+    with pytest.raises(CheckpointCorruptionError, match="undecodable") as info:
+        load_state(str(tmp_path), [paper_view])
+    assert type(info.value) is CheckpointCorruptionError
+
+
+def test_a_roll_fsyncs_three_times(tmp_path, paper_view, paper_states, monkeypatch):
+    """Rolling a generation fsyncs the new checkpoint, its directory and
+    the new log's header -- not the old log, which the durable checkpoint
+    subsumes and the roll then deletes."""
+    from repro.durability.manager import CheckpointPolicy, DurabilityManager
+    from repro.simulation.kernel import Simulator
+    from repro.warehouse.sweep import SweepWarehouse
+
+    sim = Simulator()
+    warehouse = SweepWarehouse(
+        sim, paper_view, {}, initial_view=paper_view.evaluate(paper_states)
+    )
+    manager = DurabilityManager(
+        str(tmp_path), policy=CheckpointPolicy(every_installs=1)
+    )
+    manager.attach(warehouse)
+    delta = Delta(paper_view.schema_of(1))
+    delta.add((7, 8), +1)
+    manager.log_delivery(UpdateNotice(source_index=1, seq=1, delta=delta))
+    manager.on_install()
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    assert manager.maybe_checkpoint()
+    assert len(fsyncs) == 3
+    assert checkpoint_generations(str(tmp_path)) == [1]
+    manager.close()

@@ -1,22 +1,37 @@
-"""Durable-format compatibility: JSON-era directories recover unchanged.
+"""Durable-format compatibility: directories of every format recover.
 
-The binary kernel changed what new checkpoints and WAL frames look like
-on disk, not what they mean: a directory written entirely by the JSON
-formats (checkpoint envelope format 1, WAL format 1), one written by the
-binary formats, and a mixed directory left behind by an upgrade must all
-load to the same recovered state.
+New checkpoints (format 4) and WAL frames (format 3) carry the wire
+codec's v3 row blocks and update records; the older formats are only
+read.  ``data/format1`` (JSON checkpoint envelope, JSON WAL frames) and
+``data/format2`` (binwire envelope and frames around v2 flat-row dicts)
+were written by those formats' writers before they were deleted; each
+holds the generation-2 checkpoint of ``_checkpoint`` with a two-update
+WAL, plus a one-update generation-1 WAL.  Both, and a mixed directory
+left behind by an upgrade, must load to the same recovered state as a
+directory the current writers produce.
 """
 
 import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.durability import UpdateLog, load_state
 from repro.durability.checkpoint import ViewCheckpoint, checkpoint_path
-from repro.durability.wal import WAL_FORMAT, WAL_FORMAT_BINARY, read_update_log
+from repro.durability.encoding import encode_notice, record_codec
+from repro.durability.wal import (
+    WAL_FORMAT,
+    WAL_FORMAT_BINARY,
+    WAL_FORMAT_RECORDS,
+    read_update_log,
+)
 from repro.relational.delta import Delta
 from repro.sources.messages import UpdateNotice
 from tests.durability.test_checkpoint import _checkpoint
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _notice(seq: int, paper_view, source: int = 1) -> UpdateNotice:
@@ -25,12 +40,29 @@ def _notice(seq: int, paper_view, source: int = 1) -> UpdateNotice:
     return UpdateNotice(source_index=source, seq=seq, delta=delta)
 
 
-def _populate(directory: str, paper_view, binary: bool) -> None:
-    _checkpoint(paper_view, generation=2).write(directory, binary=binary)
-    log = UpdateLog(directory, generation=2, binary=binary)
-    log.append_notice(_notice(5, paper_view))
-    log.append_notice(_notice(2, paper_view, source=2))
+def _append(log: UpdateLog, paper_view, *notices) -> None:
+    codec = record_codec(paper_view)
+    for notice in notices:
+        log.append(encode_notice(notice, codec))
     log.close()
+
+
+def _copy(tmp_path, name: str) -> Path:
+    """A writable copy of a checked-in directory (recovery may repair)."""
+    return Path(shutil.copytree(os.path.join(DATA, name), str(tmp_path / name)))
+
+
+def _populate(directory: str, paper_view) -> None:
+    """What ``data/format*`` hold, written by the current writers."""
+    os.makedirs(directory, exist_ok=True)
+    _checkpoint(paper_view, generation=2).write(directory)
+    _append(
+        UpdateLog(directory, generation=2),
+        paper_view,
+        _notice(5, paper_view),
+        _notice(2, paper_view, source=2),
+    )
+    _append(UpdateLog(directory, generation=1), paper_view, _notice(1, paper_view))
 
 
 def _fingerprint(state) -> tuple:
@@ -45,20 +77,24 @@ def _fingerprint(state) -> tuple:
 
 
 def test_json_and_binary_directories_recover_identically(tmp_path, paper_view):
-    json_dir, bin_dir = str(tmp_path / "json"), str(tmp_path / "bin")
-    for directory, binary in ((json_dir, False), (bin_dir, True)):
-        (tmp_path / ("bin" if binary else "json")).mkdir()
-        _populate(directory, paper_view, binary)
-    json_state = load_state(json_dir, [paper_view])
-    bin_state = load_state(bin_dir, [paper_view])
+    records_dir = str(tmp_path / "records")
+    _populate(records_dir, paper_view)
+    json_state = load_state(_copy(tmp_path, "format1"), [paper_view])
+    bin_state = load_state(_copy(tmp_path, "format2"), [paper_view])
+    records_state = load_state(records_dir, [paper_view])
     assert _fingerprint(json_state) == _fingerprint(bin_state)
     assert json_state.view_states["V"] == bin_state.view_states["V"]
+    assert _fingerprint(records_state) == _fingerprint(bin_state)
+    assert records_state.view_states["V"] == bin_state.view_states["V"]
+    assert [n.delta for n in records_state.pending] == [
+        n.delta for n in bin_state.pending
+    ]
 
 
 def test_json_era_artifacts_really_are_json(tmp_path, paper_view):
-    """Guard the *legacy* writer: ``binary=False`` must keep emitting the
-    v2 on-disk formats an old reader understands, byte-level."""
-    _populate(str(tmp_path), paper_view, binary=False)
+    """Guard the *legacy* fixture: ``data/format1`` holds the JSON
+    on-disk formats an old reader understands, byte-level."""
+    tmp_path = _copy(tmp_path, "format1")
     envelope = json.loads(
         open(checkpoint_path(str(tmp_path), 2), encoding="utf-8").read()
     )
@@ -72,13 +108,13 @@ def test_json_era_artifacts_really_are_json(tmp_path, paper_view):
 
 
 def test_upgraded_directory_mixes_formats_and_recovers(tmp_path, paper_view):
-    """A JSON-era directory a binary-writing node checkpoints into: the
-    newest (binary) generation wins; older JSON artifacts stay readable."""
-    _populate(str(tmp_path), paper_view, binary=False)
-    _checkpoint(paper_view, generation=4).write(str(tmp_path), binary=True)
-    log = UpdateLog(str(tmp_path), generation=4, binary=True)
-    log.append_notice(_notice(6, paper_view))
-    log.close()
+    """A JSON-era directory a current node checkpoints into: the newest
+    generation wins; older JSON artifacts stay readable."""
+    tmp_path = _copy(tmp_path, "format1")
+    _checkpoint(paper_view, generation=4).write(str(tmp_path))
+    _append(
+        UpdateLog(str(tmp_path), generation=4), paper_view, _notice(6, paper_view)
+    )
     state = load_state(str(tmp_path), [paper_view])
     assert state.generation == 4
     assert [(n.source_index, n.seq) for n in state.pending] == [(1, 4), (1, 6)]
@@ -89,13 +125,10 @@ def test_upgraded_directory_mixes_formats_and_recovers(tmp_path, paper_view):
 
 @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
 def test_wal_header_format_matches_writer(tmp_path, paper_view, binary):
-    log = UpdateLog(str(tmp_path), generation=1, binary=binary)
-    log.append_notice(_notice(1, paper_view))
-    log.close()
+    tmp_path = _copy(tmp_path, "format2" if binary else "format1")
     generation, records, _ = read_update_log(str(tmp_path / "update-00000001.wal"))
     assert generation == 1 and len(records) == 1
     import struct
-    import zlib  # noqa: F401  (frame layout doc)
 
     data = open(str(tmp_path / "update-00000001.wal"), "rb").read()
     length, _crc = struct.unpack_from("!II", data, 0)
@@ -107,3 +140,21 @@ def test_wal_header_format_matches_writer(tmp_path, paper_view, binary):
         assert header["wal"] == WAL_FORMAT_BINARY
     else:
         assert header["wal"] == WAL_FORMAT
+
+
+def test_new_wal_is_a_binwire_header_then_records(tmp_path, paper_view):
+    import struct
+
+    from repro.durability.encoding import RECORD_PREFIX
+    from repro.runtime import binwire
+
+    _populate(str(tmp_path), paper_view)
+    data = open(str(tmp_path / "update-00000001.wal"), "rb").read()
+    length, _crc = struct.unpack_from("!II", data, 0)
+    assert binwire.loads(data[8 : 8 + length]) == {
+        "wal": WAL_FORMAT_RECORDS, "generation": 1
+    }
+    record = data[16 + length :]
+    assert record[:1] == RECORD_PREFIX
+    generation, records, _ = read_update_log(str(tmp_path / "update-00000001.wal"))
+    assert (generation, records) == (1, [record])

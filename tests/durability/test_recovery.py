@@ -15,7 +15,7 @@ from repro.durability import (
     UpdateLog,
     load_state,
 )
-from repro.durability.encoding import encode_bag
+from repro.durability.encoding import encode_block, encode_notice, record_codec
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.sources.messages import UpdateNotice
@@ -28,24 +28,28 @@ def _notice(seq: int, paper_view, source: int = 1) -> UpdateNotice:
     return UpdateNotice(source_index=source, seq=seq, delta=delta)
 
 
+def _log(directory: str, generation: int, paper_view, *notices) -> None:
+    codec = record_codec(paper_view)
+    log = UpdateLog(directory, generation=generation)
+    for notice in notices:
+        log.append(encode_notice(notice, codec))
+    log.close()
+
+
 def test_fresh_directory_is_none(tmp_path, paper_view):
     assert load_state(str(tmp_path), [paper_view]) is None
     assert load_state(str(tmp_path / "never-created"), [paper_view]) is None
 
 
 def test_wal_without_checkpoint_raises(tmp_path, paper_view):
-    log = UpdateLog(str(tmp_path), generation=0)
-    log.append_notice(_notice(1, paper_view))
-    log.close()
+    _log(str(tmp_path), 0, paper_view, _notice(1, paper_view))
     with pytest.raises(RecoveryError, match="no checkpoint"):
         load_state(str(tmp_path), [paper_view])
 
 
 def test_wal_newer_than_checkpoint_raises(tmp_path, paper_view):
     _checkpoint(paper_view, generation=2).write(str(tmp_path))
-    log = UpdateLog(str(tmp_path), generation=4)
-    log.append_notice(_notice(5, paper_view))
-    log.close()
+    _log(str(tmp_path), 4, paper_view, _notice(5, paper_view))
     with pytest.raises(GenerationMismatchError, match="newer than"):
         load_state(str(tmp_path), [paper_view])
 
@@ -53,7 +57,7 @@ def test_wal_newer_than_checkpoint_raises(tmp_path, paper_view):
 def test_view_set_mismatch_raises(tmp_path, paper_view):
     checkpoint = _checkpoint(paper_view)
     extra = Relation(paper_view.view_schema, {(9, 9): 1})
-    checkpoint.views["V-unknown"] = encode_bag(extra)
+    checkpoint.views["V-unknown"] = encode_block(extra)
     checkpoint.write(str(tmp_path))
     with pytest.raises(RecoveryError, match="do not match configured"):
         load_state(str(tmp_path), [paper_view])
@@ -64,10 +68,10 @@ def test_pending_merges_checkpoint_then_wal(tmp_path, paper_view):
     # The fixture checkpoint already parks src1 seq 4; the matching WAL
     # holds the two deliveries after the stable point.
     checkpoint.write(str(tmp_path))
-    log = UpdateLog(str(tmp_path), generation=2)
-    log.append_notice(_notice(5, paper_view))
-    log.append_notice(_notice(2, paper_view, source=2))
-    log.close()
+    _log(
+        str(tmp_path), 2, paper_view,
+        _notice(5, paper_view), _notice(2, paper_view, source=2),
+    )
     state = load_state(str(tmp_path), [paper_view])
     assert [(n.source_index, n.seq) for n in state.pending] == [
         (1, 4), (1, 5), (2, 2),

@@ -12,11 +12,16 @@ import struct
 import pytest
 
 from repro.durability import UpdateLog, WalCorruptionError, read_update_log
-from repro.durability.encoding import decode_notice, encode_notice
+from repro.durability.encoding import decode_notice, encode_notice, record_codec
 from repro.durability.wal import wal_generations, wal_path
 from repro.relational.delta import Delta
 from repro.relational.schema import Schema
+from repro.relational.view import ViewDefinition
 from repro.sources.messages import UpdateNotice
+
+
+#: Any chain whose sources are two columns wide writes these records.
+_VIEW = ViewDefinition("W", ("R1", "R2"), (Schema(("A", "B")), Schema(("C", "D"))))
 
 
 def _notice(seq: int, source: int = 1) -> UpdateNotice:
@@ -27,9 +32,10 @@ def _notice(seq: int, source: int = 1) -> UpdateNotice:
 
 
 def _write_log(directory: str, n: int = 5, generation: int = 3) -> str:
+    codec = record_codec(_VIEW)
     log = UpdateLog(directory, generation, fsync_batch=2)
     for seq in range(1, n + 1):
-        log.append_notice(_notice(seq))
+        log.append(encode_notice(_notice(seq), codec))
     log.close()
     return log.path
 
@@ -40,7 +46,8 @@ def test_round_trip(tmp_path, paper_view):
     assert generation == 3
     assert torn == 0
     assert len(records) == 5
-    decoded = [decode_notice(obj, paper_view) for obj in records]
+    codec = record_codec(paper_view)
+    decoded = [decode_notice(obj, codec) for obj in records]
     assert [n.seq for n in decoded] == [1, 2, 3, 4, 5]
     # The delta survives byte-exactly (counts and signs included).
     assert sorted(decoded[2].delta.items()) == sorted(_notice(3).delta.items())
@@ -136,9 +143,68 @@ def test_encode_notice_round_trip(paper_view):
     notice = _notice(9, source=2)
     notice.txn_id = "txn-7"
     notice.txn_total = 3
-    back = decode_notice(encode_notice(notice), paper_view)
+    codec = record_codec(paper_view)
+    back = decode_notice(encode_notice(notice, codec), codec)
     assert back.source_index == 2
     assert back.seq == 9
     assert back.txn_id == "txn-7"
     assert back.txn_total == 3
     assert sorted(back.delta.items()) == sorted(notice.delta.items())
+
+
+def _record_frames(directory: str, *payloads: bytes) -> str:
+    """A generation-2 log of a records header plus ``payloads``, every
+    frame CRC-valid."""
+    import zlib
+
+    from repro.runtime import binwire
+
+    path = wal_path(directory, 2)
+    with open(path, "wb") as handle:
+        for frame in (binwire.dumps({"wal": 3, "generation": 2}), *payloads):
+            handle.write(struct.pack("!II", len(frame), zlib.crc32(frame)))
+            handle.write(frame)
+    return path
+
+
+def _malformed_records():
+    codec = record_codec(_VIEW)
+    good = encode_notice(_notice(1), codec)
+    wide = Delta(Schema(("A", "B", "X")))
+    wide.add((1, 2, 3), +1)
+    # Source 1's rows are two values plus a count, so its blocks hold a
+    # multiple of 3 values; a one-row block of a 3-column delta holds 4.
+    bad_stride = encode_notice(UpdateNotice(1, 2, wide), codec)
+    # An empty delta's block is the one byte 0; swap it for a one-row
+    # block of 3 values, all int64: 24 bytes promised, 3 present.
+    empty = encode_notice(UpdateNotice(1, 3, Delta(Schema(("A", "B")))), codec)
+    lying_widths = empty[:-1] + bytes([3 << 1, 0x3F, 1, 2, 3])
+    return {
+        "truncated": good[:-2],
+        "bad-stride": bad_stride,
+        "lying-widths": lying_widths,
+    }
+
+
+@pytest.mark.parametrize("kind", ["truncated", "bad-stride", "lying-widths"])
+def test_malformed_record_in_a_crc_valid_frame_is_corruption(
+    tmp_path, paper_view, kind
+):
+    """The frame is whole and its CRC matches; the record inside it is
+    damaged.  Recovery raises ``WalCorruptionError`` -- never the
+    codec's ``WireProtocolError`` or a bare ``struct.error``."""
+    from repro.durability import load_state
+    from tests.durability.test_checkpoint import _checkpoint
+
+    _checkpoint(paper_view, generation=2).write(str(tmp_path))
+    _record_frames(str(tmp_path), _malformed_records()[kind])
+    with pytest.raises(WalCorruptionError, match="undecodable record") as info:
+        load_state(str(tmp_path), [paper_view])
+    assert type(info.value) is WalCorruptionError
+
+
+@pytest.mark.parametrize("type_byte", [0x00, 0x02, 0x7F])
+def test_unknown_record_type_byte_is_corruption(tmp_path, type_byte):
+    path = _record_frames(str(tmp_path), bytes([type_byte]) + b"\x00" * 31)
+    with pytest.raises(WalCorruptionError, match="unknown record type"):
+        read_update_log(path)

@@ -8,6 +8,7 @@ one failing shard process takes the fleet down with
 :class:`ShardCrashed`, never a silent success.
 """
 
+import asyncio
 import sys
 
 import pytest
@@ -21,6 +22,9 @@ from repro.runtime import (
     launch_sharded_processes,
     run_sharded,
 )
+from repro.relational.view import ViewDefinition
+from repro.runtime.shard import FleetSpec
+from repro.runtime.shard.run import Fleet
 from repro.warehouse.multiview import MultiViewStateMixin
 from repro.warehouse.sharding import canonical_view_bytes
 from tests.warehouse.helpers import final_states, mixed_family
@@ -315,6 +319,81 @@ def test_shared_floor_filters_no_queued_update(algorithm, relaxed, monkeypatch):
     assert shared_units
     if algorithm == "batched-sweep":
         assert max(shared_units) > 1  # a real batch, so post- != pre-batch
+
+
+# ---------------------------------------------------------------------------
+# Start-up: one wide join per sweep class per fleet
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def wide_joins(monkeypatch):
+    """Names of the views ``ViewDefinition.evaluate_wide`` ran for."""
+    calls = []
+    evaluate_wide = ViewDefinition.evaluate_wide
+
+    def spy(self, states):
+        calls.append(self.name)
+        return evaluate_wide(self, states)
+
+    monkeypatch.setattr(ViewDefinition, "evaluate_wide", spy)
+    return calls
+
+
+def _started(config, **fields) -> Fleet:
+    """A fleet built and started (no update applied yet), then closed."""
+
+    async def start():
+        fleet = Fleet(FleetSpec(config, **fields))
+        try:
+            await fleet.start()
+        finally:
+            await fleet.aclose()
+        return fleet
+
+    return asyncio.run(start())
+
+
+def _stores(fleet: Fleet) -> dict:
+    return {
+        name: store.relation
+        for site in fleet.members.values()
+        for name, store in site.warehouse.stores.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "family, replicas, classes",
+    [("view_family", 0, 1), ("view_family", 1, 1), ("mixed", 0, 2)],
+)
+def test_a_fleet_starts_with_one_wide_join_per_class(
+    wide_joins, family, replicas, classes
+):
+    views = mixed_family() if family == "mixed" else None
+    config = config_for("sweep", n_views=len(views) if views else 8)
+    fleet = _started(
+        config, n_shards=2, strategy="round-robin", replicas=replicas,
+        views=views,
+    )
+    assert fleet.spec.plan.active_shards == [0, 1]
+    assert len(wide_joins) == classes
+    stores = _stores(fleet)
+    states = fleet.spec.workload.initial_states
+    assert set(stores) == {view.name for view in fleet.spec.family}
+    for view in fleet.spec.family:
+        assert stores[view.name] == view.evaluate(states), view.name
+
+
+def test_a_recovering_member_evaluates_no_view(tmp_path, wide_joins):
+    config = config_for("sweep", n_views=8)
+    fields = dict(n_shards=2, strategy="round-robin", durable_dir=str(tmp_path))
+    run_sharded(config, time_scale=0.001, timeout=60.0, **fields)
+    wide_joins.clear()
+    fleet = _started(config, **fields)
+    assert wide_joins == []
+    stores = _stores(fleet)
+    for site in fleet.members.values():
+        for name, relation in site.recovered_state.view_states.items():
+            assert stores[name] == relation, name
 
 
 # ---------------------------------------------------------------------------

@@ -378,9 +378,9 @@ class TestSettleLoop:
         assert batch_sizes(warehouse) == [7]
 
     def test_fence_mid_burst_ends_the_drain(self):
-        view, states = paper_example_view(), paper_example_states()
+        view = paper_example_view()
         sim, warehouse = covered_warehouse(
-            MigratingMultiViewBatchedSweepWarehouse, initial_states=states
+            MigratingMultiViewBatchedSweepWarehouse
         )
         warehouse.attach_migration(
             MigrationMemberState(
