@@ -166,15 +166,6 @@ def _source_addresses(args: argparse.Namespace) -> dict[int, tuple[str, int]]:
 def _add_tcp_args(p: argparse.ArgumentParser) -> None:
     """Transport fast-path knobs shared by every TCP-speaking command."""
     p.add_argument(
-        "--codec-version", type=int, default=None, metavar="N",
-        choices=(1, 2, 3),
-        help="cap the advertised wire codec: 1 disables mb frames and"
-             " flat-row encoding, 2 is JSON flat rows, 3 packs one binary"
-             " record per message into binwire frames; peers negotiate the"
-             " pairwise minimum and decode accepts every version"
-             " (default: 3)",
-    )
-    p.add_argument(
         "--compress-min", type=int, default=None, metavar="BYTES",
         help="zlib-compress frames whose body is at least BYTES long"
              " (0 disables compression; default: 16384)",
@@ -191,7 +182,6 @@ def _add_tcp_args(p: argparse.ArgumentParser) -> None:
 
 #: argparse destination -> TcpChannelConfig field (see _WORKLOAD_FLAGS).
 _TCP_FLAGS = {
-    "codec_version": "codec_version",
     "compress_min": "compress_min_bytes",
     "max_retries": "max_retries",
     "connect_timeout": "connect_timeout",
@@ -841,12 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
              " (off,aux,cache,auto; unsupported algorithm/mode pairs"
              " are skipped)",
     )
-    conf.add_argument(
-        "--codec-version", default="auto", metavar="V",
-        help="pin the wire codec for every case: 1|2|3, or 'mixed' for a"
-             " v3 warehouse with v1-only sources (handshake-downgrade"
-             " check; distributed cases only).  Default: auto (negotiate)",
-    )
     conf.add_argument("--updates", "-u", type=int, default=None)
     conf.add_argument("--sources", "-n", type=int, default=None)
     _add_scenario_parser(
@@ -924,7 +908,6 @@ def _conformance_rows(args: argparse.Namespace, progress) -> list[dict] | None:
         ("algorithm", algorithms,
          (*scenarios.DEFAULT_ALGORITHMS, *scenarios.SHARDED_ALGORITHMS)),
         ("chaos profile", profiles, tuple(PROFILES)),
-        ("codec pin", (args.codec_version,), scenarios.CODEC_CHOICES),
         ("locality mode", localities, tuple(MODES)),
     ):
         for name in chosen:
@@ -945,7 +928,6 @@ def _conformance_rows(args: argparse.Namespace, progress) -> list[dict] | None:
         seeds=range(args.seed, args.seed + args.seeds),
         transport=args.transport,
         localities=localities,
-        codec=args.codec_version,
         progress=progress,
         time_scale=args.time_scale,
         timeout=args.timeout,

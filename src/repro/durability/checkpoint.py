@@ -37,7 +37,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 
-from repro.durability.encoding import encode_bag, encode_block, encode_notice
+from repro.durability.encoding import encode_block, encode_notice
 from repro.durability.errors import CheckpointCorruptionError
 from repro.durability.wal import _binwire, generations
 
@@ -249,8 +249,10 @@ def capture_checkpoint(
 
 
 #: Envelope tag for a shard-rebalance view handoff (same binwire kernel
-#: and CRC discipline as a checkpoint, v2 flat-row dicts inside).
-HANDOFF_FORMAT = 3
+#: and CRC discipline as a checkpoint, v3 row blocks inside).  Format 3
+#: (v2 flat-row dicts inside) is still read.
+HANDOFF_FORMAT = 4
+_HANDOFF_FORMATS = (3, HANDOFF_FORMAT)
 
 
 def encode_view_handoff(
@@ -262,8 +264,8 @@ def encode_view_handoff(
 ) -> bytes:
     """Serialize one view's migration handoff as a binwire envelope.
 
-    The body carries the view's contents (codec-v2 flat rows, the same
-    ``encode_bag`` the checkpoint writer uses), the per-source position
+    The body carries the view's contents (a v3 row block, as the
+    checkpoint writer stores a view), the per-source position
     vector the contents reflect (the donor's seal snapshot ``P``), and
     the donor's auxiliary source copies so a locality-enabled recipient
     can adopt rather than rebuild them.  CRC and format tagging mirror
@@ -275,8 +277,8 @@ def encode_view_handoff(
         {
             "view": view_name,
             "position": {str(k): int(v) for k, v in position.items()},
-            "rows": encode_bag(relation),
-            "aux": {name: encode_bag(rel) for name, rel in (aux or {}).items()},
+            "rows": encode_block(relation),
+            "aux": {name: encode_block(rel) for name, rel in (aux or {}).items()},
             "epoch": int(epoch),
         },
     )
@@ -286,11 +288,12 @@ def decode_view_handoff(blob: bytes) -> dict:
     """Decode and verify a handoff produced by :func:`encode_view_handoff`.
 
     Returns ``{"view", "position", "rows", "aux", "epoch"}`` with the
-    position keyed by int source index; ``rows``/``aux`` values stay in
-    flat-row form for the caller to decode against its schemas (see
-    :func:`repro.durability.encoding.decode_relation`).
+    position keyed by int source index; ``rows``/``aux`` values stay
+    encoded for the caller to decode against its schemas (see
+    :func:`repro.durability.encoding.decode_relation`, which reads both
+    formats' encodings).
     """
-    body = _unseal(blob, (HANDOFF_FORMAT,), "handoff")
+    body = _unseal(blob, _HANDOFF_FORMATS, "handoff")
     return {
         "view": body["view"],
         "position": {int(k): int(v) for k, v in body["position"].items()},

@@ -1,12 +1,12 @@
-"""Row and update encodings of durable state and delta snapshots.
+"""Row and update encodings of durable state and view handoffs.
 
 Durable state is written in the wire codec's v3 layouts
 (:mod:`repro.runtime.codec`): a view or auxiliary copy is one **row
 block**, a delivered update one ``UpdateNotice`` **record**.  Neither
-describes itself, so the readers take the schema or the view.  The v2
-flat-row dicts (``{"f": [...], "w": arity}``) remain the handoff and
-snapshot-answer encoding, and every decoder here still reads them (what
-checkpoint and WAL formats 1-2 hold).
+describes itself, so the readers take the schema or the view.  Every
+decoder here still reads the v1/v2 row encodings and the v2 flat-row
+dicts (``{"f": [...], "w": arity}``) that checkpoint and WAL formats 1-2
+and format-3 handoffs hold.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.relational.relation import BagBase, Relation
 from repro.relational.schema import Schema
 from repro.relational.view import ViewDefinition
 from repro.simulation.channel import Message
-from repro.sources.messages import SnapshotAnswer, UpdateNotice
+from repro.sources.messages import UpdateNotice
 
 # NOTE: repro.runtime.codec is imported lazily inside the helpers below.
 # The warehouse package reaches this module at import time (the
@@ -33,15 +33,6 @@ _DURABLE_ENVELOPE = Message(kind="update", sender="", payload=None)
 
 #: The first byte of an ``UpdateNotice`` record (its type byte).
 RECORD_PREFIX = b"\x01"
-
-
-def encode_bag(bag: BagBase) -> dict:
-    """Flat v2 rows plus explicit arity (``{"f": [...], "w": arity}``)."""
-    from repro.runtime.codec import _encode_rows
-
-    obj = _encode_rows(bag, 2)
-    obj["w"] = len(bag.schema)
-    return obj
 
 
 def encode_block(bag: BagBase) -> bytes:
@@ -82,7 +73,7 @@ def record_codec(view: ViewDefinition):
     sources."""
     from repro.runtime.codec import WireCodec
 
-    return WireCodec(view, version=3)
+    return WireCodec(view)
 
 
 def encode_notice(notice: UpdateNotice, codec) -> bytes:
@@ -107,36 +98,12 @@ def decode_notice(obj: Any, codec) -> UpdateNotice:
     )
 
 
-# ----------------------------------------------------------------------
-# Delta-encoded snapshots (bootstrap / recompute)
-# ----------------------------------------------------------------------
-def snapshot_relation(answer: SnapshotAnswer, schema: Schema) -> Relation:
-    """Materialize a snapshot answer, whichever form it travelled in."""
-    if answer.relation is not None:
-        return answer.relation
-    if answer.rows is None:
-        raise ValueError("snapshot answer carries neither relation nor rows")
-    return decode_relation(answer.rows, schema)
-
-
-def snapshot_delta(answer: SnapshotAnswer, schema: Schema) -> Delta:
-    """A snapshot answer as an insertion delta (bootstrap seeding)."""
-    if answer.relation is not None:
-        return Delta.from_relation(answer.relation)
-    if answer.rows is None:
-        raise ValueError("snapshot answer carries neither relation nor rows")
-    return decode_delta(answer.rows, schema)
-
-
 __all__ = [
     "RECORD_PREFIX",
     "decode_delta",
     "decode_notice",
     "decode_relation",
-    "encode_bag",
     "encode_block",
     "encode_notice",
     "record_codec",
-    "snapshot_delta",
-    "snapshot_relation",
 ]

@@ -114,10 +114,6 @@ SHARDED_ALGORITHMS: dict[str, dict] = {
     "sharded-batched-sweep": {"algorithm": "batched-sweep"},
     "sharded-sweep-r1": {"algorithm": "sweep", "replicas": 1},
 }
-#: Codec pins a case accepts: one version for the whole fleet, ``auto``
-#: (negotiate freely), or ``mixed`` -- a v3 warehouse against v1-only
-#: sources, the handshake-downgrade case.
-CODEC_CHOICES: tuple[str, ...] = ("auto", "1", "2", "3", "mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -644,44 +640,6 @@ class ChaosProfile(Perturbation):
 
 
 @dataclass(frozen=True)
-class CodecPin(Perturbation):
-    """Pin the fleet's wire codec (or mix versions across the two sides)."""
-
-    codec: str = "auto"
-
-    name = "codec"
-
-    def __post_init__(self) -> None:
-        if self.codec not in CODEC_CHOICES:
-            raise ValueError(
-                f"unknown codec pin {self.codec!r}; available: {CODEC_CHOICES}"
-            )
-
-    def arm(self, case: Case) -> dict:
-        from repro.runtime.tcp import TcpChannelConfig
-
-        if self.codec == "auto":
-            return {}
-        mixed = self.codec == "mixed"
-        if mixed and case.sharded:
-            raise ValueError(
-                "mixed-version fleets are a distributed (non-sharded) case;"
-                " the sharded runtime cannot pin per-side codecs"
-            )
-        warehouse, sources = (3, 1) if mixed else (int(self.codec),) * 2
-        kwargs = dict(tcp_config=TcpChannelConfig(codec_version=warehouse))
-        if not case.sharded:
-            kwargs["source_tcp_config"] = TcpChannelConfig(
-                codec_version=sources
-            )
-        return kwargs
-
-    @staticmethod
-    def columns(row: dict) -> dict:
-        return {"codec": row["codec"]}
-
-
-@dataclass(frozen=True)
 class Standbys(Perturbation):
     """Hot standbys installing in lockstep, with nothing killed."""
 
@@ -697,7 +655,7 @@ class Standbys(Perturbation):
 PERTURBATIONS: dict[str, type[Perturbation]] = {
     cls.name: cls
     for cls in (
-        CrashRestart, PrimaryKill, Migrate, ChaosProfile, CodecPin, Standbys
+        CrashRestart, PrimaryKill, Migrate, ChaosProfile, Standbys
     )
 }
 
@@ -900,7 +858,6 @@ def run_matrix(
     seeds: Sequence[int] = (0,),
     transport: str = "local",
     localities: Sequence[str] = ("off",),
-    codec: str = "auto",
     progress=None,
     **case_kwargs,
 ) -> list[dict]:
@@ -910,17 +867,13 @@ def run_matrix(
     :data:`SHARDED_ALGORITHMS` keys.  Locality modes beyond ``off`` only
     apply to the sweep-family schedulers
     (:data:`repro.warehouse.locality.SUPPORTED_ALGORITHMS`); unsupported
-    (algorithm, locality) pairs are skipped, not failed, as are
-    ``codec="mixed"`` and the sharded cases, which cannot pin per-side
-    codec versions.
+    (algorithm, locality) pairs are skipped, not failed.
     """
     rows = []
     for name in algorithms:
         sharded = SHARDED_ALGORITHMS.get(name)
-        if sharded is not None and codec == "mixed":
-            continue
         base = sharded["algorithm"] if sharded is not None else name
-        fixed = [CodecPin(codec=codec)]
+        fixed = []
         if sharded is not None and "replicas" in sharded:
             fixed.append(Standbys(replicas=sharded["replicas"]))
         for locality in localities:
@@ -1061,7 +1014,10 @@ def format_report(report: dict) -> str:
     for row in report["rows"]:
         extra: dict = {}
         for tag in filter(None, row["scenario"].split("+")):
-            extra.update(PERTURBATIONS[tag.split(":")[0]].columns(row))
+            # A tag nothing owns any more (an older report's codec pin)
+            # adds no columns.
+            owner = PERTURBATIONS.get(tag.split(":")[0], Perturbation)
+            extra.update(owner.columns(row))
         extras.append(extra)
     headers = list(dict.fromkeys(key for extra in extras for key in extra))
     table = format_table(
@@ -1105,10 +1061,8 @@ def format_report(report: dict) -> str:
 __all__ = [
     "ALGORITHMS",
     "CASE_DEFAULTS",
-    "CODEC_CHOICES",
     "Case",
     "ChaosProfile",
-    "CodecPin",
     "CrashRestart",
     "DEFAULT_ALGORITHMS",
     "DEFAULT_PROFILES",

@@ -1,6 +1,6 @@
 """The binary serialization kernel shared by wire, WAL and checkpoints.
 
-One encoding, three consumers: TCP frames negotiated at codec **v3**
+One encoding, three consumers: every TCP frame
 (:mod:`repro.runtime.tcp`; the messages inside them are packed records
 of :mod:`repro.runtime.codec`, carried as bytes values, whose row blocks
 fall back to a binwire document for non-int values), WAL header frames
@@ -12,11 +12,12 @@ every payload the JSON path can carry travels unchanged.
 Document format
 ---------------
 A document is ``MAGIC`` (one byte, ``0xB3``) + ``FORMAT`` (one byte) +
-one encoded value.  Compact JSON (``separators=(",", ":")``, the only
-form this codebase emits) always begins with one of ``{[`` digits ``"``
-``-tfn``, never byte ``0xB3``, so a reader distinguishes the two formats
-from the first byte alone -- that sniff is what makes decode
-downgrade-safe without any frame-level flag.
+one encoded value.  Compact JSON (``separators=(",", ":")``, the form
+older senders and durable writers emitted) always begins with one of
+``{[`` digits ``"`` ``-tfn``, never byte ``0xB3``, so a reader
+distinguishes the two formats from the first byte alone -- that sniff is
+what lets every reader keep taking the older JSON frames and files
+without any frame-level flag.
 
 Values are type-tagged:
 

@@ -13,21 +13,22 @@ with simulator metrics.
 
 Codec versions
 --------------
-Three codec versions exist, negotiated per channel during the TCP
-handshake (see :mod:`repro.runtime.tcp`) and selectable via
-``WireCodec(view, version=...)``:
+Every process writes one format: **v3** (``CODEC_VERSION``), one packed
+``bytes`` **record** per envelope, carried as a bytes value inside a
+:mod:`repro.runtime.binwire` frame.  Nothing in a record describes
+itself: the type byte fixes the layout, and both ends know it.
+
+Two older layouts are still *read*, because older peers send them:
 
 * **v1**: a JSON object per envelope with ``[[row values], count]`` per
-  row -- verbose but self-describing.  What a bare ``WireCodec(view)``
-  encodes; no channel negotiates it unless pinned to.
+  row;
 * **v2**: the same JSON object with one flat array
   ``{"f": [v1, v2, ..., count, v1, v2, ...]}`` of ``arity + 1`` entries
-  per row.  The receiver re-slices it using the schema both endpoints
-  already share.
-* **v3** (``CODEC_VERSION_DEFAULT``, what channels advertise): one packed
-  ``bytes`` **record** per envelope, carried as a bytes value inside a
-  :mod:`repro.runtime.binwire` frame.  Nothing in a record describes
-  itself: the type byte fixes the layout, and both ends know it.
+  per row.
+
+Their writers are deleted; ``tests/runtime/data/wire_v1.json`` and
+``wire_v2.json`` hold envelopes they wrote, and the reader tests read
+those.
 
 Record layout (v3)
 ------------------
@@ -61,11 +62,12 @@ its signed count).  It starts with one varint ``h``:
   v2 flat row array.  A block falls back to it when a value is not an
   ``int`` or does not fit int64 -- the values decide, no option does.
 
-Decoding is version-agnostic: a decoder takes a record (``bytes``) or a
-v1/v2 envelope dict (and so also the dict-in-binwire frames of earlier
-v3 senders) regardless of its configured version.  Only *encoding*
-follows the negotiated version, which is what makes the handshake
-downgrade-safe.
+Decoding sniffs: :meth:`WireCodec.decode_message` takes a record
+(``bytes``) or a v1/v2 envelope dict (and so also the dict-in-binwire
+frames of earlier v3 senders).  Whatever is malformed in either -- a
+short record, an unknown type, a list where an object belongs, an index
+past the view's chain, a row of the wrong arity -- is a
+:class:`~repro.runtime.errors.WireProtocolError` and nothing else.
 """
 
 from __future__ import annotations
@@ -100,25 +102,17 @@ from repro.sources.messages import (
 )
 
 
-#: Highest codec version this runtime implements (and will accept in a
-#: handshake).
-CODEC_VERSION_MAX = 3
+#: The one version every process writes: packed v3 records, which beat
+#: v2's JSON on encode+decode CPU and on bytes (docs/performance.md,
+#: "Codec v2 against packed v3").  Decode accepts v1/v2 as well.
+CODEC_VERSION = 3
 
-#: Version a channel *advertises* by default: packed v3 records, which
-#: beat v2's JSON on encode+decode CPU and on bytes (docs/performance.md,
-#: "Codec v2 against packed v3").  ``--codec-version`` caps it; decode
-#: accepts every version regardless.
-CODEC_VERSION_DEFAULT = 3
-
-
-def _encode_rows(bag, version: int = 1):
-    if version >= 2:
-        flat: list = []
-        for row, count in bag.items():
-            flat.extend(row)
-            flat.append(count)
-        return {"f": flat}
-    return [[list(row), count] for row, count in bag.items()]
+#: What a malformed record or envelope raises inside the readers; both
+#: turn it into :class:`WireProtocolError`.
+_MALFORMED = (
+    IndexError, KeyError, TypeError, ValueError, AttributeError,
+    struct.error, RelationalError,
+)
 
 
 def _decode_counts(rows, arity: int) -> dict[tuple, int]:
@@ -337,16 +331,6 @@ def _put_fallback(buf: bytearray, flat: list) -> None:
     buf += doc
 
 
-def _put_flat(buf: bytearray, flat: list, stride: int) -> None:
-    """Append a v2 flat row array (a pre-encoded snapshot) as a block."""
-    if not flat:
-        buf.append(0)
-    elif len(flat) % stride or not _put_columns(
-        buf, [flat[c::stride] for c in range(stride)]
-    ):
-        _put_fallback(buf, list(flat))  # the reader reports a bad stride
-
-
 def _read_counts(data, pos: int, arity: int) -> tuple[dict[tuple, int], int]:
     """One row block's ``row -> count`` mapping (duplicates: last wins)."""
     v = data[pos]
@@ -395,23 +379,16 @@ def _read_delta(data, pos: int, schema: Schema) -> tuple[Delta, int]:
 class WireCodec:
     """Encode/decode :class:`Message` envelopes for one view's channels.
 
-    ``version`` selects the encoding used by ``encode_*`` (decoding
-    always accepts every version); transports override it per call with
-    the version negotiated for their channel.
+    ``encode_message`` writes v3 records; ``decode_message`` also reads
+    the v1/v2 envelope dicts of older peers.
     """
 
     def __init__(
         self,
         view: ViewDefinition,
-        version: int = 1,
         extra_views: tuple[ViewDefinition, ...] = (),
     ):
-        if not 1 <= version <= CODEC_VERSION_MAX:
-            raise ValueError(
-                f"codec version must be 1..{CODEC_VERSION_MAX}, got {version}"
-            )
         self.view = view
-        self.version = version
         # Multi-view channels (sharded warehouse) carry partials of several
         # same-chain views; each partial is tagged with its view name so
         # the receiver rebinds it to the right definition (the selection
@@ -423,33 +400,24 @@ class WireCodec:
     # ------------------------------------------------------------------
     # Envelope
     # ------------------------------------------------------------------
-    def encode_message(
-        self, message: Message, version: int | None = None
-    ) -> dict | bytes:
-        """A v3 record, or a JSON-safe dict on v1/v2, for one envelope."""
-        v = self.version if version is None else version
-        if v >= 3:
-            encode = _RECORD_WRITERS.get(type(message.payload))
-            if encode is None:
-                raise WireProtocolError(
-                    "no wire encoding for payload type"
-                    f" {type(message.payload).__name__}"
-                )
-            try:
-                return bytes(encode(self, message, message.payload))
-            except struct.error as exc:
-                raise WireProtocolError(
-                    f"{type(message.payload).__name__} field out of range"
-                    f" for a v3 record: {exc}"
-                ) from exc
-        return {
-            "kind": message.kind,
-            "sender": message.sender,
-            "sent_at": message.sent_at,
-            "payload": self.encode_payload(message.payload, v),
-        }
+    def encode_message(self, message: Message) -> bytes:
+        """One envelope's v3 record."""
+        encode = _RECORD_WRITERS.get(type(message.payload))
+        if encode is None:
+            raise WireProtocolError(
+                "no wire encoding for payload type"
+                f" {type(message.payload).__name__}"
+            )
+        try:
+            return bytes(encode(self, message, message.payload))
+        except struct.error as exc:
+            raise WireProtocolError(
+                f"{type(message.payload).__name__} field out of range"
+                f" for a v3 record: {exc}"
+            ) from exc
 
     def decode_message(self, obj: dict | bytes) -> Message:
+        """A v3 record or a v1/v2 envelope dict, back as a message."""
         if type(obj) is bytes:
             return self._decode_record(obj)
         if isinstance(obj, (bytearray, memoryview)):
@@ -461,8 +429,10 @@ class WireCodec:
                 payload=self.decode_payload(obj["payload"]),
                 sent_at=float(obj.get("sent_at", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireProtocolError(f"malformed envelope: {exc}") from exc
+        except _MALFORMED as exc:
+            raise WireProtocolError(
+                f"malformed envelope: {type(exc).__name__}: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # v3 records
@@ -475,10 +445,7 @@ class WireCodec:
             envelope_kind, pos = _read_text(data, fixed.size)
             sender, pos = _read_text(data, pos)
             payload, pos = _RECORD_READERS[kind](self, fields, data, pos)
-        except (
-            IndexError, KeyError, TypeError, ValueError, struct.error,
-            RelationalError,
-        ) as exc:
+        except _MALFORMED as exc:
             raise WireProtocolError(
                 f"malformed record: {type(exc).__name__}: {exc}"
             ) from exc
@@ -499,7 +466,7 @@ class WireCodec:
         return buf
 
     def _put_partial(self, buf: bytearray, partial: PartialView) -> None:
-        # Tag partials of non-primary views, as the v1/v2 layout does.
+        # Tag partials of non-primary views; the receiver rebinds them.
         name = partial.view.name
         tagged = name != self.view.name
         buf += _PARTIAL.pack(partial.lo, partial.hi, tagged)
@@ -661,12 +628,7 @@ class WireCodec:
         buf = self._head(
             _T_SNAPSHOT_ANSWER, message, p.request_id, p.source_index, p.epoch
         )
-        if p.relation is not None:
-            _put_bag(buf, p.relation)
-        else:
-            # Pre-encoded v2 flat rows: a block of the same values.
-            stride = len(self.view.schema_of(p.source_index)) + 1
-            _put_flat(buf, p.rows["f"], stride)
+        _put_bag(buf, p.relation)
         return buf
 
     def _read_snapshot_answer(self, fields, data, pos):
@@ -682,117 +644,8 @@ class WireCodec:
         return answer, pos
 
     # ------------------------------------------------------------------
-    # Payloads (v1/v2 object layout)
+    # Payloads (v1/v2 object layout, read only)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _epoch_field(payload: Any) -> dict:
-        """Incarnation tag for query/answer payloads; omitted when 0 so
-        pre-durability wire frames are byte-identical."""
-        epoch = getattr(payload, "epoch", 0)
-        return {"epoch": epoch} if epoch else {}
-
-    def encode_payload(self, payload: Any, version: int | None = None) -> dict:
-        v = self.version if version is None else version
-        if isinstance(payload, UpdateNotice):
-            return {
-                "type": "update_notice",
-                "source_index": payload.source_index,
-                "seq": payload.seq,
-                "applied_at": payload.applied_at,
-                "txn_id": payload.txn_id,
-                "txn_total": payload.txn_total,
-                "rows": _encode_rows(payload.delta, v),
-            }
-        if isinstance(payload, QueryRequest):
-            return {
-                "type": "query_request",
-                "request_id": payload.request_id,
-                "target_index": payload.target_index,
-                "partial": self._encode_partial(payload.partial, v),
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, QueryAnswer):
-            return {
-                "type": "query_answer",
-                "request_id": payload.request_id,
-                "partial": self._encode_partial(payload.partial, v),
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, MultiQueryRequest):
-            return {
-                "type": "multi_query_request",
-                "request_id": payload.request_id,
-                "target_index": payload.target_index,
-                "partials": [self._encode_partial(p, v) for p in payload.partials],
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, MultiQueryAnswer):
-            return {
-                "type": "multi_query_answer",
-                "request_id": payload.request_id,
-                "partials": [self._encode_partial(p, v) for p in payload.partials],
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, EcaQuery):
-            return {
-                "type": "eca_query",
-                "request_id": payload.request_id,
-                "terms": [
-                    {
-                        "sign": term.sign,
-                        "subs": {
-                            str(index): _encode_rows(delta, v)
-                            for index, delta in term.substitutions.items()
-                        },
-                    }
-                    for term in payload.terms
-                ],
-            }
-        if isinstance(payload, EcaAnswer):
-            return {
-                "type": "eca_answer",
-                "request_id": payload.request_id,
-                "rows": _encode_rows(payload.delta, v),
-            }
-        if isinstance(payload, PositionRequest):
-            return {
-                "type": "position_request",
-                "request_id": payload.request_id,
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, PositionAnswer):
-            return {
-                "type": "position_answer",
-                "request_id": payload.request_id,
-                "source_index": payload.source_index,
-                "position": payload.position,
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, SnapshotRequest):
-            return {
-                "type": "snapshot_request",
-                "request_id": payload.request_id,
-                **self._epoch_field(payload),
-            }
-        if isinstance(payload, SnapshotAnswer):
-            # Delta-encoded answers carry pre-encoded v2 flat rows; pass
-            # them through (decoding is version-agnostic, so this is safe
-            # even on a v1-negotiated channel).
-            return {
-                "type": "snapshot_answer",
-                "request_id": payload.request_id,
-                "source_index": payload.source_index,
-                "rows": (
-                    payload.rows
-                    if payload.relation is None
-                    else _encode_rows(payload.relation, v)
-                ),
-                **self._epoch_field(payload),
-            }
-        raise WireProtocolError(
-            f"no wire encoding for payload type {type(payload).__name__}"
-        )
-
     def decode_payload(self, obj: dict) -> Any:
         kind = obj.get("type")
         if kind == "update_notice":
@@ -883,18 +736,6 @@ class WireCodec:
         raise WireProtocolError(f"unknown payload type {kind!r}")
 
     # ------------------------------------------------------------------
-    def _encode_partial(self, partial: PartialView, version: int) -> dict:
-        obj = {
-            "lo": partial.lo,
-            "hi": partial.hi,
-            "rows": _encode_rows(partial.delta, version),
-        }
-        # Tag partials of non-primary views; untagged frames keep the
-        # pre-family wire shape, so single-view channels are unchanged.
-        if partial.view.name != self.view.name:
-            obj["view"] = partial.view.name
-        return obj
-
     def _decode_partial(self, obj: dict) -> PartialView:
         lo, hi = int(obj["lo"]), int(obj["hi"])
         name = obj.get("view")
@@ -945,4 +786,4 @@ _RECORD_READERS = {
 }
 
 
-__all__ = ["CODEC_VERSION_DEFAULT", "CODEC_VERSION_MAX", "WireCodec"]
+__all__ = ["CODEC_VERSION", "WireCodec"]

@@ -109,7 +109,6 @@ def _recorder(workload) -> RunRecorder:
 async def _start(
     runtime: AsyncRuntime,
     links,
-    source_links,
     config: ExperimentConfig,
     workload,
     recorder: RunRecorder,
@@ -122,12 +121,12 @@ async def _start(
     warehouse = WarehouseNode(runtime, links, config, workload)
     await links.start()
     sources = {
-        index: SourceSite(runtime, source_links, config, workload, index, trace)
+        index: SourceSite(runtime, links, config, workload, index, trace)
         for index in warehouse.sources
     }
     for site in sources.values():
         site.server.add_update_listener(recorder.on_source_update)
-    await source_links.start()
+    await links.start()
     warehouse.connect(sources, recorder, metrics, trace)
 
     def local_update(index: int):
@@ -152,7 +151,6 @@ async def run_distributed_async(
     timeout: float = 60.0,
     tcp_config: TcpChannelConfig | None = None,
     chaos: "ChaosConfig | str | None" = None,
-    source_tcp_config: TcpChannelConfig | None = None,
 ) -> DistributedRunResult:
     """Run one distributed experiment to quiescence on the current loop.
 
@@ -163,12 +161,6 @@ async def run_distributed_async(
     crash-restart blackouts), so protocol code still sees exactly-once
     in-order delivery -- the run should end in the same state as a
     healthy one, just later.
-
-    ``source_tcp_config`` (TCP transport only) gives the source sites a
-    different transport config than the warehouse -- the mixed-fleet
-    case, e.g. a warehouse advertising codec v3 against sources that
-    only speak v1; each channel pair negotiates down independently.
-    Defaults to ``tcp_config`` (a homogeneous fleet).
     """
     if transport not in ("tcp", "local"):
         raise ValueError(f"unknown transport {transport!r}")
@@ -184,13 +176,9 @@ async def run_distributed_async(
     links = links_for(
         transport, runtime, metrics, chaos, config.seed, host, tcp_config
     )
-    source_links = links
-    if transport == "tcp" and source_tcp_config is not None:
-        source_links = links.sibling(source_tcp_config)
     system = await _start(
         runtime,
         links,
-        source_links,
         config,
         workload,
         recorder,
@@ -257,7 +245,6 @@ def run_distributed(
     timeout: float = 60.0,
     tcp_config: TcpChannelConfig | None = None,
     chaos: "ChaosConfig | str | None" = None,
-    source_tcp_config: TcpChannelConfig | None = None,
 ) -> DistributedRunResult:
     """Blocking wrapper: run one distributed experiment in a fresh loop."""
     return asyncio.run(
@@ -269,7 +256,6 @@ def run_distributed(
             timeout=timeout,
             tcp_config=tcp_config,
             chaos=chaos,
-            source_tcp_config=source_tcp_config,
         )
     )
 

@@ -21,7 +21,6 @@ warehouse's queries.  The centralized (ECA) architecture uses
 
 from __future__ import annotations
 
-import copy
 import time as _time
 
 from repro.consistency.oracle import RunRecorder
@@ -42,7 +41,7 @@ from repro.runtime.chaos import (
     ChaosTcpProxy,
     profile,
 )
-from repro.runtime.codec import CODEC_VERSION_MAX, WireCodec
+from repro.runtime.codec import WireCodec
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.tcp import ChannelListener, TcpChannel, TcpChannelConfig
 from repro.runtime.transport import LocalChannel
@@ -117,9 +116,7 @@ class TcpLinks(LocalLinks):
     enters their names into :attr:`peers` (behind a chaos proxy on
     ``host`` when a profile is active), so a channel can only be made once
     its peer is up; a peer in another process is entered by hand.
-    ``tcp_config`` configures the sessions, and caps the codec version the
-    listeners welcome: a site configured with ``--codec-version`` speaks
-    at most that version in *both* directions.
+    ``tcp_config`` configures the sessions.
     """
 
     def __init__(
@@ -140,22 +137,8 @@ class TcpLinks(LocalLinks):
         self._unstarted: list[tuple[ChannelListener, list[str]]] = []
         self._proxies: list[ChaosTcpProxy] = []
 
-    def sibling(self, tcp_config: TcpChannelConfig | None) -> TcpLinks:
-        """Links sharing these peers, listeners and chaos state whose
-        sessions and listeners use ``tcp_config`` instead -- the other
-        half of a mixed-version fleet.  Starting or closing either one
-        starts or closes both."""
-        twin = copy.copy(self)
-        twin.tcp_config = tcp_config
-        return twin
-
     def bind(self, routes: dict[str, Mailbox], codec, adopt_next=False):
-        cap = CODEC_VERSION_MAX
-        if self.tcp_config is not None:
-            cap = self.tcp_config.codec_version
-        listener = ChannelListener(
-            self.runtime, *self.listen, adopt_next=adopt_next, codec_version_max=cap
-        )
+        listener = ChannelListener(self.runtime, *self.listen, adopt_next=adopt_next)
         for name, mailbox in routes.items():
             listener.register(name, mailbox, codec)
         self._unstarted.append((listener, list(routes)))

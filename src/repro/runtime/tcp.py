@@ -2,41 +2,37 @@
 
 Wire format
 -----------
-Every frame is a 4-byte big-endian length followed by a frame body: a
-UTF-8 JSON object on codec <= 2 sessions, a :mod:`repro.runtime.binwire`
-document on codec >= 3 sessions.  On v3 the envelope ``m`` of a ``msg``
-frame or ``mb`` entry is a bytes value: the message's packed record (see
-:mod:`repro.runtime.codec`), so binwire only walks the frame's few keys
-and sequence numbers.  The length's most significant bit flags
-a zlib-compressed body (large snapshot payloads shrink by an order of
-magnitude); the remaining 31 bits are the on-wire body length.  The
-compression threshold applies to the serialized body whichever serializer
-produced it.  Five frame types flow on a connection::
+Every frame is a 4-byte big-endian length followed by a
+:mod:`repro.runtime.binwire` document.  The envelope ``m`` of a ``msg``
+frame or ``mb`` entry is a bytes value: the message's packed v3 record
+(see :mod:`repro.runtime.codec`), so binwire only walks the frame's few
+keys and sequence numbers.  The length's most significant bit flags a
+zlib-compressed body (large snapshot payloads shrink by an order of
+magnitude); the remaining 31 bits are the on-wire body length.  Five
+frame types flow on a connection::
 
     {"t": "hello",   "channel": name, "next": seq,
-     "codec": max_version, "epoch": e?}              sender -> receiver
-    {"t": "welcome", "expect": seq, "codec": v}      receiver -> sender
-    {"t": "msg",     "seq": n, "m": envelope}        sender -> receiver
+     "codec": 3, "epoch": e?}                        sender -> receiver
+    {"t": "welcome", "expect": seq, "codec": 3}      receiver -> sender
+    {"t": "msg",     "seq": n, "m": record}          sender -> receiver
     {"t": "mb",      "frames": [{"seq", "m"}, ...]}  sender -> receiver
     {"t": "ack",     "seq": n}                       receiver -> sender
 
-``codec`` negotiates the codec version (see :mod:`repro.runtime.codec`):
-each side advertises the highest version it speaks and both use the
-minimum, so either endpoint may be upgraded first.  A pre-negotiation
-peer omits the key and is treated as version 1, which also disables the
-``mb`` (message batch) framing and compression -- the fast path is taken
-only when both ends opted in.  Handshake and ack frames are always JSON
-(they predate negotiation or must be readable by any peer); only
-``msg``/``mb`` bodies switch serializers, and :func:`read_frame` sniffs
-the body's first byte (binwire's magic ``0xB3`` can never start compact
-JSON), so decode stays downgrade-safe without any frame-level flag.
+One format is written; nothing is negotiated.  ``codec`` tells an older
+peer what this one reads: a listener welcomes every sender with
+``"codec": 3``, and a sender refuses (:class:`WireProtocolError`) a
+welcome that has no ``expect``, no ``codec`` or a ``codec`` below 3 --
+a receiver that cannot read records.  Readers stay lenient:
+:func:`read_frame` sniffs the body's first byte (binwire's magic
+``0xB3`` can never start compact JSON) and so also takes the JSON frames
+of older senders, whose ``m`` is a v1/v2 envelope dict that
+:meth:`WireCodec.decode_message` still reads.
 
 The **fast path**: protocol messages accepted by ``send`` while the
 writer task was busy are flushed as one ``mb`` frame -- one frame
 serialization, one ``write``, one ``drain()``, one ack for the whole
 batch -- so a k-update burst costs O(1) syscalls instead of O(k).
-Encoding happens at write time (not in ``send``), after the codec
-version is known.
+Encoding happens at write time, not in ``send``.
 
 Session guarantees
 ------------------
@@ -85,7 +81,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.runtime import binwire
-from repro.runtime.codec import CODEC_VERSION_DEFAULT, CODEC_VERSION_MAX, WireCodec
+from repro.runtime.codec import CODEC_VERSION, WireCodec
 from repro.runtime.errors import (
     TransportOverflowError,
     TransportRetriesExceeded,
@@ -110,7 +106,8 @@ async def read_frame(
     A set MSB in the length prefix marks a zlib-compressed body; readers
     always accept both, so compression needs no negotiation of its own.
     The (decompressed) body's first byte picks the deserializer -- binwire
-    magic or JSON -- so a reader accepts frames from any codec version.
+    magic or JSON -- so a reader also accepts the JSON frames of older
+    senders.
     """
 
     async def _read() -> dict:
@@ -146,21 +143,16 @@ def write_frame(
     writer: asyncio.StreamWriter,
     obj: dict,
     compress_min: int | None = None,
-    binary: bool = False,
 ) -> tuple[int, int]:
-    """Serialize one frame onto ``writer`` (caller drains).
+    """Serialize one frame onto ``writer`` through :mod:`repro.runtime.
+    binwire` (caller drains).
 
-    ``binary=True`` serializes through :mod:`repro.runtime.binwire` (the
-    codec v3 body format) instead of JSON.  Bodies of at least
-    ``compress_min`` bytes are zlib-compressed and flagged via the length
-    prefix's MSB; ``None`` disables compression.  Returns ``(raw_len,
-    wire_len)`` -- serialized body bytes before and after compression --
-    for the caller's byte accounting.
+    Bodies of at least ``compress_min`` bytes are zlib-compressed and
+    flagged via the length prefix's MSB; ``None`` disables compression.
+    Returns ``(raw_len, wire_len)`` -- serialized body bytes before and
+    after compression -- for the caller's byte accounting.
     """
-    if binary:
-        body = binwire.dumps(obj)
-    else:
-        body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    body = binwire.dumps(obj)
     raw_len = len(body)
     if compress_min is not None and raw_len >= compress_min:
         packed = zlib.compress(body, 1)
@@ -182,13 +174,18 @@ class TcpChannelConfig:
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
     max_queue: int = 1024
-    #: Advertised codec version (handshake settles on the pairwise min).
-    #: Also caps what this node's *listener* welcomes, so it is a true
-    #: speak-at-most knob in both directions.
-    codec_version: int = CODEC_VERSION_DEFAULT
-    #: Compress frame bodies at least this large (None disables).  Only
-    #: effective once the peer negotiated codec >= 2.
+    #: The codec version written; 3 is the only one.  Kept so that
+    #: configurations naming it still load.
+    codec_version: int = CODEC_VERSION
+    #: Compress frame bodies at least this large (None disables).
     compress_min_bytes: int | None = 16 * 1024
+
+    def __post_init__(self) -> None:
+        if self.codec_version != CODEC_VERSION:
+            raise ValueError(
+                f"codec_version must be {CODEC_VERSION} (the only format"
+                f" written), got {self.codec_version!r}"
+            )
 
 
 async def probe_peer(
@@ -314,15 +311,13 @@ class TcpChannel(RuntimeChannel):
         self.epoch = epoch
         self._next_seq = 1
         #: messages accepted but not yet written on the current connection;
-        #: encoding is deferred to write time, after codec negotiation.
+        #: encoding is deferred to write time.
         self._pending: deque[tuple[int, Message]] = deque()
         #: messages written but not yet acknowledged
         self._inflight: deque[tuple[int, Message]] = deque()
         self._wake = asyncio.Event()
         self._closed = False
         self._session_established = False
-        #: row-encoding version agreed with the peer (1 until welcomed).
-        self.negotiated_codec = 1
         self.reconnects = 0
         self.batches_sent = 0
         #: Optional dead-peer tolerance hook.  Called with the
@@ -419,27 +414,16 @@ class TcpChannel(RuntimeChannel):
                 "t": "hello",
                 "channel": self.name,
                 "next": oldest,
-                "codec": cfg.codec_version,
+                "codec": CODEC_VERSION,
             }
             if self.epoch:
                 hello["epoch"] = self.epoch
             write_frame(writer, hello)
             await writer.drain()
             welcome = await read_frame(reader, cfg.read_timeout)
-            if welcome.get("t") != "welcome":
-                raise WireProtocolError(
-                    f"channel {self.name!r}: expected welcome, got {welcome!r}"
-                )
-            self._rewind(int(welcome["expect"]))
-            # Settle on the pairwise-minimum codec version; a peer that
-            # predates negotiation omits the key and gets version 1.
-            self.negotiated_codec = max(
-                1, min(cfg.codec_version, int(welcome.get("codec", 1)))
-            )
+            self._rewind(self._expected_by(welcome))
             if self.metrics is not None:
-                self.metrics.increment(
-                    f"wire_sessions_v{self.negotiated_codec}"
-                )
+                self.metrics.increment("wire_sessions")
             self._session_established = True
 
             # A plain task (not runtime-guarded): a dropped connection here
@@ -471,21 +455,35 @@ class TcpChannel(RuntimeChannel):
             except (OSError, asyncio.CancelledError):
                 pass
 
+    def _expected_by(self, welcome: dict) -> int:
+        """The welcome's ``expect``, once it proves the peer reads records."""
+        if welcome.get("t") != "welcome":
+            raise WireProtocolError(
+                f"channel {self.name!r}: expected welcome, got {welcome!r}"
+            )
+        codec = welcome.get("codec")
+        expect = welcome.get("expect")
+        if type(codec) is not int or codec < CODEC_VERSION:
+            raise WireProtocolError(
+                f"channel {self.name!r}: the receiver reads codec {codec!r};"
+                f" this sender writes only v{CODEC_VERSION} records"
+            )
+        if type(expect) is not int:
+            raise WireProtocolError(
+                f"channel {self.name!r}: welcome without an expected"
+                f" sequence: {welcome!r}"
+            )
+        return expect
+
     def _write_pending(self, writer: asyncio.StreamWriter) -> None:
         """Flush every accepted message; the caller drains once.
 
-        On a codec>=2 session a multi-message burst leaves as a single
-        ``mb`` frame -- one serialization, one write, one ack.  Codec>=3
-        sessions carry each message as a packed record and serialize the
-        frame through binwire instead of JSON.
+        A multi-message burst leaves as a single ``mb`` frame -- one
+        serialization, one write, one ack.
         """
         if not self._pending:
             return
-        version = self.negotiated_codec
-        binary = version >= 3
-        compress_min = (
-            self.config.compress_min_bytes if version >= 2 else None
-        )
+        compress_min = self.config.compress_min_bytes
         burst: list[tuple[int, Message]] = []
         while self._pending:
             entry = self._pending.popleft()
@@ -493,13 +491,13 @@ class TcpChannel(RuntimeChannel):
             burst.append(entry)
         started = time.perf_counter_ns()
         raw_total = wire_total = 0
-        if version >= 2 and len(burst) > 1:
+        if len(burst) > 1:
             frames = [
-                {"seq": seq, "m": self.codec.encode_message(message, version)}
+                {"seq": seq, "m": self.codec.encode_message(message)}
                 for seq, message in burst
             ]
             raw_total, wire_total = write_frame(
-                writer, {"t": "mb", "frames": frames}, compress_min, binary
+                writer, {"t": "mb", "frames": frames}, compress_min
             )
             self.batches_sent += 1
         else:
@@ -507,9 +505,9 @@ class TcpChannel(RuntimeChannel):
                 frame = {
                     "t": "msg",
                     "seq": seq,
-                    "m": self.codec.encode_message(message, version),
+                    "m": self.codec.encode_message(message),
                 }
-                raw, wire = write_frame(writer, frame, compress_min, binary)
+                raw, wire = write_frame(writer, frame, compress_min)
                 raw_total += raw
                 wire_total += wire
         if self.metrics is not None:
@@ -560,15 +558,11 @@ class ChannelListener:
         host: str = "127.0.0.1",
         port: int = 0,
         adopt_next: bool = False,
-        codec_version_max: int = CODEC_VERSION_MAX,
     ):
         self.runtime = runtime
         self.host = host
         self.port = port
         self.adopt_next = adopt_next
-        #: highest codec version this node welcomes (inbound direction of
-        #: the ``--codec-version`` knob; decode still accepts everything).
-        self.codec_version_max = max(1, min(CODEC_VERSION_MAX, codec_version_max))
         self._registrations: dict[str, tuple[Mailbox, WireCodec]] = {}
         self._expect: dict[str, int] = {}
         #: highest crash-restart epoch seen per channel.
@@ -621,7 +615,9 @@ class ChannelListener:
             try:
                 epoch = int(hello.get("epoch", 0))
                 announced = int(hello.get("next", 1))
-                offered = int(hello.get("codec", 1))
+                # Checked, not negotiated: every version a sender
+                # writes is read.
+                int(hello.get("codec", 1))
             except (TypeError, ValueError) as exc:
                 raise WireProtocolError(f"malformed hello {hello!r}") from exc
             self.connections_accepted += 1
@@ -647,7 +643,7 @@ class ChannelListener:
                 {
                     "t": "welcome",
                     "expect": self._expect[name],
-                    "codec": max(1, min(self.codec_version_max, offered)),
+                    "codec": CODEC_VERSION,
                 },
             )
             await writer.drain()

@@ -51,8 +51,8 @@ def estimate_size(payload: object) -> int:
     if isinstance(payload, (list, tuple, set, frozenset)):
         return max(1, sum(estimate_size(item) for item in payload))
     if isinstance(payload, dict):
-        # The flat row block shared by codec v2/v3 and the durable
-        # encoders: ``f`` holds rows of ``w`` columns plus their count,
+        # The v2 flat row encoding of older frames and durable files:
+        # ``f`` holds rows of ``w`` columns plus their count,
         # stride ``w + 1``.  Without this case the generic dict walk
         # would count every *scalar* as a row, so the same relation
         # would measure ``arity + 1`` times larger through the flat

@@ -195,28 +195,17 @@ class SnapshotRequest:
 class SnapshotAnswer:
     """Full relation contents in reply to a :class:`SnapshotRequest`.
 
-    The contents travel in one of two forms: ``relation`` (materialized,
-    the original full-state transfer) or ``rows`` (codec-v2 flat rows
-    with an explicit arity, shared with the durability checkpoint
-    encoder -- see :mod:`repro.durability.encoding`).  Receivers use
-    ``snapshot_relation`` / ``snapshot_delta`` from that module to accept
-    either form.
+    ``relation`` is a point-in-time (possibly frozen) view of the source
+    relation; receivers only read it.
     """
 
     request_id: int
     source_index: int
-    relation: "object | None" = None  # Relation; typed loosely (import cycle)
-    rows: dict | None = None  # {"f": [...], "w": arity} flat encoding
+    relation: "object"  # Relation; typed loosely (import cycle)
     epoch: int = 0
 
     def payload_size(self) -> int:
-        if self.relation is not None:
-            return max(1, self.relation.distinct_count)
-        if self.rows is not None:
-            stride = int(self.rows.get("w", 0)) + 1
-            if stride > 1:
-                return max(1, len(self.rows["f"]) // stride)
-        return 1
+        return max(1, self.relation.distinct_count)
 
 
 @dataclass(slots=True)

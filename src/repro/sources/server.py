@@ -61,16 +61,12 @@ def build_answer(request, backend: SourceBackend, index: int, update_seq: int):
             epoch=request.epoch,
         )
     if isinstance(request, SnapshotRequest):
-        # Delta-encoded snapshot: ship codec-v2 flat rows (the
-        # checkpoint encoder's format) instead of a materialized
-        # relation -- same bytes the TCP codec would emit, built
-        # once here rather than per hop.
-        from repro.durability.encoding import encode_bag
-
+        # A point-in-time view of the relation (O(1) on the memory
+        # backend); the wire codec packs it as one row block.
         return SnapshotAnswer(
             request_id=request.request_id,
             source_index=index,
-            rows=encode_bag(backend.snapshot()),
+            relation=backend.snapshot(),
             epoch=request.epoch,
         )
     if isinstance(request, MultiQueryRequest):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from repro.durability.encoding import snapshot_delta
+from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
 from repro.sources.messages import SnapshotRequest, next_request_id
 from repro.warehouse.errors import ProtocolError
@@ -75,10 +75,9 @@ class BootstrapSweepWarehouse(SweepWarehouse):
                 self.update_queue.remove(queued)
         self.metrics.increment("bootstrap_absorbed", len(absorbed))
 
-        # The snapshot travels delta-encoded (codec-v2 flat rows, the
-        # checkpoint encoder's format); seed the sweep straight from it.
+        # Seed the sweep straight from the snapshot, as an insertion delta.
         partial = PartialView.initial(
-            self.view, 1, snapshot_delta(answer, self.view.schema_of(1))
+            self.view, 1, Delta.from_relation(answer.relation)
         )
         for j in range(2, self.view.n_relations + 1):
             temp = partial

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from repro.durability.encoding import snapshot_relation
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.sources.messages import SnapshotRequest, UpdateNotice, next_request_id
@@ -45,9 +44,7 @@ class RecomputeWarehouse(QueueDrivenWarehouse):
                     f"snapshot answer {answer.request_id} does not match"
                     f" request {request.request_id}"
                 )
-            states[self.view.name_of(answer.source_index)] = snapshot_relation(
-                answer, self.view.schema_of(answer.source_index)
-            )
+            states[self.view.name_of(answer.source_index)] = answer.relation
 
         fresh = self.view.evaluate(states)
         delta = Delta(self.store.relation.schema)

@@ -67,6 +67,14 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run-distributed", "conformance"])
+    def test_codec_version_flag_is_gone(self, command, capsys):
+        # One wire format is written: nothing to pin, cap or mix.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--codec-version", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_algorithms(self, capsys):

@@ -23,7 +23,6 @@ from repro.harness.scenarios import (
     PERTURBATIONS,
     SHARDED_ALGORITHMS,
     ChaosProfile,
-    CodecPin,
     CrashRestart,
     Migrate,
     PrimaryKill,
@@ -78,8 +77,7 @@ def test_defaults_cover_registry_and_profiles():
     for spec in SHARDED_ALGORITHMS.values():
         assert spec["algorithm"] in ALGORITHMS
     assert set(PERTURBATIONS) == {
-        "crash-restart", "primary-kill", "migrate", "chaos", "codec",
-        "standbys",
+        "crash-restart", "primary-kill", "migrate", "chaos", "standbys",
     }
 
 
@@ -262,7 +260,7 @@ def test_composed_scenario_matches_its_twin(name, algorithm, seed):
 
 
 # ---------------------------------------------------------------------------
-# Conformance: chaos profiles, codec pins, the matrix
+# Conformance: chaos profiles, the matrix
 # ---------------------------------------------------------------------------
 
 class TestConformanceCases:
@@ -343,21 +341,6 @@ class TestConformanceCases:
         with pytest.raises(KeyError):
             chaos_case("no-such-algorithm", "healthy")
 
-    def test_unknown_codec_pin_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown codec pin"):
-            CodecPin(codec="99")
-
-    def test_mixed_codec_fleet_downgrades_per_channel(self):
-        row = run_case(
-            "sweep", 0, [ChaosProfile(profile="dup"), CodecPin(codec="mixed")],
-            sharded=False, transport="tcp", **FAST,
-        )
-        assert_equivalent(row)
-        assert row["codec"] == "mixed"
-        # ... which the sharded runtime cannot express: a failed row.
-        row = run_case("sweep", 0, [CodecPin(codec="mixed")], **FAST)
-        assert not row["ok"] and "mixed-version" in row["error"]
-
     def test_crash_is_a_conformance_verdict(self, monkeypatch):
         class ExplodingWarehouse(SweepWarehouse):
             algorithm_name = "exploding"
@@ -414,10 +397,8 @@ class TestMatrix:
         ]
 
     def test_unsupported_pairs_are_skipped_not_failed(self):
-        # ECA never issues sweep-step queries (no locality layer), and
-        # the sharded runtime cannot mix codec versions per side.
+        # ECA never issues sweep-step queries (no locality layer).
         assert run_matrix(("eca",), ("healthy",), localities=("aux",)) == []
-        assert run_matrix(("sharded-sweep",), ("healthy",), codec="mixed") == []
 
     def test_format_report_renders_verdicts(self, rows):
         text = format_report(build_report("conformance", rows))
@@ -630,7 +611,6 @@ class TestCli:
             ("--localities", "off,nope", "unknown locality mode 'nope'"),
             ("--profiles", "nope", "unknown chaos profile 'nope'"),
             ("--algorithms", "nope", "unknown algorithm 'nope'"),
-            ("--codec-version", "99", "unknown codec pin '99'"),
         ],
     )
     def test_conformance_rejects_unknown_axes(self, flag, value, message, capsys):

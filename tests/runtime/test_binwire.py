@@ -8,9 +8,11 @@ Two layers of coverage:
   lying counts and invalid UTF-8 -- as do ``read_frame`` and the
   listener, with :class:`WireProtocolError`;
 * transport matrix -- every protocol payload type crosses a real frame
-  (``write_frame``/``read_frame`` through an ``asyncio.StreamReader``)
-  under codec v1/v2/v3 with compression off and on, and decodes to an
-  equal message.
+  (``read_frame`` through an ``asyncio.StreamReader``, and a listener
+  through a socket) with compression off and on: our v3 frames, and the
+  JSON frames of an older sender carrying the checked-in v1/v2
+  envelopes (``data/wire_v1.json`` / ``wire_v2.json``), decode to
+  exactly the encoded message.
 """
 
 import asyncio
@@ -19,12 +21,10 @@ import json
 import math
 import random
 import struct
+from types import SimpleNamespace
 
 import pytest
 
-from repro.relational.delta import Delta
-from repro.relational.incremental import PartialView
-from repro.relational.relation import Relation
 from repro.runtime import (
     AsyncRuntime,
     ChannelListener,
@@ -33,20 +33,14 @@ from repro.runtime import (
 )
 from repro.runtime import binwire
 from repro.runtime.tcp import read_frame, write_frame
-from repro.simulation.channel import Message
-from repro.sources.messages import (
-    EcaAnswer,
-    EcaQuery,
-    EcaQueryTerm,
-    MultiQueryAnswer,
-    MultiQueryRequest,
-    PositionAnswer,
-    PositionRequest,
-    QueryAnswer,
-    QueryRequest,
-    SnapshotAnswer,
-    SnapshotRequest,
-    UpdateNotice,
+from tests.runtime.wire_fixtures import (
+    HOSTILE_SHAPES,
+    bodies,
+    fixture_messages,
+    hostile_envelope,
+    older_peer_frame,
+    same_message,
+    variant_of,
 )
 
 
@@ -282,6 +276,43 @@ def test_listener_records_a_malformed_frame_as_a_protocol_error(
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+def test_listener_records_a_hostile_envelope_as_a_protocol_error(
+    paper_view, shape
+):
+    """An older sender's JSON ``msg`` frame whose envelope is malformed
+    ends the session with a :class:`WireProtocolError` recorded on the
+    runtime.  (An untyped error used to escape the handler: the sender
+    reconnected, its handshake refilled its retry budget, and it resent
+    the same frame forever.)"""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        listener = ChannelListener(runtime)
+        listener.register(
+            "R1->wh", SimpleNamespace(put=lambda message: None),
+            WireCodec(paper_view, extra_views=(variant_of(paper_view),)),
+        )
+        await listener.start()
+        reader, writer = await asyncio.open_connection(*listener.address)
+        hello = {"t": "hello", "channel": "R1->wh", "next": 1, "codec": 1}
+        writer.write(_frame_bytes(1, hello, None))
+        frame = {"t": "msg", "seq": 1, "m": hostile_envelope(shape)}
+        writer.write(_frame_bytes(1, frame, None))
+        await writer.drain()
+        assert (await read_frame(reader, timeout=5.0))["t"] == "welcome"
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed
+        writer.close()
+        await listener.aclose()
+        try:
+            with pytest.raises(WireProtocolError, match="malformed envelope"):
+                runtime.check()
+        finally:
+            await runtime.aclose()
+
+    asyncio.run(main())
+
+
 @pytest.mark.parametrize(
     "hello",
     [
@@ -376,105 +407,106 @@ def test_fuzz_matches_json_round_trip():
 # Every message type x codec version x compression
 # ---------------------------------------------------------------------------
 
-def _messages(view):
-    """One instance of every protocol payload type, rows included."""
-    d1 = Delta(view.schema_of(1), {(1, 3): 1, (2, 5): -1})
-    d2 = Delta(view.schema_of(2), {(3, 7): 2})
-    p12 = PartialView(
-        view, 1, 2, Delta(view.wide_schema_range(1, 2), {(1, 3, 3, 7): 1})
-    )
-    p23 = PartialView(
-        view, 2, 3, Delta(view.wide_schema_range(2, 3), {(3, 7, 7, 8): -1})
-    )
-    relation = Relation(view.schema_of(2), {(3, 7): 1, (4, 9): 3})
-    payloads = [
-        UpdateNotice(
-            source_index=1, seq=4, delta=d1, applied_at=6.25,
-            txn_id="t-9", txn_total=2,
-        ),
-        QueryRequest(request_id=11, partial=p12, target_index=3, epoch=2),
-        QueryAnswer(request_id=11, partial=p23, epoch=2),
-        MultiQueryRequest(
-            request_id=12, partials=[p12, p23], target_index=3
-        ),
-        MultiQueryAnswer(request_id=12, partials=[p23]),
-        SnapshotRequest(request_id=13, epoch=1),
-        SnapshotAnswer(request_id=13, source_index=2, relation=relation),
-        SnapshotAnswer(
-            request_id=14, source_index=2,
-            rows={"f": [3, 7, 1, 4, 9, 3], "w": 2},
-        ),
-        PositionRequest(request_id=15),
-        PositionAnswer(request_id=15, source_index=1, position=9, epoch=3),
-        EcaQuery(
-            request_id=16,
-            terms=[
-                EcaQueryTerm(substitutions={1: d1}, sign=1),
-                EcaQueryTerm(substitutions={1: d1, 2: d2}, sign=-1),
-            ],
-        ),
-        EcaAnswer(
-            request_id=16,
-            delta=Delta(view.wide_schema, {(1, 3, 3, 7, 7, 8): 1}),
-        ),
-    ]
-    return [
-        Message(kind="test", sender="R1", payload=p, sent_at=float(i))
-        for i, p in enumerate(payloads)
-    ]
-
-
-def _frame_round_trip(frame_obj, compress_min, binary):
-    class BufferWriter:
-        def __init__(self):
-            self.data = bytearray()
-
-        def write(self, chunk):
-            self.data.extend(chunk)
-
+def _frame_bytes(version: int, frame: dict, compress_min) -> bytes:
+    """``frame`` as a sender of codec ``version`` put it on the wire:
+    ours through ``write_frame``, an older sender's as a JSON frame."""
+    if version < 3:
+        return older_peer_frame(frame, compress_min)
     writer = BufferWriter()
-    write_frame(writer, frame_obj, compress_min=compress_min, binary=binary)
+    write_frame(writer, frame, compress_min=compress_min)
+    return bytes(writer.data)
 
+
+class BufferWriter:
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, chunk):
+        self.data.extend(chunk)
+
+
+def _read_frames(data: bytes) -> list[dict]:
     async def main():
         reader = asyncio.StreamReader()
-        reader.feed_data(bytes(writer.data))
+        reader.feed_data(data)
         reader.feed_eof()
-        return await read_frame(reader)
+        frames = []
+        while not reader.at_eof():
+            frames.append(await read_frame(reader))
+        return frames
 
-    return asyncio.run(main()), bytes(writer.data)
+    return asyncio.run(main())
+
+
+def _fixtures(paper_view):
+    variant = variant_of(paper_view)
+    codec = WireCodec(paper_view, extra_views=(variant,))
+    return codec, fixture_messages(paper_view, variant)
 
 
 @pytest.mark.parametrize("compress_min", [None, 0], ids=["plain", "zlib"])
 @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
 def test_every_message_type_survives_the_wire(paper_view, version, compress_min):
-    codec = WireCodec(paper_view, version=version)
-    for message in _messages(paper_view):
-        # The in-memory fixed point absorbs lossy-but-legal decode
-        # normalization (a rows-form snapshot decodes to a relation), so
-        # the wire assertion below isolates serialization.
-        reference = codec.decode_message(codec.encode_message(message))
-        frame = {"t": "msg", "seq": 1, "m": codec.encode_message(message)}
-        decoded_frame, raw = _frame_round_trip(
-            frame, compress_min, binary=version >= 3
-        )
-        if version >= 3 and compress_min is None:
+    """Our v3 frames, and an older sender's JSON frames of the checked-in
+    v1/v2 envelopes, decode to exactly the message that was encoded."""
+    codec, messages = _fixtures(paper_view)
+    for message, body in zip(messages, bodies(version, codec, messages)):
+        raw = _frame_bytes(version, {"t": "msg", "seq": 1, "m": body}, compress_min)
+        if compress_min is None:
             (prefix,) = struct.unpack(">I", raw[:4])
-            assert binwire.is_binary(raw[4:4 + (prefix & 0x7FFFFFFF)])
-        copy = codec.decode_message(decoded_frame["m"])
-        assert codec.encode_message(copy, 2) == codec.encode_message(
-            reference, 2
-        ), type(message.payload).__name__
+            assert binwire.is_binary(raw[4:4 + prefix]) == (version == 3)
+        [frame] = _read_frames(raw)
+        copy = codec.decode_message(frame["m"])
+        assert same_message(copy, message), type(message.payload).__name__
 
 
 @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
 def test_cross_version_decode(paper_view, version):
-    """A decoder never needs to know the sender's negotiated version:
-    frames from any version decode with any receiver configuration."""
-    sender = WireCodec(paper_view, version=version)
-    for message in _messages(paper_view):
-        frame = {"t": "msg", "seq": 1, "m": sender.encode_message(message)}
-        decoded, _ = _frame_round_trip(frame, None, binary=version >= 3)
-        for receiver_version in (1, 2, 3):
-            receiver = WireCodec(paper_view, version=receiver_version)
-            copy = receiver.decode_message(decoded["m"])
-            assert type(copy.payload) is type(message.payload)
+    """A listener never needs to know the sender's version.  A raw socket
+    plays a sender of each one -- an older sender says hello in JSON and
+    sends JSON ``msg`` frames (v1) or one ``mb`` frame (v2) of the
+    checked-in envelopes -- and the listener welcomes it with ``codec``
+    3, acknowledges in binwire and delivers exactly the encoded
+    messages."""
+    codec, messages = _fixtures(paper_view)
+    entries = [
+        {"seq": seq, "m": body}
+        for seq, body in enumerate(bodies(version, codec, messages), start=1)
+    ]
+    if version == 1:  # v1 senders never batched
+        frames = [{"t": "msg", **entry} for entry in entries]
+    else:
+        frames = [{"t": "mb", "frames": entries}]
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        delivered = []
+        listener = ChannelListener(runtime)
+        listener.register("R1->wh", SimpleNamespace(put=delivered.append), codec)
+        await listener.start()
+        reader, writer = await asyncio.open_connection(*listener.address)
+        hello = {"t": "hello", "channel": "R1->wh", "next": 1, "codec": version}
+        writer.write(_frame_bytes(version, hello, None))
+        await writer.drain()
+        header = await reader.readexactly(4)
+        welcome_body = await reader.readexactly(struct.unpack(">I", header)[0])
+        assert binwire.is_binary(welcome_body)
+        assert binwire.loads(welcome_body) == {
+            "t": "welcome", "expect": 1, "codec": 3
+        }
+        acks = []
+        for frame in frames:
+            writer.write(_frame_bytes(version, frame, None))
+            await writer.drain()
+            acks.append(await read_frame(reader, timeout=5.0))
+        writer.close()
+        await listener.aclose()
+        runtime.check()
+        await runtime.aclose()
+        return acks, delivered
+
+    acks, delivered = asyncio.run(main())
+    assert acks[-1] == {"t": "ack", "seq": len(messages)}
+    assert len(delivered) == len(messages)
+    for copy, message in zip(delivered, messages):
+        assert same_message(copy, message), type(message.payload).__name__

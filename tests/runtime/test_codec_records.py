@@ -1,15 +1,15 @@
 """Codec v3 records: layout, field coverage and the hostile-input reader.
 
-A v3 ``encode_message`` returns one packed ``bytes`` record per message
-(see :mod:`repro.runtime.codec`).  These tests pin what the generic
+``encode_message`` returns one packed ``bytes`` record per message (see
+:mod:`repro.runtime.codec`).  These tests pin what the generic
 roundtrips in ``test_codec.py`` / ``test_binwire.py`` do not: every
 optional field both ways, the packed-versus-fallback row blocks, the
-parent's dict-in-binwire frames still decoding, and a reader that turns
-every malformed record into :class:`WireProtocolError` and nothing else.
+dict-in-binwire frames of earlier v3 senders still decoding, and a
+reader that turns every malformed record into :class:`WireProtocolError`
+and nothing else.
 """
 
 import asyncio
-import json
 import struct
 
 import pytest
@@ -17,7 +17,6 @@ import pytest
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
 from repro.relational.relation import Relation
-from repro.relational.view import ViewDefinition
 from repro.runtime import WireCodec, WireProtocolError, binwire, codec as wire
 from repro.runtime.tcp import read_frame
 from repro.simulation.channel import Message
@@ -38,40 +37,28 @@ from repro.sources.messages import (
     make_rebalance_fence,
     rebalance_fence_epoch,
 )
-
-
-def _variant(view: ViewDefinition, name: str) -> ViewDefinition:
-    """A same-chain view with another projection (tagged on the wire)."""
-    return ViewDefinition(
-        name=name,
-        relation_names=view.relation_names,
-        schemas=view.schemas,
-        join_conditions=view.join_conditions,
-        projection=("B", "D"),
-    )
+from tests.runtime.wire_fixtures import (
+    fixture_messages,
+    load_envelopes,
+    same_message,
+    variant_of,
+)
 
 
 @pytest.fixture
 def variant(paper_view):
-    return _variant(paper_view, "V#bd")
+    return variant_of(paper_view)
 
 
 @pytest.fixture
 def codec(paper_view, variant):
-    return WireCodec(paper_view, version=3, extra_views=(variant,))
+    return WireCodec(paper_view, extra_views=(variant,))
 
 
 def _wire(codec, message):
     record = codec.encode_message(message)
     assert type(record) is bytes
     return codec.decode_message(record)
-
-
-def _same(codec, a: Message, b: Message) -> bool:
-    """Equal envelopes and payloads (compared through the v2 layout)."""
-    return (a.kind, a.sender, a.sent_at) == (b.kind, b.sender, b.sent_at) and (
-        codec.encode_message(a, 2) == codec.encode_message(b, 2)
-    )
 
 
 def _notice(view, rows, **fields):
@@ -108,7 +95,7 @@ def _messages(view, variant):
         ),
         SnapshotAnswer(
             request_id=14, source_index=2,
-            rows={"f": [3, 7, 1, 4, 9, 3], "w": 2}, epoch=5,
+            relation=Relation(view.schema_of(2), {}), epoch=5,
         ),
         PositionRequest(request_id=15),
         PositionAnswer(request_id=15, source_index=1, position=9, epoch=3),
@@ -136,15 +123,12 @@ def _messages(view, variant):
 
 
 def test_every_payload_type_has_a_record(codec, paper_view, variant):
-    """A record decodes to what the v2 object layout decodes to."""
+    """A record decodes to exactly the message it encodes."""
     messages = _messages(paper_view, variant)
     assert {type(m.payload) for m in messages} == set(wire._RECORD_WRITERS)
     for message in messages:
         copy = _wire(codec, message)
-        via_v2 = codec.decode_message(
-            json.loads(json.dumps(codec.encode_message(message, 2)))
-        )
-        assert _same(codec, copy, via_v2), type(message.payload).__name__
+        assert same_message(copy, message), type(message.payload).__name__
         assert type(copy.payload) is type(message.payload)
 
 
@@ -197,8 +181,8 @@ def test_partial_of_a_non_base_view_keeps_its_view(codec, paper_view, variant):
     message = Message("query", "wh", MultiQueryRequest(1, [tagged, base], 3))
     record = codec.encode_message(message)
     assert b"V#bd" in record
-    # Any receiver that knows the family decodes it, whatever its version.
-    receiver = WireCodec(paper_view, version=1, extra_views=(variant,))
+    # Any receiver that knows the family decodes it.
+    receiver = WireCodec(paper_view, extra_views=(variant,))
     partials = receiver.decode_message(record).payload.partials
     assert [p.view for p in partials] == [variant, paper_view]
     assert [p.delta for p in partials] == [tagged.delta, base.delta]
@@ -250,35 +234,21 @@ def test_widths_follow_the_values(codec, paper_view):
     assert block({(2**63 - 1, -(2**63) + 1): 1})[1] == 0b001111
 
 
-def test_pre_encoded_snapshot_rows(codec, paper_view):
-    answer = SnapshotAnswer(
-        request_id=3, source_index=3, rows={"f": [5, 6, 1, 7, 8, 2], "w": 2}
-    )
-    copy = _wire(codec, Message("answer", "R3", answer)).payload
-    assert copy.relation == Relation(
-        paper_view.schema_of(3), {(5, 6): 1, (7, 8): 2}
-    )
-    bad = SnapshotAnswer(request_id=3, source_index=3, rows={"f": [5, 6, 1, 7]})
-    with pytest.raises(WireProtocolError, match="arity"):
-        codec.decode_message(codec.encode_message(Message("answer", "R3", bad)))
-
-
 def test_parent_layout_still_decodes(codec, paper_view, variant):
     """A frame written by a v3 sender that still put the v2 object layout
-    inside the binwire frame decodes to the same message."""
+    inside the binwire frame (the checked-in v2 envelopes) decodes to the
+    message the v2 writer encoded."""
     async def read(body: bytes) -> dict:
         reader = asyncio.StreamReader()
         reader.feed_data(struct.pack(">I", len(body)) + body)
         reader.feed_eof()
         return await read_frame(reader)
 
-    for message in _messages(paper_view, variant):
-        body = binwire.dumps(
-            {"t": "msg", "seq": 1, "m": codec.encode_message(message, 2)}
-        )
+    messages = fixture_messages(paper_view, variant)
+    for message, envelope in zip(messages, load_envelopes(2)):
+        body = binwire.dumps({"t": "msg", "seq": 1, "m": envelope})
         copy = codec.decode_message(asyncio.run(read(body))["m"])
-        reference = codec.decode_message(codec.encode_message(message))
-        assert _same(codec, copy, reference), type(message.payload).__name__
+        assert same_message(copy, message), type(message.payload).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +298,7 @@ def test_stride_that_is_not_arity_plus_one(codec, paper_view):
 
 
 def test_unknown_view_tag(paper_view, variant):
-    sender = WireCodec(paper_view, version=3, extra_views=(variant,))
+    sender = WireCodec(paper_view, extra_views=(variant,))
     tagged = PartialView(
         variant, 1, 1, Delta(variant.schema_of(1), {(1, 3): 1})
     )

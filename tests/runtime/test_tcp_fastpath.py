@@ -1,10 +1,10 @@
-"""TCP fast path: frame compression, multi-message frames, negotiation.
+"""TCP fast path: frame compression, multi-message frames, the handshake.
 
 Covers the transport-level throughput work in isolation from the
 protocol: the MSB-flagged zlib frame encoding roundtrips through real
-stream objects, bursts of queued messages coalesce into one ``mb`` frame
-when both ends speak codec v2, and a v1 peer on either side of the
-handshake downgrades the channel cleanly.
+stream objects, bursts of queued messages coalesce into one ``mb``
+frame, and a sender refuses a receiver whose welcome does not prove it
+reads v3 records.
 """
 
 import asyncio
@@ -19,11 +19,13 @@ from repro.runtime import (
     TcpChannel,
     TcpChannelConfig,
     WireCodec,
+    WireProtocolError,
 )
-from repro.runtime.codec import CODEC_VERSION_DEFAULT
 from repro.runtime.tcp import read_frame, write_frame
 from repro.simulation.channel import Message
+from repro.simulation.metrics import MetricsCollector
 from repro.sources.messages import UpdateNotice
+from tests.runtime.wire_fixtures import older_peer_frame
 
 
 class Sink:
@@ -117,12 +119,12 @@ def test_compression_disabled_with_none():
 
 
 def body_of_length(n):
-    """An object whose canonical JSON body is exactly ``n`` bytes and
+    """An object whose binwire body is exactly ``n`` bytes and
     compressible (a run of one character)."""
-    obj = {"p": "a" * (n - 8)}  # {"p":"..."} wraps the run in 8 bytes
-    import json
+    from repro.runtime import binwire
 
-    assert len(json.dumps(obj, separators=(",", ":")).encode()) == n
+    obj = {"p": "a" * (n - 9)}  # the document wraps the run in 9 bytes
+    assert len(binwire.dumps(obj)) == n
     return obj
 
 
@@ -154,11 +156,12 @@ async def _burst_over_tcp(paper_view, channel_config, n=30):
     runtime = AsyncRuntime(time_scale=0.001)
     codec = WireCodec(paper_view)
     sink = Sink()
+    metrics = MetricsCollector()
     listener = ChannelListener(runtime)
     listener.register("R1->wh", sink, codec)
     await listener.start()
     channel = TcpChannel(
-        runtime, "R1->wh", *listener.address, codec, None, channel_config
+        runtime, "R1->wh", *listener.address, codec, metrics, channel_config
     )
     # No yields between sends: the writer task sees a backlog and must
     # coalesce it rather than write frame by frame.
@@ -166,7 +169,7 @@ async def _burst_over_tcp(paper_view, channel_config, n=30):
         channel.send(Message("update", "R1", make_notice(paper_view, seq)))
     await channel.flush()
     stats = {
-        "negotiated_codec": channel.negotiated_codec,
+        "wire_sessions": metrics.counters["wire_sessions"],
         "batches_sent": channel.batches_sent,
     }
     await channel.aclose()
@@ -178,94 +181,61 @@ async def _burst_over_tcp(paper_view, channel_config, n=30):
 def test_burst_coalesces_into_multi_message_frames(paper_view):
     stats, got = run(_burst_over_tcp(paper_view, TcpChannelConfig()))
     assert got == list(range(1, 31))  # FIFO preserved through mb frames
-    assert stats["negotiated_codec"] == CODEC_VERSION_DEFAULT
+    assert stats["wire_sessions"] == 1
     assert stats["batches_sent"] >= 1
 
 
-def test_v1_sender_disables_batching(paper_view):
-    """A sender pinned to codec v1 never emits mb frames."""
-    config = TcpChannelConfig(codec_version=1)
-    stats, got = run(_burst_over_tcp(paper_view, config))
-    assert got == list(range(1, 31))
-    assert stats["negotiated_codec"] == 1
-    assert stats["batches_sent"] == 0
-
-
-def test_negotiated_codec_is_pairwise_min(paper_view):
-    """The welcome clamps to min(sender, listener); absent key means v1."""
-
-    async def main():
-        runtime = AsyncRuntime(time_scale=0.001)
-        codec = WireCodec(paper_view)
-        listener = ChannelListener(runtime)
-        listener.register("R1->wh", Sink(), codec)
-        await listener.start()
-        host, port = listener.address
-
-        reader, writer = await asyncio.open_connection(host, port)
-        write_frame(writer, {"t": "hello", "channel": "R1->wh", "resume": 1})
-        await writer.drain()
-        welcome = await read_frame(reader, timeout=5.0)
-        writer.close()
-        await writer.wait_closed()
-        await listener.aclose()
-        await runtime.aclose()
-        return welcome
-
-    welcome = run(main())
-    assert welcome["t"] == "welcome"
-    # Listener speaks v2 but must clamp to the hello's version (absent -> 1).
-    assert welcome["codec"] == 1
-
-
-def test_welcome_without_codec_key_downgrades_sender(paper_view):
-    """The mirror case: a *receiver* predating negotiation omits the codec
-    key from its welcome, and the v2 sender must fall back to v1 -- plain
-    per-message frames, no mb batching."""
+@pytest.mark.parametrize(
+    "welcome",
+    [
+        lambda hello: {"t": "welcome", "expect": hello["next"], "codec": 2},
+        lambda hello: {"t": "welcome", "expect": hello["next"]},
+        lambda hello: {"t": "welcome", "codec": 3},
+    ],
+    ids=["codec-below-3", "no-codec", "no-expect"],
+)
+def test_sender_refuses_a_receiver_that_cannot_read_records(paper_view, welcome):
+    """A welcome that does not prove the receiver reads v3 records -- a
+    ``codec`` below 3, or none (a receiver predating negotiation) -- or
+    that names no expected sequence fails the sender with a typed
+    :class:`WireProtocolError`: no silent downgrade, no bare ``KeyError``
+    and no reconnect loop."""
 
     async def main():
-        frames = []
+        hellos = []
 
-        async def legacy_receiver(reader, writer):
+        async def older_receiver(reader, writer):
             hello = await read_frame(reader)
-            assert hello["t"] == "hello"
-            # Old receiver: acknowledges the session but says nothing
-            # about codecs.
-            write_frame(writer, {"t": "welcome", "expect": hello["next"]})
+            hellos.append(hello)
+            writer.write(older_peer_frame(welcome(hello)))
             await writer.drain()
-            while True:
+            while True:  # acknowledge whatever arrives
                 try:
                     frame = await read_frame(reader)
                 except Exception:
                     return
-                frames.append(frame)
-                if frame.get("t") == "msg":
-                    write_frame(writer, {"t": "ack", "seq": frame["seq"]})
-                    await writer.drain()
+                last = frame["frames"][-1] if frame["t"] == "mb" else frame
+                writer.write(older_peer_frame({"t": "ack", "seq": last["seq"]}))
+                await writer.drain()
 
-        server = await asyncio.start_server(legacy_receiver, "127.0.0.1", 0)
+        server = await asyncio.start_server(older_receiver, "127.0.0.1", 0)
         host, port = server.sockets[0].getsockname()[:2]
         runtime = AsyncRuntime(time_scale=0.001)
-        codec = WireCodec(paper_view)
         channel = TcpChannel(
-            runtime, "R1->wh", host, port, codec, None, TcpChannelConfig()
+            runtime, "R1->wh", host, port, WireCodec(paper_view), None,
+            TcpChannelConfig(),
         )
-        for seq in range(1, 11):
-            channel.send(Message("update", "R1", make_notice(paper_view, seq)))
-        await channel.flush()
-        stats = {
-            "negotiated_codec": channel.negotiated_codec,
-            "batches_sent": channel.batches_sent,
-        }
-        await channel.aclose()
-        server.close()
-        await server.wait_closed()
-        await runtime.aclose()
-        return stats, frames
+        channel.send(Message("update", "R1", make_notice(paper_view, 1)))
+        try:
+            with pytest.raises(WireProtocolError, match="R1->wh"):
+                await channel.flush(timeout=5.0)
+        finally:
+            await channel.aclose()
+            server.close()
+            await server.wait_closed()
+            await runtime.aclose()
+        return hellos
 
-    stats, frames = run(main())
-    assert stats["negotiated_codec"] == 1
-    assert stats["batches_sent"] == 0
-    kinds = {frame["t"] for frame in frames}
-    assert "mb" not in kinds  # every message crossed as a v1 frame
-    assert [f["seq"] for f in frames if f["t"] == "msg"] == list(range(1, 11))
+    hellos = run(main())
+    assert len(hellos) == 1  # refused once, not retried
+    assert hellos[0]["codec"] == 3

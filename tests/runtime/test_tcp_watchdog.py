@@ -108,7 +108,7 @@ def test_silent_peer_times_out_the_session_after_read_timeout(paper_view):
             hello = await read_frame(reader)
             seen = []
             sessions.append((loop.time(), hello["next"], seen))
-            write_frame(writer, {"t": "welcome", "expect": 1, "codec": 1})
+            write_frame(writer, {"t": "welcome", "expect": 1, "codec": 3})
             await writer.drain()
             try:
                 while True:

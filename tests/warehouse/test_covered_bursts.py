@@ -21,7 +21,7 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
 from repro.durability.checkpoint import decode_view_handoff, encode_view_handoff
-from repro.durability.encoding import decode_relation, encode_bag
+from repro.durability.encoding import decode_relation, encode_block
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 from repro.relational.delta import Delta
@@ -96,7 +96,7 @@ class TestIndexSurvival:
         locality = QueryLocality(view, states, mode="aux")
         recovered = {
             name: decode_relation(
-                encode_bag(rel), view.schema_of(view.index_of_name(name))
+                encode_block(rel), view.schema_of(view.index_of_name(name))
             )
             for name, rel in locality.aux_relations().items()
         }

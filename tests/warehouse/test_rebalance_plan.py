@@ -14,6 +14,7 @@ from repro.durability import CheckpointCorruptionError
 from repro.durability.checkpoint import (
     HANDOFF_FORMAT,
     _binwire,
+    _seal,
     decode_view_handoff,
     encode_view_handoff,
 )
@@ -122,6 +123,29 @@ def test_handoff_round_trip():
     assert decoded["view"] == "V#s2"
     assert decoded["position"] == {1: 4, 2: 2, 3: 0}
     assert decoded["epoch"] == 1
+    back = decode_relation(decoded["rows"], SCHEMA)
+    assert dict(back.items()) == {(7, 8): 1, (7, 6): 2}
+    aux = decode_relation(decoded["aux"]["R1"], Schema(("A", "B")))
+    assert dict(aux.items()) == {(1, 3): 1}
+
+
+def test_handoff_carries_row_blocks():
+    decoded = decode_view_handoff(_handoff_blob())
+    assert type(decoded["rows"]) is bytes
+    assert {type(rows) for rows in decoded["aux"].values()} == {bytes}
+
+
+def test_format_3_handoff_still_decodes():
+    """A handoff written before row blocks: v2 flat-row dicts."""
+    blob = _seal(3, {
+        "view": "V#s2",
+        "position": {"1": 4, "2": 2, "3": 0},
+        "rows": {"f": [7, 8, 1, 7, 6, 2], "w": 2},
+        "aux": {"R1": {"f": [1, 3, 1], "w": 2}},
+        "epoch": 1,
+    })
+    decoded = decode_view_handoff(blob)
+    assert decoded["position"] == {1: 4, 2: 2, 3: 0}
     back = decode_relation(decoded["rows"], SCHEMA)
     assert dict(back.items()) == {(7, 8): 1, (7, 6): 2}
     aux = decode_relation(decoded["aux"]["R1"], Schema(("A", "B")))
