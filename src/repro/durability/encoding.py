@@ -77,8 +77,21 @@ def record_codec(view: ViewDefinition):
 
 
 def encode_notice(notice: UpdateNotice, codec) -> bytes:
-    """One delivered update as its v3 ``UpdateNotice`` record."""
-    return bytes(codec._write_update_notice(_DURABLE_ENVELOPE, notice))
+    """One delivered update as its v3 ``UpdateNotice`` record.
+
+    The record depends on the update alone (no codec state enters it), so
+    it is memoized in the notice's ``record_memo``, which every
+    :meth:`~repro.sources.messages.UpdateNotice.delivery_copy` shares.
+    """
+    memo = notice.record_memo
+    if memo:
+        return memo[0]
+    record = bytes(codec._write_update_notice(_DURABLE_ENVELOPE, notice))
+    if memo is None:
+        notice.record_memo = [record]
+    else:
+        memo.append(record)
+    return record
 
 
 def decode_notice(obj: Any, codec) -> UpdateNotice:

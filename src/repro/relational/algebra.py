@@ -95,7 +95,7 @@ def project(bag: BagBase, attributes: Sequence[str]) -> BagBase:
     return select_project(bag, _TRUE, attributes)
 
 
-_SELECT_PROJECT_PLANS: dict[tuple, tuple] = {}
+_SELECT_PROJECT_PLANS: dict[tuple, object] = {}
 
 
 def select_project(
@@ -118,25 +118,52 @@ def select_project(
     key = (predicate, attributes, schema.attributes, schema.key)
     plan = _SELECT_PROJECT_PLANS.get(key)
     if plan is None:
-        test = None
-        if not isinstance(predicate, TruePredicate):
-            test = compile_cached(predicate, schema)
-        # ``Schema.project`` first: it rejects an empty or unknown
-        # attribute list with a SchemaError before ``_row_key`` sees it.
-        out_schema = schema.project(attributes)
-        pick = _row_key(schema.project_indices(attributes))
-        plan = memo_put(_SELECT_PROJECT_PLANS, key, (test, pick, out_schema))
-    test, pick, out_schema = plan
-    cls = _result_type(bag)
-    counts: dict[tuple, int] = {}
-    for row, count in bag.items():
-        if test is None or test(row):
-            picked = pick(row)
-            counts[picked] = counts.get(picked, 0) + count
-    # Signed rows collapsing onto one projected row may cancel exactly.
-    if cls is Delta:
-        counts = {row: c for row, c in counts.items() if c}
-    return cls._from_validated(out_schema, counts)
+        plan = memo_put(
+            _SELECT_PROJECT_PLANS,
+            key,
+            select_project_plan(predicate, attributes, schema),
+        )
+    return plan(bag)
+
+
+def select_project_plan(
+    predicate: Predicate, attributes: Sequence[str] | None, schema: Schema
+):
+    """``select_project(bag, predicate, attributes)`` as a function of
+    ``bag`` alone, for bags of ``schema`` (keys included): the compiled
+    test, projection positions and output schema are bound here, once.
+    A :class:`~repro.relational.view.ViewDefinition` binds its finalize
+    this way, so an install skips even the memo lookup."""
+    if attributes is None:
+        if isinstance(predicate, TruePredicate):
+            return _identity
+        return lambda bag: select(bag, predicate)
+    attributes = tuple(attributes)
+    test = None
+    if not isinstance(predicate, TruePredicate):
+        test = compile_cached(predicate, schema)
+    # ``Schema.project`` first: it rejects an empty or unknown
+    # attribute list with a SchemaError before ``_row_key`` sees it.
+    out_schema = schema.project(attributes)
+    pick = _row_key(schema.project_indices(attributes))
+
+    def run(bag: BagBase) -> BagBase:
+        cls = _result_type(bag)
+        counts: dict[tuple, int] = {}
+        for row, count in bag.items():
+            if test is None or test(row):
+                picked = pick(row)
+                counts[picked] = counts.get(picked, 0) + count
+        # Signed rows collapsing onto one projected row may cancel exactly.
+        if cls is Delta:
+            counts = {row: c for row, c in counts.items() if c}
+        return cls._from_validated(out_schema, counts)
+
+    return run
+
+
+def _identity(bag: BagBase) -> BagBase:
+    return bag
 
 
 def scale(bag: BagBase, factor: int) -> Delta:
@@ -379,6 +406,7 @@ __all__ = [
     "scale",
     "select",
     "select_project",
+    "select_project_plan",
     "union",
     "union_in_place",
 ]

@@ -14,6 +14,8 @@ in :mod:`repro.relational.algebra` are pure and return fresh objects.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import repeat
+from operator import itemgetter
 
 from repro.relational.errors import ArityError, NegativeCountError
 from repro.relational.schema import Schema
@@ -105,9 +107,20 @@ class BagBase:
         positions = tuple(self.schema.index_of(a) for a in attributes)
         if positions in self._indexes:
             return
+        rows = self._counts
+        if len(positions) == 1:
+            keys = zip(map(itemgetter(positions[0]), rows))
+        elif positions:
+            keys = map(itemgetter(*positions), rows)
+        else:
+            keys = repeat(())
         index: dict[tuple, set] = {}
-        for row in self._counts:
-            index.setdefault(tuple(row[p] for p in positions), set()).add(row)
+        for key, row in zip(keys, rows):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {row}
+            else:
+                bucket.add(row)
         self._indexes[positions] = index
 
     def get_index(self, positions: tuple[int, ...]):

@@ -111,6 +111,9 @@ class ViewDefinition:
         # combinations once per step of every update, so cache the plans.
         self._join_plan_cache: dict[tuple[int, frozenset[int]], Predicate] = {}
         self._range_schema_cache: dict[tuple[int, int], Schema] = {}
+        # finalize's select/project plan and the wide schema it is bound to.
+        self._finalize_schema: Schema | None = None
+        self._finalize_plan = None
         # Validate conditions/selection/projection reference known attributes
         # and that each join condition spans at least two relations.
         self._condition_rels: list[frozenset[int]] = []
@@ -310,10 +313,26 @@ class ViewDefinition:
         return result
 
     def finalize(self, wide: BagBase) -> BagBase:
-        """Apply selection and projection to a wide (full-width) result."""
-        from repro.relational.algebra import select_project
+        """Apply selection and projection to a wide (full-width) result.
 
-        return select_project(wide, self.selection, self.projection)
+        The plan is bound once per view (and rebound only if a wide
+        result arrives with a different schema or key), so an install
+        neither builds nor hashes a plan key.
+        """
+        schema = wide.schema
+        bound = self._finalize_schema
+        if schema is not bound and (
+            bound is None
+            or schema.attributes != bound.attributes
+            or schema.key != bound.key
+        ):
+            from repro.relational.algebra import select_project_plan
+
+            self._finalize_plan = select_project_plan(
+                self.selection, self.projection, schema
+            )
+            self._finalize_schema = schema
+        return self._finalize_plan(wide)
 
     def evaluate(self, states: Mapping[str, BagBase]) -> Relation:
         """Recompute the materialized view from scratch over ``states``."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.relational.view import ViewDefinition
 from repro.simulation.channel import Message
 from repro.simulation.mailbox import Mailbox
@@ -96,9 +94,7 @@ class ShardedSourceFront:
                 Message(
                     kind="update",
                     sender=self.name,
-                    payload=dataclasses.replace(
-                        notice, delivery_seq=None, delivered_at=0.0
-                    ),
+                    payload=notice.delivery_copy(),
                 )
             )
         return notice

@@ -61,6 +61,33 @@ class UpdateNotice:
     #: one transaction share a ``txn_id`` and carry the total part count.
     txn_id: str | None = None
     txn_total: int = 0
+    #: The durable record of this update, once
+    #: :func:`repro.durability.encoding.encode_notice` wrote it: a cell
+    #: shared with every :meth:`delivery_copy`, so the WALs of in-process
+    #: shards and a checkpoint's pending list encode one update once.  Not
+    #: a protocol field: the wire codec never writes it, equality and
+    #: ``repr`` ignore it, and ``dataclasses.replace`` starts without it.
+    record_memo: list[bytes] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def delivery_copy(self) -> UpdateNotice:
+        """This update for one more recipient: no delivery stamps (each
+        warehouse stamps its own order), the delta and the durable-record
+        memo shared by reference."""
+        memo = self.record_memo
+        if memo is None:
+            memo = self.record_memo = []
+        copy = UpdateNotice(
+            self.source_index,
+            self.seq,
+            self.delta,
+            self.applied_at,
+            txn_id=self.txn_id,
+            txn_total=self.txn_total,
+        )
+        copy.record_memo = memo
+        return copy
 
     def payload_size(self) -> int:
         return max(1, self.delta.distinct_count)

@@ -73,10 +73,27 @@ class AuxiliaryStore:
                 f" {list(expected.attributes)!r}"
             )
         copy = relation.copy()
-        for view in self.family:
+        self._index(index, copy, self.family)
+        self._copies[index] = copy
+
+    def extend_family(self, views: Sequence[ViewDefinition]) -> None:
+        """Serve ``views`` too: index every copy on the join columns of
+        each view not yet in the family (one adopted by migration), so
+        its sweep steps probe instead of scanning."""
+        new = [view for view in views if view not in self.family]
+        if not new:
+            return
+        self.family += tuple(new)
+        for index, copy in self._copies.items():
+            self._index(index, copy, new)
+
+    @staticmethod
+    def _index(
+        index: int, copy: Relation, views: Sequence[ViewDefinition]
+    ) -> None:
+        for view in views:
             for attr in view.join_attributes_of(index):
                 copy.create_index((attr,))
-        self._copies[index] = copy
 
     def drop(self, index: int) -> None:
         """Stop covering ``index`` (recovery demotion)."""

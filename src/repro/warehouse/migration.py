@@ -304,6 +304,7 @@ class ViewMigrationMixin:
         self.views = [v for v in self.views if v.name != vdef.name]
         del self.stores[vdef.name]
         self.extra_recorders.pop(vdef.name, None)
+        self._views_changed()
         st.sealed = True
         if self.trace:
             self.trace.record(
@@ -395,6 +396,7 @@ class ViewMigrationMixin:
             vdef, relation, strict=self.store.strict
         )
         self.views.append(vdef)
+        self._views_changed()
         vrec = st.handoff.recorder
         if vrec is not None:
             self.extra_recorders[vdef.name] = vrec
@@ -428,6 +430,7 @@ class ViewMigrationMixin:
                 )
             yield from self._mig_apply_one(vdef, vrec, notice, replay)
         st.catchup_done = True
+        self._views_changed()
         st.maybe_unsuspend()
 
     def _mig_adopt_aux(self, vdef: ViewDefinition, decoded: dict) -> None:
@@ -540,6 +543,11 @@ class ViewMigrationMixin:
         if st is not None and st.role == "recipient" and st.catchup_done:
             return st
         return None
+
+    def _positions_differ(self) -> bool:
+        # From catch-up on, ``V`` keeps its own position guard (and may
+        # sit at its own floor), so the classes are keyed per unit.
+        return self._mig_active_view() is not None or super()._positions_differ()
 
     def _partition_batch(
         self, batch: list[UpdateNotice]

@@ -30,6 +30,7 @@ would each have used.
 from __future__ import annotations
 
 from collections.abc import Generator, Sequence
+from dataclasses import dataclass
 
 from repro.consistency.oracle import RunRecorder
 from repro.relational.delta import Delta
@@ -64,6 +65,14 @@ def validate_same_chain(views: Sequence[ViewDefinition]) -> None:
                 )
 
 
+@dataclass(frozen=True, slots=True)
+class _ClassPlan:
+    """A shard's static sweep classes and their member install order."""
+
+    classes: list[list[ViewDefinition]]
+    installs: list[tuple[int, ViewDefinition]]
+
+
 class MultiViewStateMixin:
     """Per-view stores and install plumbing shared by multi-view warehouses.
 
@@ -92,6 +101,19 @@ class MultiViewStateMixin:
             recorder = self.extra_recorders.get(view.name)
             if recorder is not None:
                 recorder.set_initial_view(self.stores[view.name].relation)
+        self._views_changed()
+
+    def _views_changed(self) -> None:
+        """The membership hook: construction, a migration's adoption and
+        catch-up, and a donor's seal call it whenever ``self.views`` or a
+        view's position changes.  It drops the static sweep classes (the
+        next unit of work regroups) and indexes the auxiliary copies for
+        the join columns of any view the locality layer has not served
+        before."""
+        self._static_plan: _ClassPlan | None = None
+        locality = self.locality
+        if locality is not None:
+            locality.aux.extend_family(self.views)
 
     def _install_extra(self, view: ViewDefinition, wide_delta, note: str) -> None:
         """Install one extra view's change and snapshot it for its oracle."""
@@ -124,8 +146,15 @@ class MultiViewStateMixin:
     def _partition_batch(
         self, batch: list[UpdateNotice]
     ) -> dict[str, list[UpdateNotice]]:
-        """Which of ``batch`` each view applies in this unit of work."""
-        return {view.name: list(batch) for view in self.views}
+        """Which of ``batch`` each view applies in this unit of work
+        (read-only lists: the default shares ``batch`` itself)."""
+        return dict.fromkeys([view.name for view in self.views], batch)
+
+    def _positions_differ(self) -> bool:
+        """True while some view may apply other updates, or compensate
+        from another floor, than its shard -- the per-unit keying of
+        :meth:`_sweep_classes` is needed only then."""
+        return False
 
     def _claimed_vector_for(self, view: ViewDefinition) -> dict[int, int]:
         """The per-source position vector ``view``'s next install claims
@@ -172,7 +201,17 @@ class MultiViewStateMixin:
         two and so lands in a class of its own.  Classes and their
         members keep ``self.views`` order; a class's first member is its
         representative (the ``view`` its partials are tagged with).
+
+        When every view sits at the shard's position (no migration in
+        progress) the grouping depends on the view set alone: it is
+        shard state, built once by :meth:`_static_classes` and rebuilt
+        only after :meth:`_views_changed`.
         """
+        if not self._positions_differ():
+            plan = self._static_plan
+            if plan is None:
+                plan = self._static_plan = self._static_classes()
+            return plan.classes
         sources = range(1, self.view.n_relations + 1)
         classes: dict[tuple, list[ViewDefinition]] = {}
         for view in self.views:
@@ -193,6 +232,29 @@ class MultiViewStateMixin:
             classes.setdefault(key, []).append(view)
         return list(classes.values())
 
+    def _static_classes(self) -> _ClassPlan:
+        """The grouping when every view takes the whole unit of work at
+        the shard's floor: classes are the distinct join conditions."""
+        classes: dict[tuple, list[ViewDefinition]] = {}
+        for view in self.views:
+            classes.setdefault(view.join_conditions, []).append(view)
+        grouped = list(classes.values())
+        return _ClassPlan(grouped, self._install_order(grouped))
+
+    def _install_order(
+        self, classes: list[list[ViewDefinition]]
+    ) -> list[tuple[int, ViewDefinition]]:
+        """``(class index, member)`` for every member, in ``self.views``
+        order."""
+        class_of = {
+            view.name: c for c, members in enumerate(classes) for view in members
+        }
+        return [
+            (class_of[view.name], view)
+            for view in self.views
+            if view.name in class_of
+        ]
+
     def _install_classes(
         self,
         classes: list[list[ViewDefinition]],
@@ -202,19 +264,17 @@ class MultiViewStateMixin:
         """Install each class's wide delta into every member, in
         ``self.views`` order; each member finalizes (selects + projects)
         the shared delta for itself."""
-        wide_of = {
-            view.name: wide
-            for members, wide in zip(classes, wide_deltas)
-            for view in members
-        }
-        for view in self.views:
-            wide = wide_of.get(view.name)
-            if wide is None:
-                continue
-            if view.name == self.view.name:
-                self.install_wide(wide, note=note)
+        plan = self._static_plan
+        if plan is not None and classes is plan.classes:
+            order = plan.installs
+        else:
+            order = self._install_order(classes)
+        primary = self.view
+        for c, view in order:
+            if view is primary:
+                self.install_wide(wide_deltas[c], note=note)
             else:
-                self._install_extra(view, wide, note)
+                self._install_extra(view, wide_deltas[c], note)
 
 
 class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):

@@ -108,8 +108,21 @@ class MaterializedView:
         return Delta._from_validated(self.relation.schema, effective)
 
     def install_wide(self, wide_delta: Delta) -> BagBase:
-        """Finalize (select + project) a wide sweep result and install it."""
-        return self.apply(self.view.finalize(wide_delta))
+        """Finalize (select + project) a wide sweep result and install it.
+
+        A view that does not change costs O(1): an empty wide delta is
+        neither finalized nor applied, and one that finalizes to nothing
+        is not applied -- the install is still counted and the (empty)
+        view delta returned, so the snapshot log is the same either way.
+        """
+        if wide_delta:
+            delta = self.view.finalize(wide_delta)
+        else:
+            delta = Delta._from_validated(self.relation.schema, {})
+        if not delta:
+            self.installs += 1
+            return delta
+        return self.apply(delta)
 
     def snapshot(self) -> Relation:
         """An independent copy of the current contents."""

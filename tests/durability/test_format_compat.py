@@ -8,9 +8,13 @@ were written by those formats' writers before they were deleted; each
 holds the generation-2 checkpoint of ``_checkpoint`` with a two-update
 WAL, plus a one-update generation-1 WAL.  Both, and a mixed directory
 left behind by an upgrade, must load to the same recovered state as a
-directory the current writers produce.
+directory the current writers produce.  ``data/format3`` holds the same
+inputs in the current formats (format-4 checkpoint, format-3 WALs), as
+their writers first wrote them: today's writers must reproduce it byte
+for byte, so no encoder change (or record memo) alters what is on disk.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -89,6 +93,39 @@ def test_json_and_binary_directories_recover_identically(tmp_path, paper_view):
     assert [n.delta for n in records_state.pending] == [
         n.delta for n in bin_state.pending
     ]
+
+
+def test_current_format_fixture_recovers_like_the_old_ones(tmp_path, paper_view):
+    pinned = load_state(_copy(tmp_path, "format3"), [paper_view])
+    old = load_state(_copy(tmp_path, "format2"), [paper_view])
+    assert _fingerprint(pinned) == _fingerprint(old)
+    assert pinned.view_states["V"] == old.view_states["V"]
+    assert [n.delta for n in pinned.pending] == [n.delta for n in old.pending]
+
+
+def test_current_writers_reproduce_the_pinned_bytes(tmp_path, paper_view):
+    written = tmp_path / "written"
+    _populate(str(written), paper_view)
+    pinned = Path(DATA) / "format3"
+    names = sorted(path.name for path in pinned.iterdir())
+    assert sorted(path.name for path in written.iterdir()) == names
+    for name in names:
+        assert (written / name).read_bytes() == (pinned / name).read_bytes(), name
+
+
+def test_delivery_copies_share_one_record(paper_view):
+    """Copies of one update (one per shard) encode it once; the memo is
+    no protocol field and ``replace`` does not carry it."""
+    codec = record_codec(paper_view)
+    notice = _notice(5, paper_view)
+    first, second = notice.delivery_copy(), notice.delivery_copy()
+    record = encode_notice(first, codec)
+    assert encode_notice(second, codec) is record
+    assert encode_notice(notice, codec) is record
+    assert encode_notice(_notice(5, paper_view), codec) == record
+    assert second == _notice(5, paper_view)
+    assert repr(second) == repr(_notice(5, paper_view))
+    assert dataclasses.replace(first).record_memo is None
 
 
 def test_json_era_artifacts_really_are_json(tmp_path, paper_view):

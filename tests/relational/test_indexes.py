@@ -116,6 +116,68 @@ class TestIndexedJoinParity:
         )
 
 
+def reference_index(relation, positions):
+    """An index built the plain way: one generator-built key per row."""
+    index: dict[tuple, set] = {}
+    for row in relation.rows():
+        index.setdefault(tuple(row[p] for p in positions), set()).add(row)
+    return index
+
+
+class TestIndexConstruction:
+    """``create_index`` builds keys with ``itemgetter``; a one-column key
+    stays a 1-tuple, so probes and incremental maintenance agree."""
+
+    RST = Schema(("R", "S", "T"))
+
+    def relation(self, seed=3):
+        rng = random.Random(seed)
+        rows = {
+            (rng.randrange(20), rng.randrange(5), rng.randrange(50)): 1
+            for _ in range(200)
+        }
+        return Relation(self.RST, rows)
+
+    def test_one_and_two_column_keys_match_the_plain_build(self):
+        r = self.relation()
+        for attrs, positions in (
+            (("S",), (1,)),
+            (("R", "T"), (0, 2)),
+            (("T", "S"), (2, 1)),
+        ):
+            r.create_index(attrs)
+            assert r.get_index(positions) == reference_index(r, positions)
+        assert all(
+            type(key) is tuple and len(key) == 1 for key in r.get_index((1,))
+        )
+
+    def test_no_column_key_buckets_every_row(self):
+        r = self.relation()
+        r.create_index(())
+        assert r.get_index(()) == {(): set(r.rows())}
+
+    def test_backend_copy_on_write_rebuild_matches_the_plain_build(self):
+        from repro.relational.predicate import AttrEq
+        from repro.relational.view import ViewDefinition
+        from repro.sources.memory import MemoryBackend
+
+        view = ViewDefinition(
+            "W", ("L", "M"), (Schema(("A", "B")), self.RST),
+            join_conditions=(AttrEq("A", "S"), AttrEq("B", "T")),
+        )
+        backend = MemoryBackend(view, 2, self.relation())
+        backend.snapshot()  # shared: the next apply rebuilds the indexes
+        delta = Delta(self.RST)
+        delta.add((99, 4, 7), +1)
+        delta.add(next(iter(backend._relation.rows())), -1)
+        backend.apply(delta)
+        rebuilt = backend._relation
+        for positions in ((1,), (2,)):
+            assert rebuilt.get_index(positions) == (
+                reference_index(rebuilt, positions)
+            )
+
+
 class TestBackendIndexes:
     def test_memory_backend_indexes_join_columns(self, paper_view, paper_states):
         from repro.sources.memory import MemoryBackend

@@ -27,7 +27,7 @@ from repro.harness.runner import run_experiment
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
 from repro.relational.relation import BagBase
-from repro.runtime import run_distributed
+from repro.runtime import RebalanceSpec, run_distributed, run_sharded
 from repro.simulation.channel import Message
 from repro.simulation.errors import StalledSimulationError
 from repro.simulation.kernel import Simulator
@@ -48,6 +48,7 @@ from repro.workloads.paper_example import (
     paper_example_states,
     paper_example_view,
 )
+from tests.warehouse.helpers import mixed_family
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +56,9 @@ from repro.workloads.paper_example import (
 # ---------------------------------------------------------------------------
 
 
-def assert_answers_by_probe(monkeypatch, view, index, copy):
-    """``copy`` is indexed on its join columns and a sweep step uses them."""
+def assert_answers_by_probe(monkeypatch, view, index, copy, states=None):
+    """``copy`` is indexed on its join columns and a sweep step uses them
+    (the step's partial is a row of ``states``, the paper's by default)."""
     for attr in view.join_attributes_of(index):
         assert copy.get_index((copy.schema.index_of(attr),)) is not None, attr
 
@@ -67,7 +69,8 @@ def assert_answers_by_probe(monkeypatch, view, index, copy):
         return real_items(self)
 
     neighbour = index - 1 if index > 1 else index + 1
-    row = next(iter(paper_example_states()[view.name_of(neighbour)].rows()))
+    states = paper_example_states() if states is None else states
+    row = next(iter(states[view.name_of(neighbour)].rows()))
     partial = PartialView.initial(
         view, neighbour, Delta.insert(view.schema_of(neighbour), row)
     )
@@ -132,6 +135,45 @@ class TestIndexSurvival:
         row = next(iter(states["R2"].rows()))
         step = PartialView.initial(view, 2, Delta.insert(view.schema_of(2), row))
         assert locality.aux_answer(3, step) is not None
+
+    def test_view_adopted_by_migration_is_indexed(self, monkeypatch):
+        """Round-robin puts ``V#theta`` on shard 0; shard 1's family never
+        joins on its extra condition's columns.  Migrating it onto shard 1
+        (``locality=aux``, every source covered) must index them on every
+        covered copy, so its sweep steps probe instead of scanning."""
+        recipients = []
+        catchup = ViewMigrationMixin._mig_catchup
+
+        def spying_catchup(self):
+            recipients.append(self)
+            return catchup(self)
+
+        monkeypatch.setattr(ViewMigrationMixin, "_mig_catchup", spying_catchup)
+        views = mixed_family()
+        theta = views[-1]
+        config = ExperimentConfig(
+            algorithm="sweep", n_sources=3, n_updates=12, seed=7,
+            mean_interarrival=2.0, n_views=len(views), locality="aux",
+            check_consistency=True,
+        )
+        result = run_sharded(
+            config, n_shards=2, transport="local", time_scale=0.001,
+            timeout=60.0, strategy="round-robin", views=views,
+            rebalance=RebalanceSpec(
+                view=theta.name, to_shard=1, after_installs=2
+            ),
+        )
+        assert result.rebalance_stats["completed"]
+        assert result.plan.shard_of(theta.name) == 1
+        assert result.verified_at(ConsistencyLevel.COMPLETE)
+        (recipient,) = recipients
+        aux = recipient.locality.aux
+        assert aux.indexes() == [1, 2, 3]
+        copies = {theta.name_of(i): aux.contents(i) for i in aux.indexes()}
+        for index in aux.indexes():
+            assert_answers_by_probe(
+                monkeypatch, theta, index, aux.contents(index), states=copies
+            )
 
     def test_indexes_track_installed_deltas(self):
         view, states = paper_example_view(), paper_example_states()
