@@ -20,57 +20,62 @@ Files are written atomically (tmp + fsync + rename), carry a CRC over
 the canonical body, and are named by generation; the matching WAL
 (``update-<generation>.wal``) records deliveries after the checkpoint.
 
-What is written (format 4) is a binwire envelope ``{"format", "crc",
-"body"}`` whose body is a nested binwire document carried as bytes, CRC'd
-exactly; inside it every view and auxiliary copy is one v3 row block and
-every pending update one v3 record (:mod:`repro.durability.encoding`).
-Formats 1 (a JSON envelope, CRC over the canonical JSON body) and 2 (the
-binwire envelope around v2 flat-row dicts) are only read: :meth:`
-ViewCheckpoint.load` sniffs the first byte.  The ``.json`` filename is
-kept for all of them (the generation glob patterns are on-disk contract).
+What is written and read (format 4) is a binwire envelope ``{"format",
+"crc", "body"}`` whose body is a nested binwire document carried as
+bytes, CRC'd exactly; inside it every view and auxiliary copy is one v3
+row block and every pending update one v3 record
+(:mod:`repro.durability.encoding`).  Formats 1 (a JSON envelope) and 2
+(v2 flat-row dicts) are refused by name
+(:class:`~repro.durability.errors.UnsupportedCheckpointFormatError`).
+The ``.json`` filename is kept (the generation glob patterns are on-disk
+contract).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from dataclasses import dataclass, field
 
 from repro.durability.encoding import encode_block, encode_notice
-from repro.durability.errors import CheckpointCorruptionError
-from repro.durability.wal import _binwire, generations
+from repro.durability.errors import (
+    CheckpointCorruptionError,
+    UnsupportedCheckpointFormatError,
+)
+from repro.durability.wal import generations
+from repro.formats import binwire
+from repro.formats.errors import REBOOTSTRAP, UPGRADE_PEER
+from repro.sources.messages import next_request_id
 
-#: The formats a reader accepts; only the last is written.
-CHECKPOINT_FORMAT = 1  # JSON envelope, v2 flat-row dicts
-CHECKPOINT_FORMAT_BINARY = 2  # binwire envelope, v2 flat-row dicts
-CHECKPOINT_FORMAT_RECORDS = 4  # binwire envelope, row blocks and records
-_BINWIRE_FORMATS = (CHECKPOINT_FORMAT_BINARY, CHECKPOINT_FORMAT_RECORDS)
+#: The format written and read: row blocks and update records.
+CHECKPOINT_FORMAT = 4
 
 
 def _seal(tag: int, body: dict) -> bytes:
     """``body`` as a binwire document inside a binwire envelope of format
     ``tag``, with a CRC over exactly the body's bytes."""
-    body_bytes = _binwire().dumps(body)
-    return _binwire().dumps(
+    body_bytes = binwire.dumps(body)
+    return binwire.dumps(
         {"format": tag, "crc": zlib.crc32(body_bytes), "body": body_bytes}
     )
 
 
-def _unseal(blob: bytes, formats: tuple, what: str) -> dict:
-    """The body :func:`_seal` wrapped, once its format and CRC check."""
-    envelope = _binwire().loads(blob)
-    _check(envelope, envelope["body"], formats, what)
-    return _binwire().loads(envelope["body"])
-
-
-def _check(envelope: dict, body_bytes: bytes, formats: tuple, what: str) -> None:
-    if int(envelope.get("format", 0)) not in formats:
-        raise CheckpointCorruptionError(
-            f"{what}: unsupported format {envelope.get('format')!r}"
-        )
-    if zlib.crc32(body_bytes) != int(envelope["crc"]):
-        raise CheckpointCorruptionError(f"{what}: body fails CRC")
+def _unseal(blob: bytes, kind: str, tag: int, where: str, remedy: str, parse):
+    """``parse`` of the body :func:`_seal` wrapped, once its format and CRC
+    check.  Another format is refused by name; any damage, whatever the
+    decoder or ``parse`` raised for it, is a
+    :class:`CheckpointCorruptionError`."""
+    try:
+        envelope = binwire.loads(blob)
+        if envelope["format"] != tag:
+            raise UnsupportedCheckpointFormatError.refuse(
+                where, f"{kind} format {envelope['format']}", remedy
+            )
+        if zlib.crc32(envelope["body"]) != envelope["crc"]:
+            raise CheckpointCorruptionError(f"{where}: body fails CRC")
+        return parse(binwire.loads(envelope["body"]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointCorruptionError(f"{where}: unreadable: {exc}") from exc
 
 
 def checkpoint_path(directory: str, generation: int) -> str:
@@ -89,12 +94,10 @@ class ViewCheckpoint:
     generation: int
     applied_counts: dict[int, int]
     delivered_marks: dict[int, int]
-    # Row blocks and update records (v2 flat-row dicts in formats 1-2).
-    views: dict[str, bytes | dict]  # view name -> its contents
-    pending: list[bytes | dict] = field(default_factory=list)
-    #: source name -> auxiliary copy (locality layer); absent in
-    #: pre-locality checkpoints, which decode to an empty dict.
-    aux: dict[str, bytes | dict] = field(default_factory=dict)
+    views: dict[str, bytes]  # view name -> its row block
+    pending: list[bytes] = field(default_factory=list)  # update records
+    #: source name -> auxiliary copy's row block (locality layer).
+    aux: dict[str, bytes] = field(default_factory=dict)
     installs: int = 0
     request_watermark: int = 0
     written_at: float = 0.0
@@ -122,11 +125,11 @@ class ViewCheckpoint:
                 int(k): int(v) for k, v in body["delivered_marks"].items()
             },
             views=dict(body["views"]),
-            pending=list(body.get("pending", ())),
-            aux=dict(body.get("aux", {})),
-            installs=int(body.get("installs", 0)),
-            request_watermark=int(body.get("request_watermark", 0)),
-            written_at=float(body.get("written_at", 0.0)),
+            pending=list(body["pending"]),
+            aux=dict(body["aux"]),
+            installs=int(body["installs"]),
+            request_watermark=int(body["request_watermark"]),
+            written_at=float(body["written_at"]),
         )
 
     # ------------------------------------------------------------------
@@ -137,7 +140,7 @@ class ViewCheckpoint:
         file under the final name, which is why recovery may treat any
         present checkpoint as all-or-nothing.
         """
-        blob = _seal(CHECKPOINT_FORMAT_RECORDS, self.to_json())
+        blob = _seal(CHECKPOINT_FORMAT, self.to_json())
         final = checkpoint_path(directory, self.generation)
         tmp = final + ".tmp"
         with open(tmp, "wb") as handle:
@@ -160,17 +163,15 @@ class ViewCheckpoint:
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
-            if _binwire().is_binary(blob):
-                return cls.from_json(_unseal(blob, _BINWIRE_FORMATS, path))
-            envelope = json.loads(blob.decode("utf-8"))
-            body = envelope["body"]
-            canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-            _check(envelope, canonical.encode("utf-8"), (CHECKPOINT_FORMAT,), path)
-            return cls.from_json(body)
-        except CheckpointCorruptionError:
-            raise
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except OSError as exc:
             raise CheckpointCorruptionError(f"{path}: unreadable: {exc}") from exc
+        if blob[:1] == b"{":  # format 1 wrote a JSON envelope
+            raise UnsupportedCheckpointFormatError.refuse(
+                path, "checkpoint format 1", REBOOTSTRAP
+            )
+        return _unseal(
+            blob, "checkpoint", CHECKPOINT_FORMAT, path, REBOOTSTRAP, cls.from_json
+        )
 
     @classmethod
     def load_latest(cls, directory: str) -> "tuple[int, ViewCheckpoint] | None":
@@ -205,8 +206,6 @@ def capture_checkpoint(
     installed) update are skipped so no sequence number appears twice.
     ``codec`` writes the update records.
     """
-    from repro.sources.messages import next_request_id
-
     stores = getattr(warehouse, "stores", None) or {
         warehouse.view.name: warehouse.store
     }
@@ -250,9 +249,8 @@ def capture_checkpoint(
 
 #: Envelope tag for a shard-rebalance view handoff (same binwire kernel
 #: and CRC discipline as a checkpoint, v3 row blocks inside).  Format 3
-#: (v2 flat-row dicts inside) is still read.
+#: (v2 flat-row dicts inside) is refused.
 HANDOFF_FORMAT = 4
-_HANDOFF_FORMATS = (3, HANDOFF_FORMAT)
 
 
 def encode_view_handoff(
@@ -288,25 +286,29 @@ def decode_view_handoff(blob: bytes) -> dict:
     """Decode and verify a handoff produced by :func:`encode_view_handoff`.
 
     Returns ``{"view", "position", "rows", "aux", "epoch"}`` with the
-    position keyed by int source index; ``rows``/``aux`` values stay
-    encoded for the caller to decode against its schemas (see
-    :func:`repro.durability.encoding.decode_relation`, which reads both
-    formats' encodings).
+    position keyed by int source index; ``rows``/``aux`` values stay row
+    blocks for the caller to decode against its schemas (see
+    :func:`repro.durability.encoding.decode_relation`).  Any damage is a
+    :class:`CheckpointCorruptionError`, and a format-3 handoff an
+    :class:`~repro.durability.errors.UnsupportedCheckpointFormatError`.
     """
-    body = _unseal(blob, _HANDOFF_FORMATS, "handoff")
+    return _unseal(
+        blob, "handoff", HANDOFF_FORMAT, "view handoff", UPGRADE_PEER, _handoff
+    )
+
+
+def _handoff(body: dict) -> dict:
     return {
         "view": body["view"],
         "position": {int(k): int(v) for k, v in body["position"].items()},
         "rows": body["rows"],
-        "aux": dict(body.get("aux", {})),
-        "epoch": int(body.get("epoch", 0)),
+        "aux": dict(body["aux"]),
+        "epoch": int(body["epoch"]),
     }
 
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "CHECKPOINT_FORMAT_BINARY",
-    "CHECKPOINT_FORMAT_RECORDS",
     "HANDOFF_FORMAT",
     "ViewCheckpoint",
     "capture_checkpoint",

@@ -9,6 +9,8 @@ other mismatch raises one of these.
 
 from __future__ import annotations
 
+from repro.formats.errors import UnsupportedFormatError
+
 
 class DurabilityError(Exception):
     """Base class for checkpoint/WAL/recovery failures."""
@@ -20,6 +22,17 @@ class WalCorruptionError(DurabilityError):
 
 class CheckpointCorruptionError(DurabilityError):
     """A checkpoint file is unreadable or fails its integrity check."""
+
+
+class UnsupportedWalFormatError(UnsupportedFormatError, WalCorruptionError):
+    """A WAL in a format no current writer produces (formats 1-2)."""
+
+
+class UnsupportedCheckpointFormatError(
+    UnsupportedFormatError, CheckpointCorruptionError
+):
+    """A checkpoint (formats 1-2) or view handoff (format 3) in a format no
+    current writer produces."""
 
 
 class GenerationMismatchError(DurabilityError):
@@ -50,5 +63,7 @@ __all__ = [
     "GenerationMismatchError",
     "RecoveryError",
     "SimulatedCrash",
+    "UnsupportedCheckpointFormatError",
+    "UnsupportedWalFormatError",
     "WalCorruptionError",
 ]

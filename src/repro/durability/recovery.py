@@ -60,9 +60,18 @@ from repro.durability.errors import (
 )
 from repro.durability.manager import CheckpointPolicy, CrashPlan, DurabilityManager
 from repro.durability.wal import read_update_log, wal_generations, wal_path
+from repro.formats.errors import WireProtocolError
+from repro.relational.errors import RelationalError
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
 from repro.sources.messages import UpdateNotice, ensure_request_ids_above
+
+
+#: What decoding a damaged row block or record raises.
+_UNDECODABLE = (
+    WireProtocolError, RelationalError, LookupError, TypeError, ValueError,
+    struct.error,
+)
 
 
 @dataclass
@@ -95,14 +104,6 @@ def load_state(directory: str, views: list[ViewDefinition]) -> RecoveredState | 
     scrambled or undecodable WAL frame, or a WAL whose generation does
     not match the newest checkpoint.
     """
-    from repro.relational.errors import RelationalError
-    from repro.runtime.errors import WireProtocolError
-
-    # What decoding a damaged row block, record or v2-era dict raises.
-    undecodable = (
-        WireProtocolError, RelationalError, LookupError, TypeError, ValueError,
-        struct.error,
-    )
     if not os.path.isdir(directory):
         return None
     latest = ViewCheckpoint.load_latest(directory)
@@ -151,7 +152,7 @@ def load_state(directory: str, views: list[ViewDefinition]) -> RecoveredState | 
             for name, rows in checkpoint.aux.items()
         }
         pending = [decode_notice(obj, codec) for obj in checkpoint.pending]
-    except undecodable as exc:
+    except _UNDECODABLE as exc:
         raise CheckpointCorruptionError(
             f"{directory}: undecodable checkpoint {generation}: {exc}"
         ) from exc
@@ -167,7 +168,7 @@ def load_state(directory: str, views: list[ViewDefinition]) -> RecoveredState | 
             )
         try:
             pending.extend(decode_notice(obj, codec) for obj in records)
-        except undecodable as exc:
+        except _UNDECODABLE as exc:
             raise WalCorruptionError(f"{path}: undecodable record: {exc}") from exc
         wal_records = len(records)
 
@@ -230,9 +231,8 @@ def resume_warehouse(warehouse, state: RecoveredState) -> None:
     locality = getattr(warehouse, "locality", None)
     if locality is not None:
         # Seed covered copies from the checkpoint; demote any copy the
-        # durable state does not carry (pre-locality checkpoint, or a
-        # mode change across the restart).  The answer cache is always
-        # cold after recovery.
+        # durable state does not carry (a mode change across the
+        # restart).  The answer cache is always cold after recovery.
         locality.resume_from(state.aux_states)
 
     warehouse.metrics.observe("recovered_pending", len(state.pending))
@@ -253,9 +253,7 @@ def attach_durability(
     (``None`` on a fresh one); the site loads it *before* building the
     warehouse because it also decides the site's inbox and session
     epoch.  The manager immediately writes this incarnation's base
-    checkpoint, so the WAL never straddles a crash boundary.  Reading
-    accepts every durable format, so an older directory recovers here
-    unchanged (and is upgraded in place by the base checkpoint).
+    checkpoint, so the WAL never straddles a crash boundary.
     """
     if state is not None:
         resume_warehouse(warehouse, state)

@@ -11,10 +11,9 @@ Frame 0 is a binwire header ``{"wal": 3, "generation": G}`` binding the
 file to checkpoint generation ``G``; every later frame is one delivered
 :class:`~repro.sources.messages.UpdateNotice` in delivery order, as the
 wire codec's v3 record (:func:`repro.durability.encoding.encode_notice`).
-Formats 1 (UTF-8 JSON dicts) and 2 (binwire dicts) are only read:
-:func:`read_update_log` sniffs each payload's first byte -- ``0x01`` a
-record, ``0xB3`` binwire, ``{`` JSON -- so logs of any format, and mixed
-directories left by an upgrade, recover identically.
+That is the one format read: a log of format 1 (JSON frames) or 2
+(binwire dicts) is refused by name
+(:class:`~repro.durability.errors.UnsupportedWalFormatError`).
 
 Damage policy (the satellite contract):
 
@@ -34,28 +33,18 @@ fsync at protocol boundaries.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 
 from repro.durability.encoding import RECORD_PREFIX
-from repro.durability.errors import WalCorruptionError
+from repro.durability.errors import UnsupportedWalFormatError, WalCorruptionError
+from repro.formats import binwire
+from repro.formats.errors import REBOOTSTRAP
 
 _FRAME_HEADER = struct.Struct("!II")
-#: The formats a reader accepts; only the last is written.
-WAL_FORMAT = 1  # JSON dict frames
-WAL_FORMAT_BINARY = 2  # binwire dict frames
-WAL_FORMAT_RECORDS = 3  # v3 update records
-
-
-def _binwire():
-    # NOTE: imported lazily -- a module-level import of repro.runtime
-    # from the durability package would close the package import cycle
-    # (runtime -> distributed -> harness -> warehouse -> durability).
-    from repro.runtime import binwire
-
-    return binwire
+#: The format written and read: v3 update records.
+WAL_FORMAT_RECORDS = 3
 
 
 def wal_path(directory: str, generation: int) -> str:
@@ -94,7 +83,7 @@ class UpdateLog:
         self._since_sync = 0
         self._file = open(self.path, "wb")
         header = {"wal": WAL_FORMAT_RECORDS, "generation": generation}
-        self._file.write(_frame(_binwire().dumps(header)))
+        self._file.write(_frame(binwire.dumps(header)))
         self._file.flush()
         os.fsync(self._file.fileno())
 
@@ -131,15 +120,14 @@ class UpdateLog:
 
 def read_update_log(
     path: str, repair: bool = False
-) -> tuple[int | None, list[bytes | dict], int]:
+) -> tuple[int | None, list[bytes], int]:
     """Scan a WAL; returns ``(generation, records, torn_bytes)``.
 
-    ``records`` are update records (``bytes``; dicts in formats 1-2).
-    ``generation`` is ``None`` when even the header frame is torn (the
-    file carries nothing durable).  ``torn_bytes`` counts bytes dropped
-    from the tail; with ``repair=True`` the file is truncated back to the
-    last complete frame so a subsequent append cannot interleave with
-    garbage.
+    ``records`` are update records (``bytes``).  ``generation`` is
+    ``None`` when even the header frame is torn (the file carries nothing
+    durable).  ``torn_bytes`` counts bytes dropped from the tail; with
+    ``repair=True`` the file is truncated back to the last complete frame
+    so a subsequent append cannot interleave with garbage.
     """
     data = open(path, "rb").read()
     frames: list[bytes] = []
@@ -167,38 +155,30 @@ def read_update_log(
             os.fsync(handle.fileno())
     if not frames:
         return None, [], torn
-    binwire = _binwire()
-
-    def _deserialize(frame: bytes):
-        # Per-frame sniff: records, binwire and JSON frames decode
-        # whatever the header says (mixed *logs* in one directory do
-        # happen after an upgrade).
-        first = frame[:1]
-        if first == RECORD_PREFIX:
-            return frame
-        if first == binwire.MAGIC_PREFIX:
-            return binwire.loads(frame)
-        if first == b"{":
-            return json.loads(frame)
-        raise ValueError(f"unknown record type byte {first.hex() or 'none'}")
-
+    if frames[0][:1] == b"{":  # format 1 wrote JSON frames
+        raise UnsupportedWalFormatError.refuse(path, "WAL format 1", REBOOTSTRAP)
     try:
-        header = _deserialize(frames[0])
+        header = binwire.loads(frames[0])
         generation = int(header["generation"])
-        if int(header.get("wal", 0)) not in range(WAL_FORMAT, WAL_FORMAT_RECORDS + 1):
-            raise WalCorruptionError(
-                f"{path}: unsupported WAL format {header.get('wal')!r}"
-            )
-        records = [_deserialize(frame) for frame in frames[1:]]
+        wal_format = header.get("wal")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise WalCorruptionError(f"{path}: undecodable frame: {exc}") from exc
+        raise WalCorruptionError(f"{path}: undecodable header frame: {exc}") from exc
+    if wal_format != WAL_FORMAT_RECORDS:
+        raise UnsupportedWalFormatError.refuse(
+            path, f"WAL format {wal_format}", REBOOTSTRAP
+        )
+    records = frames[1:]
+    for index, record in enumerate(records, start=1):
+        if record[:1] != RECORD_PREFIX:
+            raise WalCorruptionError(
+                f"{path}: frame {index}: unknown record type byte"
+                f" {record[:1].hex() or 'none'}"
+            )
     return generation, records, torn
 
 
 __all__ = [
     "UpdateLog",
-    "WAL_FORMAT",
-    "WAL_FORMAT_BINARY",
     "WAL_FORMAT_RECORDS",
     "read_update_log",
     "wal_generations",

@@ -2,22 +2,16 @@
 
 One encoding, three consumers: every TCP frame
 (:mod:`repro.runtime.tcp`; the messages inside them are packed records
-of :mod:`repro.runtime.codec`, carried as bytes values, whose row blocks
+of :mod:`repro.formats.codec`, carried as bytes values, whose row blocks
 fall back to a binwire document for non-int values), WAL header frames
 (:mod:`repro.durability.wal`) and checkpoint envelopes and bodies
 (:mod:`repro.durability.checkpoint`).  The value model is exactly JSON's
-(``None``/bool/int/float/str/list/dict with string keys) plus bytes, so
-every payload the JSON path can carry travels unchanged.
+(``None``/bool/int/float/str/list/dict with string keys) plus bytes.
 
 Document format
 ---------------
 A document is ``MAGIC`` (one byte, ``0xB3``) + ``FORMAT`` (one byte) +
-one encoded value.  Compact JSON (``separators=(",", ":")``, the form
-older senders and durable writers emitted) always begins with one of
-``{[`` digits ``"`` ``-tfn``, never byte ``0xB3``, so a reader
-distinguishes the two formats from the first byte alone -- that sniff is
-what lets every reader keep taking the older JSON frames and files
-without any frame-level flag.
+one encoded value.
 
 Values are type-tagged:
 
@@ -41,10 +35,9 @@ tag    payload
 ====== ===================================================================
 
 String interning is **per document**: the first occurrence of a string
-is a definition, every repeat a one- or two-byte reference.  Keys repeat
-relentlessly in dict-shaped documents (a WAL record or a checkpoint's
-pending notices carry ``"seq"``/``"rows"``... once per update), which is
-where the bulk of the byte reduction over JSON comes from.
+is a definition, every repeat a one- or two-byte reference, so a key
+that repeats (an ``mb`` frame's entries carry ``"seq"`` and ``"m"`` once
+per message) is spelled out once per document.
 
 A reader trusts no length: a string, bytes, list or dict count larger
 than the bytes left is refused before anything is allocated for it.
@@ -61,9 +54,7 @@ reordering or removing an entry is a format break and requires bumping
 definitions, so the table is an optimization, never a correctness
 dependency.
 
-This module deliberately imports nothing from :mod:`repro` -- it sits
-below the runtime *and* the durability layer, and both reach it lazily
-or directly without closing the package import cycle.  Errors raise
+This module imports nothing from :mod:`repro`.  Errors raise
 :class:`BinwireError` (a ``ValueError``); callers wrap it into their own
 protocol error.
 """
@@ -74,9 +65,6 @@ import struct
 
 MAGIC = 0xB3
 FORMAT = 1
-
-#: the one-byte prefix a reader sniffs to pick the decoder.
-MAGIC_PREFIX = bytes((MAGIC,))
 
 _DOUBLE = struct.Struct(">d")
 
@@ -99,10 +87,10 @@ STATIC_STRINGS = (
     # TCP frame envelopes (repro.runtime.tcp).
     "t", "msg", "mb", "ack", "hello", "welcome",
     "channel", "next", "expect", "codec", "epoch", "frames", "seq", "m",
-    # Message envelope and senders (repro.runtime.codec).
+    # Message envelope and senders (repro.formats.codec).
     "kind", "sender", "sent_at", "payload",
     "query", "update", "answer", "insert", "warehouse", "central",
-    # Payload types and keys (repro.runtime.codec, repro.sources.messages).
+    # Payload types and keys (repro.formats.codec, repro.sources.messages).
     "type", "update_notice", "query_request", "query_answer",
     "multi_query_request", "multi_query_answer", "eca_query", "eca_answer",
     "position_request", "position_answer",
@@ -124,11 +112,6 @@ assert len(_STATIC_INDEX) == len(STATIC_STRINGS), "duplicate static string"
 
 class BinwireError(ValueError):
     """Malformed document or unencodable value."""
-
-
-def is_binary(data: bytes | bytearray | memoryview) -> bool:
-    """True when ``data`` is a binwire document (vs UTF-8 JSON)."""
-    return bytes(data[:1]) == MAGIC_PREFIX
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +155,7 @@ def _encode(obj, buf: bytearray, interns: dict) -> None:
             if type(key) is not str:
                 raise BinwireError(
                     f"dict keys must be str, got {type(key).__name__}"
-                    " (stringify keys explicitly, as the JSON path does)"
+                    " (stringify keys explicitly)"
                 )
             _encode(key, buf, interns)
             _encode(value, buf, interns)
@@ -180,24 +163,8 @@ def _encode(obj, buf: bytearray, interns: dict) -> None:
     if kind is list or kind is tuple:
         buf.append(_TAG_LIST)
         _append_varint(buf, len(obj))
-        # Row blocks and checkpoint bodies are flat lists of small ints:
-        # encode those inline (same bytes as the int branch above) rather
-        # than paying one recursive call per scalar.
-        append = buf.append
         for item in obj:
-            if type(item) is int:
-                z = item << 1 if item >= 0 else (-item << 1) - 1
-                if z < 0x80:
-                    append(_FIXINT | z)
-                elif z < 0x4000:
-                    append(_TAG_INT)
-                    append((z & 0x7F) | 0x80)
-                    append(z >> 7)
-                else:
-                    append(_TAG_INT)
-                    _append_varint(buf, z)
-            else:
-                _encode(item, buf, interns)
+            _encode(item, buf, interns)
         return
     if kind is float:
         buf.append(_TAG_FLOAT)
@@ -307,6 +274,8 @@ def _decode(data, pos: int, strings: list):
         obj = {}
         for _ in range(count):
             key, pos = _decode(data, pos, strings)
+            if type(key) is not str:
+                raise BinwireError(f"dict key is a {type(key).__name__}, not a str")
             value, pos = _decode(data, pos, strings)
             obj[key] = value
         return obj, pos
@@ -356,10 +325,8 @@ def loads(data: bytes | bytearray | memoryview):
 __all__ = [
     "FORMAT",
     "MAGIC",
-    "MAGIC_PREFIX",
     "STATIC_STRINGS",
     "BinwireError",
     "dumps",
-    "is_binary",
     "loads",
 ]

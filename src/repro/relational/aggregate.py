@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.relational.delta import Delta
 from repro.relational.errors import NegativeCountError, SchemaError
 from repro.relational.relation import BagBase, Relation
 from repro.relational.schema import Schema
@@ -188,8 +189,6 @@ class AggregateView:
         aggregates: tuple[AggregateSpec, ...],
     ) -> "AggregateView":
         """Build and initialize from existing view contents."""
-        from repro.relational.delta import Delta
-
         agg = cls(relation.schema, group_by, aggregates)
         agg.apply(Delta.from_relation(relation))
         return agg

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.relational.errors import HeterogeneousSchemaError
 from repro.relational.relation import BagBase, Relation, Row
 from repro.relational.schema import Schema
 
@@ -86,8 +87,6 @@ class Delta(BagBase):
         counts dict instead of allocating k intermediates.
         """
         if other.schema.attributes != self.schema.attributes:
-            from repro.relational.errors import HeterogeneousSchemaError
-
             raise HeterogeneousSchemaError(
                 self.schema.attributes, other.schema.attributes
             )

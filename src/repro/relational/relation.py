@@ -17,7 +17,11 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import repeat
 from operator import itemgetter
 
-from repro.relational.errors import ArityError, NegativeCountError
+from repro.relational.errors import (
+    ArityError,
+    HeterogeneousSchemaError,
+    NegativeCountError,
+)
 from repro.relational.schema import Schema
 
 Row = tuple
@@ -253,8 +257,6 @@ class Relation(BagBase):
         a count driven below zero raises, exposing incorrect maintenance.
         """
         if delta.schema.attributes != self.schema.attributes:
-            from repro.relational.errors import HeterogeneousSchemaError
-
             raise HeterogeneousSchemaError(
                 self.schema.attributes, delta.schema.attributes
             )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from repro.relational.algebra import join, project, select_project_plan
 from repro.relational.delta import Delta
 from repro.relational.errors import SchemaError
 from repro.relational.predicate import (
@@ -294,8 +295,6 @@ class ViewDefinition:
 
         ``states`` maps relation names to their current contents.
         """
-        from repro.relational.algebra import join, project
-
         result: BagBase = states[self.relation_names[0]]
         if result.schema.attributes != self.schemas[0].attributes:
             raise SchemaError(
@@ -326,8 +325,6 @@ class ViewDefinition:
             or schema.attributes != bound.attributes
             or schema.key != bound.key
         ):
-            from repro.relational.algebra import select_project_plan
-
             self._finalize_plan = select_project_plan(
                 self.selection, self.projection, schema
             )

@@ -25,6 +25,19 @@ over a *links* object -- :class:`LocalLinks` or :class:`TcpLinks` -- that
 is all a transport is.
 """
 
+# ``bench/trace.py`` imports ``binwire`` from this package and patches
+# its ``dumps``/``loads``; every caller goes through the module, so the
+# patch reaches them all.
+from repro.formats import binwire  # noqa: F401
+from repro.formats.codec import WireCodec
+from repro.formats.errors import (
+    QuiescenceTimeout,
+    RuntimeHostError,
+    TransportError,
+    TransportOverflowError,
+    TransportRetriesExceeded,
+    WireProtocolError,
+)
 from repro.runtime.chaos import (
     PROFILES,
     ChaosConfig,
@@ -33,7 +46,6 @@ from repro.runtime.chaos import (
     ChaosTcpProxy,
     FaultPlan,
 )
-from repro.runtime.codec import WireCodec
 from repro.runtime.distributed import (
     DistributedRunResult,
     quick_distributed,
@@ -41,14 +53,6 @@ from repro.runtime.distributed import (
     run_distributed_async,
     serve_source_async,
     serve_warehouse_async,
-)
-from repro.runtime.errors import (
-    QuiescenceTimeout,
-    RuntimeHostError,
-    TransportError,
-    TransportOverflowError,
-    TransportRetriesExceeded,
-    WireProtocolError,
 )
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.nodes import (

@@ -44,7 +44,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, fields
 
-from repro.runtime.errors import TransportOverflowError
+from repro.formats.errors import TransportOverflowError
 from repro.runtime.transport import RuntimeChannel
 from repro.simulation.channel import Message
 from repro.simulation.metrics import MetricsCollector

@@ -311,7 +311,7 @@ async def serve_warehouse_async(
 
     With ``probe=True`` every source address is connectivity-checked up
     front (with the channel retry budget), so a mistyped or dead peer
-    surfaces as :class:`~repro.runtime.errors.TransportRetriesExceeded`
+    surfaces as :class:`~repro.formats.errors.TransportRetriesExceeded`
     instead of the site waiting forever for updates that cannot arrive.
 
     ``durable_dir`` makes the site crash-restartable: it checkpoints and
@@ -427,7 +427,7 @@ async def serve_source_async(
 
     With ``probe=True`` the warehouse address is connectivity-checked
     before any update is replayed, so an unreachable warehouse fails the
-    process (:class:`~repro.runtime.errors.TransportRetriesExceeded`,
+    process (:class:`~repro.formats.errors.TransportRetriesExceeded`,
     non-zero exit from the CLI) instead of silently dropping the run.
     """
     workload = build_workload(config, RngRegistry(config.seed))

@@ -21,7 +21,7 @@ import asyncio
 from collections import deque
 from collections.abc import Callable, Coroutine, Generator
 
-from repro.runtime.errors import QuiescenceTimeout
+from repro.formats.errors import QuiescenceTimeout
 from repro.simulation.process import Process
 
 #: Zero-delay callbacks one ``_pump`` call may run before it hands the loop

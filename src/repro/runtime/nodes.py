@@ -41,7 +41,7 @@ from repro.runtime.chaos import (
     ChaosTcpProxy,
     profile,
 )
-from repro.runtime.codec import WireCodec
+from repro.formats.codec import WireCodec
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.tcp import ChannelListener, TcpChannel, TcpChannelConfig
 from repro.runtime.transport import LocalChannel

@@ -5,7 +5,7 @@ object with two methods, called by the run around an otherwise
 fault-blind loop: ``arm(fleet)`` installs it on the freshly built
 fleet, and ``settle(fleet)`` -- once the fleet is quiescent -- returns
 the result fields it contributes or raises
-:class:`~repro.runtime.errors.RuntimeHostError` (a fault that never
+:class:`~repro.formats.errors.RuntimeHostError` (a fault that never
 fired would silently turn the run into a test of nothing).  A fleet
 whose spec names no fault has nothing installed on it.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.runtime.errors import RuntimeHostError
+from repro.formats.errors import RuntimeHostError
 from repro.simulation.channel import Message
 from repro.simulation.errors import ProcessKilled
 

@@ -19,7 +19,7 @@ from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
-from repro.runtime.codec import WireCodec
+from repro.formats.codec import WireCodec
 from repro.runtime.nodes import LocalLinks, WarehouseSite, links_for, make_backend
 from repro.runtime.shard.front import ShardedSourceFront
 from repro.runtime.shard.spec import FleetSpec

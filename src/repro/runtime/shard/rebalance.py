@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.relational.delta import Delta
-from repro.runtime.errors import RuntimeHostError
+from repro.formats.errors import RuntimeHostError
 from repro.runtime.shard.faults import ProtocolTrigger, one_threshold
 from repro.simulation.channel import Message
 from repro.sources.messages import UpdateNotice, make_rebalance_fence

@@ -14,7 +14,7 @@ from repro.harness.runner import record_predicate_cache_delta
 from repro.relational.predicate import compile_cache_stats
 from repro.relational.relation import Relation
 from repro.runtime.chaos import ChaosStats
-from repro.runtime.errors import RuntimeHostError
+from repro.formats.errors import RuntimeHostError
 from repro.runtime.shard.node import ShardedSourceNode, ShardNode, make_links
 from repro.runtime.shard.spec import FleetSpec
 from repro.simulation.metrics import MetricsCollector

@@ -16,7 +16,7 @@ from repro.consistency.oracle import RunRecorder
 from repro.durability.manager import CheckpointPolicy
 from repro.durability.recovery import seed_standby_dir
 from repro.harness.config import ExperimentConfig
-from repro.runtime.errors import RuntimeHostError, TransportRetriesExceeded
+from repro.formats.errors import RuntimeHostError, TransportRetriesExceeded
 from repro.runtime.nodes import TcpLinks, drained_for, hold_until_delivered
 from repro.runtime.shard.node import ShardedSourceNode, ShardNode
 from repro.runtime.shard.run import (

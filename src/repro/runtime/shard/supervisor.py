@@ -8,7 +8,7 @@ import sys
 import time as _time
 
 from repro.harness.config import ExperimentConfig
-from repro.runtime.errors import RuntimeHostError
+from repro.formats.errors import RuntimeHostError
 from repro.runtime.shard.spec import FleetSpec, child_argvs, member_name
 
 

@@ -3,9 +3,9 @@
 Wire format
 -----------
 Every frame is a 4-byte big-endian length followed by a
-:mod:`repro.runtime.binwire` document.  The envelope ``m`` of a ``msg``
+:mod:`repro.formats.binwire` document.  The envelope ``m`` of a ``msg``
 frame or ``mb`` entry is a bytes value: the message's packed v3 record
-(see :mod:`repro.runtime.codec`), so binwire only walks the frame's few
+(see :mod:`repro.formats.codec`), so binwire only walks the frame's few
 keys and sequence numbers.  The length's most significant bit flags a
 zlib-compressed body (large snapshot payloads shrink by an order of
 magnitude); the remaining 31 bits are the on-wire body length.  Five
@@ -18,15 +18,15 @@ frame types flow on a connection::
     {"t": "mb",      "frames": [{"seq", "m"}, ...]}  sender -> receiver
     {"t": "ack",     "seq": n}                       receiver -> sender
 
-One format is written; nothing is negotiated.  ``codec`` tells an older
-peer what this one reads: a listener welcomes every sender with
-``"codec": 3``, and a sender refuses (:class:`WireProtocolError`) a
-welcome that has no ``expect``, no ``codec`` or a ``codec`` below 3 --
-a receiver that cannot read records.  Readers stay lenient:
-:func:`read_frame` sniffs the body's first byte (binwire's magic
-``0xB3`` can never start compact JSON) and so also takes the JSON frames
-of older senders, whose ``m`` is a v1/v2 envelope dict that
-:meth:`WireCodec.decode_message` still reads.
+One format is written and read; nothing is negotiated.  ``codec``
+proves each end reads records: a listener refuses a hello whose
+``codec`` is not 3 and welcomes every other sender with ``"codec": 3``,
+and a sender refuses (:class:`WireProtocolError`) a welcome that has no
+``expect``, no ``codec`` or a ``codec`` below 3.  What a reader refuses
+for its format -- a hello whose ``codec`` is not 3, an older peer's JSON
+frame, the v1/v2 envelope dict it put in ``m`` -- raises an
+:class:`~repro.formats.errors.UnsupportedWireFormatError` (a
+:class:`WireProtocolError`) that names it.
 
 The **fast path**: protocol messages accepted by ``send`` while the
 writer task was busy are flushed as one ``mb`` frame -- one frame
@@ -53,7 +53,7 @@ Crash-restart epochs
 Sequence state on both ends normally outlives connections but not
 processes.  Durability (see :mod:`repro.durability`) restores the
 *protocol* state after a crash; the transport resynchronizes with two
-small extensions, both wire-compatible with peers that predate them:
+small extensions:
 
 * a restarted **sender** numbers frames from 1 again and announces a
   higher ``epoch`` in its hello (the durable generation).  The listener
@@ -72,7 +72,6 @@ small extensions, both wire-compatible with peers that predate them:
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
 import time
 import zlib
@@ -80,11 +79,13 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.runtime import binwire
-from repro.runtime.codec import CODEC_VERSION, WireCodec
-from repro.runtime.errors import (
+from repro.formats import binwire
+from repro.formats.codec import CODEC_VERSION, WireCodec
+from repro.formats.errors import (
+    UPGRADE_PEER,
     TransportOverflowError,
     TransportRetriesExceeded,
+    UnsupportedWireFormatError,
     WireProtocolError,
 )
 from repro.runtime.kernel import AsyncRuntime
@@ -105,9 +106,7 @@ async def read_frame(
 
     A set MSB in the length prefix marks a zlib-compressed body; readers
     always accept both, so compression needs no negotiation of its own.
-    The (decompressed) body's first byte picks the deserializer -- binwire
-    magic or JSON -- so a reader also accepts the JSON frames of older
-    senders.
+    The (decompressed) body is one binwire document.
     """
 
     async def _read() -> dict:
@@ -121,11 +120,12 @@ async def read_frame(
         try:
             if compressed:
                 body = zlib.decompress(body)
-            if binwire.is_binary(body):
-                frame = binwire.loads(body)
-            else:
-                frame = json.loads(body)
-        # ValueError: bad JSON, bad binwire, or invalid UTF-8 in either.
+            if body[:1] == b"{":  # compact JSON: an older peer's frame
+                raise UnsupportedWireFormatError.refuse(
+                    "frame", "a JSON frame", UPGRADE_PEER
+                )
+            frame = binwire.loads(body)
+        # ValueError: bad binwire, or invalid UTF-8 in it.
         except (ValueError, zlib.error) as exc:
             raise WireProtocolError(f"undecodable frame: {exc}") from exc
         if type(frame) is not dict:
@@ -612,12 +612,14 @@ class ChannelListener:
             name = hello.get("channel", "?")
             if type(name) is not str or name not in self._registrations:
                 raise WireProtocolError(f"unknown channel {name!r}")
+            if hello.get("codec") != CODEC_VERSION:
+                raise UnsupportedWireFormatError.refuse(
+                    f"channel {name!r}", f"hello codec {hello.get('codec')}",
+                    UPGRADE_PEER,
+                )
             try:
                 epoch = int(hello.get("epoch", 0))
                 announced = int(hello.get("next", 1))
-                # Checked, not negotiated: every version a sender
-                # writes is read.
-                int(hello.get("codec", 1))
             except (TypeError, ValueError) as exc:
                 raise WireProtocolError(f"malformed hello {hello!r}") from exc
             self.connections_accepted += 1

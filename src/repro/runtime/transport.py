@@ -8,8 +8,9 @@ communication assumption the paper's correctness argument needs
 
 * :class:`LocalChannel` -- an in-process direct hand-off into the
   destination mailbox (FIFO by construction); and
-* :class:`repro.runtime.tcp.TcpChannel` -- length-prefixed JSON frames over
-  a TCP session with sequence numbers, acknowledgements and reconnect.
+* :class:`repro.runtime.tcp.TcpChannel` -- length-prefixed binwire frames
+  over a TCP session with sequence numbers, acknowledgements and
+  reconnect.
 
 Both apply **backpressure** with a bound on what ``send`` accepts:
 it raises :class:`TransportOverflowError` when the bound is hit, and pacing
@@ -22,7 +23,7 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING
 
-from repro.runtime.errors import TransportOverflowError
+from repro.formats.errors import TransportOverflowError
 from repro.simulation.channel import Message
 from repro.simulation.metrics import MetricsCollector
 

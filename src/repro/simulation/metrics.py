@@ -36,31 +36,9 @@ def estimate_size(payload: object) -> int:
         return max(1, payload.distinct_count)
     if isinstance(payload, PartialView):
         return max(1, payload.delta.distinct_count)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        # A binwire-serialized body measured before decode: size it by
-        # its decoded row structure so both serializers agree.  Lazy
-        # import -- this module sits below the runtime package.
-        from repro.runtime import binwire
-
-        if binwire.is_binary(payload):
-            try:
-                return estimate_size(binwire.loads(payload))
-            except binwire.BinwireError:
-                return 1
-        return 1
     if isinstance(payload, (list, tuple, set, frozenset)):
         return max(1, sum(estimate_size(item) for item in payload))
     if isinstance(payload, dict):
-        # The v2 flat row encoding of older frames and durable files:
-        # ``f`` holds rows of ``w`` columns plus their count,
-        # stride ``w + 1``.  Without this case the generic dict walk
-        # would count every *scalar* as a row, so the same relation
-        # would measure ``arity + 1`` times larger through the flat
-        # encoding than through the object it decodes back into.
-        if isinstance(payload.get("f"), (list, tuple)) and "w" in payload:
-            stride = int(payload["w"]) + 1
-            if stride > 1:
-                return max(1, len(payload["f"]) // stride)
         return max(1, sum(estimate_size(v) for v in payload.values()))
     return 1
 

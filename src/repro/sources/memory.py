@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.relational.delta import Delta
+from repro.relational.errors import SchemaError
 from repro.relational.incremental import PartialView
 from repro.relational.relation import FrozenRelation, Relation
 from repro.relational.view import ViewDefinition
@@ -32,8 +33,6 @@ class MemoryBackend(SourceBackend):
         schema = view.schema_of(index)
         if initial is not None:
             if initial.schema.attributes != schema.attributes:
-                from repro.relational.errors import SchemaError
-
                 raise SchemaError(
                     f"initial contents schema {list(initial.schema.attributes)!r}"
                     f" does not match relation {view.name_of(index)!r}"

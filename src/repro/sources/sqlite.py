@@ -14,6 +14,7 @@ from __future__ import annotations
 import sqlite3
 
 from repro.relational.delta import Delta
+from repro.relational.errors import NegativeCountError, SchemaError
 from repro.relational.incremental import PartialView
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
@@ -46,8 +47,6 @@ class SqliteBackend(SourceBackend):
         self._conn.execute(sqlgen.create_table_sql(self.table, self.schema))
         if initial is not None:
             if initial.schema.attributes != self.schema.attributes:
-                from repro.relational.errors import SchemaError
-
                 raise SchemaError(
                     f"initial contents schema {list(initial.schema.attributes)!r}"
                     f" does not match relation {self.table!r}"
@@ -72,8 +71,6 @@ class SqliteBackend(SourceBackend):
                 f" WHERE {sqlgen.COUNT_COLUMN} < 0"
             ).fetchone()[0]
             if negative:
-                from repro.relational.errors import NegativeCountError
-
                 bad = cur.execute(
                     sqlgen.select_all_sql(self.table, self.schema)
                     + f" WHERE {sqlgen.COUNT_COLUMN} < 0 LIMIT 1"
@@ -94,8 +91,6 @@ class SqliteBackend(SourceBackend):
     def compute_join(self, partial: PartialView) -> PartialView:
         index = self.index
         if not partial.is_adjacent(index):
-            from repro.relational.errors import SchemaError
-
             raise SchemaError(
                 f"relation {index} is not adjacent to covered range"
                 f" {partial.lo}..{partial.hi}"
@@ -105,8 +100,6 @@ class SqliteBackend(SourceBackend):
         # sends partials of several view definitions to the same backend.
         pview = partial.view
         if pview.schema_of(index).attributes != self.schema.attributes:
-            from repro.relational.errors import SchemaError
-
             raise SchemaError(
                 f"view {pview.name!r} expects schema"
                 f" {list(pview.schema_of(index).attributes)!r} at index"

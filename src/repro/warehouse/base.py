@@ -35,6 +35,7 @@ from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
 from repro.sources.messages import (
+    PositionAnswer,
     QueryRequest,
     UpdateNotice,
     is_rebalance_fence,
@@ -227,8 +228,6 @@ class QueueDrivenWarehouse(WarehouseBase):
     # LogUpdates (and answer routing)
     # ------------------------------------------------------------------
     def _dispatch(self) -> Generator:
-        from repro.sources.messages import PositionAnswer
-
         while True:
             msg = yield self.inbox.get()
             if msg.kind == "update":

@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.relational.delta import Delta
+from repro.relational.errors import SchemaError
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
 
@@ -65,8 +66,6 @@ class AuxiliaryStore:
         """
         expected = self.primary.schema_of(index)
         if relation.schema.attributes != expected.attributes:
-            from repro.relational.errors import SchemaError
-
             raise SchemaError(
                 f"auxiliary seed for {self.primary.name_of(index)!r} has"
                 f" schema {list(relation.schema.attributes)!r}, expected"

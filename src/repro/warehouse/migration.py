@@ -53,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from collections.abc import Generator
 
+from repro.durability.checkpoint import decode_view_handoff, encode_view_handoff
+from repro.durability.encoding import decode_relation
 from repro.relational.delta import merge_deltas
 from repro.relational.incremental import PartialView
 from repro.relational.view import ViewDefinition
@@ -274,8 +276,6 @@ class ViewMigrationMixin:
     # Donor: seal + handoff
     # ------------------------------------------------------------------
     def _donor_seal(self) -> None:
-        from repro.durability.checkpoint import encode_view_handoff
-
         st = self._mig
         vdef = st.view_def
         if vdef.name not in self.stores:
@@ -372,9 +372,6 @@ class ViewMigrationMixin:
     # Recipient: adoption + catch-up
     # ------------------------------------------------------------------
     def _mig_catchup(self) -> Generator:
-        from repro.durability.checkpoint import decode_view_handoff
-        from repro.durability.encoding import decode_relation
-
         st = self._mig
         if st.catchup_done:
             raise ProtocolError("duplicate gap-complete")
@@ -444,8 +441,6 @@ class ViewMigrationMixin:
         counters document the decision and the handoff still exercises
         the encode/decode path.
         """
-        from repro.durability.encoding import decode_relation
-
         if self.locality is None or not decoded["aux"]:
             return
         names = {vdef.name_of(i): i for i in range(1, vdef.n_relations + 1)}

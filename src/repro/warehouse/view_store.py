@@ -12,7 +12,9 @@ of Section 3 into a measurable counter instead of a crash.
 
 from __future__ import annotations
 
+from repro.relational.aggregate import AggregateView
 from repro.relational.delta import Delta
+from repro.relational.errors import HeterogeneousSchemaError
 from repro.relational.relation import BagBase, Relation
 from repro.relational.view import ViewDefinition
 
@@ -33,8 +35,6 @@ class MaterializedView:
         schema = view.view_schema
         if initial is not None:
             if initial.schema.attributes != schema.attributes:
-                from repro.relational.errors import HeterogeneousSchemaError
-
                 raise HeterogeneousSchemaError(
                     schema.attributes, initial.schema.attributes
                 )
@@ -63,8 +63,6 @@ class MaterializedView:
         updated incrementally from every installed delta.  Requires strict
         mode (aggregates over anomalous counts would be meaningless).
         """
-        from repro.relational.aggregate import AggregateView
-
         if not self.strict:
             raise ValueError(
                 "aggregate views require a strict materialized view"

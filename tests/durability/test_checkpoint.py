@@ -6,15 +6,16 @@ generation -- the newer WAL would then be unreplayable and the served
 view silently stale.
 """
 
-import json
 import os
 import shutil
+import zlib
 
 import pytest
 
 from repro.durability import (
     CheckpointCorruptionError,
     ViewCheckpoint,
+    load_state,
 )
 from repro.durability.checkpoint import checkpoint_generations, checkpoint_path
 from repro.durability.encoding import (
@@ -23,15 +24,17 @@ from repro.durability.encoding import (
     encode_notice,
     record_codec,
 )
+from repro.formats import binwire
+from repro.formats.errors import UnsupportedFormatError
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.sources.messages import UpdateNotice
+from tests.hostile import check_hostile, lying_varint
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 #: A format-1 (JSON envelope) checkpoint, written before that writer was
 #: deleted (see test_format_compat.py).
-_JSON_CHECKPOINT = os.path.join(
-    os.path.dirname(__file__), "data", "format1", "checkpoint-00000002.json"
-)
+_JSON_CHECKPOINT = os.path.join(DATA, "format1", "checkpoint-00000002.json")
 
 def _checkpoint(paper_view, generation: int = 2) -> ViewCheckpoint:
     view_rows = Relation(paper_view.view_schema, {(1, 2): 1, (3, 4): 2})
@@ -75,20 +78,15 @@ def test_load_latest_empty_directory(tmp_path):
 
 def test_corrupt_newest_raises_not_falls_back(tmp_path, paper_view):
     """The newest checkpoint is a JSON-era one (the checked-in format-1
-    fixture) whose body no longer matches its CRC."""
+    fixture): it is refused, and the older, readable generation is not
+    used in its place."""
     _checkpoint(paper_view, generation=1).write(str(tmp_path))
-    newest = shutil.copy(_JSON_CHECKPOINT, checkpoint_path(str(tmp_path), 3))
-    envelope = json.loads(open(newest, encoding="utf-8").read())
-    envelope["body"]["installs"] += 1  # body no longer matches the CRC
-    with open(newest, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
-    with pytest.raises(CheckpointCorruptionError, match="fails CRC"):
+    shutil.copy(_JSON_CHECKPOINT, checkpoint_path(str(tmp_path), 3))
+    with pytest.raises(CheckpointCorruptionError, match="checkpoint format 1"):
         ViewCheckpoint.load_latest(str(tmp_path))
 
 
 def test_corrupt_newest_binary_raises_not_falls_back(tmp_path, paper_view):
-    from repro.runtime import binwire
-
     _checkpoint(paper_view, generation=1).write(str(tmp_path))
     newest = _checkpoint(paper_view, generation=3).write(str(tmp_path))
     envelope = binwire.loads(open(newest, "rb").read())
@@ -115,10 +113,6 @@ def test_lying_count_checkpoint_is_corruption(tmp_path, paper_view):
 
 def test_lying_count_checkpoint_body_is_corruption(tmp_path, paper_view):
     """The envelope and its CRC are fine; the body document lies."""
-    import zlib
-
-    from repro.runtime import binwire
-
     path = _checkpoint(paper_view).write(str(tmp_path))
     envelope = binwire.loads(open(path, "rb").read())
     envelope["body"] = _LYING_LIST
@@ -130,13 +124,33 @@ def test_lying_count_checkpoint_body_is_corruption(tmp_path, paper_view):
 
 
 def test_unsupported_format_raises(tmp_path, paper_view):
-    path = shutil.copy(_JSON_CHECKPOINT, checkpoint_path(str(tmp_path), 2))
-    envelope = json.loads(open(path, encoding="utf-8").read())
+    path = _checkpoint(paper_view).write(str(tmp_path))
+    envelope = binwire.loads(open(path, "rb").read())
     envelope["format"] = 99
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
-    with pytest.raises(CheckpointCorruptionError, match="format"):
+    with open(path, "wb") as handle:
+        handle.write(binwire.dumps(envelope))
+    with pytest.raises(UnsupportedFormatError, match="checkpoint format 99"):
         ViewCheckpoint.load(path)
+
+
+def test_hostile_checkpoint_is_corruption(tmp_path, paper_view):
+    """Every truncation and bit flip of the pinned format-4 checkpoint,
+    and a lying body length, read through recovery: each recovers or
+    raises :class:`CheckpointCorruptionError` -- nothing else escapes."""
+    directory = shutil.copytree(os.path.join(DATA, "format3"), tmp_path / "dir")
+    path = checkpoint_path(str(directory), 2)
+    blob = open(path, "rb").read()
+    body = binwire.loads(blob)["body"]
+    assert blob.endswith(body)  # the body is the envelope's last value
+
+    def recover(data: bytes):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return load_state(str(directory), [paper_view])
+
+    # Past the body document's magic, format and bytes tag: its length.
+    lie = lying_varint(blob, len(blob) - len(binwire.dumps(body)) + 3)
+    assert check_hostile(blob, recover, CheckpointCorruptionError, [lie]) == []
 
 
 def test_stale_tmp_file_is_ignored(tmp_path, paper_view):
@@ -193,8 +207,6 @@ def test_corrupt_row_block_is_checkpoint_corruption(
 ):
     """A CRC-valid checkpoint whose row block or record is damaged raises
     ``CheckpointCorruptionError`` at recovery, nothing from the codec."""
-    from repro.durability import load_state
-
     checkpoint = _checkpoint(paper_view)
     if field == "views":
         checkpoint.views["V"] = damage

@@ -7,17 +7,27 @@ recovery never replays a damaged update into the view.
 """
 
 import os
+import shutil
 import struct
+import zlib
 
 import pytest
 
-from repro.durability import UpdateLog, WalCorruptionError, read_update_log
+from repro.durability import (
+    UpdateLog,
+    WalCorruptionError,
+    load_state,
+    read_update_log,
+)
 from repro.durability.encoding import decode_notice, encode_notice, record_codec
 from repro.durability.wal import wal_generations, wal_path
+from repro.formats import binwire
 from repro.relational.delta import Delta
 from repro.relational.schema import Schema
 from repro.relational.view import ViewDefinition
 from repro.sources.messages import UpdateNotice
+from tests.durability.test_checkpoint import _checkpoint
+from tests.hostile import check_hostile, lying_field
 
 
 #: Any chain whose sources are two columns wide writes these records.
@@ -98,17 +108,18 @@ def test_crc_mismatch_raises(tmp_path):
         read_update_log(path)
 
 
-def test_undecodable_frame_raises(tmp_path):
-    import json
-    import zlib
-
-    path = os.path.join(str(tmp_path), "update-00000002.wal")
-    payload = b"not json at all"
-    header = json.dumps({"wal": 1, "generation": 2}).encode()
+def _frames(path: str, *frames: bytes) -> str:
+    """A log of ``frames``, every one CRC-valid."""
     with open(path, "wb") as handle:
-        for frame in (header, payload):
+        for frame in frames:
             handle.write(struct.pack("!II", len(frame), zlib.crc32(frame)))
             handle.write(frame)
+    return path
+
+
+def test_undecodable_frame_raises(tmp_path):
+    """A CRC-valid header frame that is not a binwire document."""
+    path = _frames(wal_path(str(tmp_path), 2), b"not a header at all")
     with pytest.raises(WalCorruptionError, match="undecodable"):
         read_update_log(path)
 
@@ -123,18 +134,10 @@ def test_undecodable_frame_raises(tmp_path):
     ids=["list", "dict"],
 )
 def test_lying_count_in_a_binwire_frame_is_corruption(tmp_path, payload):
-    """A CRC-valid frame whose document lies about its element count is
-    refused before anything is allocated for it, as corruption."""
-    import zlib
-
-    from repro.runtime import binwire
-
-    path = os.path.join(str(tmp_path), "update-00000002.wal")
-    header = binwire.dumps({"wal": 2, "generation": 2})
-    with open(path, "wb") as handle:
-        for frame in (header, payload):
-            handle.write(struct.pack("!II", len(frame), zlib.crc32(frame)))
-            handle.write(frame)
+    """A CRC-valid header frame whose document lies about its element
+    count is refused before anything is allocated for it, as
+    corruption."""
+    path = _frames(wal_path(str(tmp_path), 2), payload)
     with pytest.raises(WalCorruptionError, match="exceeds"):
         read_update_log(path)
 
@@ -155,16 +158,8 @@ def test_encode_notice_round_trip(paper_view):
 def _record_frames(directory: str, *payloads: bytes) -> str:
     """A generation-2 log of a records header plus ``payloads``, every
     frame CRC-valid."""
-    import zlib
-
-    from repro.runtime import binwire
-
-    path = wal_path(directory, 2)
-    with open(path, "wb") as handle:
-        for frame in (binwire.dumps({"wal": 3, "generation": 2}), *payloads):
-            handle.write(struct.pack("!II", len(frame), zlib.crc32(frame)))
-            handle.write(frame)
-    return path
+    header = binwire.dumps({"wal": 3, "generation": 2})
+    return _frames(wal_path(directory, 2), header, *payloads)
 
 
 def _malformed_records():
@@ -193,9 +188,6 @@ def test_malformed_record_in_a_crc_valid_frame_is_corruption(
     """The frame is whole and its CRC matches; the record inside it is
     damaged.  Recovery raises ``WalCorruptionError`` -- never the
     codec's ``WireProtocolError`` or a bare ``struct.error``."""
-    from repro.durability import load_state
-    from tests.durability.test_checkpoint import _checkpoint
-
     _checkpoint(paper_view, generation=2).write(str(tmp_path))
     _record_frames(str(tmp_path), _malformed_records()[kind])
     with pytest.raises(WalCorruptionError, match="undecodable record") as info:
@@ -208,3 +200,57 @@ def test_unknown_record_type_byte_is_corruption(tmp_path, type_byte):
     path = _record_frames(str(tmp_path), bytes([type_byte]) + b"\x00" * 31)
     with pytest.raises(WalCorruptionError, match="unknown record type"):
         read_update_log(path)
+
+
+#: The pinned generation-2 log: a header frame (bytes 0-17), then two
+#: 47-byte record frames whose length prefixes sit at bytes 18-21 and
+#: 65-68.
+_PINNED = os.path.join(os.path.dirname(__file__), "data", "format3")
+_LENGTHS = {"header": 0, "first record": 18, "last record": 65}
+
+
+def _recover_wal(tmp_path, paper_view):
+    """(the pinned log's bytes, a reader that recovers the directory with
+    those bytes in its place)."""
+    directory = shutil.copytree(_PINNED, tmp_path / "dir")
+    path = wal_path(str(directory), 2)
+    blob = open(path, "rb").read()
+
+    def recover(data: bytes):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return load_state(str(directory), [paper_view])
+
+    return blob, recover
+
+
+def test_hostile_wal_is_corruption_or_a_torn_tail(tmp_path, paper_view):
+    """Every truncation and bit flip of the pinned log, and a lying
+    length on its last frame, read through recovery: each recovers (a
+    torn tail) or raises :class:`WalCorruptionError` -- nothing else."""
+    blob, recover = _recover_wal(tmp_path, paper_view)
+    assert recover(blob).wal_records == 2
+    lie = lying_field(blob, _LENGTHS["last record"], 4)
+    check_hostile(blob, recover, WalCorruptionError, [lie])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 9-c: a flipped length prefix of the header frame or"
+    " of a record before the last reads as a torn tail, and recovery"
+    " drops the logged updates after it without an error; telling it"
+    " from a real torn tail needs a WAL frame-format change",
+)
+@pytest.mark.parametrize("frame", ["header", "first record"])
+def test_a_flipped_length_prefix_is_not_a_torn_tail(tmp_path, paper_view, frame):
+    blob, recover = _recover_wal(tmp_path, paper_view)
+    offset = _LENGTHS[frame]
+    for index in range(offset, offset + 4):
+        for bit in range(8):
+            damaged = bytearray(blob)
+            damaged[index] ^= 1 << bit
+            try:
+                state = recover(bytes(damaged))
+            except WalCorruptionError:
+                continue
+            assert state.wal_records == 2, f"flip@{index}.{bit} lost records"

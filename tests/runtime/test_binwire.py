@@ -2,17 +2,17 @@
 
 Two layers of coverage:
 
-* kernel contract -- :mod:`repro.runtime.binwire` round-trips exactly
+* kernel contract -- :mod:`repro.formats.binwire` round-trips exactly
   the JSON value model (fuzzed against ``json`` itself), rejects what
   JSON would reject, and fails loudly on truncated or trailing bytes,
   lying counts and invalid UTF-8 -- as do ``read_frame`` and the
   listener, with :class:`WireProtocolError`;
 * transport matrix -- every protocol payload type crosses a real frame
   (``read_frame`` through an ``asyncio.StreamReader``, and a listener
-  through a socket) with compression off and on: our v3 frames, and the
-  JSON frames of an older sender carrying the checked-in v1/v2
-  envelopes (``data/wire_v1.json`` / ``wire_v2.json``), decode to
-  exactly the encoded message.
+  through a socket) with compression off and on, and decodes to exactly
+  the encoded message; an older peer -- a JSON frame, a hello without
+  ``codec`` 3, a v1/v2 envelope dict (``data/wire_v1.json`` /
+  ``wire_v2.json``) -- is refused by name.
 """
 
 import asyncio
@@ -25,19 +25,22 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.formats import binwire
+from repro.formats.errors import UnsupportedFormatError
 from repro.runtime import (
     AsyncRuntime,
     ChannelListener,
     WireCodec,
     WireProtocolError,
 )
-from repro.runtime import binwire
 from repro.runtime.tcp import read_frame, write_frame
+from tests.hostile import check_hostile, lying_varint
 from tests.runtime.wire_fixtures import (
     HOSTILE_SHAPES,
     bodies,
     fixture_messages,
     hostile_envelope,
+    load_envelopes,
     older_peer_frame,
     same_message,
     variant_of,
@@ -109,8 +112,7 @@ _LIST_ELEMENTS = [
 
 
 def _scalar_path_bytes(items) -> bytes:
-    """What the list would encode to one ``_encode`` call per element
-    (the encoding before lists inlined their ints)."""
+    """The list as its elements' own encodings, back to back."""
     buf = bytearray((binwire.MAGIC, binwire.FORMAT, binwire._TAG_LIST))
     binwire._append_varint(buf, len(items))
     for item in items:
@@ -127,7 +129,7 @@ def test_flat_int_list_fast_path_is_byte_identical():
     expected = json.loads(json.dumps(_LIST_ELEMENTS))  # tuples, enums -> JSON
     assert binwire.loads(doc) == expected
     assert [type(x) for x in binwire.loads(doc)] == [type(x) for x in expected]
-    # The shape the fast path exists for: a v3 row block / checkpoint body.
+    # A long flat int list: a fallback row block's shape.
     flat = [v for k in range(-200, 20000, 97) for v in (k, -k, k % 64)]
     assert binwire.dumps(flat) == _scalar_path_bytes(flat)
     assert binwire.loads(binwire.dumps({"f": flat, "w": 3})) == {"f": flat, "w": 3}
@@ -166,10 +168,16 @@ def test_unknown_format_rejected():
 
 
 def test_truncated_document_rejected():
-    doc = binwire.dumps({"kind": "query", "rows": list(range(50))})
-    for cut in (2, 3, len(doc) // 2, len(doc) - 1):
-        with pytest.raises(binwire.BinwireError):
-            binwire.loads(doc[:cut])
+    """Every truncation of a document is refused; every bit flip and a
+    lying count decode or raise :class:`BinwireError`, nothing else."""
+    doc = binwire.dumps(
+        {"kind": "query", "rows": list(range(50)), "body": b"\x00\xff" * 5,
+         "at": 1.5, "ok": [True, None, -(2**40)], "name": "snow\u2603"}
+    )
+    decoded = check_hostile(
+        doc, binwire.loads, binwire.BinwireError, lies=[lying_varint(doc, 3)]
+    )
+    assert not [label for label in decoded if label.startswith("truncated")]
 
 
 def test_trailing_bytes_rejected():
@@ -214,22 +222,32 @@ def _read_body(body: bytes) -> dict:
 
 
 @pytest.mark.parametrize(
-    "body",
-    [BAD_UTF8, b'{"t":"\xff"}'],
+    "body, match",
+    [(BAD_UTF8, "undecodable"), (b'{"t":"\xff"}', "JSON frame")],
     ids=["binwire", "json"],
 )
-def test_read_frame_turns_invalid_utf8_into_a_protocol_error(body):
-    with pytest.raises(WireProtocolError, match="undecodable"):
+def test_read_frame_turns_invalid_utf8_into_a_protocol_error(body, match):
+    """Bad UTF-8 in a binwire string is undecodable; a JSON frame is
+    refused before anything in it is decoded."""
+    with pytest.raises(WireProtocolError, match=match):
         _read_body(body)
 
 
 @pytest.mark.parametrize(
-    "body",
-    [b"[1,2]", b"7", b'"msg"', binwire.dumps([1, 2]), binwire.dumps(None)],
+    "body, match",
+    [
+        (b"[1,2]", "undecodable"),
+        (b"7", "undecodable"),
+        (b'"msg"', "undecodable"),
+        (binwire.dumps([1, 2]), "not an object"),
+        (binwire.dumps(None), "not an object"),
+    ],
     ids=["json-list", "json-int", "json-str", "binwire-list", "binwire-none"],
 )
-def test_read_frame_refuses_a_frame_that_is_not_an_object(body):
-    with pytest.raises(WireProtocolError, match="not an object"):
+def test_read_frame_refuses_a_frame_that_is_not_an_object(body, match):
+    """A document that is not an object is refused; JSON text that is not
+    an object is not a binwire document at all."""
+    with pytest.raises(WireProtocolError, match=match):
         _read_body(body)
 
 
@@ -259,7 +277,7 @@ def test_listener_records_a_malformed_frame_as_a_protocol_error(
         listener.register("R1->wh", asyncio.Queue(), WireCodec(paper_view))
         await listener.start()
         reader, writer = await asyncio.open_connection(*listener.address)
-        write_frame(writer, {"t": "hello", "channel": "R1->wh", "next": 1})
+        write_frame(writer, _HELLO)
         await writer.drain()
         assert (await read_frame(reader, timeout=5.0))["t"] == "welcome"
         write_frame(writer, frame)
@@ -276,49 +294,108 @@ def test_listener_records_a_malformed_frame_as_a_protocol_error(
     asyncio.run(main())
 
 
+#: A current sender's hello.
+_HELLO = {"t": "hello", "channel": "R1->wh", "next": 1, "codec": 3}
+
+
+async def _listener_failure(view, frames: list[bytes], welcomed: bool):
+    """Play a raw-socket sender of ``frames`` (wire bytes, the hello
+    first) against a listener; return the error the runtime recorded."""
+    runtime = AsyncRuntime(time_scale=0.001)
+    listener = ChannelListener(runtime)
+    listener.register(
+        "R1->wh", SimpleNamespace(put=lambda message: None),
+        WireCodec(view, extra_views=(variant_of(view),)),
+    )
+    await listener.start()
+    reader, writer = await asyncio.open_connection(*listener.address)
+    for frame in frames:
+        writer.write(frame)
+    await writer.drain()
+    if welcomed:
+        assert (await read_frame(reader, timeout=5.0))["t"] == "welcome"
+    assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed
+    writer.close()
+    await listener.aclose()
+    try:
+        with pytest.raises(WireProtocolError) as info:
+            runtime.check()
+    finally:
+        await runtime.aclose()
+    return info.value
+
+
 @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
 def test_listener_records_a_hostile_envelope_as_a_protocol_error(
     paper_view, shape
 ):
-    """An older sender's JSON ``msg`` frame whose envelope is malformed
-    ends the session with a :class:`WireProtocolError` recorded on the
-    runtime.  (An untyped error used to escape the handler: the sender
-    reconnected, its handshake refilled its retry budget, and it resent
-    the same frame forever.)"""
+    """A ``msg`` frame whose envelope is a malformed v1/v2 dict ends the
+    session with a :class:`WireProtocolError` recorded on the runtime: the
+    dict is refused as what it is.  (An untyped error used to escape the
+    handler: the sender reconnected, its handshake refilled its retry
+    budget, and it resent the same frame forever.)"""
+    frame = {"t": "msg", "seq": 1, "m": hostile_envelope(shape)}
+    error = asyncio.run(_listener_failure(
+        paper_view, [_frame_bytes(_HELLO), _frame_bytes(frame)], welcomed=True
+    ))
+    assert isinstance(error, UnsupportedFormatError)
+    assert "v1/v2 envelope dict" in str(error)
 
-    async def main():
-        runtime = AsyncRuntime(time_scale=0.001)
-        listener = ChannelListener(runtime)
-        listener.register(
-            "R1->wh", SimpleNamespace(put=lambda message: None),
-            WireCodec(paper_view, extra_views=(variant_of(paper_view),)),
-        )
-        await listener.start()
-        reader, writer = await asyncio.open_connection(*listener.address)
-        hello = {"t": "hello", "channel": "R1->wh", "next": 1, "codec": 1}
-        writer.write(_frame_bytes(1, hello, None))
-        frame = {"t": "msg", "seq": 1, "m": hostile_envelope(shape)}
-        writer.write(_frame_bytes(1, frame, None))
-        await writer.drain()
-        assert (await read_frame(reader, timeout=5.0))["t"] == "welcome"
-        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed
-        writer.close()
-        await listener.aclose()
-        try:
-            with pytest.raises(WireProtocolError, match="malformed envelope"):
-                runtime.check()
-        finally:
-            await runtime.aclose()
 
-    asyncio.run(main())
+def _older_peer(version: int) -> list[bytes]:
+    """The frames a sender of codec ``version`` (1 or 2) sent: a JSON
+    hello, then its checked-in envelopes in JSON ``msg`` frames (v1) or
+    one JSON ``mb`` frame (v2)."""
+    hello = {**_HELLO, "codec": version}
+    entries = [
+        {"seq": seq, "m": envelope}
+        for seq, envelope in enumerate(load_envelopes(version), start=1)
+    ]
+    if version == 1:  # v1 senders never batched
+        frames = [{"t": "msg", **entry} for entry in entries]
+    else:
+        frames = [{"t": "mb", "frames": entries}]
+    return [older_peer_frame(frame) for frame in (hello, *frames)]
+
+
+@pytest.mark.parametrize(
+    "frames, welcomed, found",
+    [
+        (lambda: _older_peer(1), False, "a JSON frame"),
+        (lambda: _older_peer(2), False, "a JSON frame"),
+        (lambda: [_frame_bytes({**_HELLO, "codec": 1})], False, "hello codec 1"),
+        (lambda: [_frame_bytes({**_HELLO, "codec": 2})], False, "hello codec 2"),
+        (
+            lambda: [_frame_bytes({k: v for k, v in _HELLO.items() if k != "codec"})],
+            False, "hello codec None",
+        ),
+        (
+            lambda: [
+                _frame_bytes(_HELLO),
+                _frame_bytes({"t": "msg", "seq": 1, "m": load_envelopes(2)[0]}),
+            ],
+            True, "a v1/v2 envelope dict",
+        ),
+    ],
+    ids=["v1-sender", "v2-sender", "hello-codec-1", "hello-codec-2",
+         "hello-without-codec", "dict-envelope"],
+)
+def test_listener_refuses_an_older_peer_by_name(paper_view, frames, welcomed, found):
+    """An older peer is refused, not read: the runtime records one
+    :class:`UnsupportedFormatError` -- also a :class:`WireProtocolError`
+    -- that names what arrived and asks for the peer to be upgraded."""
+    error = asyncio.run(_listener_failure(paper_view, frames(), welcomed))
+    assert isinstance(error, UnsupportedFormatError)
+    assert f"{found} is no longer read" in str(error)
+    assert "upgrade the peer" in str(error)
 
 
 @pytest.mark.parametrize(
     "hello",
     [
         {"t": "hello", "channel": ["R1->wh"], "next": 1},
-        {"t": "hello", "channel": "R1->wh", "next": "one"},
-        {"t": "hello", "channel": "R1->wh", "next": 1, "epoch": [2]},
+        {"t": "hello", "channel": "R1->wh", "next": "one", "codec": 3},
+        {"t": "hello", "channel": "R1->wh", "next": 1, "epoch": [2], "codec": 3},
         {"t": "hello", "channel": "R1->wh", "next": 1, "codec": None},
     ],
     ids=["list-channel", "str-next", "list-epoch", "none-codec"],
@@ -347,12 +424,13 @@ def test_listener_records_a_malformed_hello_as_a_protocol_error(
 
 
 def test_json_never_sniffs_as_binary():
-    """Compact JSON of any protocol shape starts with a byte < 0x80,
-    so the first-byte sniff can never misroute a JSON frame."""
-    for obj in ({"t": "msg"}, [1, 2], "x", 7, -7, 1.5, True, None):
-        body = json.dumps(obj, separators=(",", ":")).encode()
-        assert not binwire.is_binary(body)
-    assert binwire.is_binary(binwire.dumps({"t": "msg"}))
+    """An older peer's JSON frame is an object, so it starts with ``{``;
+    a binwire document starts with its magic byte.  The refusal's
+    first-byte test can never take one for the other."""
+    for obj in ({"t": "msg"}, {}, {"t": "hello", "codec": 1}):
+        assert json.dumps(obj, separators=(",", ":")).encode()[:1] == b"{"
+    for value in ({"t": "msg"}, [1, 2], "x", 7, -7, 1.5, True, None, b"{"):
+        assert binwire.dumps(value)[:1] == bytes([binwire.MAGIC]) != b"{"
 
 
 def test_static_table_is_collision_free_and_pinned():
@@ -404,14 +482,11 @@ def test_fuzz_matches_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Every message type x codec version x compression
+# Every message type x compression
 # ---------------------------------------------------------------------------
 
-def _frame_bytes(version: int, frame: dict, compress_min) -> bytes:
-    """``frame`` as a sender of codec ``version`` put it on the wire:
-    ours through ``write_frame``, an older sender's as a JSON frame."""
-    if version < 3:
-        return older_peer_frame(frame, compress_min)
+def _frame_bytes(frame: dict, compress_min=None) -> bytes:
+    """``frame`` as our ``write_frame`` puts it on the wire."""
     writer = BufferWriter()
     write_frame(writer, frame, compress_min=compress_min)
     return bytes(writer.data)
@@ -445,38 +520,42 @@ def _fixtures(paper_view):
 
 
 @pytest.mark.parametrize("compress_min", [None, 0], ids=["plain", "zlib"])
-@pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
+@pytest.mark.parametrize("version", [3], ids=["v3"])  # the one format read
 def test_every_message_type_survives_the_wire(paper_view, version, compress_min):
-    """Our v3 frames, and an older sender's JSON frames of the checked-in
-    v1/v2 envelopes, decode to exactly the message that was encoded."""
+    """Our v3 frames decode to exactly the message that was encoded."""
     codec, messages = _fixtures(paper_view)
-    for message, body in zip(messages, bodies(version, codec, messages)):
-        raw = _frame_bytes(version, {"t": "msg", "seq": 1, "m": body}, compress_min)
-        if compress_min is None:
-            (prefix,) = struct.unpack(">I", raw[:4])
-            assert binwire.is_binary(raw[4:4 + prefix]) == (version == 3)
+    for message, body in zip(messages, bodies(codec, messages)):
+        raw = _frame_bytes({"t": "msg", "seq": 1, "m": body}, compress_min)
         [frame] = _read_frames(raw)
         copy = codec.decode_message(frame["m"])
         assert same_message(copy, message), type(message.payload).__name__
 
 
-@pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
+@pytest.mark.parametrize("compress_min", [None, 0], ids=["plain", "zlib"])
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_an_older_peers_json_frame_is_refused(paper_view, version, compress_min):
+    """The JSON ``msg`` frame of an older sender, compressed or not, is
+    refused by name before its v1/v2 envelope is looked at."""
+    for envelope in load_envelopes(version):
+        frame = {"t": "msg", "seq": 1, "m": envelope}
+        with pytest.raises(UnsupportedFormatError, match="a JSON frame") as info:
+            _read_frames(older_peer_frame(frame, compress_min))
+        assert isinstance(info.value, WireProtocolError)
+
+
+@pytest.mark.parametrize("version", [3], ids=["v3"])  # the one format read
 def test_cross_version_decode(paper_view, version):
-    """A listener never needs to know the sender's version.  A raw socket
-    plays a sender of each one -- an older sender says hello in JSON and
-    sends JSON ``msg`` frames (v1) or one ``mb`` frame (v2) of the
-    checked-in envelopes -- and the listener welcomes it with ``codec``
-    3, acknowledges in binwire and delivers exactly the encoded
-    messages."""
+    """A raw socket plays a current sender -- a binwire hello, then one
+    ``mb`` frame of every payload type -- and the listener welcomes it
+    with ``codec`` 3, acknowledges in binwire and delivers exactly the
+    encoded messages.  (Older senders are refused:
+    :func:`test_listener_refuses_an_older_peer_by_name`.)"""
     codec, messages = _fixtures(paper_view)
     entries = [
         {"seq": seq, "m": body}
-        for seq, body in enumerate(bodies(version, codec, messages), start=1)
+        for seq, body in enumerate(bodies(codec, messages), start=1)
     ]
-    if version == 1:  # v1 senders never batched
-        frames = [{"t": "msg", **entry} for entry in entries]
-    else:
-        frames = [{"t": "mb", "frames": entries}]
+    frames = [{"t": "mb", "frames": entries}]
 
     async def main():
         runtime = AsyncRuntime(time_scale=0.001)
@@ -485,18 +564,16 @@ def test_cross_version_decode(paper_view, version):
         listener.register("R1->wh", SimpleNamespace(put=delivered.append), codec)
         await listener.start()
         reader, writer = await asyncio.open_connection(*listener.address)
-        hello = {"t": "hello", "channel": "R1->wh", "next": 1, "codec": version}
-        writer.write(_frame_bytes(version, hello, None))
+        writer.write(_frame_bytes({**_HELLO, "codec": version}))
         await writer.drain()
         header = await reader.readexactly(4)
         welcome_body = await reader.readexactly(struct.unpack(">I", header)[0])
-        assert binwire.is_binary(welcome_body)
         assert binwire.loads(welcome_body) == {
             "t": "welcome", "expect": 1, "codec": 3
         }
         acks = []
         for frame in frames:
-            writer.write(_frame_bytes(version, frame, None))
+            writer.write(_frame_bytes(frame))
             await writer.drain()
             acks.append(await read_frame(reader, timeout=5.0))
         writer.close()

@@ -1,18 +1,23 @@
-"""WireCodec delivers every protocol payload, in every format it reads.
+"""WireCodec delivers every protocol payload, and refuses older formats.
 
 The ``wire`` fixture is parametrized over the three wire formats a
 receiver meets: v3, the packed record our writer produces, and v1
 (list-of-pairs rows) / v2 (flat row arrays), the JSON envelopes older
-senders produce -- read from ``data/wire_v1.json`` / ``wire_v2.json``,
-which those writers wrote before they were deleted.  Every test below
-decodes the same message (:func:`fixture_messages`) in each format and
-compares it with the message that was encoded.
+senders produce -- ``data/wire_v1.json`` / ``wire_v2.json``, written by
+those writers before they were deleted.  A v3 record decodes to exactly
+the message that was encoded (:func:`fixture_messages`); a v1/v2
+envelope is refused by name, and the tests below then check that the
+v3 record of the same message -- what the upgraded peer sends --
+carries every field.
 """
 
 import json
 
 import pytest
 
+from repro.formats.codec import _put_fallback
+from repro.formats.errors import UnsupportedFormatError
+from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.runtime import TcpChannelConfig, WireCodec, WireProtocolError
 from repro.simulation.channel import Message
@@ -40,14 +45,19 @@ from tests.runtime.wire_fixtures import (
 
 
 class Wire:
-    """The fixture messages as one wire format carries them."""
+    """The fixture messages as a sender of codec ``version`` put them in
+    ``m``: our v3 records, or the checked-in v1/v2 envelopes."""
 
     def __init__(self, version, view):
         self.version = version
         variant = variant_of(view)
         self.codec = WireCodec(view, extra_views=(variant,))
         self.messages = fixture_messages(view, variant)
-        self.bodies = bodies(version, self.codec, self.messages)
+        self.records = bodies(self.codec, self.messages)
+        if version == 3:
+            self.bodies = self.records
+        else:
+            self.bodies = load_envelopes(version)
 
     def index(self, payload_type) -> int:
         return next(
@@ -59,15 +69,31 @@ class Wire:
         return self.bodies[self.index(payload_type)]
 
     def deliver(self, payload_type) -> tuple[Message, Message]:
-        """(the message encoded, the message the receiver decodes)."""
-        sent = self.messages[self.index(payload_type)]
-        received = self.codec.decode_message(self.body(payload_type))
+        """(the message encoded, the message the receiver decodes).
+
+        A v1/v2 envelope of ``payload_type`` must be refused by name;
+        the message decoded is then the v3 record of the same message."""
+        i = self.index(payload_type)
+        sent = self.messages[i]
+        if self.version != 3:
+            assert_refused(self.codec, self.bodies[i])
+        received = self.codec.decode_message(self.records[i])
         assert same_message(received, sent), payload_type.__name__
         return sent, received
 
 
+def assert_refused(codec, envelope) -> None:
+    """``envelope`` is refused as a v1/v2 envelope, typed as the protocol
+    error a listener records, and the refusal says what to do."""
+    with pytest.raises(UnsupportedFormatError, match="v1/v2 envelope") as info:
+        codec.decode_message(envelope)
+    assert isinstance(info.value, WireProtocolError)
+    assert "upgrade the peer" in str(info.value)
+
+
 @pytest.fixture(params=[1, 2, 3], ids=["v1", "v2", "v3"])
 def wire(request, paper_view):
+    """Every format a receiver meets: what it reads, and what it refuses."""
     return Wire(request.param, paper_view)
 
 
@@ -153,7 +179,7 @@ def test_malformed_envelope_rejected(wire):
 
 
 def test_negative_counts_and_empty_delta_roundtrip(wire):
-    """Deletions (count < 0) and empty deltas survive every format."""
+    """Deletions (count < 0) and empty deltas survive the record."""
     _, notice = wire.deliver(UpdateNotice)
     assert dict(notice.payload.delta.items()) == {(1, 3): 1, (70000, -3): -2}
 
@@ -177,18 +203,19 @@ def test_v2_rows_are_flat_arrays():
 
 
 def test_cross_version_decode(paper_view):
-    """One codec reads both older formats, with nothing to configure:
-    each checked-in envelope decodes to exactly the message the old
-    writer encoded."""
+    """One codec meets every version with nothing to configure: each v3
+    record decodes to exactly the message encoded, and every checked-in
+    v1/v2 envelope -- one per payload type -- is refused by name."""
     variant = variant_of(paper_view)
     codec = WireCodec(paper_view, extra_views=(variant,))
     messages = fixture_messages(paper_view, variant)
+    for record, message in zip(bodies(codec, messages), messages):
+        assert same_message(codec.decode_message(record), message)
     for version in (1, 2):
         envelopes = load_envelopes(version)
         assert len(envelopes) == len(messages) == 11
-        for envelope, message in zip(envelopes, messages):
-            copy = codec.decode_message(envelope)
-            assert same_message(copy, message), (version, envelope["payload"])
+        for envelope in envelopes:
+            assert_refused(codec, envelope)
 
 
 def test_codec_version_validation():
@@ -206,7 +233,7 @@ def test_v3_halves_the_serialized_bytes(paper_view):
     (4.0x here)."""
     variant = variant_of(paper_view)
     codec = WireCodec(paper_view, extra_views=(variant,))
-    records = bodies(3, codec, fixture_messages(paper_view, variant))
+    records = bodies(codec, fixture_messages(paper_view, variant))
     v2_bytes = sum(
         len(json.dumps(envelope, separators=(",", ":")).encode())
         for envelope in load_envelopes(2)
@@ -215,11 +242,17 @@ def test_v3_halves_the_serialized_bytes(paper_view):
 
 
 def test_flat_rows_with_bad_stride_rejected(paper_view):
-    """A flat array whose length is not a multiple of arity+1 is corrupt."""
-    envelope = load_envelopes(2)[0]
-    envelope["payload"]["rows"]["f"].append(99)  # truncated/extra element
-    with pytest.raises(WireProtocolError):
-        WireCodec(paper_view).decode_message(envelope)
+    """A fallback row block whose flat array is not a multiple of arity+1
+    values long is corrupt."""
+    codec = WireCodec(paper_view)
+    notice = UpdateNotice(1, 4, Delta(paper_view.schema_of(1), {("x", 3): 1}))
+    record = codec.encode_message(Message("update", "R1", notice))
+    good, bad = bytearray(), bytearray()
+    _put_fallback(good, ["x", 3, 1])
+    _put_fallback(bad, ["x", 3, 1, 99])  # one extra element
+    assert record.endswith(good)
+    with pytest.raises(WireProtocolError, match="not a multiple"):
+        codec.decode_message(record[: -len(good)] + bytes(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +261,8 @@ def test_flat_rows_with_bad_stride_rejected(paper_view):
 
 @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
 def test_hostile_envelope_is_a_protocol_error(paper_view, shape):
+    """However an older envelope is malformed, it is refused as what it
+    is -- a v1/v2 envelope -- never decoded far enough to fail untyped."""
     codec = WireCodec(paper_view, extra_views=(variant_of(paper_view),))
-    with pytest.raises(WireProtocolError, match="malformed envelope"):
+    with pytest.raises(WireProtocolError, match="v1/v2 envelope dict"):
         codec.decode_message(hostile_envelope(shape))

@@ -1,12 +1,12 @@
 """Codec v3 records: layout, field coverage and the hostile-input reader.
 
 ``encode_message`` returns one packed ``bytes`` record per message (see
-:mod:`repro.runtime.codec`).  These tests pin what the generic
+:mod:`repro.formats.codec`).  These tests pin what the generic
 roundtrips in ``test_codec.py`` / ``test_binwire.py`` do not: every
 optional field both ways, the packed-versus-fallback row blocks, the
-dict-in-binwire frames of earlier v3 senders still decoding, and a
-reader that turns every malformed record into :class:`WireProtocolError`
-and nothing else.
+dict-in-binwire frames of earlier v3 senders refused, and a reader that
+turns every malformed record into :class:`WireProtocolError` and nothing
+else.
 """
 
 import asyncio
@@ -17,7 +17,9 @@ import pytest
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
 from repro.relational.relation import Relation
-from repro.runtime import WireCodec, WireProtocolError, binwire, codec as wire
+from repro.formats import binwire, codec as wire
+from repro.formats.errors import UnsupportedFormatError
+from repro.runtime import WireCodec, WireProtocolError
 from repro.runtime.tcp import read_frame
 from repro.simulation.channel import Message
 from repro.sources.messages import (
@@ -37,6 +39,7 @@ from repro.sources.messages import (
     make_rebalance_fence,
     rebalance_fence_epoch,
 )
+from tests.hostile import check_hostile, lying_varint
 from tests.runtime.wire_fixtures import (
     fixture_messages,
     load_envelopes,
@@ -234,21 +237,21 @@ def test_widths_follow_the_values(codec, paper_view):
     assert block({(2**63 - 1, -(2**63) + 1): 1})[1] == 0b001111
 
 
-def test_parent_layout_still_decodes(codec, paper_view, variant):
-    """A frame written by a v3 sender that still put the v2 object layout
-    inside the binwire frame (the checked-in v2 envelopes) decodes to the
-    message the v2 writer encoded."""
+def test_parent_layout_is_refused(codec):
+    """A frame of a v3 sender that still put the v2 object layout inside
+    the binwire frame (the checked-in v2 envelopes) reads as a frame, and
+    its envelope is refused by name."""
     async def read(body: bytes) -> dict:
         reader = asyncio.StreamReader()
         reader.feed_data(struct.pack(">I", len(body)) + body)
         reader.feed_eof()
         return await read_frame(reader)
 
-    messages = fixture_messages(paper_view, variant)
-    for message, envelope in zip(messages, load_envelopes(2)):
+    for envelope in load_envelopes(2):
         body = binwire.dumps({"t": "msg", "seq": 1, "m": envelope})
-        copy = codec.decode_message(asyncio.run(read(body))["m"])
-        assert same_message(copy, message), type(message.payload).__name__
+        frame = asyncio.run(read(body))
+        with pytest.raises(UnsupportedFormatError, match="v1/v2 envelope dict"):
+            codec.decode_message(frame["m"])
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +259,21 @@ def test_parent_layout_still_decodes(codec, paper_view, variant):
 # ---------------------------------------------------------------------------
 
 def test_truncation_at_every_offset(codec, paper_view, variant):
-    for message in _messages(paper_view, variant):
+    """Every truncation of every fixture record (all 11 payload types)
+    raises :class:`WireProtocolError`; every bit flip, and a lying row
+    block header, decodes or raises it -- nothing else escapes."""
+    messages = fixture_messages(paper_view, variant)
+    assert {type(m.payload) for m in messages} == set(wire._RECORD_WRITERS)
+    for message in messages:
         record = codec.encode_message(message)
-        for cut in range(len(record)):
-            with pytest.raises(WireProtocolError):
-                codec.decode_message(record[:cut])
+        lies = []
+        if type(message.payload) is UpdateNotice:  # kind, sender, txn_id
+            pos = wire._UPDATE_NOTICE.size
+            for _ in range(3):
+                pos = wire._read_text(record, pos)[1]
+            lies.append(lying_varint(record, pos))  # the row block header
+        decoded = check_hostile(record, codec.decode_message, WireProtocolError, lies)
+        assert not [label for label in decoded if label.startswith("truncated")]
 
 
 @pytest.mark.parametrize("type_byte", [0, 12, 0xFF])

@@ -109,7 +109,8 @@ def test_listener_remembers_which_channels_it_heard_from(paper_view):
             listener.register(name, Mailbox(runtime, name), codec)
         await listener.start()
         reader, writer = await asyncio.open_connection(*listener.address)
-        write_frame(writer, {"t": "hello", "channel": "sh0->R2", "next": 1})
+        hello = {"t": "hello", "channel": "sh0->R2", "next": 1, "codec": 3}
+        write_frame(writer, hello)
         await writer.drain()
         assert (await read_frame(reader))["t"] == "welcome"
         writer.close()

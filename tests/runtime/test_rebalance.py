@@ -15,7 +15,7 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.runtime import FailoverSpec, RebalanceSpec, run_sharded
-from repro.runtime.errors import RuntimeHostError
+from repro.runtime import RuntimeHostError
 from repro.warehouse.sharding import canonical_view_bytes
 
 

@@ -339,16 +339,20 @@ def wide_joins(monkeypatch):
     return calls
 
 
-def _started(config, **fields) -> Fleet:
-    """A fleet built and started (no update applied yet), then closed."""
+def _started(config, **fields) -> tuple[Fleet, dict]:
+    """A fleet built and started (no update applied yet), then closed,
+    with its members' view stores as they stood once started: closing
+    yields to the event loop, and a recovering member may begin
+    replaying its logged updates meanwhile."""
 
     async def start():
         fleet = Fleet(FleetSpec(config, **fields))
         try:
             await fleet.start()
+            stores = {name: r.copy() for name, r in _stores(fleet).items()}
         finally:
             await fleet.aclose()
-        return fleet
+        return fleet, stores
 
     return asyncio.run(start())
 
@@ -370,13 +374,12 @@ def test_a_fleet_starts_with_one_wide_join_per_class(
 ):
     views = mixed_family() if family == "mixed" else None
     config = config_for("sweep", n_views=len(views) if views else 8)
-    fleet = _started(
+    fleet, stores = _started(
         config, n_shards=2, strategy="round-robin", replicas=replicas,
         views=views,
     )
     assert fleet.spec.plan.active_shards == [0, 1]
     assert len(wide_joins) == classes
-    stores = _stores(fleet)
     states = fleet.spec.workload.initial_states
     assert set(stores) == {view.name for view in fleet.spec.family}
     for view in fleet.spec.family:
@@ -388,9 +391,8 @@ def test_a_recovering_member_evaluates_no_view(tmp_path, wide_joins):
     fields = dict(n_shards=2, strategy="round-robin", durable_dir=str(tmp_path))
     run_sharded(config, time_scale=0.001, timeout=60.0, **fields)
     wide_joins.clear()
-    fleet = _started(config, **fields)
+    fleet, stores = _started(config, **fields)
     assert wide_joins == []
-    stores = _stores(fleet)
     for site in fleet.members.values():
         for name, relation in site.recovered_state.view_states.items():
             assert stores[name] == relation, name

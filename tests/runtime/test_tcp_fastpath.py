@@ -25,7 +25,6 @@ from repro.runtime.tcp import read_frame, write_frame
 from repro.simulation.channel import Message
 from repro.simulation.metrics import MetricsCollector
 from repro.sources.messages import UpdateNotice
-from tests.runtime.wire_fixtures import older_peer_frame
 
 
 class Sink:
@@ -121,7 +120,7 @@ def test_compression_disabled_with_none():
 def body_of_length(n):
     """An object whose binwire body is exactly ``n`` bytes and
     compressible (a run of one character)."""
-    from repro.runtime import binwire
+    from repro.formats import binwire
 
     obj = {"p": "a" * (n - 9)}  # the document wraps the run in 9 bytes
     assert len(binwire.dumps(obj)) == n
@@ -207,7 +206,7 @@ def test_sender_refuses_a_receiver_that_cannot_read_records(paper_view, welcome)
         async def older_receiver(reader, writer):
             hello = await read_frame(reader)
             hellos.append(hello)
-            writer.write(older_peer_frame(welcome(hello)))
+            write_frame(writer, welcome(hello))
             await writer.drain()
             while True:  # acknowledge whatever arrives
                 try:
@@ -215,7 +214,7 @@ def test_sender_refuses_a_receiver_that_cannot_read_records(paper_view, welcome)
                 except Exception:
                     return
                 last = frame["frames"][-1] if frame["t"] == "mb" else frame
-                writer.write(older_peer_frame({"t": "ack", "seq": last["seq"]}))
+                write_frame(writer, {"t": "ack", "seq": last["seq"]})
                 await writer.drain()
 
         server = await asyncio.start_server(older_receiver, "127.0.0.1", 0)

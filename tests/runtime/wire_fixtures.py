@@ -1,12 +1,12 @@
-"""Checked-in v1/v2 envelopes and the messages they encode.
+"""Fixture messages, and the checked-in v1/v2 envelopes of them.
 
 ``data/wire_v1.json`` and ``data/wire_v2.json`` were written once by the
 v1 (``[[row], count]`` pairs) and v2 (flat ``{"f": [...]}`` rows) JSON
 envelope writers, before those writers were deleted: one envelope per
 payload type, encoded from :func:`fixture_messages` by the codec of
-that time, ``WireCodec(paper_view, version=1 or 2, extra_views=(variant,))``.  Readers must keep decoding them -- older
-peers still send them -- so the v1/v2 reader tests read these files, not
-a writer of ours.
+that time, ``WireCodec(paper_view, version=1 or 2,
+extra_views=(variant,))``.  Readers refuse them; they are the inputs of
+the refusal tests, and the byte baseline v3 is held to.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _edit_partial(payload):
     payload["partial"].update(lo=3, hi=1)
 
 
-#: Envelope shapes the v1/v2 reader must refuse with WireProtocolError:
+#: Malformed v1/v2 envelopes, each still refused as what it is:
 #: shape -> (codec version, fixture index, edit of the payload).
 _HOSTILE = {
     "list-payload": (2, 0, None),
@@ -162,12 +162,9 @@ def same_message(a: Message, b: Message) -> bool:
     )
 
 
-def bodies(version: int, codec, messages: list[Message]) -> list:
-    """What a sender of codec ``version`` put in each message's ``m``:
-    our v3 record, or the checked-in v1/v2 envelope."""
-    if version == 3:
-        return [codec.encode_message(message) for message in messages]
-    return load_envelopes(version)
+def bodies(codec, messages: list[Message]) -> list[bytes]:
+    """What a sender puts in each message's ``m``: its v3 record."""
+    return [codec.encode_message(message) for message in messages]
 
 
 def older_peer_frame(obj: dict, compress_min: int | None = None) -> bytes:

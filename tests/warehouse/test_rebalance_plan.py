@@ -13,12 +13,13 @@ import pytest
 from repro.durability import CheckpointCorruptionError
 from repro.durability.checkpoint import (
     HANDOFF_FORMAT,
-    _binwire,
     _seal,
     decode_view_handoff,
     encode_view_handoff,
 )
 from repro.durability.encoding import decode_relation
+from repro.formats import binwire
+from repro.formats.errors import UnsupportedFormatError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.warehouse.sharding import (
@@ -28,6 +29,7 @@ from repro.warehouse.sharding import (
     view_family,
 )
 from repro.workloads.paper_example import paper_example_view
+from tests.hostile import check_hostile, lying_varint
 
 
 @pytest.fixture
@@ -135,8 +137,9 @@ def test_handoff_carries_row_blocks():
     assert {type(rows) for rows in decoded["aux"].values()} == {bytes}
 
 
-def test_format_3_handoff_still_decodes():
-    """A handoff written before row blocks: v2 flat-row dicts."""
+def test_format_3_handoff_is_refused():
+    """A handoff written before row blocks (v2 flat-row dicts) is refused
+    by name, as the corruption error a recipient already handles."""
     blob = _seal(3, {
         "view": "V#s2",
         "position": {"1": 4, "2": 2, "3": 0},
@@ -144,12 +147,10 @@ def test_format_3_handoff_still_decodes():
         "aux": {"R1": {"f": [1, 3, 1], "w": 2}},
         "epoch": 1,
     })
-    decoded = decode_view_handoff(blob)
-    assert decoded["position"] == {1: 4, 2: 2, 3: 0}
-    back = decode_relation(decoded["rows"], SCHEMA)
-    assert dict(back.items()) == {(7, 8): 1, (7, 6): 2}
-    aux = decode_relation(decoded["aux"]["R1"], Schema(("A", "B")))
-    assert dict(aux.items()) == {(1, 3): 1}
+    with pytest.raises(UnsupportedFormatError, match="handoff format 3") as info:
+        decode_view_handoff(blob)
+    assert isinstance(info.value, CheckpointCorruptionError)
+    assert "upgrade the peer" in str(info.value)
 
 
 def test_handoff_without_aux_decodes_empty_mapping():
@@ -158,7 +159,6 @@ def test_handoff_without_aux_decodes_empty_mapping():
 
 
 def test_handoff_detects_corrupt_body():
-    binwire = _binwire()
     envelope = binwire.loads(_handoff_blob())
     envelope["body"] = envelope["body"][:-1] + bytes(
         [envelope["body"][-1] ^ 0xFF]
@@ -168,8 +168,22 @@ def test_handoff_detects_corrupt_body():
 
 
 def test_handoff_rejects_foreign_format_tag():
-    binwire = _binwire()
     envelope = binwire.loads(_handoff_blob())
     envelope["format"] = HANDOFF_FORMAT + 1
     with pytest.raises(CheckpointCorruptionError, match="format"):
         decode_view_handoff(binwire.dumps(envelope))
+
+
+def test_hostile_handoff_is_corruption():
+    """Every truncation and bit flip of a handoff, and a lying body
+    length, decodes or raises :class:`CheckpointCorruptionError`.  (A
+    bare ``BinwireError``, ``KeyError`` or ``TypeError`` used to escape,
+    and the recipient's catch-up crashed untyped.)"""
+    blob = _handoff_blob()
+    body = binwire.loads(blob)["body"]
+    assert blob.endswith(body)  # the body is the envelope's last value
+    lie = lying_varint(blob, len(blob) - len(binwire.dumps(body)) + 3)
+    decoded = check_hostile(
+        blob, decode_view_handoff, CheckpointCorruptionError, [lie]
+    )
+    assert decoded == []
