@@ -29,28 +29,15 @@ import sys
 
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="run one maintenance experiment")
-    p.add_argument("--algorithm", "-a", default="sweep")
-    p.add_argument("--sources", "-n", type=int, default=3)
-    p.add_argument("--updates", "-u", type=int, default=20)
-    p.add_argument("--seed", "-s", type=int, default=0)
-    p.add_argument("--backend", choices=("memory", "sqlite"), default="memory")
+    _add_shared_args(p)
     p.add_argument("--latency", type=float, default=5.0)
     p.add_argument(
         "--latency-model", choices=("constant", "uniform", "exponential"),
         default="uniform",
     )
-    p.add_argument("--interarrival", type=float, default=10.0)
-    p.add_argument("--insert-fraction", type=float, default=0.6)
-    p.add_argument("--rows", type=int, default=20)
     p.add_argument("--global-txn-fraction", type=float, default=0.0)
     p.add_argument("--no-keys", action="store_true",
                    help="project out key attributes (rejected by Strobe family)")
-    p.add_argument("--locality", choices=("off", "aux", "cache", "auto"),
-                   default="off",
-                   help="query-locality layer: auxiliary source copies"
-                        " and/or delta-patched answer caching")
-    p.add_argument("--locality-budget", type=int, default=0,
-                   help="row budget for the locality layer (0 = unlimited)")
     p.add_argument("--trace", action="store_true", help="print the event trace")
     p.add_argument("--no-check", action="store_true",
                    help="skip consistency verification")
@@ -58,29 +45,24 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
                    help="print the final materialized view")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness.config import ExperimentConfig
-    from repro.harness.runner import run_experiment
-
-    config = ExperimentConfig(
-        algorithm=args.algorithm,
-        n_sources=args.sources,
-        n_updates=args.updates,
-        seed=args.seed,
-        backend=args.backend,
+def _run_config(args: argparse.Namespace):
+    """``run``'s ExperimentConfig: the shared flags, then its own."""
+    return _workload_config(
+        args,
+        _SHARED_FLAGS,
         latency=args.latency,
         latency_model=args.latency_model,
-        mean_interarrival=args.interarrival,
-        insert_fraction=args.insert_fraction,
-        rows_per_relation=args.rows,
         global_txn_fraction=args.global_txn_fraction,
         project_keys=not args.no_keys,
-        locality=args.locality,
-        locality_budget_rows=args.locality_budget,
         trace=args.trace,
         check_consistency=not args.no_check,
     )
-    result = run_experiment(config)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.runner import run_experiment
+
+    result = run_experiment(_run_config(args))
     if args.trace and result.trace is not None:
         print(result.trace.format())
         print()
@@ -91,8 +73,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    """Config knobs every site of one deployment must agree on."""
+def _add_shared_args(p: argparse.ArgumentParser) -> None:
+    """Config knobs ``run`` shares with every workload command."""
     p.add_argument("--algorithm", "-a", default="sweep")
     p.add_argument("--sources", "-n", type=int, default=3)
     p.add_argument("--updates", "-u", type=int, default=20)
@@ -101,6 +83,17 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interarrival", type=float, default=10.0)
     p.add_argument("--insert-fraction", type=float, default=0.6)
     p.add_argument("--rows", type=int, default=20)
+    p.add_argument("--locality", choices=("off", "aux", "cache", "auto"),
+                   default="off",
+                   help="query-locality layer: auxiliary source copies"
+                        " and/or delta-patched answer caching")
+    p.add_argument("--locality-budget", type=int, default=0,
+                   help="row budget for the locality layer (0 = unlimited)")
+
+
+def _add_workload_args(p: argparse.ArgumentParser) -> None:
+    """Config knobs every site of one deployment must agree on."""
+    _add_shared_args(p)
     p.add_argument("--time-scale", type=float, default=0.01,
                    help="wall seconds per virtual time unit")
     p.add_argument("--views", type=int, default=1,
@@ -110,18 +103,11 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--adaptive-batch", action="store_true",
                    help="derive the batched-sweep drain cap from observed"
                         " queue depth and install lag")
-    p.add_argument("--locality", choices=("off", "aux", "cache", "auto"),
-                   default="off",
-                   help="query-locality layer: auxiliary source copies"
-                        " and/or delta-patched answer caching")
-    p.add_argument("--locality-budget", type=int, default=0,
-                   help="row budget for the locality layer (0 = unlimited)")
 
 
 #: argparse destination -> ExperimentConfig field, for the flags of
-#: :func:`_add_workload_args` (``--time-scale`` is a fleet field).  The
-#: process launcher derives child command lines from the same table.
-_WORKLOAD_FLAGS = {
+#: :func:`_add_shared_args`.
+_SHARED_FLAGS = {
     "algorithm": "algorithm",
     "sources": "n_sources",
     "updates": "n_updates",
@@ -130,20 +116,28 @@ _WORKLOAD_FLAGS = {
     "interarrival": "mean_interarrival",
     "insert_fraction": "insert_fraction",
     "rows": "rows_per_relation",
-    "views": "n_views",
-    "batch_max": "batch_max",
-    "adaptive_batch": "batch_adaptive",
     "locality": "locality",
     "locality_budget": "locality_budget_rows",
 }
+#: The same, for the flags of :func:`_add_workload_args` (``--time-scale``
+#: is a fleet field).  The process launcher derives child command lines
+#: from this table.
+_WORKLOAD_FLAGS = {
+    **_SHARED_FLAGS,
+    "views": "n_views",
+    "batch_max": "batch_max",
+    "adaptive_batch": "batch_adaptive",
+}
 
 
-def _workload_config(args: argparse.Namespace, **extra):
+def _workload_config(
+    args: argparse.Namespace, flags: dict[str, str] = _WORKLOAD_FLAGS, **extra
+):
+    """An ExperimentConfig from the ``flags`` table's destinations, plus
+    the fields in ``extra``."""
     from repro.harness.config import ExperimentConfig
 
-    fields = {
-        field: getattr(args, dest) for dest, field in _WORKLOAD_FLAGS.items()
-    }
+    fields = {field: getattr(args, dest) for dest, field in flags.items()}
     return ExperimentConfig(**fields, **extra)
 
 
@@ -236,10 +230,6 @@ def _add_durable_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint-every", type=int, default=None,
                    metavar="N", help="checkpoint every N installed updates"
                                      " (default 25)")
-    p.add_argument("--checkpoint-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="also checkpoint when this much wall time has"
-                        " passed since the last one")
     p.add_argument("--fsync-batch", type=int, default=8, metavar="N",
                    help="fsync the WAL once per N appended updates"
                         " (group commit; default: 8)")
@@ -304,18 +294,14 @@ def _add_run_sharded_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _checkpoint_policy(args: argparse.Namespace):
-    """A CheckpointPolicy from whichever of its two flags the command has
-    and the user gave, or None for pure defaults."""
-    given = {
-        "every_installs": getattr(args, "checkpoint_every", None),
-        "every_time": getattr(args, "checkpoint_interval", None),
-    }
-    given = {field: value for field, value in given.items() if value is not None}
-    if not given:
+    """A CheckpointPolicy from ``--checkpoint-every`` when the command has
+    it and the user gave it, or None for pure defaults."""
+    every = getattr(args, "checkpoint_every", None)
+    if every is None:
         return None
     from repro.durability import CheckpointPolicy
 
-    return CheckpointPolicy(**given)
+    return CheckpointPolicy(every_installs=every)
 
 
 #: Keyword argument of the ``run_*`` / ``serve_*`` entry points (for the

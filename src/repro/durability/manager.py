@@ -45,13 +45,11 @@ class CheckpointPolicy:
     """When to roll a new checkpoint generation.
 
     ``every_installs`` rolls after that many installs since the last
-    checkpoint; ``every_time`` after that much virtual time.  Either can
-    be disabled with 0; both disabled means only the attach-time
-    checkpoint is ever written (the WAL then carries the whole run).
+    checkpoint; 0 disables it, and then only the attach-time checkpoint
+    is ever written (the WAL then carries the whole run).
     """
 
     every_installs: int = 25
-    every_time: float = 0.0
 
 
 class CrashPlan:
@@ -144,7 +142,6 @@ class DurabilityManager:
         self._probes_sent = False
         self.checkpoints_written = 0
         self._installs_since = 0
-        self._last_checkpoint_at = 0.0
 
     # ------------------------------------------------------------------
     def attach(self, warehouse, state=None) -> None:
@@ -278,18 +275,10 @@ class DurabilityManager:
     def maybe_checkpoint(self) -> bool:
         """Roll a generation if the policy is due.  Stable points only."""
         self._maybe_send_probes()
-        warehouse = self.warehouse
-        due = (
-            self.policy.every_installs
-            and self._installs_since >= self.policy.every_installs
-        ) or (
-            self.policy.every_time
-            and warehouse.sim.now - self._last_checkpoint_at
-            >= self.policy.every_time
-        )
-        if not due or self._installs_since == 0:
+        every = self.policy.every_installs
+        if not every or self._installs_since < every:
             return False
-        if len(warehouse._answer_box):  # pragma: no cover - defensive
+        if len(self.warehouse._answer_box):  # pragma: no cover - defensive
             return False  # not actually stable; defer to the next boundary
         self.generation += 1
         self._write_checkpoint()
@@ -322,7 +311,6 @@ class DurabilityManager:
         self._prune_before(self.generation)
         self.checkpoints_written += 1
         self._installs_since = 0
-        self._last_checkpoint_at = warehouse.sim.now
         warehouse.metrics.increment("checkpoints_written")
         if warehouse.trace:
             warehouse.trace.record(

@@ -11,8 +11,9 @@ analytical claims S1-S5 plus ablations A1-A2 of DESIGN.md).
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
-from repro.harness.runner import build_latency_model, run_experiment
+from repro.harness.runner import run_experiment
 from repro.harness.report import format_table
+from repro.simulation.latency import build_latency_model
 
 __all__ = [
     "ExperimentConfig",

@@ -9,21 +9,19 @@ verdict per view.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
-from repro.harness.runner import build_latency_model
+from repro.harness.config import ExperimentConfig
+from repro.harness.sites import SourceSite
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition, evaluate_views
-from repro.simulation.channel import Channel
 from repro.simulation.kernel import Simulator
+from repro.simulation.links import SimLinks
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.rng import RngRegistry
-from repro.sources.memory import MemoryBackend
-from repro.sources.server import DataSourceServer
-from repro.sources.sqlite import SqliteBackend
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.multiview import MultiViewSweepWarehouse
 from repro.workloads.scenarios import Workload
@@ -60,45 +58,38 @@ def run_multi_view(
     the sources.  Every view gets an independent consistency verdict.
     """
     views = list(views)
-    sim = Simulator()
-    rngs = RngRegistry(seed)
-    metrics = MetricsCollector()
-    inbox = Mailbox(sim, "warehouse-inbox")
-
-    recorders = {view.name: RunRecorder(view) for view in views}
     primary = views[0]
+    workload = replace(workload, view=primary)
+    config = ExperimentConfig(
+        seed=seed, backend=backend, latency=latency, latency_model=latency_model
+    )
+    sim = Simulator()
+    metrics = MetricsCollector()
+    links = SimLinks(sim, config, RngRegistry(seed), metrics)
+    inbox = Mailbox(sim, "warehouse-inbox")
+    recorders = {view.name: RunRecorder(view) for view in views}
 
-    def latency_for(name: str):
-        return build_latency_model(
-            latency_model, latency, rngs.stream(f"latency:{name}")
-        )
-
-    query_channels = {}
-    backends = []
-    for index in range(1, primary.n_relations + 1):
-        name = primary.name_of(index)
-        initial = workload.initial_states[name]
-        if backend == "sqlite":
-            store = SqliteBackend(primary, index, initial)
-        else:
-            store = MemoryBackend(primary, index, initial)
-        backends.append(store)
-        to_wh = Channel(sim, f"{name}->wh", inbox, latency_for(f"{name}-up"), metrics)
-        server = DataSourceServer(sim, name, index, store, to_wh)
+    def on_source_update(notice) -> None:
         for recorder in recorders.values():
-            recorder.register_source(index, name, initial)
-        server.add_update_listener(
-            lambda notice: [
-                r.history.on_source_update(notice) for r in recorders.values()
-            ]
-        )
-        query_channels[index] = Channel(
-            sim, f"wh->{name}", server.query_inbox,
-            latency_for(f"{name}-down"), metrics,
-        )
+            recorder.on_source_update(notice)
+
+    indices = range(1, primary.n_relations + 1)
+    links.bind({f"{primary.name_of(index)}->wh": inbox for index in indices}, None)
+    sources = []
+    for index in indices:
+        name = primary.name_of(index)
+        site = SourceSite(sim, links, config, workload, index)
+        site.server.add_update_listener(on_source_update)
+        for recorder in recorders.values():
+            recorder.register_source(index, name, workload.initial_states[name])
         ScheduledUpdater(
-            sim, name, server.local_update, workload.schedules.get(index, [])
+            sim, name, site.server.local_update, workload.schedules.get(index, [])
         )
+        sources.append(site)
+    query_channels = {
+        index: links.channel(f"wh->{site.name}", None)
+        for index, site in enumerate(sources, start=1)
+    }
 
     initial_views = evaluate_views(views, workload.initial_states)
     warehouse = MultiViewSweepWarehouse(
@@ -115,8 +106,8 @@ def run_multi_view(
     )
 
     sim.run(max_events=max_events)
-    for backend_obj in backends:
-        backend_obj.close()
+    for site in sources:
+        site.close()
 
     # extra recorders share the primary's delivery order
     primary_deliveries = recorders[primary.name].deliveries

@@ -173,6 +173,25 @@ class RunResult:
         return area / (end - start)
 
     # ------------------------------------------------------------------
+    def judge(self) -> None:
+        """Check the four consistency levels and classify the run, when
+        the config asks for verdicts (``check_consistency``)."""
+        config = self.config
+        if not config.check_consistency:
+            return
+        for level in (
+            ConsistencyLevel.CONVERGENCE,
+            ConsistencyLevel.WEAK,
+            ConsistencyLevel.STRONG,
+            ConsistencyLevel.COMPLETE,
+        ):
+            self.consistency[level] = self.recorder.check(
+                level, max_vectors=config.max_check_vectors
+            )
+        self.classified_level = self.recorder.classify(
+            max_vectors=config.max_check_vectors
+        )
+
     def consistency_verdict(self) -> str:
         """Short verdict string for reports."""
         if self.classified_level is not None:

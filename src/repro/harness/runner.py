@@ -1,60 +1,40 @@
-"""Wiring one experiment: workload -> sources -> warehouse -> verdicts."""
+"""Running one experiment on the discrete-event simulator.
+
+The simulator is one more host for the sites of
+:mod:`repro.harness.sites`: :class:`~repro.simulation.links.SimLinks`
+makes each channel a simulated channel with sampled latency, and
+:func:`run_experiment` builds the fleet with the same
+:func:`~repro.harness.sites.build_sites` that
+:func:`repro.runtime.run_distributed` uses over real transports -- only
+the kernel and the links differ.
+"""
 
 from __future__ import annotations
 
 import time as _time
 
-from repro.consistency.levels import ConsistencyLevel
-from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
-from repro.simulation.channel import Channel
+from repro.harness.sites import build_sites, make_recorder
+from repro.relational.predicate import compile_cache_stats
 from repro.simulation.kernel import Simulator
-from repro.simulation.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
-from repro.simulation.mailbox import Mailbox
+from repro.simulation.links import SimLinks
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import TraceLog
-from repro.relational.predicate import compile_cache_stats
-from repro.sources.central import CentralSource
-from repro.sources.memory import MemoryBackend
-from repro.sources.server import DataSourceServer
-from repro.sources.sqlite import SqliteBackend
-from repro.sources.updater import ScheduledUpdater
-from repro.warehouse.locality import build_locality
-from repro.warehouse.registry import algorithm_info
-from repro.warehouse.sweep import SweepOptions
 from repro.workloads.scenarios import Workload, make_workload
 from repro.workloads.stream import UpdateStreamConfig
 
-import random
 
-
-def build_latency_model(
-    kind: str, mean: float, rng: random.Random
-) -> LatencyModel:
-    """Instantiate one of the named latency models around ``mean``."""
-    if kind == "constant":
-        return ConstantLatency(mean)
-    if kind == "uniform":
-        return UniformLatency(0.5 * mean, 1.5 * mean, rng)
-    if kind == "exponential":
-        return ExponentialLatency(mean, rng)
-    raise ValueError(f"unknown latency model {kind!r}")
-
-
-def _latency(config: ExperimentConfig, rngs: RngRegistry, name: str) -> LatencyModel:
-    rng = rngs.stream(f"latency:{name}")
-    if config.latency_model == "constant":
-        return ConstantLatency(config.latency)
-    if config.latency_model == "uniform":
-        return UniformLatency(0.5 * config.latency, 1.5 * config.latency, rng)
-    return ExponentialLatency(config.latency, rng)
+def _built(coroutine):
+    """The value of a coroutine that never suspends -- a fleet built over
+    :class:`SimLinks`, whose ``start`` has nothing to wait for."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise RuntimeError("building a simulated fleet suspended")
 
 
 def build_workload(config: ExperimentConfig, rngs: RngRegistry) -> Workload:
@@ -86,24 +66,6 @@ def build_workload(config: ExperimentConfig, rngs: RngRegistry) -> Workload:
     )
 
 
-def algorithm_kwargs(config: ExperimentConfig) -> dict:
-    """Per-algorithm constructor options encoded in a config."""
-    if config.algorithm == "sweep":
-        return {
-            "options": SweepOptions(
-                parallel=config.sweep_parallel,
-                merge_queue_updates=config.sweep_merge_queue_updates,
-            )
-        }
-    if config.algorithm == "batched-sweep":
-        return {"max_batch": config.batch_max, "adaptive": config.batch_adaptive}
-    if config.algorithm == "nested-sweep":
-        return {"max_depth": config.nested_max_depth}
-    if config.algorithm == "pipelined-sweep":
-        return {"max_parallel": config.pipeline_max_parallel}
-    return {}
-
-
 def record_predicate_cache_delta(
     metrics: MetricsCollector, before: dict[str, int]
 ) -> None:
@@ -126,106 +88,23 @@ def run_experiment(config: ExperimentConfig, warehouse_hook=None) -> RunResult:
     predicate_stats_before = compile_cache_stats()
     rngs = RngRegistry(config.seed)
     workload = build_workload(config, rngs)
-    view = workload.view
-    info = algorithm_info(config.algorithm)
 
     sim = Simulator()
     metrics = MetricsCollector()
-    trace = TraceLog(enabled=config.trace)
-    recorder = RunRecorder(view)
-    inbox = Mailbox(sim, "warehouse-inbox")
-
-    backends = []
-    if config.algorithm == "eca":
-        # Centralized architecture: one site holds every base relation.
-        to_wh = Channel(
-            sim, "central->wh", inbox, _latency(config, rngs, "central-up"),
-            metrics, enforce_fifo=config.fifo_channels,
-        )
-        central = CentralSource(
+    trace = TraceLog() if config.trace else None
+    recorder = make_recorder(workload)
+    sites = _built(
+        build_sites(
             sim,
-            view,
-            to_wh,
-            initial=workload.initial_states,
-            query_service_time=config.query_service_time,
-            trace=trace if config.trace else None,
+            SimLinks(sim, config, rngs, metrics),
+            config,
+            workload,
+            recorder,
+            metrics,
+            trace,
         )
-        central.add_update_listener(recorder.on_source_update)
-        for index in range(1, view.n_relations + 1):
-            recorder.register_source(
-                index, view.name_of(index), workload.initial_states[view.name_of(index)]
-            )
-        query_channels = {
-            0: Channel(
-                sim,
-                "wh->central",
-                central.query_inbox,
-                _latency(config, rngs, "central-down"),
-                metrics,
-                enforce_fifo=config.fifo_channels,
-            )
-        }
-        for index, schedule in sorted(workload.schedules.items()):
-            ScheduledUpdater(
-                sim,
-                f"R{index}",
-                (lambda delta, i=index: central.local_update(i, delta)),
-                schedule,
-            )
-    else:
-        query_channels = {}
-        servers: dict[int, DataSourceServer] = {}
-        for index in range(1, view.n_relations + 1):
-            name = view.name_of(index)
-            initial = workload.initial_states[name]
-            if config.backend == "sqlite":
-                backend = SqliteBackend(view, index, initial)
-            else:
-                backend = MemoryBackend(view, index, initial)
-            backends.append(backend)
-            to_wh = Channel(
-                sim, f"{name}->wh", inbox, _latency(config, rngs, f"{name}-up"),
-                metrics, enforce_fifo=config.fifo_channels,
-            )
-            server = DataSourceServer(
-                sim,
-                name,
-                index,
-                backend,
-                to_wh,
-                query_service_time=config.query_service_time,
-                trace=trace if config.trace else None,
-            )
-            server.add_update_listener(recorder.on_source_update)
-            recorder.register_source(index, name, initial)
-            query_channels[index] = Channel(
-                sim,
-                f"wh->{name}",
-                server.query_inbox,
-                _latency(config, rngs, f"{name}-down"),
-                metrics,
-                enforce_fifo=config.fifo_channels,
-            )
-            servers[index] = server
-        for index, schedule in sorted(workload.schedules.items()):
-            # processes are owned by the simulator
-            ScheduledUpdater(
-                sim, view.name_of(index), servers[index].local_update, schedule
-            )
-
-    warehouse = info.cls(
-        sim,
-        view,
-        query_channels,
-        initial_view=view.evaluate(workload.initial_states),
-        recorder=recorder,
-        metrics=metrics,
-        trace=trace if config.trace else None,
-        inbox=inbox,
-        locality=build_locality(config, [view], workload.initial_states),
-        **algorithm_kwargs(config),
     )
-
+    warehouse = sites.warehouse_site.warehouse
     if warehouse_hook is not None:
         warehouse_hook(warehouse)
 
@@ -236,36 +115,21 @@ def run_experiment(config: ExperimentConfig, warehouse_hook=None) -> RunResult:
 
     result = RunResult(
         config=config,
-        info=info,
+        info=sites.warehouse_site.info,
         final_view=warehouse.current_view(),
         sim_time=sim.now,
         wall_seconds=wall,
         metrics=metrics,
         recorder=recorder,
         warehouse=warehouse,
-        trace=trace if config.trace else None,
+        trace=trace,
     )
-    if config.check_consistency:
-        for level in (
-            ConsistencyLevel.CONVERGENCE,
-            ConsistencyLevel.WEAK,
-            ConsistencyLevel.STRONG,
-            ConsistencyLevel.COMPLETE,
-        ):
-            result.consistency[level] = recorder.check(
-                level, max_vectors=config.max_check_vectors
-            )
-        result.classified_level = recorder.classify(
-            max_vectors=config.max_check_vectors
-        )
-    for backend in backends:
-        backend.close()
+    result.judge()
+    sites.close()
     return result
 
 
 __all__ = [
-    "algorithm_kwargs",
-    "build_latency_model",
     "build_workload",
     "record_predicate_cache_delta",
     "run_experiment",

@@ -20,9 +20,11 @@ Entry points:
   view family partitioned across warehouse shards (:mod:`.shard`).
 
 Every fleet, single-warehouse or sharded, on one loop or one site per
-process, is built from the sites of :mod:`.nodes` (and :mod:`.shard.node`)
-over a *links* object -- :class:`LocalLinks` or :class:`TcpLinks` -- that
-is all a transport is.
+process, is built from the sites of :mod:`repro.harness.sites` (and
+:mod:`.shard.node`) over a *links* object -- :class:`LocalLinks` or
+:class:`TcpLinks` from :mod:`.nodes` -- that is all a transport is.  The
+simulator builds the same sites over its own links
+(:class:`~repro.simulation.links.SimLinks`).
 """
 
 # ``bench/trace.py`` imports ``binwire`` from this package and patches
@@ -38,6 +40,7 @@ from repro.formats.errors import (
     TransportRetriesExceeded,
     WireProtocolError,
 )
+from repro.harness.sites import SourceSite, WarehouseNode
 from repro.runtime.chaos import (
     PROFILES,
     ChaosConfig,
@@ -55,12 +58,7 @@ from repro.runtime.distributed import (
     serve_warehouse_async,
 )
 from repro.runtime.kernel import AsyncRuntime
-from repro.runtime.nodes import (
-    LocalLinks,
-    SourceSite,
-    TcpLinks,
-    WarehouseNode,
-)
+from repro.runtime.nodes import LocalLinks, TcpLinks
 from repro.runtime.shard import (
     CLEAN_FAILURE_EXIT,
     FailoverSpec,

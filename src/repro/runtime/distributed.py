@@ -1,14 +1,18 @@
 """Single-call distributed runs and the serve-* entry points.
 
 :func:`run_distributed` is the runtime twin of
-:func:`repro.harness.runner.run_experiment`: the same
-:class:`~repro.harness.config.ExperimentConfig` produces the same seeded
-workload, but the sites are hosted on an :class:`AsyncRuntime` and talk
-through real transports -- loopback TCP sessions (``transport="tcp"``) or
-in-process direct hand-off (``transport="local"``).  Latency-model knobs are
-ignored: the network *is* the latency.  Everything else -- metrics, trace,
-consistency oracle, report rendering -- is the same machinery, so a
-distributed run and a simulator run are directly comparable.
+:func:`repro.harness.runner.run_experiment`: both build their fleet with
+:func:`repro.harness.sites.build_sites` from the same
+:class:`~repro.harness.config.ExperimentConfig` and the same seeded
+workload.  Only the host differs: here the sites run on an
+:class:`AsyncRuntime` and talk through real transports -- loopback TCP
+sessions (``transport="tcp"``) or in-process direct hand-off
+(``transport="local"``) -- where the simulator runs them on its event
+heap over :class:`~repro.simulation.links.SimLinks`.  Latency-model knobs
+are ignored: the network *is* the latency.  Everything else -- metrics,
+trace, consistency oracle and verdict, report rendering -- is the same
+machinery, so a distributed run and a simulator run are directly
+comparable.
 
 Quiescence detection replaces the simulator's empty event heap: the run is
 over when every scheduled update was applied and delivered, every process
@@ -23,23 +27,24 @@ import time as _time
 from dataclasses import dataclass
 from functools import partial
 
-from repro.consistency.levels import ConsistencyLevel
-from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
 from repro.harness.runner import build_workload, record_predicate_cache_delta
+from repro.harness.sites import (
+    SourceSite,
+    WarehouseNode,
+    build_sites,
+    make_recorder,
+    site_name,
+)
 from repro.relational.predicate import compile_cache_stats
 from repro.runtime.chaos import ChaosConfig, ChaosStats, profile
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.nodes import (
-    SourceSite,
     TcpLinks,
-    WarehouseNode,
-    WarehouseSite,
     drained_for,
     hold_until_delivered,
     links_for,
-    site_name,
 )
 from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.simulation.metrics import MetricsCollector
@@ -71,78 +76,6 @@ class DistributedRunResult(RunResult):
         return lines + super().report()
 
 
-class _System:
-    """The sites of one distributed run, and the updaters driving them."""
-
-    def __init__(
-        self,
-        warehouse_site: WarehouseSite,
-        sources: list[SourceSite],
-        updaters: list[ScheduledUpdater],
-    ):
-        self.warehouse_site = warehouse_site
-        self.sources = sources
-        self.updaters = updaters
-
-    def quiescent(self) -> bool:
-        return (
-            all(updater.done for updater in self.updaters)
-            and self.warehouse_site.quiescent()
-            and all(source.quiescent() for source in self.sources)
-        )
-
-    async def aclose(self) -> None:
-        for site in (self.warehouse_site, *self.sources):
-            await site.aclose()
-
-
-def _recorder(workload) -> RunRecorder:
-    """An oracle recorder that knows every source's initial state."""
-    view = workload.view
-    recorder = RunRecorder(view)
-    for index in range(1, view.n_relations + 1):
-        name = view.name_of(index)
-        recorder.register_source(index, name, workload.initial_states[name])
-    return recorder
-
-
-async def _start(
-    runtime: AsyncRuntime,
-    links,
-    config: ExperimentConfig,
-    workload,
-    recorder: RunRecorder,
-    metrics: MetricsCollector,
-    trace: TraceLog | None,
-) -> _System:
-    """Build the sites in the order they need each other: the warehouse's
-    inbox, the sources that send to it, the warehouse that queries them
-    -- then start the updaters."""
-    warehouse = WarehouseNode(runtime, links, config, workload)
-    await links.start()
-    sources = {
-        index: SourceSite(runtime, links, config, workload, index, trace)
-        for index in warehouse.sources
-    }
-    for site in sources.values():
-        site.server.add_update_listener(recorder.on_source_update)
-    await links.start()
-    warehouse.connect(sources, recorder, metrics, trace)
-
-    def local_update(index: int):
-        if 0 in sources:  # the central site holds every relation
-            return partial(sources[0].server.local_update, index)
-        return sources[index].server.local_update
-
-    updaters = [
-        ScheduledUpdater(
-            runtime, workload.view.name_of(index), local_update(index), schedule
-        )
-        for index, schedule in sorted(workload.schedules.items())
-    ]
-    return _System(warehouse, list(sources.values()), updaters)
-
-
 async def run_distributed_async(
     config: ExperimentConfig,
     transport: str = "tcp",
@@ -172,11 +105,11 @@ async def run_distributed_async(
     runtime = AsyncRuntime(time_scale=time_scale)
     metrics = MetricsCollector()
     trace = TraceLog(enabled=config.trace)
-    recorder = _recorder(workload)
+    recorder = make_recorder(workload)
     links = links_for(
         transport, runtime, metrics, chaos, config.seed, host, tcp_config
     )
-    system = await _start(
+    sites = await build_sites(
         runtime,
         links,
         config,
@@ -194,14 +127,14 @@ async def run_distributed_async(
             return (
                 recorder.updates_delivered >= total
                 and runtime.settled()
-                and system.quiescent()
+                and sites.quiescent()
             )
 
         await runtime.wait_until(finished, timeout=timeout)
         wall = _time.perf_counter() - started
         record_predicate_cache_delta(metrics, predicate_stats_before)
 
-        warehouse = system.warehouse_site.warehouse
+        warehouse = sites.warehouse_site.warehouse
         result = DistributedRunResult(
             config=config,
             info=info,
@@ -217,22 +150,10 @@ async def run_distributed_async(
             chaos_profile=chaos.name if chaos is not None else None,
             chaos_stats=links.chaos_stats,
         )
-        if config.check_consistency:
-            for level in (
-                ConsistencyLevel.CONVERGENCE,
-                ConsistencyLevel.WEAK,
-                ConsistencyLevel.STRONG,
-                ConsistencyLevel.COMPLETE,
-            ):
-                result.consistency[level] = recorder.check(
-                    level, max_vectors=config.max_check_vectors
-                )
-            result.classified_level = recorder.classify(
-                max_vectors=config.max_check_vectors
-            )
+        result.judge()
         return result
     finally:
-        await system.aclose()
+        await sites.aclose()
         await links.aclose()
         await runtime.aclose()
 
@@ -331,7 +252,7 @@ async def serve_warehouse_async(
     runtime = AsyncRuntime(time_scale=time_scale)
     metrics = MetricsCollector()
     trace = TraceLog(enabled=config.trace)
-    recorder = _recorder(workload)
+    recorder = make_recorder(workload)
     links = TcpLinks(
         runtime, metrics, tcp_config=tcp_config, listen=(listen_host, listen_port)
     )

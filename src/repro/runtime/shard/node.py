@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
+from repro.harness.sites import WarehouseSite, make_backend
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
 from repro.formats.codec import WireCodec
-from repro.runtime.nodes import LocalLinks, WarehouseSite, links_for, make_backend
+from repro.runtime.nodes import LocalLinks, links_for
 from repro.runtime.shard.front import ShardedSourceFront
 from repro.runtime.shard.spec import FleetSpec
 from repro.runtime.tcp import TcpChannel

@@ -259,10 +259,7 @@ def _shard_flags(spec: FleetSpec, member: ShardMember) -> list[str]:
         argv += ["--durable-dir", spec.member_dir(member)]
     argv += ["--fsync-batch", str(spec.fsync_batch)]
     if spec.checkpoint_policy is not None:
-        argv += [
-            "--checkpoint-every", str(spec.checkpoint_policy.every_installs),
-            "--checkpoint-interval", str(spec.checkpoint_policy.every_time),
-        ]
+        argv += ["--checkpoint-every", str(spec.checkpoint_policy.every_installs)]
     return argv
 
 

@@ -12,7 +12,8 @@ reproduced on a small SimPy-like kernel:
 * :class:`~repro.simulation.channel.Channel` -- reliable FIFO links with
   pluggable latency models; delivery order per channel is guaranteed even
   under random latencies, exactly the assumption SWEEP's local compensation
-  depends on.
+  depends on.  :class:`~repro.simulation.links.SimLinks` makes them by
+  name for the sites of a fleet.
 * :class:`~repro.simulation.metrics.MetricsCollector` and
   :class:`~repro.simulation.trace.TraceLog` -- message/byte accounting and
   structured event traces consumed by the experiment harness.

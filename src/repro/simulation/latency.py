@@ -82,9 +82,23 @@ class ExponentialLatency(LatencyModel):
         return f"ExponentialLatency({self._mean})"
 
 
+def build_latency_model(
+    kind: str, mean: float, rng: random.Random
+) -> LatencyModel:
+    """Instantiate one of the named latency models around ``mean``."""
+    if kind == "constant":
+        return ConstantLatency(mean)
+    if kind == "uniform":
+        return UniformLatency(0.5 * mean, 1.5 * mean, rng)
+    if kind == "exponential":
+        return ExponentialLatency(mean, rng)
+    raise ValueError(f"unknown latency model {kind!r}")
+
+
 __all__ = [
     "ConstantLatency",
     "ExponentialLatency",
     "LatencyModel",
     "UniformLatency",
+    "build_latency_model",
 ]

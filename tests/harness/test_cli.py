@@ -75,6 +75,36 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_run_and_run_distributed_share_their_workload_flags(self):
+        # One definition, one destination -> field table: the same argv
+        # makes the same config fields on the simulator and the runtime.
+        shared = [
+            "-a", "batched-sweep", "-n", "4", "-u", "7", "-s", "3",
+            "--backend", "sqlite", "--interarrival", "2.5",
+            "--insert-fraction", "0.4", "--rows", "9", "--locality", "aux",
+            "--locality-budget", "30",
+        ]
+        parser = build_parser()
+        run = repro.cli._run_config(parser.parse_args(["run", *shared]))
+        distributed = repro.cli._workload_config(
+            parser.parse_args(["run-distributed", *shared])
+        )
+        default = repro.cli._run_config(parser.parse_args(["run"]))
+        for field in repro.cli._SHARED_FLAGS.values():
+            assert getattr(run, field) == getattr(distributed, field), field
+            assert getattr(run, field) != getattr(default, field), field
+
+    def test_checkpoint_interval_flag_is_gone(self):
+        # Checkpoints roll on installs only.
+        (subparsers,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("serve-warehouse", "serve-shard"):
+            options = subparsers.choices[command]._option_string_actions
+            assert "--checkpoint-every" in options
+            assert "--checkpoint-interval" not in options
+
 
 class TestCommands:
     def test_algorithms(self, capsys):

@@ -8,7 +8,8 @@ from repro.api import quick_run
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_dict_table, format_table
-from repro.harness.runner import build_latency_model, run_experiment
+from repro.harness.runner import run_experiment
+from repro.simulation.latency import build_latency_model
 
 
 class TestConfig:

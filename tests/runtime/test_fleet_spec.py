@@ -131,7 +131,7 @@ def test_child_command_lines_round_trip_the_spec(tmp_path):
             connect_timeout=1.5,
         ),
         durable_dir=str(tmp_path),
-        checkpoint_policy=CheckpointPolicy(every_installs=3, every_time=2.5),
+        checkpoint_policy=CheckpointPolicy(every_installs=3),
         fsync_batch=2,
         **RR,
     )

@@ -14,9 +14,8 @@ import pytest
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
+from repro.harness.sites import Sites, WarehouseSite
 from repro.runtime import run_distributed
-from repro.runtime.distributed import _System
-from repro.runtime.nodes import WarehouseSite
 from repro.simulation.channel import Message
 from repro.simulation.kernel import Simulator
 from repro.simulation.mailbox import Mailbox
@@ -89,7 +88,7 @@ def test_driver_quiescence_consults_pending_work():
 
     site = WarehouseSite(Simulator(), "warehouse", [], durable_dir=None)
     site.warehouse = StubWarehouse()
-    system = _System(site, sources=[], updaters=[])
+    system = Sites(site, sources=[], updaters=[])
     assert not system.quiescent()
     site.warehouse.pending = False
     assert system.quiescent()

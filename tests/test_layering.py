@@ -6,7 +6,9 @@ and the formats package -- before anything else, so no import order can
 close a cycle.  (ii) An AST walk pins the layering: ``repro.formats``
 imports only the relational engine, ``sources.messages`` and
 ``simulation.channel``; ``durability`` and ``simulation`` reach the
-runtime through no function-level import.
+runtime through no function-level import.  (iii) The simulator's host
+and the sites every host builds sit below the runtime: importing them
+loads no ``repro.runtime`` module, directly or through another.
 """
 
 import ast
@@ -22,6 +24,12 @@ import repro
 SRC = Path(repro.__file__).parent
 PACKAGES = sorted(
     path.name for path in SRC.iterdir() if (path / "__init__.py").is_file()
+)
+#: The simulator's host and the host-neutral sites.
+BELOW_RUNTIME = (
+    "repro.harness.runner",
+    "repro.harness.multiview_runner",
+    "repro.harness.sites",
 )
 #: What the formats package may import from ``repro``.
 FORMATS_MAY_IMPORT = (
@@ -94,3 +102,21 @@ def test_no_function_level_runtime_import(package):
         if inner and module.startswith("repro.runtime")
     ]
     assert not lazy
+
+
+@pytest.mark.parametrize("module", BELOW_RUNTIME)
+def test_the_simulator_and_the_sites_import_no_runtime(module):
+    path = SRC.joinpath(*module.split(".")[1:]).with_suffix(".py")
+    assert not [m for m, _ in _imports(path) if m.startswith("repro.runtime")]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, {module}; print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.runtime')))",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert loaded.returncode == 0, loaded.stderr[-2000:]
+    assert loaded.stdout.strip() == "[]"
