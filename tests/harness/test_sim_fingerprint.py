@@ -35,12 +35,25 @@ CASES = {
     "sweep-trace": dict(algorithm="sweep", trace=True),
     "sweep-no-fifo": dict(algorithm="sweep", fifo_channels=False),
     "sweep-locality-auto": dict(algorithm="sweep", locality="auto"),
+    **{
+        f"batched-sweep-{mode}": dict(algorithm="batched-sweep", locality=mode)
+        for mode in ("aux", "cache", "auto")
+    },
+    "batched-sweep-max3": dict(algorithm="batched-sweep", batch_max=3),
+    "batched-sweep-adaptive": dict(
+        algorithm="batched-sweep", batch_adaptive=True, batch_max=8
+    ),
 }
 
 #: case -> SHA-256 of :func:`fingerprint`.
 EXPECTED = dict(
     line.split()
     for line in """
+batched-sweep-adaptive 7f6c5590e9310cd44362094cb8f8f64533157f24b397fa6af3a0979f3c6177b2
+batched-sweep-auto f1bbe241892709abd8558ed89a46954c2f689f4c69c26170aeb42c3785250791
+batched-sweep-aux f1bbe241892709abd8558ed89a46954c2f689f4c69c26170aeb42c3785250791
+batched-sweep-cache c73cdcca1c6f61234f136ae7650e26b2b1413c112c5174317728fc5ae5183ea2
+batched-sweep-max3 69df5c49096da7b607a2a528684a4a550529d9074c24c709ec157e25d60665a4
 batched-sweep-s0 7ab6d8a32f6b8ddf7549f0b4b68e7cbbc17b67c24857cf8fe7ad6fb5a8fac995
 batched-sweep-s1 236859bc1ee8ff5e540b1cf269e94e0a481ec2cc2ab677f29144f8b63376f9a5
 bootstrap-sweep-s0 c21acf072354320c451a16a24b09b407265754f6a331b07988dc5e8906d02046
