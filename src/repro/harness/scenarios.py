@@ -54,12 +54,7 @@ from repro.durability.manager import CheckpointPolicy, CrashPlan
 from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_table, load_report, write_report
 from repro.runtime.chaos import PROFILES
-from repro.runtime.shard import (
-    CLAIMED_LEVELS,
-    FailoverSpec,
-    FleetSpec,
-    RebalanceSpec,
-)
+from repro.runtime.shard import FailoverSpec, FleetSpec, RebalanceSpec
 from repro.warehouse.locality import SUPPORTED_ALGORITHMS as LOCALITY_ALGORITHMS
 from repro.warehouse.registry import ALGORITHMS as REGISTRY
 from repro.warehouse.registry import algorithm_info
@@ -687,10 +682,9 @@ def run_case(
     """
     from repro.runtime import run_distributed, run_sharded
 
-    claimed = (
-        CLAIMED_LEVELS[algorithm] if sharded
-        else algorithm_info(algorithm).claimed_consistency
-    )
+    claimed = algorithm_info(algorithm).claimed_consistency
+    if sharded and algorithm not in ALGORITHMS:
+        raise KeyError(f"no sharded {algorithm!r}; sharded: {list(ALGORITHMS)}")
     row = {
         "algorithm": label or algorithm,
         "transport": transport,

@@ -70,7 +70,7 @@ from repro.runtime.shard.serve import (
     serve_shard_async,
     serve_sharded_source_async,
 )
-from repro.runtime.shard.spec import CLAIMED_LEVELS, FleetSpec, free_port
+from repro.runtime.shard.spec import FleetSpec, free_port
 from repro.runtime.shard.supervisor import (
     CLEAN_FAILURE_EXIT,
     ShardCrashed,
@@ -80,7 +80,6 @@ from repro.runtime.shard.supervisor import (
 )
 
 __all__ = [
-    "CLAIMED_LEVELS",
     "CLEAN_FAILURE_EXIT",
     "FailoverSpec",
     "FleetSpec",

@@ -28,15 +28,9 @@ from repro.runtime.tcp import TcpChannel
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
+from repro.warehouse.batched import BatchedSweepWarehouse
 from repro.warehouse.locality import build_locality
-from repro.warehouse.migration import (
-    MigratingMultiViewBatchedSweepWarehouse,
-    MigratingMultiViewSweepWarehouse,
-)
-from repro.warehouse.multiview import (
-    MultiViewBatchedSweepWarehouse,
-    MultiViewSweepWarehouse,
-)
+from repro.warehouse.multiview import MultiViewSweepWarehouse
 from repro.warehouse.sharding import ShardMember
 
 
@@ -57,12 +51,10 @@ def make_links(spec: FleetSpec, runtime, metrics) -> LocalLinks:
 # The member site
 # ---------------------------------------------------------------------------
 
-#: (algorithm, migratable) -> the multi-view scheduler that hosts it.
+#: algorithm -> the view-family scheduler that hosts it.
 _WAREHOUSES = {
-    ("sweep", False): MultiViewSweepWarehouse,
-    ("sweep", True): MigratingMultiViewSweepWarehouse,
-    ("batched-sweep", False): MultiViewBatchedSweepWarehouse,
-    ("batched-sweep", True): MigratingMultiViewBatchedSweepWarehouse,
+    "sweep": MultiViewSweepWarehouse,
+    "batched-sweep": BatchedSweepWarehouse,
 }
 
 
@@ -81,17 +73,15 @@ def build_shard_warehouse(
     inbox: Mailbox,
     metrics: MetricsCollector,
     trace: TraceLog | None,
-    migratable: bool = False,
 ):
     """One shard's warehouse over its assigned views (SWEEP or batched).
 
     ``initial_views`` holds every assigned view's starting contents.
-    ``migratable`` selects the migration-capable subclasses (see
-    :mod:`repro.warehouse.migration`) so a live rebalance can seal,
-    donate, or adopt a view; they are behaviourally identical until the
+    Every shard warehouse can seal, donate or adopt a view in a live
+    rebalance (:mod:`repro.warehouse.migration`); it is inert until the
     coordinator attaches a migration state.
     """
-    warehouse = _WAREHOUSES.get((config.algorithm, migratable))
+    warehouse = _WAREHOUSES.get(config.algorithm)
     if warehouse is None:
         raise ValueError(
             "sharded runtime supports sweep/batched-sweep, not"
@@ -209,7 +199,6 @@ class ShardNode(WarehouseSite):
                 self.inbox,
                 self.metrics,
                 self.trace,
-                migratable=spec.rebalance is not None,
             ),
             spec.checkpoint_policy,
             spec.fsync_batch,

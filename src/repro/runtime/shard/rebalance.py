@@ -1,8 +1,8 @@
 """Live rebalancing: the spec of one view migration and its control plane.
 
 The per-warehouse protocol (seal, handoff, gap forwarding, catch-up) is
-:mod:`repro.warehouse.migration`; this module is what hosts it on a
-fleet: :class:`RebalanceSpec` arms a
+:mod:`repro.warehouse.migration`, run by every shard's view family;
+this module is what hosts it on a fleet: :class:`RebalanceSpec` arms a
 :class:`~repro.runtime.shard.faults.ProtocolTrigger` on the donor
 primary, and the :class:`RebalanceCoordinator` it fires carries fences
 and control frames between the paired members.
@@ -39,7 +39,7 @@ class RebalanceSpec:
     rather than at a tidy quiescent boundary -- exactly the points the
     drain/handoff/re-route protocol has to survive.  The trigger does not
     kill: the current unit of work finishes and the donor seals at its
-    next unit-of-work boundary (``ViewMigrationMixin._before_unit``).
+    next unit-of-work boundary (``MultiViewStateMixin._before_unit``).
 
     ``skip_straggler_forwarding`` is the mutation hook for the oracle
     tests: the donor seals and hands off but never forwards the gap
@@ -236,7 +236,7 @@ class RebalanceCoordinator:
             )
         )
 
-    # -- callbacks from the donor-side warehouse mixin -----------------
+    # -- callbacks from the donor's view family ------------------------
     def handoff(self, donor: ShardMember, state: HandoffState) -> None:
         recipient = self._recipient_of[donor]
         # The view's recorder follows the view: history keeps accruing on

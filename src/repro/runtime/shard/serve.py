@@ -11,7 +11,6 @@ from __future__ import annotations
 import time as _time
 from functools import partial
 
-from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.oracle import RunRecorder
 from repro.durability.manager import CheckpointPolicy
 from repro.durability.recovery import seed_standby_dir
@@ -24,12 +23,13 @@ from repro.runtime.shard.run import (
     collect_result,
     new_runtime,
 )
-from repro.runtime.shard.spec import CLAIMED_LEVELS, FleetSpec
+from repro.runtime.shard.spec import FleetSpec
 from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
 from repro.sources.messages import UpdateNotice
 from repro.sources.updater import ScheduledUpdater
+from repro.warehouse.registry import algorithm_info
 from repro.warehouse.sharding import ShardMember
 from repro.workloads.scenarios import Workload
 
@@ -142,9 +142,7 @@ async def serve_shard_async(
 
 
 def _require_claimed(spec: FleetSpec, shard_id: int, result) -> None:
-    claimed = CLAIMED_LEVELS.get(
-        spec.config.algorithm, ConsistencyLevel.CONVERGENCE
-    )
+    claimed = algorithm_info(spec.config.algorithm).claimed_consistency
     failing = {
         name: level.name.lower()
         for name, level in result.levels.items()

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from repro.consistency.levels import ConsistencyLevel
 from repro.durability.manager import CheckpointPolicy, CrashPlan
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import build_workload
@@ -47,12 +46,6 @@ from repro.workloads.scenarios import Workload
 if TYPE_CHECKING:
     from repro.runtime.shard.faults import FailoverSpec
     from repro.runtime.shard.rebalance import RebalanceSpec
-
-#: Claimed per-view consistency of each sharded scheduler.
-CLAIMED_LEVELS = {
-    "sweep": ConsistencyLevel.COMPLETE,
-    "batched-sweep": ConsistencyLevel.STRONG,
-}
 
 
 def member_name(member: ShardMember) -> str:
@@ -333,7 +326,6 @@ def check_carried(spec: FleetSpec, argvs: dict[str, list[str]]) -> None:
 
 
 __all__ = [
-    "CLAIMED_LEVELS",
     "FleetSpec",
     "check_carried",
     "child_argvs",

@@ -288,22 +288,23 @@ class QueueDrivenWarehouse(WarehouseBase):
                 raise ProtocolError(f"unexpected message kind {msg.kind!r}")
 
     # ------------------------------------------------------------------
-    # Rebalance hooks (overridden by the migration mixin)
+    # Rebalance hooks (overridden by the view family's migration state,
+    # repro.warehouse.multiview.MultiViewStateMixin)
     # ------------------------------------------------------------------
     def _intercept_update(self, msg: Message) -> bool:
         """Claim an incoming update frame before normal dispatch.
 
         Return True to swallow the frame (it is neither counted as a
-        delivery nor queued by the default path).  The migration mixin
-        routes rebalance fences through here so they keep their FIFO slot
-        in the update queue without perturbing delivery accounting.
+        delivery nor queued by the default path).  A view family routes
+        rebalance fences through here so they keep their FIFO slot in the
+        update queue without perturbing delivery accounting.
         """
         return False
 
     def _on_rebalance_message(self, msg: Message) -> None:
         """Handle a rebalance control frame (handoff / gap / complete)."""
         raise ProtocolError(
-            f"rebalance frame at non-migratable warehouse: {msg.payload!r}"
+            f"rebalance frame at a warehouse with no view family: {msg.payload!r}"
         )
 
     def _queued_update_payloads(self) -> tuple[UpdateNotice, ...]:
@@ -348,8 +349,8 @@ class QueueDrivenWarehouse(WarehouseBase):
     def _before_unit(self) -> None:
         """Entry of one unit of work, right after the head-of-queue pop.
 
-        Installs are complete and no sweep is in flight -- the migration
-        mixin seals the donor's migrating view here.
+        Installs are complete and no sweep is in flight -- a donor view
+        family seals its migrating view here.
         """
 
     def _is_control(self, msg: Message) -> bool:

@@ -39,6 +39,13 @@ consistency (a snapshot per update) is traded for strong consistency (a
 snapshot per batch, batches being prefixes of the delivery order) --
 the same trade Nested SWEEP makes, at strictly lower message cost.
 Per-update SWEEP remains the default algorithm and is unchanged.
+
+The scheduler holds a view family
+(:class:`~repro.warehouse.multiview.MultiViewStateMixin`): every term
+above is kept once per *sweep class* of the family, and the terms of all
+classes ride the same per-step request.  The registered single-view
+``batched-sweep`` is the one-view, one-class case; a shard hosting many
+views, or adopting one by live migration, runs the same wave.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ from collections.abc import Generator
 from repro.relational.delta import Delta
 from repro.relational.incremental import PartialView
 from repro.simulation.process import Delay
-from repro.sources.messages import MultiQueryRequest, UpdateNotice, next_request_id
+from repro.sources.messages import UpdateNotice
 from repro.warehouse.base import QueueDrivenWarehouse
-from repro.warehouse.errors import ProtocolError
+from repro.warehouse.multiview import MultiViewStateMixin
 
 
 class AdaptiveBatchCap:
@@ -137,10 +144,20 @@ class AdaptiveBatchCap:
         return self.cap
 
 
-class BatchedSweepWarehouse(QueueDrivenWarehouse):
-    """SWEEP with a batch-draining scheduler and wavefront composite sweeps.
+class BatchedSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
+    """SWEEP with a batch-draining scheduler and wavefront composite sweeps,
+    over a view family (a single view is the one-view family).
 
-    Parameters (beyond :class:`QueueDrivenWarehouse`'s):
+    One drained batch is maintained for *all* views with one pair of
+    wavefronts: at each wave step the active terms of every sweep class
+    are packed into a single :class:`MultiQueryRequest`, so the message
+    count per batch stays ``<= 4(n-1)`` regardless of how many views the
+    warehouse hosts, and same-join views share their terms.  Every view
+    receives one install per batch with the identical claimed vector, so
+    each view independently satisfies batched (strong) consistency.
+
+    Parameters (beyond :class:`MultiViewStateMixin`'s and
+    :class:`QueueDrivenWarehouse`'s):
 
     max_batch:
         Largest number of queued updates coalesced into one composite
@@ -163,7 +180,6 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
             raise ValueError(f"max_batch must be >= 0, got {max_batch}")
         self.max_batch = max_batch
         self.batch_cap = AdaptiveBatchCap(ceiling=max_batch) if adaptive else None
-        self.batches_processed = 0
         #: True while a popped head waits out the settle turns below.
         self._settling = False
 
@@ -230,87 +246,133 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
                 )
             yield from self.process_batch(batch)
 
-    def view_change(self, notice: UpdateNotice) -> Generator:
-        raise NotImplementedError("batched SWEEP overrides _update_view")
-
     # ------------------------------------------------------------------
-    # One composite sweep per batch
+    # One composite sweep per batch, per sweep class
     # ------------------------------------------------------------------
     def process_batch(self, batch: list[UpdateNotice]) -> Generator:
+        self._mig_observe(batch)
         n = self.view.n_relations
-        self.batches_processed += 1
         self.metrics.increment("batched_sweeps")
         self.metrics.observe("batch_size", len(batch))
 
-        # Merge same-source deltas (delivery order preserved by summing --
-        # bag addition commutes) and seed one term per touched source.
-        merged: dict[int, Delta] = {}
-        for notice in batch:
-            seen = merged.get(notice.source_index)
-            if seen is None:
-                merged[notice.source_index] = notice.delta.copy()
-            else:
-                seen.merge_in_place(notice.delta)
-        terms: dict[int, PartialView] = {
-            index: PartialView.initial(self.view, index, delta)
-            for index, delta in merged.items()
-        }
+        # One composite sweep per class: merge same-source deltas over the
+        # class's participating prefix of the batch (normally the whole
+        # batch, and one class) and seed one term per touched source.
+        # Delivery order is preserved by summing -- bag addition commutes.
+        assignment = self._partition_batch(batch)
+        classes = self._sweep_classes(assignment)
+        reps = [members[0] for members in classes]
+        merged: list[dict[int, Delta]] = []
+        counts: list[dict[int, int]] = []
+        for rep in reps:
+            deltas: dict[int, Delta] = {}
+            count: dict[int, int] = {}
+            for notice in assignment[rep.name]:
+                seen = deltas.get(notice.source_index)
+                if seen is None:
+                    deltas[notice.source_index] = notice.delta.copy()
+                else:
+                    seen.merge_in_place(notice.delta)
+                count[notice.source_index] = count.get(notice.source_index, 0) + 1
+            merged.append(deltas)
+            counts.append(count)
+        # terms[c][i]: class c's term seeded with its Delta-R_i.
+        terms: list[dict[int, PartialView]] = [
+            {
+                index: PartialView.initial(rep, index, delta)
+                for index, delta in deltas.items()
+            }
+            for rep, deltas in zip(reps, merged)
+        ]
 
-        # Leftward wave: term i wants R_j^new for every j < i.
+        # Leftward wave: every class's term i wants R_j^new for j < i.
         for j in range(n - 1, 0, -1):
-            active = sorted(i for i in terms if i > j)
-            if not active:
+            slots = [
+                (c, i)
+                for c, deltas in enumerate(merged)
+                for i in sorted(deltas)
+                if i > j
+            ]
+            if not slots:
                 continue
             locality = self._live_locality()
             if locality is not None and locality.covers(j):
-                batch_delta = merged.get(j)
-                for i in active:
-                    terms[i] = self._local_wave_answer(j, terms[i], batch_delta)
+                for c, i in slots:
+                    terms[c][i] = self._local_wave_answer(
+                        j, terms[c][i], merged[c].get(j)
+                    )
                 continue
-            answers = yield from self._multi_query(j, [terms[i] for i in active])
-            for i, answer in zip(active, answers):
-                terms[i] = self._compensate_queued(j, answer, terms[i])
+            answers = yield from self._multi_query(
+                j, [terms[c][i] for c, i in slots]
+            )
+            floors = [
+                self._pending_floor(
+                    rep, j, after_batch=True, batch_count=count.get(j, 0)
+                )
+                for rep, count in zip(reps, counts)
+            ]
+            for (c, i), answer in zip(slots, answers):
+                terms[c][i] = self._compensate_queued(
+                    j, answer, terms[c][i], floor=floors[c]
+                )
 
-        # Rightward wave: term i wants R_j^old for every j > i, so the
-        # batch's own delta at j is part of the error to subtract.
+        # Rightward wave: term i wants R_j^old for j > i, so the class's
+        # own batch delta at j is part of the error to subtract, on top
+        # of the queued-update compensation.
         for j in range(2, n + 1):
-            active = sorted(i for i in terms if i < j)
-            if not active:
+            slots = [
+                (c, i)
+                for c, deltas in enumerate(merged)
+                for i in sorted(deltas)
+                if i < j
+            ]
+            if not slots:
                 continue
             locality = self._live_locality()
             if locality is not None and locality.covers(j):
                 # The covered copy *is* R_j^old (pre-batch installed
-                # position): no queued-update or batch-delta error terms.
-                for i in active:
-                    terms[i] = locality.aux_answer(j, terms[i])
+                # position) for every class alike: no queued-update or
+                # batch-delta error terms.
+                for c, i in slots:
+                    terms[c][i] = locality.aux_answer(j, terms[c][i])
                 continue
-            temps = {i: terms[i] for i in active}
-            answers = yield from self._multi_query(j, [temps[i] for i in active])
-            batch_delta = merged.get(j)
-            for i, answer in zip(active, answers):
-                answer = self._compensate_queued(j, answer, temps[i])
+            answers = yield from self._multi_query(
+                j, [terms[c][i] for c, i in slots]
+            )
+            floors = [
+                self._pending_floor(rep, j, after_batch=False, batch_count=0)
+                for rep in reps
+            ]
+            for (c, i), answer in zip(slots, answers):
+                temp = terms[c][i]
+                answer = self._compensate_queued(
+                    j, answer, temp, floor=floors[c]
+                )
+                batch_delta = merged[c].get(j)
                 if batch_delta is not None:
-                    answer = answer.compensate(temps[i].extend(j, batch_delta))
-                terms[i] = answer
+                    answer = answer.compensate(temp.extend(j, batch_delta))
+                terms[c][i] = answer
 
-        # Sum the terms into one composite wide delta; single install.
-        composite: PartialView | None = None
-        for index in sorted(terms):
-            term = terms[index]
-            composite = term if composite is None else composite.add_in_place(term)
         self.mark_applied(batch)
+        self._note_applied_for_views(assignment)
         self.metrics.observe("updates_per_install", len(batch))
-        self.install_wide(
-            composite.delta,
-            note=(
-                f"batch of {len(batch)} update(s), sources"
-                f" {sorted(merged)}"
-            ),
+        union_sources = sorted({i for deltas in merged for i in deltas})
+        composites: list[Delta] = []
+        for class_terms in terms:
+            # Sum the class's terms into one composite wide delta.
+            composite: PartialView | None = None
+            for index in sorted(class_terms):
+                term = class_terms[index]
+                composite = (
+                    term if composite is None else composite.add_in_place(term)
+                )
+            composites.append(composite.delta)
+        self._install_classes(
+            classes,
+            composites,
+            f"batch of {len(batch)} update(s), sources {union_sources}",
         )
 
-    # ------------------------------------------------------------------
-    # Wave plumbing
-    # ------------------------------------------------------------------
     def _local_wave_answer(
         self, index: int, term: PartialView, batch_delta: Delta | None
     ) -> PartialView:
@@ -325,75 +387,6 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
         if batch_delta is not None:
             answer = answer.add_in_place(term.extend(index, batch_delta))
         return answer
-
-    def _multi_query(
-        self, index: int, partials: list[PartialView]
-    ) -> Generator:
-        """One batched sweep step: all active terms visit ``index`` at once.
-
-        With a locality layer, fingerprint-equal partials are sent once
-        (multi-query sharing) and cached answers satisfy the whole step
-        locally when every unique partial hits.
-        """
-        send = list(partials)
-        mapping = None
-        locality = self._live_locality()
-        if locality is not None:
-            send, mapping = locality.dedupe(send)
-            hits = locality.cache_lookup_many(index, send)
-            if hits is not None:
-                # A full cache hit is an answer routed this instant.
-                self._pending_at_answer = self._queued_update_payloads()
-                return locality.expand(hits, mapping)
-        request = MultiQueryRequest(
-            request_id=next_request_id(),
-            partials=send,
-            target_index=index,
-        )
-        self.send_query(index, request)
-        msg, pending = yield self._answer_box.get()
-        self._pending_at_answer = pending
-        answer = msg.payload
-        if answer.request_id != request.request_id:
-            raise ProtocolError(
-                f"answer {answer.request_id} does not match request"
-                f" {request.request_id}"
-            )
-        if len(answer.partials) != len(send):
-            raise ProtocolError(
-                f"multi-query answer carries {len(answer.partials)} partials,"
-                f" expected {len(send)}"
-            )
-        if mapping is None:
-            return answer.partials
-        return locality.expand(answer.partials, mapping)
-
-    def _compensate_queued(
-        self,
-        index: int,
-        answer: PartialView,
-        temp: PartialView,
-        floor: int | None = None,
-    ) -> PartialView:
-        """Subtract error terms of updates queued after the batch drained.
-
-        Identical to SWEEP's local compensation: any update from
-        ``index`` still in the queue when the answer was routed was --
-        by FIFO -- applied before the query was evaluated, so its effect
-        is rolled back locally to land on the batch-boundary state.
-
-        ``floor`` (a per-view migration position, see
-        ``MultiViewStateMixin._pending_floor``) restricts the subtraction
-        to queued seqs above it: lower seqs are already in that view.
-        """
-        pending = self.pending_updates_from(index)
-        if floor is not None:
-            pending = [p for p in pending if p.seq > floor]
-        if not pending:
-            return answer
-        self.metrics.increment("compensations")
-        error = temp.extend(index, self.merged_pending_delta(pending))
-        return answer.compensate(error)
 
 
 __all__ = ["AdaptiveBatchCap", "BatchedSweepWarehouse"]

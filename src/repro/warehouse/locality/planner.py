@@ -47,15 +47,7 @@ MODES = ("off", "aux", "cache", "auto")
 #: (ECA/Strobe are event-driven and never issue sweep-step queries;
 #: nested SWEEP's recursive interference handling assumes every answer
 #: travelled the wire, so it is deliberately excluded.)
-SUPPORTED_ALGORITHMS = frozenset(
-    {
-        "sweep",
-        "batched-sweep",
-        "pipelined-sweep",
-        "multi-view-sweep",
-        "multi-view-batched-sweep",
-    }
-)
+SUPPORTED_ALGORITHMS = frozenset({"sweep", "batched-sweep", "pipelined-sweep"})
 
 
 def plan_coverage(

@@ -25,23 +25,45 @@ changes the envelope and who computes the join, not the algebra, because
 every class's join inside one step is evaluated against the same atomic
 source state and compensated against the same queued updates its members
 would each have used.
+
+:class:`MultiViewStateMixin` is that family's state, and it is the only
+copy: the per-view stores, the sweep classes, the remote sweep step and
+its compensation, and live migration of one member between shards (the
+protocol is described in :mod:`repro.warehouse.migration`).  Two
+schedulers hold it: :class:`MultiViewSweepWarehouse` (one sweep per
+update) and :class:`~repro.warehouse.batched.BatchedSweepWarehouse` (one
+composite sweep per drained batch).  A single view is the one-view
+family.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.consistency.oracle import RunRecorder
-from repro.relational.delta import Delta
+from repro.durability.checkpoint import decode_view_handoff, encode_view_handoff
+from repro.durability.encoding import decode_relation
+from repro.relational.delta import Delta, merge_deltas
 from repro.relational.errors import SchemaError
 from repro.relational.incremental import PartialView
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
-from repro.sources.messages import MultiQueryRequest, UpdateNotice, next_request_id
+from repro.simulation.channel import Message
+from repro.sources.messages import (
+    MultiQueryRequest,
+    UpdateNotice,
+    is_rebalance_fence,
+    next_request_id,
+)
 from repro.warehouse.base import QueueDrivenWarehouse
-from repro.warehouse.batched import BatchedSweepWarehouse
 from repro.warehouse.errors import ProtocolError
+from repro.warehouse.migration import (
+    GapComplete,
+    GapFrame,
+    HandoffState,
+    MigrationMemberState,
+)
 from repro.warehouse.view_store import MaterializedView
 
 
@@ -74,19 +96,35 @@ class _ClassPlan:
 
 
 class MultiViewStateMixin:
-    """Per-view stores and install plumbing shared by multi-view warehouses.
+    """A view family's state: per-view stores, sweep classes, migration.
 
-    Mixed into a :class:`~repro.warehouse.base.QueueDrivenWarehouse`
-    subclass *after* its ``__init__`` ran (so ``self.view``/``self.store``
-    exist); the host calls :meth:`_init_extra_views` once.
+    Mixed in before :class:`~repro.warehouse.base.QueueDrivenWarehouse`.
+    Keyword arguments beyond the host's:
+
+    extra_views:
+        Additional view definitions; the primary ``view`` is maintained
+        too, as views[0].
+    initial_views:
+        View name -> initial contents of each extra view's store (the
+        primary's is ``initial_view``), e.g. from ``evaluate_views``.
+    extra_recorders:
+        Optional ``{view_name: RunRecorder}`` for per-view consistency
+        verification of the extra views.
+
+    Every family can donate or adopt a migrating view: the migration
+    state is inert -- every hook answers as for a family at one position
+    -- until the rebalance coordinator calls :meth:`attach_migration`.
     """
 
-    def _init_extra_views(
+    def __init__(
         self,
-        extra_views: Sequence[ViewDefinition],
-        initial_views: dict[str, Relation] | None,
-        extra_recorders: dict[str, RunRecorder] | None,
-    ) -> None:
+        *args,
+        extra_views: Sequence[ViewDefinition] = (),
+        initial_views: dict[str, Relation] | None = None,
+        extra_recorders: dict[str, RunRecorder] | None = None,
+        **kwargs,
+    ):
+        super().__init__(*args, **kwargs)
         self.views: list[ViewDefinition] = [self.view, *extra_views]
         validate_same_chain(self.views)
         names = [v.name for v in self.views]
@@ -101,6 +139,8 @@ class MultiViewStateMixin:
             recorder = self.extra_recorders.get(view.name)
             if recorder is not None:
                 recorder.set_initial_view(self.stores[view.name].relation)
+        #: the migration this member takes part in (None = none attached).
+        self._mig: MigrationMemberState | None = None
         self._views_changed()
 
     def _views_changed(self) -> None:
@@ -133,32 +173,83 @@ class MultiViewStateMixin:
         """Current contents of the named view."""
         return self.stores[name].snapshot()
 
+    def pending_work(self) -> bool:
+        if super().pending_work():
+            return True
+        st = self._mig
+        # A recipient holding an un-caught-up handoff (or buffered gap/pen
+        # frames) is mid-protocol even with every queue momentarily empty.
+        return (
+            st is not None
+            and st.role == "recipient"
+            and not st.catchup_done
+            and (st.handoff is not None or bool(st.gap) or bool(st.pen))
+        )
+
     # ------------------------------------------------------------------
-    # Per-view participation hooks.
+    # Per-view participation.
     #
     # Normally every view of the shard participates in every unit of work
-    # at the shard's shared position, so the defaults are trivial.  A view
-    # mid-migration (see repro.warehouse.migration) lags or leads the
-    # shard's position while it catches up from the donor's handoff, and
-    # overrides these to steer exactly which updates it applies and which
-    # queued updates its compensation may subtract.
+    # at the shard's shared position.  A view adopted by migration lags or
+    # leads that position from catch-up on, until it provably rejoins it:
+    # these hooks steer exactly which updates it applies and which queued
+    # updates its compensation may subtract.
     # ------------------------------------------------------------------
+    def _mig_active_view(self) -> MigrationMemberState | None:
+        """The recipient's migration state once ``V`` has caught up (from
+        then on ``V`` keeps its own position guard), else None."""
+        st = self._mig
+        if st is not None and st.role == "recipient" and st.catchup_done:
+            return st
+        return None
+
     def _partition_batch(
         self, batch: list[UpdateNotice]
     ) -> dict[str, list[UpdateNotice]]:
         """Which of ``batch`` each view applies in this unit of work
-        (read-only lists: the default shares ``batch`` itself)."""
-        return dict.fromkeys([view.name for view in self.views], batch)
+        (read-only lists: views at the shard's position share ``batch``).
+
+        A caught-up migrated view drops the duplicates of updates its
+        catch-up already applied; a hole is a protocol error.
+        """
+        assignment = dict.fromkeys([view.name for view in self.views], batch)
+        st = self._mig_active_view()
+        if st is None:
+            return assignment
+        mine: list[UpdateNotice] = []
+        tentative = dict(st.pos)
+        for notice in batch:
+            i, seq = notice.source_index, notice.seq
+            at = tentative.get(i, 0)
+            if seq <= at:
+                st.stats["dup_dropped"] += 1
+                continue
+            if seq != at + 1 and not st.relaxed:
+                raise ProtocolError(
+                    f"migration hole: src {i} seq {seq} after {at}"
+                )
+            mine.append(notice)
+            tentative[i] = seq
+        assignment[st.view_def.name] = mine
+        return assignment
 
     def _positions_differ(self) -> bool:
         """True while some view may apply other updates, or compensate
         from another floor, than its shard -- the per-unit keying of
         :meth:`_sweep_classes` is needed only then."""
-        return False
+        return self._mig_active_view() is not None
 
     def _claimed_vector_for(self, view: ViewDefinition) -> dict[int, int]:
         """The per-source position vector ``view``'s next install claims
         (the live mapping: the snapshot log takes its own copy)."""
+        st = self._mig
+        if (
+            st is not None
+            and st.role == "recipient"
+            and st.adopted
+            and view.name == st.view_def.name
+        ):
+            return st.pos
         return self.applied_counts
 
     def _pending_floor(
@@ -172,19 +263,47 @@ class MultiViewStateMixin:
         """Smallest queued ``seq`` from ``index`` that may be compensated.
 
         ``None`` means no floor: every queued update interferes (the
-        shard-position default -- queued seqs always exceed the applied
+        shard-position case -- queued seqs always exceed the applied
         count plus the in-flight batch, by the FIFO prefix property).
-        A migrating view whose position differs from the shard's returns
+        A migrated view whose position differs from the shard's returns
         its own position (plus its ``batch_count`` participating updates
         when the wave targets the post-batch state, ``after_batch``).
         """
-        return None
+        st = self._mig_active_view()
+        if st is None or view.name != st.view_def.name:
+            return None
+        floor = st.pos.get(index, 0)
+        if floor == self.applied_counts.get(index, 0):
+            # The floor filter is a no-op here, so answer like the shard
+            # and let ``V`` share its shard's sweep class again.  ``floor``
+            # is a seq and ``applied_counts`` a count; what makes the
+            # filter idle is the *shard's* stream, not ``V``'s: channels
+            # deliver each source hole-free, so every update still queued
+            # (or in the batch in flight) has a seq above the shard's
+            # applied count -- the FIFO prefix property -- hence above
+            # ``floor``, for both ``after_batch`` values and even when a
+            # ``relaxed`` ``V`` reached this seq over a hole.
+            return None
+        if after_batch:
+            floor += batch_count
+        return floor
 
     def _note_applied_for_views(
         self, assignment: dict[str, list[UpdateNotice]]
     ) -> None:
         """Per-view position accounting, after ``mark_applied`` and before
-        the installs of a unit of work."""
+        the installs of a unit of work: a caught-up migrated view advances
+        its own position and its recorder's delivery log."""
+        st = self._mig_active_view()
+        if st is None:
+            return
+        vrec = self.extra_recorders.get(st.view_def.name)
+        for notice in assignment.get(st.view_def.name, ()):
+            if vrec is not None:
+                vrec.on_delivery(replace(notice, delivery_seq=None))
+            st.pos[notice.source_index] = max(
+                st.pos.get(notice.source_index, 0), notice.seq
+            )
 
     # ------------------------------------------------------------------
     # Sweep classes: one partial view change per distinct sweep.
@@ -276,41 +395,423 @@ class MultiViewStateMixin:
             else:
                 self._install_extra(view, wide_deltas[c], note)
 
+    # ------------------------------------------------------------------
+    # The remote sweep step and its local compensation
+    # ------------------------------------------------------------------
+    def _multi_query(
+        self, index: int, partials: list[PartialView]
+    ) -> Generator:
+        """One sweep step: every partial visits source ``index`` at once,
+        in one :class:`MultiQueryRequest`.
+
+        With a locality layer, fingerprint-equal partials are sent once
+        (multi-query sharing) and cached answers satisfy the whole step
+        locally when every unique partial hits.
+        """
+        send, mapping = partials, None
+        locality = self._live_locality()
+        if locality is not None:
+            send, mapping = locality.dedupe(send)
+            hits = locality.cache_lookup_many(index, send)
+            if hits is not None:
+                # A full cache hit is an answer routed this instant.
+                self._pending_at_answer = self._queued_update_payloads()
+                return locality.expand(hits, mapping)
+        request = MultiQueryRequest(
+            request_id=next_request_id(),
+            partials=send,
+            target_index=index,
+        )
+        self.send_query(index, request)
+        msg, pending = yield self._answer_box.get()
+        self._pending_at_answer = pending
+        answer = msg.payload
+        if answer.request_id != request.request_id:
+            raise ProtocolError(
+                f"answer {answer.request_id} does not match request"
+                f" {request.request_id}"
+            )
+        if len(answer.partials) != len(send):
+            raise ProtocolError(
+                f"multi-query answer carries {len(answer.partials)} partials,"
+                f" expected {len(send)}"
+            )
+        if mapping is None:
+            return answer.partials
+        return locality.expand(answer.partials, mapping)
+
+    def _compensate_queued(
+        self,
+        index: int,
+        answer: PartialView,
+        temp: PartialView,
+        floor: int | None = None,
+    ) -> PartialView:
+        """SWEEP's local compensation: any update from ``index`` still
+        queued when the answer was routed was -- by FIFO -- applied
+        before the query was evaluated, so its error term is rolled back
+        locally.
+
+        ``floor`` (a class's :meth:`_pending_floor`) restricts the
+        subtraction to queued seqs above it: lower seqs are already in
+        that class's views.
+        """
+        pending = self.pending_updates_from(index)
+        if floor is not None:
+            pending = [p for p in pending if p.seq > floor]
+        if not pending:
+            return answer
+        self.metrics.increment("compensations")
+        error = temp.extend(index, self.merged_pending_delta(pending))
+        return answer.compensate(error)
+
+    # ------------------------------------------------------------------
+    # Queue hooks: rebalance frames share the update queue.  Only a member
+    # with a migration attached is sent fences and control frames, so the
+    # family is inert (no frame is control) until then.
+    # ------------------------------------------------------------------
+    def _intercept_update(self, msg: Message) -> bool:
+        if self._mig is None or not is_rebalance_fence(msg.payload):
+            return False
+        # Fences keep their FIFO slot in the update queue but are not
+        # deliveries: no recorder stamp, no delivered-count advance.
+        self.update_queue.put(msg)
+        return True
+
+    def _on_rebalance_message(self, msg: Message) -> None:
+        if self._mig is None:
+            raise ProtocolError(
+                f"rebalance frame at non-participating member: {msg.payload!r}"
+            )
+        self.update_queue.put(msg)
+
+    def _is_control(self, msg: Message) -> bool:
+        return self._mig is not None and (
+            msg.kind == "rebalance" or is_rebalance_fence(msg.payload)
+        )
+
+    def _before_unit(self) -> None:
+        # A stable point: the donor seals its migrating view here.
+        st = self._mig
+        if (
+            st is not None
+            and st.role == "donor"
+            and st.seal_requested
+            and not st.sealed
+        ):
+            self._donor_seal()
+
+    def _handle_control(self, msg: Message) -> Generator:
+        st = self._mig
+        if st is None:
+            raise ProtocolError(f"control frame without migration: {msg!r}")
+        payload = msg.payload
+        if msg.kind == "update" and is_rebalance_fence(payload):
+            self._on_fence(payload)
+            return
+        if isinstance(payload, HandoffState):
+            st.handoff = payload
+            return
+        if isinstance(payload, GapFrame):
+            st.gap.append(payload.notice)
+            return
+        if isinstance(payload, GapComplete):
+            yield from self._mig_catchup()
+            return
+        raise ProtocolError(f"unexpected control frame {payload!r}")
+
+    def _live_locality(self):
+        # A recipient mid-migration has one view whose position lags the
+        # shard's: no sweep may consume answers pinned to the shared one.
+        st = self._mig
+        if st is not None and st.suspended:
+            return None
+        return self.locality
+
+    # ------------------------------------------------------------------
+    # Live migration (repro.warehouse.migration describes the protocol)
+    # ------------------------------------------------------------------
+    def attach_migration(self, state: MigrationMemberState) -> None:
+        if self._mig is not None:
+            raise ProtocolError(
+                f"migration already attached (epoch {self._mig.epoch})"
+            )
+        self._mig = state
+
+    def migration_stats(self) -> dict | None:
+        """Structured per-member protocol counters (None if not attached)."""
+        st = self._mig
+        if st is None:
+            return None
+        out = dict(st.stats)
+        out["role"] = st.role
+        out["sealed"] = st.sealed
+        out["complete_sent"] = st.complete_sent
+        out["adopted"] = st.adopted
+        out["catchup_done"] = st.catchup_done
+        out["boundaries"] = dict(st.boundaries or st.fenced)
+        out["seal_position"] = dict(st.seal_position)
+        out["position"] = dict(st.pos)
+        return out
+
+    def _mig_observe(self, notices: list[UpdateNotice]) -> None:
+        """Straggler bookkeeping for one unit of work's updates; each
+        scheduler calls it first thing in its unit.
+
+        Donor (sealed): every pre-fence update it dequeues lies in the
+        gap ``(P_i, B_i]`` -- forward a clean copy.  Recipient (fence
+        seen, not yet caught up): post-fence updates it processes for its
+        own views are penned for ``V``'s later replay.
+        """
+        st = self._mig
+        if st is None:
+            return
+        if st.role == "donor" and st.sealed:
+            for notice in notices:
+                if notice.source_index in st.fences_seen:
+                    continue  # post-fence: recipient's own channel has it
+                if st.skip_forwarding:
+                    st.stats["gap_skipped"] += 1
+                    continue
+                st.stats["gap_forwarded"] += 1
+                st.coordinator.forward_gap(
+                    st.member, replace(notice, delivery_seq=None)
+                )
+        elif st.role == "recipient" and st.fenced and not st.catchup_done:
+            for notice in notices:
+                if notice.source_index in st.fenced:
+                    st.pen.append(replace(notice, delivery_seq=None))
+                    st.stats["pen_retained"] += 1
+
+    def _donor_seal(self) -> None:
+        """Drop ``V`` from the family and hand off its state."""
+        st = self._mig
+        vdef = st.view_def
+        if vdef.name not in self.stores:
+            raise ProtocolError(f"cannot seal unknown view {vdef.name!r}")
+        if vdef.name == self.view.name:
+            raise ProtocolError("cannot migrate a shard's primary view")
+        n = self.view.n_relations
+        position = {
+            i: self.applied_counts.get(i, 0) for i in range(1, n + 1)
+        }
+        st.seal_position = dict(position)
+        # The applied set is an exact prefix of the delivery order
+        # (dequeue order == delivery order), so V's recorder keeps
+        # exactly that prefix; later deliveries belong to the recipient.
+        vrec = self.extra_recorders.get(vdef.name)
+        if vrec is not None and self.recorder is not None:
+            applied_total = sum(position.values())
+            vrec.deliveries = list(self.recorder.deliveries[:applied_total])
+        relation = self.stores[vdef.name].relation
+        aux = (
+            self.locality.aux_relations() if self.locality is not None else {}
+        )
+        blob = encode_view_handoff(
+            vdef.name, position, relation, aux=aux, epoch=st.epoch
+        )
+        self.views = [v for v in self.views if v.name != vdef.name]
+        del self.stores[vdef.name]
+        self.extra_recorders.pop(vdef.name, None)
+        self._views_changed()
+        st.sealed = True
+        if self.trace:
+            self.trace.record(
+                self.sim.now,
+                "warehouse",
+                "rebalance-seal",
+                f"{vdef.name} at {sorted(position.items())}",
+            )
+        st.coordinator.handoff(
+            st.member,
+            HandoffState(
+                view=vdef.name,
+                epoch=st.epoch,
+                blob=blob,
+                view_def=vdef,
+                recorder=vrec,
+            ),
+        )
+        if st.skip_forwarding and not st.complete_sent:
+            # Mutation: pretend the gap is empty.  The completion signal
+            # still fires so the run terminates; the oracle must notice.
+            st.complete_sent = True
+            st.coordinator.gap_complete(st.member)
+
+    def _on_fence(self, fence: UpdateNotice) -> None:
+        st = self._mig
+        index, boundary = fence.source_index, fence.seq
+        if st.role == "donor":
+            st.fences_seen.add(index)
+            st.boundaries[index] = boundary
+            if (
+                st.sealed
+                and not st.complete_sent
+                and len(st.fences_seen) >= st.n_sources
+            ):
+                st.complete_sent = True
+                st.coordinator.gap_complete(st.member)
+        else:
+            st.fenced[index] = boundary
+            st.maybe_unsuspend()
+
+    def _mig_catchup(self) -> Generator:
+        """Recipient: adopt ``V`` from the handoff, then replay the gap
+        and the pen through ``V``-only sweeps."""
+        st = self._mig
+        if st.catchup_done:
+            raise ProtocolError("duplicate gap-complete")
+        if st.handoff is None:
+            raise ProtocolError("gap-complete before handoff state")
+        vdef = st.handoff.view_def
+        decoded = decode_view_handoff(st.handoff.blob)
+        if decoded["view"] != vdef.name or decoded["epoch"] != st.epoch:
+            raise ProtocolError(
+                f"handoff identity mismatch: {decoded['view']!r}"
+                f" epoch {decoded['epoch']}"
+            )
+        relation = decode_relation(decoded["rows"], vdef.view_schema)
+        st.pos = {
+            i: decoded["position"].get(i, 0)
+            for i in range(1, vdef.n_relations + 1)
+        }
+        self.stores[vdef.name] = MaterializedView(
+            vdef, relation, strict=self.store.strict
+        )
+        self.views.append(vdef)
+        self._views_changed()
+        vrec = st.handoff.recorder
+        if vrec is not None:
+            self.extra_recorders[vdef.name] = vrec
+        st.adopted = True
+        st.suspended = True
+        self._mig_adopt_aux(vdef, decoded)
+        if self.trace:
+            self.trace.record(
+                self.sim.now,
+                "warehouse",
+                "rebalance-adopt",
+                f"{vdef.name} at {sorted(st.pos.items())},"
+                f" gap={len(st.gap)} pen={len(st.pen)}",
+            )
+
+        # Replay: forwarded gap first (pre-fence seqs), then the pen
+        # (post-fence seqs) -- per source this is ascending-seq order.
+        replay = [*st.gap, *st.pen]
+        st.gap = []
+        st.pen = []
+        while replay:
+            notice = replay.pop(0)
+            i, seq = notice.source_index, notice.seq
+            at = st.pos.get(i, 0)
+            if seq <= at:
+                st.stats["dup_dropped"] += 1
+                continue
+            if seq != at + 1 and not st.relaxed:
+                raise ProtocolError(
+                    f"migration hole: src {i} seq {seq} after {at}"
+                )
+            yield from self._mig_apply_one(vdef, vrec, notice, replay)
+        st.catchup_done = True
+        self._views_changed()
+        st.maybe_unsuspend()
+
+    def _mig_adopt_aux(self, vdef: ViewDefinition, decoded: dict) -> None:
+        """Adopt the donor's auxiliary copies -- only when provably safe.
+
+        The locality layer is shard-wide state pinned to the *shard's*
+        installed position, so a donor copy (at the donor's seal
+        position) is only usable if that position happens to equal this
+        shard's installed count and the source isn't covered already.
+        In practice the positions differ and every copy is skipped; the
+        counters document the decision and the handoff still exercises
+        the encode/decode path.
+        """
+        if self.locality is None or not decoded["aux"]:
+            return
+        names = {vdef.name_of(i): i for i in range(1, vdef.n_relations + 1)}
+        installed = {
+            i: self.applied_counts.get(i, 0)
+            for i in range(1, vdef.n_relations + 1)
+        }
+        donor_position = {
+            i: decoded["position"].get(i, 0)
+            for i in range(1, vdef.n_relations + 1)
+        }
+        for name, rows in decoded["aux"].items():
+            index = names.get(name)
+            if (
+                index is None
+                or self.locality.covers(index)
+                or donor_position != installed
+            ):
+                self._mig.stats["aux_adopt_skipped"] += 1
+                continue
+            self.locality.adopt(
+                index, decode_relation(rows, vdef.schema_of(index))
+            )
+            self._mig.stats["aux_adopted"] += 1
+
+    def _mig_apply_one(
+        self,
+        vdef: ViewDefinition,
+        vrec,
+        notice: UpdateNotice,
+        remaining: list[UpdateNotice],
+    ) -> Generator:
+        """Apply one replayed update to ``V`` via a V-only restricted sweep.
+
+        Every step goes to the source (locality is suspended during
+        catch-up).  Compensation at step ``j`` deduplicates by sequence
+        number over the un-replayed remainder and the queued-updates
+        snapshot: a late pre-fence update can be in both (forwarded by
+        the donor *and* still queued here), and must be subtracted
+        exactly once.
+        """
+        st = self._mig
+        i = notice.source_index
+        n = vdef.n_relations
+        if vrec is not None:
+            vrec.on_delivery(notice)
+        partial = PartialView.initial(vdef, i, notice.delta)
+        for j in [*range(i - 1, 0, -1), *range(i + 1, n + 1)]:
+            temp = partial
+            (partial,) = yield from self._multi_query(j, [partial])
+            candidates: dict[int, UpdateNotice] = {}
+            for other in remaining:
+                if other.source_index == j:
+                    candidates.setdefault(other.seq, other)
+            for queued in self.pending_updates_from(j):
+                candidates.setdefault(queued.seq, queued)
+            floor = st.pos.get(j, 0)
+            usable = sorted(
+                (seq, cand)
+                for seq, cand in candidates.items()
+                if seq > floor
+            )
+            if usable:
+                self.metrics.increment("compensations")
+                merged = merge_deltas(
+                    vdef.schema_of(j), [cand.delta for _, cand in usable]
+                )
+                partial = partial.compensate(temp.extend(j, merged))
+        st.pos[i] = max(st.pos.get(i, 0), notice.seq)
+        st.stats["catchup_installs"] += 1
+        self._install_extra(
+            vdef,
+            partial.delta,
+            note=f"rebalance-catchup src={i} seq={notice.seq}",
+        )
+
 
 class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
-    """SWEEP maintaining several views with batched sweep steps.
-
-    Parameters (beyond :class:`QueueDrivenWarehouse`'s):
-
-    extra_views:
-        Additional view definitions; the primary ``view`` is maintained
-        too, as views[0].
-    initial_views:
-        View name -> initial contents of each extra view's store (the
-        primary's is ``initial_view``), e.g. from ``evaluate_views``.
-    extra_recorders:
-        Optional ``{view_name: RunRecorder}`` for per-view consistency
-        verification of the extra views.
-    """
+    """SWEEP over a view family: one sweep per update, each step one
+    :class:`MultiQueryRequest` carrying one partial per sweep class."""
 
     algorithm_name = "multi-view-sweep"
 
-    def __init__(
-        self,
-        *args,
-        extra_views: Sequence[ViewDefinition] = (),
-        initial_views: dict[str, Relation] | None = None,
-        extra_recorders: dict[str, RunRecorder] | None = None,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        self._init_extra_views(extra_views, initial_views, extra_recorders)
-
-    # ------------------------------------------------------------------
-    def view_change(self, notice: UpdateNotice) -> Generator:
-        raise NotImplementedError("multi-view overrides process_update")
-
     def process_update(self, notice: UpdateNotice) -> Generator:
+        self._mig_observe([notice])
         i = notice.source_index
         n = self.view.n_relations
         assignment = self._partition_batch([notice])
@@ -323,8 +824,7 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
             return
         reps = [members[0] for members in classes]
         partials = [PartialView.initial(rep, i, notice.delta) for rep in reps]
-        sweep_order = list(range(i - 1, 0, -1)) + list(range(i + 1, n + 1))
-        for j in sweep_order:
+        for j in [*range(i - 1, 0, -1), *range(i + 1, n + 1)]:
             locality = self._live_locality()
             if locality is not None and locality.covers(j):
                 # Covered source: every class's step is answered from the
@@ -332,29 +832,16 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
                 # order makes the copy exactly this update's position).
                 partials = [locality.aux_answer(j, p) for p in partials]
                 continue
-            answers = None
-            if locality is not None:
-                answers = locality.cache_lookup_many(j, partials)
-            if answers is not None:
-                self._pending_at_answer = self._queued_update_payloads()
-            else:
-                request = MultiQueryRequest(
-                    request_id=next_request_id(),
-                    partials=partials,
-                    target_index=j,
-                )
-                self.send_query(j, request)
-                msg, pending = yield self._answer_box.get()
-                self._pending_at_answer = pending
-                answer = msg.payload
-                if answer.request_id != request.request_id:
-                    raise ProtocolError(
-                        f"answer {answer.request_id} does not match request"
-                        f" {request.request_id}"
-                    )
-                answers = answer.partials
+            answers = yield from self._multi_query(j, partials)
             partials = [
-                self._compensate_one(j, got, temp, rep)
+                self._compensate_queued(
+                    j,
+                    got,
+                    temp,
+                    floor=self._pending_floor(
+                        rep, j, after_batch=False, batch_count=0
+                    ),
+                )
                 for rep, got, temp in zip(reps, answers, partials)
             ]
 
@@ -367,186 +854,8 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
         )
         self.metrics.increment("multiview_installs")
 
-    # ------------------------------------------------------------------
-    def _compensate_one(
-        self,
-        index: int,
-        answer: PartialView,
-        temp: PartialView,
-        rep: ViewDefinition,
-    ) -> PartialView:
-        """SWEEP's local compensation for one class (``rep`` stands for
-        every member: a class shares its floor by construction)."""
-        pending = self.pending_updates_from(index)
-        floor = self._pending_floor(rep, index, after_batch=False, batch_count=0)
-        if floor is not None:
-            pending = [p for p in pending if p.seq > floor]
-        if not pending:
-            return answer
-        self.metrics.increment("compensations")
-        merged = self.merged_pending_delta(pending)
-        error = temp.extend(index, merged)
-        return answer.compensate(error)
-
-
-class MultiViewBatchedSweepWarehouse(MultiViewStateMixin, BatchedSweepWarehouse):
-    """Batched sweep scheduler generalized to a family of same-chain views.
-
-    One drained batch is maintained for *all* views with one pair of
-    wavefronts: at each wave step the active terms of every sweep class
-    are packed into a single :class:`MultiQueryRequest`, so the message
-    count per batch stays ``<= 4(n-1)`` regardless of how many views the
-    shard hosts, and same-join views share their terms -- the same
-    sharing as :class:`MultiViewSweepWarehouse`, applied to
-    :class:`~repro.warehouse.batched.BatchedSweepWarehouse`'s composite
-    sweep.  Every view receives one install per batch with the identical
-    claimed vector, so each view independently satisfies the batched
-    (strong) consistency the single-view scheduler guarantees.
-
-    Accepts both sets of knobs: ``max_batch``/``adaptive`` from the
-    batched scheduler and ``extra_views``/``initial_views``/
-    ``extra_recorders`` from the multi-view warehouse.
-    """
-
-    algorithm_name = "multi-view-batched-sweep"
-
-    def __init__(
-        self,
-        *args,
-        extra_views: Sequence[ViewDefinition] = (),
-        initial_views: dict[str, Relation] | None = None,
-        extra_recorders: dict[str, RunRecorder] | None = None,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        self._init_extra_views(extra_views, initial_views, extra_recorders)
-
-    # ------------------------------------------------------------------
-    def process_batch(self, batch: list[UpdateNotice]) -> Generator:
-        n = self.view.n_relations
-        self.batches_processed += 1
-        self.metrics.increment("batched_sweeps")
-        self.metrics.observe("batch_size", len(batch))
-
-        # One composite sweep per class: merge same-source deltas over the
-        # class's participating prefix of the batch (normally the whole
-        # batch, and one class) and seed one term per touched source.
-        assignment = self._partition_batch(batch)
-        classes = self._sweep_classes(assignment)
-        reps = [members[0] for members in classes]
-        merged: list[dict[int, Delta]] = []
-        counts: list[dict[int, int]] = []
-        for rep in reps:
-            deltas: dict[int, Delta] = {}
-            count: dict[int, int] = {}
-            for notice in assignment[rep.name]:
-                seen = deltas.get(notice.source_index)
-                if seen is None:
-                    deltas[notice.source_index] = notice.delta.copy()
-                else:
-                    seen.merge_in_place(notice.delta)
-                count[notice.source_index] = count.get(notice.source_index, 0) + 1
-            merged.append(deltas)
-            counts.append(count)
-        # terms[c][i]: class c's term seeded with its Delta-R_i.
-        terms: list[dict[int, PartialView]] = [
-            {
-                index: PartialView.initial(rep, index, delta)
-                for index, delta in deltas.items()
-            }
-            for rep, deltas in zip(reps, merged)
-        ]
-
-        # Leftward wave: every class's term i wants R_j^new for j < i.
-        for j in range(n - 1, 0, -1):
-            slots = [
-                (c, i)
-                for c, deltas in enumerate(merged)
-                for i in sorted(deltas)
-                if i > j
-            ]
-            if not slots:
-                continue
-            locality = self._live_locality()
-            if locality is not None and locality.covers(j):
-                for c, i in slots:
-                    terms[c][i] = self._local_wave_answer(
-                        j, terms[c][i], merged[c].get(j)
-                    )
-                continue
-            answers = yield from self._multi_query(
-                j, [terms[c][i] for c, i in slots]
-            )
-            floors = [
-                self._pending_floor(
-                    rep, j, after_batch=True, batch_count=count.get(j, 0)
-                )
-                for rep, count in zip(reps, counts)
-            ]
-            for (c, i), answer in zip(slots, answers):
-                terms[c][i] = self._compensate_queued(
-                    j, answer, terms[c][i], floor=floors[c]
-                )
-
-        # Rightward wave: term i wants R_j^old for j > i; subtract the
-        # class's own batch delta at j on top of the queued-update
-        # compensation.
-        for j in range(2, n + 1):
-            slots = [
-                (c, i)
-                for c, deltas in enumerate(merged)
-                for i in sorted(deltas)
-                if i < j
-            ]
-            if not slots:
-                continue
-            locality = self._live_locality()
-            if locality is not None and locality.covers(j):
-                # The covered copy is R_j^old for every class alike.
-                for c, i in slots:
-                    terms[c][i] = locality.aux_answer(j, terms[c][i])
-                continue
-            answers = yield from self._multi_query(
-                j, [terms[c][i] for c, i in slots]
-            )
-            floors = [
-                self._pending_floor(rep, j, after_batch=False, batch_count=0)
-                for rep in reps
-            ]
-            for (c, i), answer in zip(slots, answers):
-                temp = terms[c][i]
-                answer = self._compensate_queued(
-                    j, answer, temp, floor=floors[c]
-                )
-                batch_delta = merged[c].get(j)
-                if batch_delta is not None:
-                    answer = answer.compensate(temp.extend(j, batch_delta))
-                terms[c][i] = answer
-
-        self.mark_applied(batch)
-        self._note_applied_for_views(assignment)
-        self.metrics.observe("updates_per_install", len(batch))
-        union_sources = sorted({i for deltas in merged for i in deltas})
-        composites: list[Delta] = []
-        for class_terms in terms:
-            # Sum the class's terms into one composite wide delta.
-            composite: PartialView | None = None
-            for index in sorted(class_terms):
-                term = class_terms[index]
-                composite = (
-                    term if composite is None else composite.add_in_place(term)
-                )
-            composites.append(composite.delta)
-        self._install_classes(
-            classes,
-            composites,
-            f"batch of {len(batch)} update(s), sources {union_sources}",
-        )
-        self.metrics.increment("multiview_installs")
-
 
 __all__ = [
-    "MultiViewBatchedSweepWarehouse",
     "MultiViewStateMixin",
     "MultiViewSweepWarehouse",
     "validate_same_chain",

@@ -197,7 +197,7 @@ class BrokenCompensationBatchedSweep(BatchedSweepWarehouse):
 
     algorithm_name = "buggy-batched-compensation"
 
-    def _compensate_queued(self, index, answer, temp):
+    def _compensate_queued(self, index, answer, temp, floor=None):
         return answer
 
 

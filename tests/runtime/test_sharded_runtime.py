@@ -25,7 +25,10 @@ from repro.runtime import (
 from repro.relational.view import ViewDefinition
 from repro.runtime.shard import FleetSpec
 from repro.runtime.shard.run import Fleet
-from repro.warehouse.multiview import MultiViewStateMixin
+from repro.simulation.process import Delay
+from repro.sources.updater import ScheduledUpdater
+from repro.warehouse.batched import BatchedSweepWarehouse
+from repro.warehouse.multiview import MultiViewStateMixin, MultiViewSweepWarehouse
 from repro.warehouse.sharding import canonical_view_bytes
 from tests.warehouse.helpers import final_states, mixed_family
 
@@ -207,6 +210,62 @@ def test_tcp_shard_led_by_a_non_base_view_decodes_its_own_partials(seed):
         ), view.name
 
 
+def hold_second_half_until_migrated(monkeypatch):
+    """Each source commits the first half of its schedule on time and
+    holds the rest until every recipient has caught up and dequeued its
+    fences -- a hold on protocol state, not on the wall clock, so however
+    the host stalls, the migrated view provably lives on in its new
+    shard for half the run."""
+    recipients = []
+    attach = MultiViewStateMixin.attach_migration
+
+    def recording_attach(self, state):
+        attach(self, state)
+        if state.role == "recipient":
+            recipients.append(state)
+
+    def migrated():
+        return recipients and all(
+            st.catchup_done and len(st.fenced) >= st.n_sources
+            for st in recipients
+        )
+
+    def held_run(self):
+        for k, update in enumerate(self.schedule):
+            while 2 * k >= len(self.schedule) and not migrated():
+                yield Delay(1.0)
+            delay = update.time - self.sim.now
+            if delay > 0:
+                yield Delay(delay)
+            self._apply(update.delta)
+            self.applied += 1
+
+    monkeypatch.setattr(MultiViewStateMixin, "attach_migration", recording_attach)
+    monkeypatch.setattr(ScheduledUpdater, "_run", held_run)
+
+
+def stall_donor_first_unit(monkeypatch, algorithm, delay=100.0):
+    """Stall the donor's first unit of work by ``delay`` time units (100
+    ms at ``time_scale=0.001``), as a loaded host can: the run's updates
+    then all arrive before the donor seals.  Returns a list that records
+    the stall."""
+    cls, name = (
+        (MultiViewSweepWarehouse, "process_update") if algorithm == "sweep"
+        else (BatchedSweepWarehouse, "process_batch")
+    )
+    unit = getattr(cls, name)
+    stalled = []
+
+    def stalling(self, work):
+        if self._mig is not None and self._mig.role == "donor" and not stalled:
+            stalled.append(True)
+            yield Delay(delay)
+        yield from unit(self, work)
+
+    monkeypatch.setattr(cls, name, stalling)
+    return stalled
+
+
 @pytest.mark.parametrize("algorithm", ["sweep", "batched-sweep"])
 def test_migrating_view_never_shares_a_class_across_positions(
     algorithm, monkeypatch
@@ -241,12 +300,17 @@ def test_migrating_view_never_shares_a_class_across_positions(
     catchup_installs = 0
     # Saturated (every update arrives within ~1 ms, the move fires at the
     # 12th delivery): the donor seals with most of the run still queued,
-    # so catch-up replays it.  Paced: catch-up is short and the view then
-    # lives on as a member of its new shard's class.
-    for interarrival, trigger in (
-        (0.05, dict(after_deliveries=12)),
-        (2.0, dict(after_installs=2)),
+    # so catch-up replays it.  Held: the second half of the run waits for
+    # the migration to finish, so the view then lives on as a member of
+    # its new shard's class -- even with the donor's first unit stalled,
+    # which turns 2 ms pacing alone into the saturated leg.
+    for held, interarrival, trigger in (
+        (False, 0.05, dict(after_deliveries=12)),
+        (True, 2.0, dict(after_installs=2)),
     ):
+        if held:
+            hold_second_half_until_migrated(monkeypatch)
+            stalled = stall_donor_first_unit(monkeypatch, algorithm)
         config = config_for(
             algorithm, n_updates=24, seed=7, batch_max=2,
             mean_interarrival=interarrival,
@@ -260,6 +324,7 @@ def test_migrating_view_never_shares_a_class_across_positions(
         assert result.plan.shard_of("V#s2") == 1
         assert result.verified_at(claimed)
         catchup_installs += result.rebalance_stats["catchup_installs"]
+    assert stalled
     assert catchup_installs > 0
     assert any(shared_with_migrant)
 

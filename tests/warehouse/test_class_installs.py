@@ -19,10 +19,8 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.multiview_runner import run_multi_view
 from repro.relational.view import ViewDefinition
 from repro.runtime import run_sharded
-from repro.warehouse.multiview import (
-    MultiViewBatchedSweepWarehouse,
-    MultiViewStateMixin,
-)
+from repro.warehouse.batched import BatchedSweepWarehouse
+from repro.warehouse.multiview import MultiViewStateMixin
 from repro.warehouse.sharding import canonical_view_bytes, view_family
 from repro.workloads.scenarios import make_workload
 from repro.workloads.stream import UpdateStreamConfig
@@ -115,7 +113,7 @@ def test_simulated_family_pays_per_class(algorithm, class_spy, monkeypatch):
         monkeypatch.setattr(
             multiview_runner,
             "MultiViewSweepWarehouse",
-            MultiViewBatchedSweepWarehouse,
+            BatchedSweepWarehouse,
         )
     workload = simulated_workload()
     views = view_family(workload.view, 8)

@@ -37,11 +37,8 @@ from repro.sources.messages import UpdateNotice, make_rebalance_fence
 from repro.sources.updater import ScheduledUpdate
 from repro.warehouse.batched import BatchedSweepWarehouse
 from repro.warehouse.locality import QueryLocality
-from repro.warehouse.migration import (
-    MigratingMultiViewBatchedSweepWarehouse,
-    MigrationMemberState,
-    ViewMigrationMixin,
-)
+from repro.warehouse.migration import MigrationMemberState
+from repro.warehouse.multiview import MultiViewStateMixin
 from repro.warehouse.sharding import canonical_view_bytes
 from repro.workloads import UpdateStreamConfig, Workload, make_workload
 from repro.workloads.paper_example import (
@@ -126,7 +123,7 @@ class TestIndexSurvival:
                 stats={"aux_adopted": 0, "aux_adopt_skipped": 0}
             ),
         )
-        ViewMigrationMixin._mig_adopt_aux(recipient, view, decoded)
+        MultiViewStateMixin._mig_adopt_aux(recipient, view, decoded)
         assert recipient._mig.stats["aux_adopted"] == 1
         assert_answers_by_probe(monkeypatch, view, 3, locality.aux.contents(3))
         # The adopted copy is consulted, not just maintained: the next
@@ -142,13 +139,13 @@ class TestIndexSurvival:
         (``locality=aux``, every source covered) must index them on every
         covered copy, so its sweep steps probe instead of scanning."""
         recipients = []
-        catchup = ViewMigrationMixin._mig_catchup
+        catchup = MultiViewStateMixin._mig_catchup
 
         def spying_catchup(self):
             recipients.append(self)
             return catchup(self)
 
-        monkeypatch.setattr(ViewMigrationMixin, "_mig_catchup", spying_catchup)
+        monkeypatch.setattr(MultiViewStateMixin, "_mig_catchup", spying_catchup)
         views = mixed_family()
         theta = views[-1]
         config = ExperimentConfig(
@@ -421,9 +418,7 @@ class TestSettleLoop:
 
     def test_fence_mid_burst_ends_the_drain(self):
         view = paper_example_view()
-        sim, warehouse = covered_warehouse(
-            MigratingMultiViewBatchedSweepWarehouse
-        )
+        sim, warehouse = covered_warehouse()
         warehouse.attach_migration(
             MigrationMemberState(
                 role="donor", view_def=view, epoch=1, coordinator=None,

@@ -98,17 +98,9 @@ class TestBuildLocality:
         assert all(locality.covers(i) for i in (1, 2, 3))
 
     def test_supported_set_names_real_algorithms(self):
-        from repro.warehouse.multiview import (
-            MultiViewBatchedSweepWarehouse,
-            MultiViewSweepWarehouse,
-        )
         from repro.warehouse.registry import ALGORITHMS
 
-        known = set(ALGORITHMS) | {
-            MultiViewSweepWarehouse.algorithm_name,
-            MultiViewBatchedSweepWarehouse.algorithm_name,
-        }
-        assert SUPPORTED_ALGORITHMS <= known
+        assert SUPPORTED_ALGORITHMS <= set(ALGORITHMS)
 
 
 # ---------------------------------------------------------------------------
