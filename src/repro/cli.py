@@ -620,35 +620,31 @@ def _cmd_serve_source(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--index {args.index} is out of range 1..{config.n_sources}"
         )
-    common = dict(
-        listen_host=listen_host,
-        listen_port=listen_port,
-        drive=not args.no_drive,
-        exit_when_done=not args.serve_forever,
-        linger=args.linger,
-        **_site_fields(args),
-    )
     if args.shard:
-        from repro.runtime import serve_sharded_source_async
         from repro.warehouse.sharding import parse_member
 
         # Keys like "0" address a shard's primary; "0r1" its standby.
-        addresses = {}
+        destinations = {}
         for spec in args.shard:
             member, _, addr = spec.partition("=")
-            addresses[parse_member(member)] = _parse_address(addr)
-        asyncio.run(
-            serve_sharded_source_async(config, args.index, addresses, **common)
-        )
-        return 0
+            destinations[parse_member(member)] = _parse_address(addr)
+    else:
+        from repro.harness.sites import WAREHOUSE
+
+        destinations = {WAREHOUSE: _parse_address(args.warehouse)}
     from repro.runtime import serve_source_async
 
     asyncio.run(
         serve_source_async(
             config,
             args.index,
-            warehouse_address=_parse_address(args.warehouse),
-            **common,
+            destinations,
+            listen_host=listen_host,
+            listen_port=listen_port,
+            drive=not args.no_drive,
+            exit_when_done=not args.serve_forever,
+            linger=args.linger,
+            **_site_fields(args),
         )
     )
     return 0

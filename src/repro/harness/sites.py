@@ -40,7 +40,7 @@ from repro.simulation.trace import TraceLog
 from repro.sources.base import SourceBackend
 from repro.sources.central import CentralSource
 from repro.sources.memory import MemoryBackend
-from repro.sources.server import DataSourceServer
+from repro.sources.server import DataSourceServer, destination_label
 from repro.sources.sqlite import SqliteBackend
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.base import QueueDrivenWarehouse
@@ -75,10 +75,27 @@ def make_backend(config, view: ViewDefinition, index: int, initial) -> SourceBac
     return MemoryBackend(view, index, initial)
 
 
+def family_codec(views: list[ViewDefinition]) -> WireCodec:
+    """The codec every site of a fleet maintaining ``views`` speaks.  A
+    partial of its base view (``views[0]``) travels untagged."""
+    return WireCodec(views[0], extra_views=tuple(views[1:]))
+
+
 def site_name(view: ViewDefinition, index: int) -> str:
     """The source site behind query-channel key ``index``: ``"central"``
     for 0 (the centralized architecture), else the relation's name."""
     return "central" if index == 0 else view.name_of(index)
+
+
+#: The one destination of a single-warehouse fleet.
+WAREHOUSE = "wh"
+
+
+def replica_group(destination) -> object:
+    """The group a destination's work survives in: a shard member's shard
+    (a standby carries it when its primary is gone); the single
+    warehouse is a group of one."""
+    return getattr(destination, "shard", destination)
 
 
 class SourceSite:
@@ -86,9 +103,16 @@ class SourceSite:
     ``index``'s backend -- or, for ``index == 0``, the centralized
     architecture's :class:`CentralSource`, which holds every relation.
 
-    Its update/answer channel is ``links.channel("<name>->wh")`` (the
-    warehouse must be bound first); its query inbox is bound as
-    ``"wh-><name>"``.
+    ``destinations`` are the warehouses it feeds: :data:`WAREHOUSE` alone
+    (the default), or the shard members a sharded fleet's fan-out lists
+    for it, standbys included.  Destination ``d`` gets the
+    update/answer channel ``links.channel("<name>-><d>")`` (the
+    destination must be bound first) and a query inbox bound as
+    ``"<d>-><name>"``, where ``<d>`` is ``wh`` or the member's label.
+    ``codec`` defaults to the workload view's; a sharded fleet's sites
+    all speak the family's.  ``server`` is the relation source's class:
+    :class:`DataSourceServer`, or the subclass that only renames it for
+    ``bench/``'s tracer (``repro.runtime.shard.ShardedSourceFront``).
     """
 
     def __init__(
@@ -99,41 +123,102 @@ class SourceSite:
         workload: Workload,
         index: int,
         trace: TraceLog | None = None,
+        destinations=(WAREHOUSE,),
+        codec: WireCodec | None = None,
+        server=DataSourceServer,
     ):
         view = workload.view
         self.name = site_name(view, index)
-        self.codec = WireCodec(view)
-        self.to_warehouse = links.channel(f"{self.name}->wh", self.codec)
+        self.codec = codec if codec is not None else WireCodec(view)
+        self.channels = {
+            key: links.channel(
+                f"{self.name}->{destination_label(key)}", self.codec
+            )
+            for key in sorted(destinations)
+        }
         self.backend = None
         if index == 0:
             self.server = CentralSource(
                 runtime,
                 view,
-                self.to_warehouse,
+                self.channels[WAREHOUSE],
                 initial=workload.initial_states,
                 query_service_time=config.query_service_time,
                 trace=trace,
             )
+            self.query_inboxes = {WAREHOUSE: self.server.query_inbox}
         else:
             self.backend = make_backend(
                 config, view, index, workload.initial_states[self.name]
             )
-            self.server = DataSourceServer(
+            self.server = server(
                 runtime,
                 self.name,
                 index,
                 self.backend,
-                self.to_warehouse,
+                self.channels,
                 query_service_time=config.query_service_time,
                 trace=trace,
             )
+            self.query_inboxes = self.server.query_inboxes
         self.listener = links.bind(
-            {f"wh->{self.name}": self.server.query_inbox}, self.codec
+            {
+                f"{destination_label(key)}->{self.name}": inbox
+                for key, inbox in self.query_inboxes.items()
+            },
+            self.codec,
         )
 
     def quiescent(self) -> bool:
         """No outbound frames in flight, no queries waiting locally."""
-        return self.to_warehouse.idle and len(self.server.query_inbox) == 0
+        return all(channel.idle for channel in self.channels.values()) and all(
+            len(inbox) == 0 for inbox in self.query_inboxes.values()
+        )
+
+    async def drop_member(self, destination) -> None:
+        """Stop feeding a destination known dead before any frame was sent."""
+        channel = self.channels.pop(destination)
+        self.server.drop_member(destination)
+        await channel.aclose()
+
+    def tolerate_dead_members(self) -> None:
+        """Arm every channel with replica-group dead-peer tolerance.
+
+        A channel that exhausts its retry budget mid-run (only a TCP
+        channel has a budget) asks whether its destination's
+        :func:`replica_group` still has a live channel: if so the
+        destination is given up (frames dropped, its query inbox sealed)
+        and the site keeps going; when the group's *last* member -- or
+        the single warehouse -- is gone, the channel's
+        :class:`~repro.formats.errors.TransportRetriesExceeded` propagates.
+        """
+        for key, channel in self.channels.items():
+            if hasattr(channel, "on_give_up"):
+                channel.on_give_up = self._give_up_handler(key)
+
+    def _give_up_handler(self, destination):
+        group = replica_group(destination)
+
+        def _handler(error) -> bool:
+            survivors = [
+                destination_label(key)
+                for key, channel in self.channels.items()
+                if key != destination
+                and replica_group(key) == group
+                and not getattr(channel, "dead", False)
+            ]
+            if not survivors:
+                return False
+            print(
+                f"source[{self.name}] member {destination_label(destination)}"
+                f" unreachable, surviving member(s) {survivors} carry"
+                f" shard {group}: {error}",
+                flush=True,
+            )
+            self.query_inboxes[destination].seal()
+            return True
+
+        return _handler
 
     def close(self) -> None:
         """Release the backend (all a simulated site holds)."""
@@ -141,13 +226,17 @@ class SourceSite:
             self.backend.close()
 
     async def aclose(self) -> None:
-        await self.to_warehouse.aclose()
+        for channel in self.channels.values():
+            await channel.aclose()
         if self.listener is not None:
             await self.listener.aclose()
         self.close()
 
     def __repr__(self) -> str:
-        return f"SourceSite({self.name!r})"
+        return (
+            f"SourceSite({self.name!r},"
+            f" {[destination_label(k) for k in sorted(self.channels)]})"
+        )
 
 
 class WarehouseSite:
@@ -403,13 +492,16 @@ async def build_sites(
 
 
 __all__ = [
+    "WAREHOUSE",
     "SourceSite",
     "Sites",
     "WarehouseNode",
     "WarehouseSite",
     "algorithm_kwargs",
     "build_sites",
+    "family_codec",
     "make_backend",
     "make_recorder",
+    "replica_group",
     "site_name",
 ]

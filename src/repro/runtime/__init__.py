@@ -15,13 +15,14 @@ Entry points:
 - :func:`run_distributed` / :func:`quick_distributed` -- one-call runs,
   mirroring :func:`repro.harness.runner.run_experiment`.
 - :func:`serve_warehouse_async` / :func:`serve_source_async` -- one site
-  per process (``repro serve-warehouse`` / ``repro serve-source``).
-- :func:`run_sharded` and the ``serve_shard*`` twins -- the same for a
+  per process (``repro serve-warehouse`` / ``repro serve-source``); a
+  source serves one warehouse or the members of a sharded fleet.
+- :func:`run_sharded` and :func:`serve_shard_async` -- the same for a
   view family partitioned across warehouse shards (:mod:`.shard`).
 
 Every fleet, single-warehouse or sharded, on one loop or one site per
 process, is built from the sites of :mod:`repro.harness.sites` (and
-:mod:`.shard.node`) over a *links* object -- :class:`LocalLinks` or
+:mod:`.shard.node`'s member site) over a *links* object -- :class:`LocalLinks` or
 :class:`TcpLinks` from :mod:`.nodes` -- that is all a transport is.  The
 simulator builds the same sites over its own links
 (:class:`~repro.simulation.links.SimLinks`).
@@ -70,15 +71,12 @@ from repro.runtime.shard import (
     ShardSupervisor,
     ShardVerificationError,
     ShardedRunResult,
-    ShardedSourceFront,
-    ShardedSourceNode,
     build_sharded_supervisor,
     free_port,
     launch_sharded_processes,
     run_sharded,
     run_sharded_async,
     serve_shard_async,
-    serve_sharded_source_async,
 )
 from repro.runtime.tcp import ChannelListener, TcpChannel, TcpChannelConfig, probe_peer
 from repro.runtime.transport import LocalChannel, RuntimeChannel
@@ -108,8 +106,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardVerificationError",
     "ShardedRunResult",
-    "ShardedSourceFront",
-    "ShardedSourceNode",
     "SourceSite",
     "TcpChannel",
     "TcpChannelConfig",
@@ -130,7 +126,6 @@ __all__ = [
     "run_sharded",
     "run_sharded_async",
     "serve_shard_async",
-    "serve_sharded_source_async",
     "serve_source_async",
     "serve_warehouse_async",
 ]

@@ -39,6 +39,7 @@ how the event loop interleaves tasks.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import struct
 from collections import deque
@@ -494,16 +495,27 @@ class ChaosTcpProxy:
 
     # ------------------------------------------------------------------
     async def _crash_reaper(self) -> None:
-        """Kill every live connection when a blackout window opens."""
-        in_blackout = False
+        """Kill every live connection when a blackout window opens.
+
+        Windows open at ``k * crash_period`` (``k >= 1``; see
+        :meth:`FaultPlan.blackout_remaining`), so the reaper sleeps until
+        the next one: one loop timer per window, and none on the kernel,
+        so it never holds a run out of quiescence.
+        """
+        runtime, period = self.runtime, self.config.crash_period
+        window = math.floor(runtime.now / period) + 1
         while True:
-            dark = self.plan.blackout_remaining(self.runtime.now) > 0
-            if dark and not in_blackout:
-                self.stats.blackouts_hit += 1
+            await asyncio.sleep(
+                max(0.0, window * period - runtime.now) * runtime.time_scale
+            )
+            # The timer may fire a clock tick early or the loop turn late:
+            # every window opened by now counts once.
+            latest = max(window, math.floor(runtime.now / period))
+            self.stats.blackouts_hit += latest - window + 1
+            if runtime.now < latest * period + self.config.crash_downtime:
                 for writer in list(self._live):
                     writer.close()
-            in_blackout = dark
-            await asyncio.sleep(0.005)
+            window = latest + 1
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

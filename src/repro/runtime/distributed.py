@@ -27,6 +27,7 @@ import time as _time
 from dataclasses import dataclass
 from functools import partial
 
+from repro.formats.errors import TransportRetriesExceeded
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
 from repro.harness.runner import build_workload, record_predicate_cache_delta
@@ -34,7 +35,9 @@ from repro.harness.sites import (
     SourceSite,
     WarehouseNode,
     build_sites,
+    family_codec,
     make_recorder,
+    replica_group,
     site_name,
 )
 from repro.relational.predicate import compile_cache_stats
@@ -50,8 +53,10 @@ from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import TraceLog
+from repro.sources.server import destination_label
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.registry import algorithm_info
+from repro.warehouse.sharding import view_family
 
 
 @dataclass(repr=False)  # keep RunResult's bounded __repr__
@@ -325,7 +330,7 @@ async def serve_warehouse_async(
 async def serve_source_async(
     config: ExperimentConfig,
     index: int,
-    warehouse_address: tuple[str, int],
+    destinations: dict,
     listen_host: str = "127.0.0.1",
     listen_port: int = 0,
     time_scale: float = 0.01,
@@ -338,6 +343,12 @@ async def serve_source_async(
 ) -> None:
     """Host one data-source site of a multi-process deployment.
 
+    ``destinations`` maps every warehouse the site feeds to its
+    listener's address: ``{WAREHOUSE: address}`` for a single warehouse
+    (``repro serve-source --warehouse``), or one
+    :class:`~repro.warehouse.sharding.ShardMember` per member of a
+    sharded fleet, standbys included (``--shard``).
+
     With ``drive=True`` the source replays its share of the seeded update
     schedule (the same schedule a simulator run with this config would
     apply); ``exit_when_done`` returns once the schedule drained, every
@@ -346,32 +357,50 @@ async def serve_source_async(
     sources' updates sweep through this site too: the local schedule
     draining does not mean the warehouse is done asking questions.
 
-    With ``probe=True`` the warehouse address is connectivity-checked
-    before any update is replayed, so an unreachable warehouse fails the
-    process (:class:`~repro.formats.errors.TransportRetriesExceeded`,
-    non-zero exit from the CLI) instead of silently dropping the run.
+    Dead peers are tolerated per replica group (see
+    :func:`~repro.harness.sites.replica_group`): a destination that is
+    unreachable at the ``probe`` (every address is connectivity-checked
+    before any update is replayed) or exhausts its channel's retry budget
+    mid-run is dropped iff another member of its group is live.  Losing a
+    group's last member -- or the single warehouse -- fails the process
+    with :class:`~repro.formats.errors.TransportRetriesExceeded`
+    (non-zero exit from the CLI) instead of silently dropping the run.
     """
     workload = build_workload(config, RngRegistry(config.seed))
+    view = workload.view
     runtime = AsyncRuntime(time_scale=time_scale)
     links = TcpLinks(
         runtime, None, tcp_config=tcp_config, listen=(listen_host, listen_port)
     )
     # (name_of refuses index 0: no serve command hosts the central site.)
-    name = workload.view.name_of(index)
-    links.peers[f"{name}->wh"] = warehouse_address
-    site = SourceSite(runtime, links, config, workload, index)
+    name = view.name_of(index)
+    links.peers.update(
+        {
+            f"{name}->{destination_label(key)}": address
+            for key, address in destinations.items()
+        }
+    )
+    site = SourceSite(
+        runtime,
+        links,
+        config,
+        workload,
+        index,
+        destinations=destinations,
+        codec=family_codec(view_family(view, max(1, config.n_views))),
+    )
     await links.start()
+    site.tolerate_dead_members()
     host, port = site.listener.address
-    print(f"source[{name}] listening on {host}:{port}")
+    print(
+        f"source[{name}] serving"
+        f" {[destination_label(key) for key in sorted(destinations)]}"
+        f" listening on {host}:{port}",
+        flush=True,
+    )
     try:
         if probe:
-            await probe_peer(
-                warehouse_address[0],
-                warehouse_address[1],
-                tcp_config,
-                what="warehouse",
-                heard=partial(site.listener.heard, f"wh->{name}"),
-            )
+            await _probe_destinations(site, destinations, tcp_config)
         updater = None
         if drive and index in workload.schedules:
             updater = ScheduledUpdater(
@@ -386,6 +415,37 @@ async def serve_source_async(
     finally:
         await site.aclose()
         await runtime.aclose()
+
+
+async def _probe_destinations(site: SourceSite, destinations, tcp_config) -> None:
+    """Probe with replica-group tolerance: a destination that died before
+    this site finished starting up is dropped iff another member of its
+    group is reachable."""
+    unreachable: dict = {}
+    reachable: set = set()
+    for key, (host, port) in sorted(destinations.items()):
+        label = destination_label(key)
+        try:
+            await probe_peer(
+                host,
+                port,
+                tcp_config,
+                what=f"warehouse {label}",
+                heard=partial(site.listener.heard, f"{label}->{site.name}"),
+            )
+            reachable.add(replica_group(key))
+        except TransportRetriesExceeded as exc:
+            unreachable[key] = exc
+    for key, error in unreachable.items():
+        if replica_group(key) not in reachable:
+            raise error
+        print(
+            f"source[{site.name}] member {destination_label(key)}"
+            " unreachable at probe time; surviving member(s)"
+            f" carry shard {replica_group(key)}",
+            flush=True,
+        )
+        await site.drop_member(key)
 
 
 __all__ = [

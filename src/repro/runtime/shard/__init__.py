@@ -5,12 +5,14 @@ warehouse shards (see :mod:`repro.warehouse.sharding`).  Each shard is an
 ordinary multi-view warehouse -- the unchanged SWEEP or batched-sweep
 scheduler over its subset of the views -- so it inherits the single
 warehouse's per-view consistency guarantee wholesale.  The only new
-moving part is the **router** at each source:
+moving part is the **fan-out** at each source:
 
-* one :class:`ShardedSourceFront` per source applies each local update
-  to the backend exactly once, then fans the update notice out over
-  *per-member FIFO channels* to exactly the shards whose views reference
-  that source;
+* each source is the single warehouse's source site
+  (:class:`~repro.harness.sites.SourceSite` over a
+  :class:`~repro.sources.server.DataSourceServer`) with several
+  destinations: it applies each local update to the backend exactly
+  once, then sends a copy of the notice over a *per-member FIFO
+  channel* to exactly the members whose views reference that source;
 * each (source, member) pair has its own query channel and its own
   ProcessQuery loop at the source, and the per-member update/answer
   channel is shared FIFO -- so *within one shard* the paper's Section 4
@@ -36,12 +38,13 @@ One description, one way to build
 :class:`FleetSpec` (:mod:`.spec`) is the one description of a fleet: its
 fields are the keyword arguments of every entry point, it derives the
 workload, family, plan, replica groups and fan-out once, and its
-constructor is the only place a fleet shape is rejected.  Two site
-builders (:mod:`.node`) host it -- :class:`ShardNode` per member,
-:class:`ShardedSourceNode` per source -- over a *links* object that is
-all a transport is.  :func:`run_sharded` (:mod:`.run`) builds every site
-on one event loop, :func:`serve_shard_async` /
-:func:`serve_sharded_source_async` (:mod:`.serve`) one site per OS
+constructor is the only place a fleet shape is rejected.  Two sites
+host it -- :class:`ShardNode` (:mod:`.node`) per member and the
+single-warehouse fleet's :class:`~repro.harness.sites.SourceSite` per
+source -- over a *links* object that is all a transport is.
+:func:`run_sharded` (:mod:`.run`) builds every site on one event loop,
+:func:`serve_shard_async` (:mod:`.serve`) and
+:func:`repro.runtime.distributed.serve_source_async` one site per OS
 process, and :func:`build_sharded_supervisor` (:mod:`.supervisor`)
 launches those processes from command lines the spec derives and checks.
 Faults (:mod:`.faults`, :mod:`.rebalance`) are hooks a spec asks for,
@@ -52,15 +55,13 @@ armed on the built fleet; an un-faulted fleet has nothing installed.
 # quiescence-checking subclass, and ``run.new_runtime`` reads it back.
 from repro.runtime.kernel import AsyncRuntime  # noqa: F401
 from repro.runtime.shard.faults import FailoverSpec, ProtocolTrigger
-from repro.runtime.shard.front import ShardedSourceFront
-from repro.runtime.shard.node import (
-    ShardedSourceNode,
-    ShardNode,
-    build_shard_warehouse,
-)
+from repro.runtime.shard.node import ShardNode, build_shard_warehouse
 from repro.runtime.shard.rebalance import RebalanceCoordinator, RebalanceSpec
+# ShardedSourceFront is DataSourceServer under the name bench/ traces
+# (see run.py); a bench-only change removes it.
 from repro.runtime.shard.run import (
     ShardedRunResult,
+    ShardedSourceFront,
     run_sharded,
     run_sharded_async,
 )
@@ -68,7 +69,6 @@ from repro.runtime.shard.serve import (
     ShardVerificationError,
     seed_history_from_workload,
     serve_shard_async,
-    serve_sharded_source_async,
 )
 from repro.runtime.shard.spec import FleetSpec, free_port
 from repro.runtime.shard.supervisor import (
@@ -92,7 +92,6 @@ __all__ = [
     "ShardVerificationError",
     "ShardedRunResult",
     "ShardedSourceFront",
-    "ShardedSourceNode",
     "build_shard_warehouse",
     "build_sharded_supervisor",
     "free_port",
@@ -101,5 +100,4 @@ __all__ = [
     "run_sharded_async",
     "seed_history_from_workload",
     "serve_shard_async",
-    "serve_sharded_source_async",
 ]

@@ -1,9 +1,11 @@
-"""The two sites of a sharded fleet.
+"""The member site of a sharded fleet.
 
 A fleet is built from two site types: a :class:`ShardNode` per
-replica-group member and a :class:`ShardedSourceNode` per source.  Both
-are transport-blind: they run over the *links* of
-:mod:`repro.runtime.nodes` (:class:`~repro.runtime.nodes.LocalLinks` or
+replica-group member and a :class:`~repro.harness.sites.SourceSite` per
+source -- the single-warehouse fleet's source site, fanning out to the
+members ``spec.fanout`` lists for it.  Both are transport-blind: they run
+over the *links* of :mod:`repro.runtime.nodes`
+(:class:`~repro.runtime.nodes.LocalLinks` or
 :class:`~repro.runtime.nodes.TcpLinks`), which :func:`make_links` builds
 from a spec -- the same links the single-warehouse sites run over.
 
@@ -17,14 +19,11 @@ from __future__ import annotations
 
 from repro.consistency.oracle import RunRecorder
 from repro.harness.config import ExperimentConfig
-from repro.harness.sites import WarehouseSite, make_backend
+from repro.harness.sites import WarehouseSite, family_codec
 from repro.relational.relation import Relation
 from repro.relational.view import ViewDefinition
-from repro.formats.codec import WireCodec
 from repro.runtime.nodes import LocalLinks, links_for
-from repro.runtime.shard.front import ShardedSourceFront
 from repro.runtime.shard.spec import FleetSpec
-from repro.runtime.tcp import TcpChannel
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
@@ -56,10 +55,6 @@ _WAREHOUSES = {
     "sweep": MultiViewSweepWarehouse,
     "batched-sweep": BatchedSweepWarehouse,
 }
-
-
-def _family_codec(views: list[ViewDefinition]) -> WireCodec:
-    return WireCodec(views[0], extra_views=tuple(views[1:]))
 
 
 def build_shard_warehouse(
@@ -155,7 +150,7 @@ class ShardNode(WarehouseSite):
         # The sources' codec spans the family, and a partial of the codec's
         # base view travels untagged: a codec over only the hosted views
         # would send the shard primary's partials as the family's first.
-        self.codec = _family_codec(spec.family)
+        self.codec = family_codec(spec.family)
         self.expected = (
             expect_updates
             if expect_updates is not None
@@ -219,121 +214,8 @@ class ShardNode(WarehouseSite):
         )
 
 
-# ---------------------------------------------------------------------------
-# The source site
-# ---------------------------------------------------------------------------
-
-class ShardedSourceNode:
-    """One data-source site serving the members in ``members``.
-
-    Each :class:`ShardMember` in ``members`` (a replicated deployment
-    lists standbys too) gets its own update/answer channel and its own
-    query inbox, bound as ``"<member>-><source>"``.
-    """
-
-    def __init__(
-        self,
-        spec: FleetSpec,
-        runtime,
-        index: int,
-        links,
-        members,
-        trace: TraceLog | None = None,
-    ):
-        chain = spec.chain
-        self.index = index
-        self.name = chain.name_of(index)
-        self.backend = make_backend(
-            spec.config, chain, index, spec.workload.initial_states[self.name]
-        )
-        self.codec = _family_codec(spec.family)
-        self.update_channels = {
-            key: links.channel(f"{self.name}->{key.label}", self.codec)
-            for key in sorted(members)
-        }
-        self.front = ShardedSourceFront(
-            runtime,
-            chain,
-            index,
-            self.backend,
-            self.update_channels,
-            query_service_time=spec.config.query_service_time,
-            trace=trace,
-        )
-        self.listener = links.bind(
-            {
-                f"{key.label}->{self.name}": inbox
-                for key, inbox in self.front.query_inboxes.items()
-            },
-            self.codec,
-        )
-
-    def quiescent(self) -> bool:
-        return (
-            all(ch.idle for ch in self.update_channels.values())
-            and self.front.quiescent()
-        )
-
-    async def drop_member(self, key) -> None:
-        """Stop routing to a member known dead before any frame was sent."""
-        channel = self.update_channels.pop(key, None)
-        self.front.drop_member(key)
-        if channel is not None:
-            await channel.aclose()
-
-    def tolerate_dead_members(self) -> None:
-        """Arm every update channel with hot-standby dead-peer tolerance.
-
-        A channel that exhausts its retry budget mid-run checks whether
-        the member's replica group still has a live channel: if so the
-        member is marked dead (frames dropped, its query inbox sealed)
-        and the fleet keeps going; a shard whose *last* member died
-        propagates :class:`TransportRetriesExceeded` as before.
-        """
-        for key, channel in self.update_channels.items():
-            if isinstance(channel, TcpChannel):
-                channel.on_give_up = self._give_up_handler(key)
-
-    def _give_up_handler(self, member: ShardMember):
-        def _handler(error) -> bool:
-            survivors = [
-                k
-                for k, ch in self.update_channels.items()
-                if k != member
-                and k.shard == member.shard
-                and not getattr(ch, "dead", False)
-            ]
-            if not survivors:
-                return False
-            print(
-                f"source[{self.name}] member {member.label} unreachable,"
-                f" surviving member(s)"
-                f" {[k.label for k in survivors]} carry shard"
-                f" {member.shard}: {error}",
-                flush=True,
-            )
-            self.front.query_inboxes[member].seal()
-            return True
-
-        return _handler
-
-    async def aclose(self) -> None:
-        for channel in self.update_channels.values():
-            await channel.aclose()
-        if self.listener is not None:
-            await self.listener.aclose()
-        self.backend.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedSourceNode({self.name!r},"
-            f" members={[k.label for k in sorted(self.update_channels)]})"
-        )
-
-
 __all__ = [
     "ShardNode",
-    "ShardedSourceNode",
     "build_shard_warehouse",
     "make_links",
 ]

@@ -196,8 +196,7 @@ class RebalanceCoordinator:
             state.seal_requested = True
         chain = self.fleet.spec.chain
         for index, source in sorted(self.fleet.sources.items()):
-            front = source.front
-            boundary = self.boundaries[index] = front.update_seq
+            boundary = self.boundaries[index] = source.server.update_seq
             fence = make_rebalance_fence(
                 index,
                 boundary,
@@ -207,10 +206,10 @@ class RebalanceCoordinator:
             )
             for member in self.members:
                 # Fresh frame per member, mirroring local_update's fanout.
-                front.update_channels[member].send(
+                source.channels[member].send(
                     Message(
                         kind="update",
-                        sender=front.name,
+                        sender=source.name,
                         payload=dataclasses.replace(fence),
                     )
                 )

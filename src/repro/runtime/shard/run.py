@@ -15,10 +15,12 @@ from repro.relational.predicate import compile_cache_stats
 from repro.relational.relation import Relation
 from repro.runtime.chaos import ChaosStats
 from repro.formats.errors import RuntimeHostError
-from repro.runtime.shard.node import ShardedSourceNode, ShardNode, make_links
+from repro.harness.sites import SourceSite, family_codec
+from repro.runtime.shard.node import ShardNode, make_links
 from repro.runtime.shard.spec import FleetSpec
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
+from repro.sources.server import DataSourceServer
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.sharding import ShardMember, ShardPlan
 
@@ -217,6 +219,17 @@ def collect_result(
     )
 
 
+class ShardedSourceFront(DataSourceServer):
+    """:class:`DataSourceServer` under the name ``bench/trace.py`` wraps
+    for a sharded fleet's sources (``runtime.shard.ShardedSourceFront.
+    local_update``, a ``must_call`` of ``bench/workloads.json``).  It
+    exists only for ``bench/``: once a bench-only change points those two
+    files at ``DataSourceServer``, it and ``SourceSite``'s ``server``
+    parameter go."""
+
+    local_update = DataSourceServer.local_update
+
+
 def new_runtime(spec: FleetSpec):
     """The kernel a fleet (or a single served site) of ``spec`` runs on."""
     # Looked up on the package at call time: tests/runtime/conftest.py
@@ -241,7 +254,7 @@ class Fleet:
         self.metrics = MetricsCollector()
         self.links = make_links(spec, self.runtime, self.metrics)
         self.members: dict[ShardMember, ShardNode] = {}
-        self.sources: dict[int, ShardedSourceNode] = {}
+        self.sources: dict[int, SourceSite] = {}
         self.updaters: list[ScheduledUpdater] = []
         self.dead: set[ShardMember] = set()
         #: shard id -> label of the member promoted after its primary died.
@@ -270,11 +283,20 @@ class Fleet:
             for site in self.members.values()
             for recorder in site.recorders.values()
         ]
+        codec = family_codec(spec.family)
         for index in spec.source_indices:
-            source = self.sources[index] = ShardedSourceNode(
-                spec, runtime, index, links, spec.fanout[index], trace
+            source = self.sources[index] = SourceSite(
+                runtime,
+                links,
+                spec.config,
+                spec.workload,
+                index,
+                trace,
+                destinations=spec.fanout[index],
+                codec=codec,
+                server=ShardedSourceFront,
             )
-            source.front.add_update_listener(
+            source.server.add_update_listener(
                 lambda notice: [
                     r.history.on_source_update(notice) for r in recorders
                 ]
@@ -287,7 +309,7 @@ class Fleet:
             ScheduledUpdater(
                 runtime,
                 self.sources[index].name,
-                self.sources[index].front.local_update,
+                self.sources[index].server.local_update,
                 schedule,
             )
             for index, schedule in sorted(spec.workload.schedules.items())
@@ -393,6 +415,7 @@ def run_sharded(config: ExperimentConfig, **fields) -> ShardedRunResult:
 
 __all__ = [
     "Fleet",
+    "ShardedSourceFront",
     "ShardedRunResult",
     "collect_result",
     "new_runtime",

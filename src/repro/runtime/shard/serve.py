@@ -1,4 +1,8 @@
-"""One site per OS process: ``repro serve-shard`` / ``serve-source --shard``.
+"""One member site per OS process: ``repro serve-shard``.
+
+(A sharded fleet's sources are ``repro serve-source --shard``:
+:func:`repro.runtime.distributed.serve_source_async`, the one source
+entry point.)
 
 Every process derives the identical workload, view family and plan from
 the shared :class:`~repro.runtime.shard.spec.FleetSpec` fields (all of
@@ -9,15 +13,14 @@ cannot derive -- where its peers listen -- it is told.
 from __future__ import annotations
 
 import time as _time
-from functools import partial
 
 from repro.consistency.oracle import RunRecorder
 from repro.durability.manager import CheckpointPolicy
 from repro.durability.recovery import seed_standby_dir
 from repro.harness.config import ExperimentConfig
-from repro.formats.errors import RuntimeHostError, TransportRetriesExceeded
-from repro.runtime.nodes import TcpLinks, drained_for, hold_until_delivered
-from repro.runtime.shard.node import ShardedSourceNode, ShardNode
+from repro.formats.errors import RuntimeHostError
+from repro.runtime.nodes import TcpLinks, hold_until_delivered
+from repro.runtime.shard.node import ShardNode
 from repro.runtime.shard.run import (
     ShardedRunResult,
     collect_result,
@@ -28,7 +31,6 @@ from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
 from repro.sources.messages import UpdateNotice
-from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.registry import algorithm_info
 from repro.warehouse.sharding import ShardMember
 from repro.workloads.scenarios import Workload
@@ -219,119 +221,8 @@ async def _until_delivered(
     )
 
 
-async def _probe_members(node: ShardedSourceNode, shard_addresses, tcp_config):
-    """Probe with replica-group tolerance: a member that died before this
-    source finished starting up is dropped iff another member of its
-    group is reachable -- losing a shard's last member still fails the
-    process."""
-    unreachable: dict = {}
-    reachable_shards: set[int] = set()
-    for key, (phost, pport) in sorted(shard_addresses.items()):
-        label = key.label
-        try:
-            await probe_peer(
-                phost,
-                pport,
-                tcp_config,
-                what=f"member {label}",
-                heard=partial(node.listener.heard, f"{label}->{node.name}"),
-            )
-            reachable_shards.add(key.shard)
-        except TransportRetriesExceeded as exc:
-            unreachable[key] = exc
-    for key, error in unreachable.items():
-        if key.shard not in reachable_shards:
-            raise error
-        print(
-            f"source[{node.name}] member {key.label}"
-            " unreachable at probe time; surviving member(s)"
-            f" carry shard {key.shard}",
-            flush=True,
-        )
-        await node.drop_member(key)
-
-
-async def serve_sharded_source_async(
-    config: ExperimentConfig,
-    index: int,
-    shard_addresses: dict[ShardMember, tuple[str, int]],
-    listen_host: str = "127.0.0.1",
-    listen_port: int = 0,
-    time_scale: float = 0.01,
-    drive: bool = True,
-    exit_when_done: bool = True,
-    linger: float = 3.0,
-    timeout: float = 3600.0,
-    tcp_config: TcpChannelConfig | None = None,
-    probe: bool = True,
-) -> None:
-    """Host one data-source site of a multi-process *sharded* deployment.
-
-    Like :func:`repro.runtime.distributed.serve_source_async`, but the
-    site routes updates to several shard listeners (``shard_addresses``)
-    through a :class:`ShardedSourceFront` and serves one query channel
-    per shard.  With ``probe=True`` every shard address is
-    connectivity-checked before any update is replayed.
-
-    ``shard_addresses`` is keyed by :class:`ShardMember` (a replicated
-    deployment lists every member).  Dead-peer
-    tolerance is always armed: a member whose channel exhausts its
-    retry budget mid-run is dropped iff another live member still
-    carries its shard; losing a shard's *last* member fails the process
-    with :class:`TransportRetriesExceeded`, exactly as before.
-    """
-    spec = FleetSpec(
-        config,
-        transport="tcp",
-        time_scale=time_scale,
-        timeout=timeout,
-        tcp_config=tcp_config,
-    )
-    runtime = new_runtime(spec)
-    links = TcpLinks(
-        runtime, None, tcp_config=tcp_config, listen=(listen_host, listen_port)
-    )
-    name = spec.chain.name_of(index)
-    links.peers.update(
-        {
-            f"{name}->{key.label}": address
-            for key, address in shard_addresses.items()
-        }
-    )
-    node = ShardedSourceNode(spec, runtime, index, links, shard_addresses)
-    await links.start()
-    node.tolerate_dead_members()
-    print(
-        f"source[{node.name}] serving members"
-        f" {[k.label for k in sorted(shard_addresses)]}"
-        f" listening on {node.listener.address[0]}:{node.listener.address[1]}",
-        flush=True,
-    )
-    try:
-        if probe:
-            await _probe_members(node, shard_addresses, tcp_config)
-        updater = None
-        if drive and index in spec.workload.schedules:
-            updater = ScheduledUpdater(
-                runtime,
-                name,
-                node.front.local_update,
-                spec.workload.schedules[index],
-            )
-        if updater is not None and exit_when_done:
-            await runtime.wait_until(
-                drained_for(node, updater, linger), timeout=timeout
-            )
-        else:
-            await runtime.until_failure()  # serve until cancelled (Ctrl-C)
-    finally:
-        await node.aclose()
-        await runtime.aclose()
-
-
 __all__ = [
     "ShardVerificationError",
     "seed_history_from_workload",
     "serve_shard_async",
-    "serve_sharded_source_async",
 ]

@@ -82,7 +82,6 @@ class CentralSource:
             else:
                 self.states[rel_name] = Relation(view.schema_of(index))
         self._seq: dict[int, int] = defaultdict(int)
-        self.updates_applied: list[UpdateNotice] = []
         self._listeners = []
         sim.spawn("central-ProcessQuery", self._process_queries())
 
@@ -97,7 +96,6 @@ class CentralSource:
             delta=delta.copy(),
             applied_at=self.sim.now,
         )
-        self.updates_applied.append(notice)
         for listener in self._listeners:
             listener(notice)
         if self.trace:

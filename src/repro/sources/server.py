@@ -4,21 +4,24 @@ The server plays two roles:
 
 * **SendUpdates** -- when a local update transaction commits
   (:meth:`DataSourceServer.local_update`), it is applied atomically to the
-  backend and forwarded to the warehouse as a single
+  backend and forwarded to every destination warehouse as a single
   :class:`~repro.sources.messages.UpdateNotice`.
-* **ProcessQuery** -- a simulated process that services
-  :class:`~repro.sources.messages.QueryRequest` messages sequentially:
-  each request joins the carried partial view change with the local base
-  relation and the answer is sent back.
+* **ProcessQuery** -- a simulated process per destination that services
+  its :class:`~repro.sources.messages.QueryRequest` messages
+  sequentially: each request joins the carried partial view change with
+  the local base relation and the answer is sent back.
 
-Updates and answers share the *same* FIFO channel to the warehouse.  That
+A destination's updates and answers share the *same* FIFO channel.  That
 is the linchpin of SWEEP's exactness: an update applied before a query was
-evaluated is forwarded before the answer, hence delivered before it.
+evaluated is forwarded before the answer, hence delivered before it.  A
+single-warehouse fleet has one destination (``"wh"``); a sharded fleet
+one per shard member it feeds, each with its own channel, inbox and
+ProcessQuery loop, so the argument holds per (source, member).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Mapping
 
 from repro.relational.delta import Delta
 from repro.simulation.channel import Channel, Message
@@ -33,7 +36,6 @@ from repro.sources.messages import (
     PositionAnswer,
     PositionRequest,
     QueryAnswer,
-    QueryRequest,
     SnapshotAnswer,
     SnapshotRequest,
     UpdateNotice,
@@ -42,15 +44,30 @@ from repro.sources.messages import (
 UpdateListener = Callable[[UpdateNotice], None]
 
 
+def destination_label(key: Hashable) -> str:
+    """A destination's wire name: ``"wh"`` for the single warehouse, a
+    shard member's label (``"sh0"``, ``"sh0r1"``) otherwise."""
+    return getattr(key, "label", key)
+
+
+def joins_in(request) -> int:
+    """How many ComputeJoins answering ``request`` evaluates: one per
+    partial of a :class:`MultiQueryRequest` (at least one), none for a
+    position probe, one otherwise.  ``query_service_time`` is charged
+    per join."""
+    if isinstance(request, PositionRequest):
+        return 0
+    if isinstance(request, MultiQueryRequest):
+        return max(1, len(request.partials))
+    return 1
+
+
 def build_answer(request, backend: SourceBackend, index: int, update_seq: int):
     """The answer to one warehouse request, evaluated against ``backend``
     as it stands now (the caller has already waited out any service time).
 
-    Shared by every ProcessQuery loop -- :class:`DataSourceServer` and the
-    sharded front -- which keep only their channel, trace line and
-    service-time policy.  The caller sends the answer on the same FIFO
-    channel as the source's update notices, so it orders correctly
-    against them.
+    The caller sends the answer on the same FIFO channel as the source's
+    update notices, so it orders correctly against them.
     """
     if isinstance(request, PositionRequest):
         # Recovery probe: just the current seq, no join.
@@ -90,18 +107,28 @@ class DataSourceServer:
     Parameters
     ----------
     sim:
-        The simulator this site lives in.
+        The simulator (or runtime) this site lives in.
     name:
         Site name (usually the relation name, e.g. ``"R2"``).
     index:
         1-based position in the view's relation chain.
     backend:
         Storage (:class:`MemoryBackend` or :class:`SqliteBackend`).
-    to_warehouse:
-        FIFO channel shared by update notices and query answers.
+    destinations:
+        Destination -> the FIFO channel its update notices and query
+        answers share: ``{"wh": channel}`` for the single warehouse, one
+        entry per :class:`~repro.warehouse.sharding.ShardMember` for a
+        sharded fleet.  Each destination gets its own query inbox
+        (:attr:`query_inboxes`) and ProcessQuery process, spawned in key
+        order and named ``<name>-ProcessQuery`` -- with the
+        destination's label inserted when there are several.
     query_service_time:
-        Simulated time to evaluate one ComputeJoin at this source.  A wider
-        service time widens the window in which updates interfere.
+        Simulated time to evaluate one ComputeJoin at this source (see
+        :func:`joins_in`).  A wider service time widens the window in
+        which updates interfere.  A destination sends one partial per
+        *sweep class* (see :mod:`repro.warehouse.multiview`), so spreading
+        same-join views over more shards shortens no step: it repeats
+        the class's join per shard.
     trace:
         Optional trace log.
     """
@@ -112,7 +139,7 @@ class DataSourceServer:
         name: str,
         index: int,
         backend: SourceBackend,
-        to_warehouse: Channel,
+        destinations: Mapping[Hashable, Channel],
         query_service_time: float = 0.0,
         trace: TraceLog | None = None,
     ):
@@ -120,14 +147,22 @@ class DataSourceServer:
         self.name = name
         self.index = index
         self.backend = backend
-        self.to_warehouse = to_warehouse
+        self.channels = dict(destinations)
         self.query_service_time = query_service_time
         self.trace = trace
-        self.query_inbox = Mailbox(sim, f"{name}-queries")
         self.update_seq = 0
-        self.updates_applied: list[UpdateNotice] = []
         self._listeners: list[UpdateListener] = []
-        sim.spawn(f"{name}-ProcessQuery", self._process_queries())
+        keys = sorted(self.channels)
+        self._fanout = tuple(self.channels[key] for key in keys)
+        prefixes = {
+            key: name if len(keys) == 1 else f"{name}-{destination_label(key)}"
+            for key in keys
+        }
+        self.query_inboxes = {
+            key: Mailbox(sim, f"{prefixes[key]}-queries") for key in keys
+        }
+        for key in keys:
+            sim.spawn(f"{prefixes[key]}-ProcessQuery", self._process_queries(key))
 
     # ------------------------------------------------------------------
     # SendUpdates role
@@ -146,7 +181,7 @@ class DataSourceServer:
         part of a *global* transaction (type 3) spanning several sources.
 
         Ownership of ``delta`` transfers to the server: it is referenced
-        by the forwarded notice rather than copied, so the committing
+        by the forwarded notices rather than copied, so the committing
         transaction must not mutate it afterwards.
         """
         self.backend.apply(delta)
@@ -159,12 +194,20 @@ class DataSourceServer:
             txn_id=txn_id,
             txn_total=txn_total,
         )
-        self.updates_applied.append(notice)
         for listener in self._listeners:
             listener(notice)
         if self.trace:
             self.trace.record(self.sim.now, self.name, "local-update", notice)
-        self.to_warehouse.send(Message(kind="update", sender=self.name, payload=notice))
+        for channel in self._fanout:
+            # A fresh notice per destination: each warehouse stamps its
+            # own delivery order.
+            channel.send(
+                Message(
+                    kind="update",
+                    sender=self.name,
+                    payload=notice.delivery_copy(),
+                )
+            )
         return notice
 
     def add_update_listener(self, listener: UpdateListener) -> None:
@@ -174,24 +217,31 @@ class DataSourceServer:
         """
         self._listeners.append(listener)
 
+    def drop_member(self, key: Hashable) -> None:
+        """Stop serving a dead destination: no more updates, queries sealed.
+
+        Its ProcessQuery loop stays blocked on the sealed inbox forever,
+        which the kernel counts as settled; queued queries are discarded
+        (answers to a dead member would be dropped at its end anyway).
+        """
+        self.channels.pop(key, None)
+        self._fanout = tuple(self.channels[k] for k in sorted(self.channels))
+        inbox = self.query_inboxes.get(key)
+        if inbox is not None:
+            inbox.seal()
+
     # ------------------------------------------------------------------
     # ProcessQuery role
     # ------------------------------------------------------------------
-    def _process_queries(self):
+    def _process_queries(self, key: Hashable):
+        inbox, channel = self.query_inboxes[key], self.channels[key]
         while True:
-            msg = yield self.query_inbox.get()
+            msg = yield inbox.get()
             request = msg.payload
-            # Service-time policy, the one thing the two ProcessQuery
-            # loops do not share: here it is the *window* in which updates
-            # interfere with a request (what the simulator experiments
-            # vary), so a request waits once whatever it carries; the
-            # sharded front charges once per join in the request, because
-            # its runs compare join work across shard counts.  A position
-            # probe joins nothing and is charged by neither.
-            if self.query_service_time > 0 and not isinstance(
-                request, PositionRequest
-            ):
-                yield Delay(self.query_service_time)
+            if self.query_service_time > 0:
+                joins = joins_in(request)
+                if joins:
+                    yield Delay(self.query_service_time * joins)
             answer = build_answer(
                 request, self.backend, self.index, self.update_seq
             )
@@ -203,9 +253,7 @@ class DataSourceServer:
                     f"req={request.request_id} ->"
                     f" {answer.partial.delta.distinct_count} rows",
                 )
-            self.to_warehouse.send(
-                Message(kind="answer", sender=self.name, payload=answer)
-            )
+            channel.send(Message(kind="answer", sender=self.name, payload=answer))
 
     # ------------------------------------------------------------------
     def snapshot(self):
@@ -216,4 +264,4 @@ class DataSourceServer:
         return f"DataSourceServer({self.name!r}, index={self.index})"
 
 
-__all__ = ["DataSourceServer", "build_answer"]
+__all__ = ["DataSourceServer", "build_answer", "destination_label", "joins_in"]

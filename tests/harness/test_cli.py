@@ -197,6 +197,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "1..3" in err
 
+    # A string SystemExit code is the message the interpreter prints on
+    # stderr before exiting with status 1.
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--warehouse", "127.0.0.1:1", "--shard", "0=127.0.0.1:2"]],
+        ids=["neither", "both"],
+    )
+    def test_serve_source_needs_exactly_one_destination_flag(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-source", "--index", "1", *flags])
+        assert exit_info.value.code == (
+            "serve-source needs exactly one of --warehouse or --shard"
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--shard-id", "0", "--standby-of", "0"]],
+        ids=["neither", "both"],
+    )
+    def test_serve_shard_needs_exactly_one_member_flag(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-shard", "--shards", "2", "--source", "1=127.0.0.1:1",
+                  *flags])
+        assert exit_info.value.code == (
+            "serve-shard needs exactly one of --shard-id or --standby-of"
+        )
+
     def test_experiments_save(self, tmp_path, capsys, monkeypatch):
         import repro.cli as cli
 

@@ -8,6 +8,7 @@ counters -- a chaos layer that injects nothing tests nothing.
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -31,6 +32,8 @@ from repro.runtime.chaos import profile
 from repro.simulation.channel import Message
 from repro.sources.messages import UpdateNotice
 from repro.warehouse.registry import algorithm_info
+
+from .loop_spy import LoopSpy
 
 
 class Sink:
@@ -264,6 +267,32 @@ def test_proxy_blackout_refuses_then_recovers(paper_view):
     )
     assert delivered == list(range(1, 41))
     assert stats.blackouts_hit > 0
+
+
+def test_blackout_reaper_arms_one_timer_per_window():
+    """The proxy's reaper sleeps until each blackout window opens instead
+    of polling: over three windows of the crash profile it arms at most
+    one loop timer per window (plus the one waiting for the next), and it
+    counts every window crossed."""
+    config = PROFILES["crash"]
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.0025)  # 100 ms per period
+        proxy = ChaosTcpProxy(runtime, "R1->wh", ("127.0.0.1", 9), config)
+        await proxy.start()
+        armed = LoopSpy().timers
+        await asyncio.sleep(3.5 * config.crash_period * runtime.time_scale)
+        crossed = math.floor(runtime.now / config.crash_period)
+        hit = proxy.stats.blackouts_hit
+        await proxy.aclose()
+        await runtime.aclose()
+        return crossed, hit, len(armed)
+
+    crossed, hit, armed = run(main())
+    assert crossed == 3
+    assert hit == crossed
+    # the reaper's timers (one per window, one pending) + this test's sleep
+    assert armed <= crossed + 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.config import ExperimentConfig
+from repro.harness.sites import WAREHOUSE
 from repro.runtime import (
     CLEAN_FAILURE_EXIT,
     AsyncRuntime,
@@ -24,7 +25,6 @@ from repro.runtime import (
     free_port,
     probe_peer,
     serve_shard_async,
-    serve_sharded_source_async,
     serve_source_async,
     serve_warehouse_async,
 )
@@ -144,7 +144,7 @@ def test_serve_source_fails_fast_on_dead_warehouse():
             serve_source_async(
                 _config(),
                 index=1,
-                warehouse_address=_dead_address(),
+                destinations={WAREHOUSE: _dead_address()},
                 timeout=30.0,
                 tcp_config=TIGHT,
             )
@@ -229,10 +229,10 @@ def test_sharded_source_fails_when_every_member_of_a_shard_is_dead():
     }
     with pytest.raises(TransportRetriesExceeded, match="unreachable"):
         asyncio.run(
-            serve_sharded_source_async(
+            serve_source_async(
                 _config(n_views=2),
                 index=1,
-                shard_addresses=addresses,
+                destinations=addresses,
                 timeout=30.0,
                 tcp_config=TIGHT,
             )
@@ -269,10 +269,10 @@ def test_fleet_tolerates_a_dead_standby():
             tcp_config=TIGHT,
         )
         sources = [
-            serve_sharded_source_async(
+            serve_source_async(
                 config,
                 index=i,
-                shard_addresses=members,
+                destinations=members,
                 listen_port=source_ports[i],
                 time_scale=0.001,
                 linger=0.2,

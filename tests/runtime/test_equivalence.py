@@ -15,6 +15,7 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
+from repro.harness.sites import WAREHOUSE
 from repro.runtime import (
     free_port,
     run_distributed,
@@ -112,7 +113,7 @@ def test_serve_entry_points_run_a_fleet_to_the_simulator_view():
             serve_source_async(
                 config,
                 index,
-                ("127.0.0.1", warehouse_port),
+                {WAREHOUSE: ("127.0.0.1", warehouse_port)},
                 listen_port=port,
                 time_scale=0.001,
                 linger=0.2,

@@ -15,6 +15,8 @@ from repro.sources.memory import MemoryBackend
 from repro.sources.messages import (
     EcaQuery,
     EcaQueryTerm,
+    MultiQueryRequest,
+    PositionRequest,
     QueryRequest,
     next_request_id,
 )
@@ -33,8 +35,8 @@ def wire_source(paper_view, paper_states, index=1, latency=1.0, service_time=0.0
     channel = Channel(sim, f"{name}->wh", wh_inbox, ConstantLatency(latency), metrics)
     backend = MemoryBackend(paper_view, index, paper_states[name])
     server = DataSourceServer(
-        sim, name, index, backend, channel, query_service_time=service_time,
-        trace=TraceLog(),
+        sim, name, index, backend, {"wh": channel},
+        query_service_time=service_time, trace=TraceLog(),
     )
     return sim, wh_inbox, server, metrics
 
@@ -62,10 +64,12 @@ class TestDataSourceServer:
 
     def test_sequence_numbers_increment(self, paper_view, paper_states):
         sim, _, server, _ = wire_source(paper_view, paper_states)
+        applied = []
+        server.add_update_listener(applied.append)
         n1 = server.local_update(Delta.insert(R1_SCHEMA, (8, 8)))
         n2 = server.local_update(Delta.insert(R1_SCHEMA, (9, 9)))
         assert (n1.seq, n2.seq) == (1, 2)
-        assert len(server.updates_applied) == 2
+        assert len(applied) == 2
 
     def test_update_listener_fires(self, paper_view, paper_states):
         sim, _, server, _ = wire_source(paper_view, paper_states)
@@ -106,7 +110,7 @@ class TestDataSourceServer:
 
         sim.spawn("wh", warehouse())
         partial = PartialView.initial(paper_view, 2, Delta.insert(R2_SCHEMA, (3, 5)))
-        server.query_inbox.put(
+        server.query_inboxes["wh"].put(
             Message(
                 kind="query",
                 sender="wh",
@@ -133,7 +137,7 @@ class TestDataSourceServer:
 
         sim.spawn("wh", warehouse())
         partial = PartialView.initial(paper_view, 2, Delta.insert(R2_SCHEMA, (3, 5)))
-        server.query_inbox.put(
+        server.query_inboxes["wh"].put(
             Message(
                 kind="query", sender="wh",
                 payload=QueryRequest(next_request_id(), partial, 1),
@@ -159,7 +163,7 @@ class TestDataSourceServer:
 
         sim.spawn("wh", warehouse())
         partial = PartialView.initial(paper_view, 2, Delta.insert(R2_SCHEMA, (3, 5)))
-        server.query_inbox.put(
+        server.query_inboxes["wh"].put(
             Message(
                 kind="query", sender="wh",
                 payload=QueryRequest(next_request_id(), partial, 1),
@@ -186,7 +190,7 @@ class TestDataSourceServer:
         sim.spawn("wh", warehouse())
         partial = PartialView.initial(paper_view, 2, Delta.insert(R2_SCHEMA, (3, 5)))
         for _ in range(2):
-            server.query_inbox.put(
+            server.query_inboxes["wh"].put(
                 Message(
                     kind="query", sender="wh",
                     payload=QueryRequest(next_request_id(), partial, 1),
@@ -194,6 +198,52 @@ class TestDataSourceServer:
             )
         sim.run()
         assert times == [3.0, 6.0]
+
+
+@pytest.mark.parametrize("destinations", [("wh",), ("sh0", "sh1")])
+@pytest.mark.parametrize(
+    "request_of, joins",
+    [
+        (lambda partial: QueryRequest(next_request_id(), partial, 1), 1),
+        (
+            lambda partial: MultiQueryRequest(
+                next_request_id(), [partial, partial, partial], 1
+            ),
+            3,
+        ),
+        (lambda partial: PositionRequest(next_request_id()), 0),
+    ],
+    ids=["query", "multi-query-of-3", "position"],
+)
+def test_service_time_is_charged_per_join(
+    paper_view, paper_states, destinations, request_of, joins
+):
+    """A request waits ``query_service_time`` once per ComputeJoin it
+    carries, whatever the number of destinations the server feeds."""
+    sim = Simulator()
+    backend = MemoryBackend(paper_view, 1, paper_states["R1"])
+    inboxes = {key: Mailbox(sim, f"{key}-inbox") for key in destinations}
+    server = DataSourceServer(
+        sim,
+        "R1",
+        1,
+        backend,
+        {
+            key: Channel(sim, f"R1->{key}", inbox, ConstantLatency(0.0))
+            for key, inbox in inboxes.items()
+        },
+        query_service_time=2.5,
+    )
+    partial = PartialView.initial(paper_view, 2, Delta.insert(R2_SCHEMA, (3, 5)))
+    for key in destinations:
+        server.query_inboxes[key].put(
+            Message(kind="query", sender=key, payload=request_of(partial))
+        )
+    sim.run()
+    for inbox in inboxes.values():
+        (answer,) = inbox.peek_all()
+        assert answer.kind == "answer"
+        assert answer.sent_at == 2.5 * joins
 
 
 class TestCentralSource:
@@ -268,6 +318,8 @@ class TestCentralSource:
 class TestScheduledUpdater:
     def test_schedule_replayed_in_time_order(self, paper_view, paper_states):
         sim, _, server, _ = wire_source(paper_view, paper_states)
+        notices = []
+        server.add_update_listener(notices.append)
         updater = ScheduledUpdater(
             sim,
             "R1",
@@ -279,7 +331,7 @@ class TestScheduledUpdater:
         )
         sim.run()
         assert updater.done
-        applied = [(n.applied_at, n.delta) for n in server.updates_applied]
+        applied = [(n.applied_at, n.delta) for n in notices]
         assert applied[0][0] == 2.0
         assert applied[1][0] == 5.0
 

@@ -26,9 +26,9 @@ def wire(paper_view, paper_states):
         name = paper_view.name_of(index)
         backend = MemoryBackend(paper_view, index, paper_states[name])
         to_wh = Channel(sim, f"{name}->wh", inbox, ConstantLatency(1.0))
-        server = DataSourceServer(sim, name, index, backend, to_wh)
+        server = DataSourceServer(sim, name, index, backend, {"wh": to_wh})
         query_channels[index] = Channel(
-            sim, f"wh->{name}", server.query_inbox, ConstantLatency(1.0)
+            sim, f"wh->{name}", server.query_inboxes["wh"], ConstantLatency(1.0)
         )
         servers[index] = server
     warehouse = SweepWarehouse(
