@@ -497,11 +497,8 @@ def _add_serve_shard_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.runtime import serve_shard_async
 
-    config = _workload_config(args)
     if (args.shard_id is None) == (args.standby_of is None):
         raise SystemExit(
             "serve-shard needs exactly one of --shard-id or --standby-of"
@@ -511,22 +508,36 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
     if args.standby_of is not None:
         shard_id = args.standby_of
         replica = max(1, replica)
-    addresses = _source_addresses(args)
-    listen_host, listen_port = _parse_address(args.listen)
-    result = asyncio.run(
-        serve_shard_async(
-            config,
-            shard_id,
-            source_addresses=addresses,
-            listen_host=listen_host,
-            listen_port=listen_port,
-            expect_updates=args.expect_updates,
-            verify=not args.no_verify,
-            replica=replica,
-            seed_from=args.seed_from,
-            **_site_fields(args),
-        )
+    return _serve(
+        args,
+        serve_shard_async,
+        shard_id=shard_id,
+        expect_updates=args.expect_updates,
+        verify=not args.no_verify,
+        replica=replica,
+        seed_from=args.seed_from,
     )
+
+
+def _serve(args: argparse.Namespace, serve, **fields) -> int:
+    """Host the warehouse site a serve command names, and report its run
+    (a warehouse the program refuses to host is a usage error)."""
+    import asyncio
+
+    listen_host, listen_port = _parse_address(args.listen)
+    try:
+        result = asyncio.run(
+            serve(
+                _workload_config(args),
+                source_addresses=_source_addresses(args),
+                listen_host=listen_host,
+                listen_port=listen_port,
+                **fields,
+                **_site_fields(args),
+            )
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     print(result.report())
     return 0
 
@@ -553,32 +564,12 @@ def _add_serve_warehouse_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_serve_warehouse(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.runtime import serve_warehouse_async
 
-    config = _workload_config(args)
-    addresses = _source_addresses(args)
-    listen_host, listen_port = _parse_address(args.listen)
     expect = args.expect_updates
     if expect is None:
-        expect = config.n_updates
-    try:
-        result = asyncio.run(
-            serve_warehouse_async(
-                config,
-                addresses,
-                listen_host=listen_host,
-                listen_port=listen_port,
-                expect_updates=expect or None,
-                **_site_fields(args),
-            )
-        )
-    except ValueError as exc:
-        return _usage_error(exc)
-    if result is not None:
-        print(result.report())
-    return 0
+        expect = args.updates
+    return _serve(args, serve_warehouse_async, expect_updates=expect or None)
 
 
 def _add_serve_source_parser(sub: argparse._SubParsersAction) -> None:

@@ -31,6 +31,26 @@ class RunResult:
     consistency: dict[ConsistencyLevel, CheckResult] = field(default_factory=dict)
     classified_level: ConsistencyLevel | None = None
 
+    @classmethod
+    def judged(cls, site, sim_time, wall_seconds, metrics, trace=None, **fields):
+        """The run of a single-warehouse ``site`` (a
+        :class:`~repro.harness.sites.WarehouseSite`), judged
+        (:meth:`judge`)."""
+        result = cls(
+            config=site.config,
+            info=site.info,
+            final_view=site.warehouse.current_view(),
+            sim_time=sim_time,
+            wall_seconds=wall_seconds,
+            metrics=metrics,
+            recorder=site.primary_recorder,
+            warehouse=site.warehouse,
+            trace=trace,
+            **fields,
+        )
+        result.judge()
+        return result
+
     # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------

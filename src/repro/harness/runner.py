@@ -15,7 +15,7 @@ import time as _time
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
-from repro.harness.sites import build_sites, make_recorder
+from repro.harness.sites import WAREHOUSE, build_sites
 from repro.relational.predicate import compile_cache_stats
 from repro.simulation.kernel import Simulator
 from repro.simulation.links import SimLinks
@@ -26,7 +26,7 @@ from repro.workloads.scenarios import Workload, make_workload
 from repro.workloads.stream import UpdateStreamConfig
 
 
-def _built(coroutine):
+def built(coroutine):
     """The value of a coroutine that never suspends -- a fleet built over
     :class:`SimLinks`, whose ``start`` has nothing to wait for."""
     try:
@@ -92,45 +92,33 @@ def run_experiment(config: ExperimentConfig, warehouse_hook=None) -> RunResult:
     sim = Simulator()
     metrics = MetricsCollector()
     trace = TraceLog() if config.trace else None
-    recorder = make_recorder(workload)
-    sites = _built(
+    sites = built(
         build_sites(
             sim,
             SimLinks(sim, config, rngs, metrics),
             config,
             workload,
-            recorder,
             metrics,
             trace,
         )
     )
-    warehouse = sites.warehouse_site.warehouse
+    site = sites.warehouses[WAREHOUSE]
     if warehouse_hook is not None:
-        warehouse_hook(warehouse)
+        warehouse_hook(site.warehouse)
 
     started = _time.perf_counter()
     sim.run(max_events=config.max_events)
     wall = _time.perf_counter() - started
     record_predicate_cache_delta(metrics, predicate_stats_before)
 
-    result = RunResult(
-        config=config,
-        info=sites.warehouse_site.info,
-        final_view=warehouse.current_view(),
-        sim_time=sim.now,
-        wall_seconds=wall,
-        metrics=metrics,
-        recorder=recorder,
-        warehouse=warehouse,
-        trace=trace,
-    )
-    result.judge()
+    result = RunResult.judged(site, sim.now, wall, metrics, trace)
     sites.close()
     return result
 
 
 __all__ = [
     "build_workload",
+    "built",
     "record_predicate_cache_delta",
     "run_experiment",
 ]

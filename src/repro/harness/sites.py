@@ -3,23 +3,30 @@
 A site owns what one OS process would own in a real deployment: its
 protocol objects (the unchanged :class:`DataSourceServer`,
 :class:`CentralSource` or warehouse algorithm) and the channels it sends
-on.  Sites ask a *links* object to ``bind`` mailboxes under channel names
-and to make the ``channel`` with a given name;
-:class:`~repro.simulation.links.SimLinks` (the simulator),
+on.  There are two kinds: a :class:`SourceSite` per source and a
+:class:`WarehouseSite` per warehouse member -- the single warehouse is the
+one-member, one-view fleet.  Sites ask a *links* object to ``bind``
+mailboxes under channel names and to make the ``channel`` with a given
+name; :class:`~repro.simulation.links.SimLinks` (the simulator),
 :class:`~repro.runtime.nodes.LocalLinks` and
 :class:`~repro.runtime.nodes.TcpLinks` (the asyncio runtime) answer.
-:func:`build_sites` wires one single-warehouse fleet over any of them.
-This module sits below both hosts: it imports nothing from
-:mod:`repro.runtime`.
+:func:`build_sites` wires every fleet -- one warehouse or a sharded
+family, all sites on one host or one site per process -- from a
+:class:`SitePlan` of members x sources over any of them.  This module
+sits below both hosts: it imports nothing from :mod:`repro.runtime`.
 
 Channel names are the paper's Figure 3: ``"R2->wh"`` carries source 2's
 update notices *and* query answers (one FIFO channel: the linchpin of
 SWEEP's local compensation), ``"wh->R2"`` the warehouse's queries; the
 centralized (ECA) architecture uses ``"central->wh"`` / ``"wh->central"``.
+A shard member's channels carry its label instead of ``wh``
+(``"R2->sh0"``, ``"sh0r1->R2"``), so a standby owns its own FIFO
+sessions alongside its primary's.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
 
 from repro.consistency.oracle import RunRecorder
@@ -33,7 +40,7 @@ from repro.durability.manager import (
 from repro.durability.recovery import attach_durability, load_state
 from repro.formats.codec import WireCodec
 from repro.harness.config import ExperimentConfig
-from repro.relational.view import ViewDefinition
+from repro.relational.view import ViewDefinition, evaluate_views
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
@@ -44,7 +51,9 @@ from repro.sources.server import DataSourceServer, destination_label
 from repro.sources.sqlite import SqliteBackend
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.base import QueueDrivenWarehouse
+from repro.warehouse.batched import BatchedSweepWarehouse
 from repro.warehouse.locality import build_locality
+from repro.warehouse.multiview import MultiViewSweepWarehouse
 from repro.warehouse.registry import algorithm_info
 from repro.warehouse.sweep import SweepOptions
 from repro.workloads.scenarios import Workload
@@ -239,64 +248,216 @@ class SourceSite:
         )
 
 
+#: algorithm -> the scheduler that hosts a view family under it.
+FAMILY_SCHEDULERS = {
+    "sweep": MultiViewSweepWarehouse,
+    "batched-sweep": BatchedSweepWarehouse,
+}
+
+
+@dataclass
+class SitePlan:
+    """The members x sources that :func:`build_sites` wires.
+
+    ``hosted`` maps each warehouse member -- :data:`WAREHOUSE`, or a
+    sharded fleet's :class:`~repro.warehouse.sharding.ShardMember` -- to
+    the views it maintains and ``expected`` to the deliveries it waits
+    for; ``fanout`` maps each source index to the members its updates
+    travel to (every member binds and queries every source of it).
+    ``family`` is the view family every site's codec spans, each member
+    hosting its views with the family's scheduler
+    (:data:`FAMILY_SCHEDULERS`); ``None`` is the single warehouse of the
+    workload's own view under the registered algorithm (Figure 4's
+    :class:`~repro.warehouse.sweep.SweepWarehouse` for ``sweep``).
+    ``remote_sources`` leaves the source sites to other processes.
+    """
+
+    hosted: dict
+    fanout: dict[int, tuple]
+    expected: dict
+    family: list[ViewDefinition] | None = None
+    durable_dirs: dict = field(default_factory=dict)
+    crash_plans: dict = field(default_factory=dict)
+    checkpoint_policy: CheckpointPolicy | None = None
+    fsync_batch: int = 8
+    remote_sources: bool = False
+
+
+def one_warehouse(config, workload: Workload, family=None, **fields) -> SitePlan:
+    """The plan of a fleet with one warehouse, :data:`WAREHOUSE`, hosting
+    the workload's own view -- or the view ``family`` -- fed by every
+    source (by the central site alone, in the centralized architecture).
+    ``fields`` are :class:`SitePlan`'s."""
+    view = workload.view
+    if algorithm_info(config.algorithm).architecture == "centralized":
+        indices = [0]
+    else:
+        indices = range(1, view.n_relations + 1)
+    return SitePlan(
+        hosted={WAREHOUSE: family or [view]},
+        fanout={index: (WAREHOUSE,) for index in indices},
+        expected={WAREHOUSE: workload.total_updates},
+        family=family,
+        **fields,
+    )
+
+
 class WarehouseSite:
-    """What hosting a warehouse takes, whichever warehouse and transport.
+    """One warehouse site: a member's views behind FIFO channels to its
+    sources (Figure 3), whichever warehouse, host and transport.
+
+    The site owns the durable state, the inbox, one oracle recorder per
+    hosted view (:attr:`primary_recorder` is the first view's: the site's
+    delivery order) and :attr:`expected`, the deliveries it waits for
+    before it is :meth:`done`.  Building is two steps because the sites
+    of a fleet need each other: the constructor reads the durable state
+    and binds the inbox as ``"<source>-><label>"`` for each of
+    ``sources`` -- relation indices, or ``[0]`` for the centralized
+    architecture's central site -- where the label is ``wh`` or the
+    member's (``sh0``, ``sh0r1``); :meth:`connect` then dials
+    ``"<label>-><source>"`` and hosts the warehouse.
 
     With ``durable_dir`` the site checkpoints its views and WAL-logs
     every delivered update there (log-before-ack: a listener only acks a
     frame once the :class:`LoggingMailbox` has appended it), and a site
-    restarted on the same directory recovers and resumes mid-protocol --
-    see :mod:`repro.durability`.  The durable state is read *first*: it
-    decides the inbox, the listener's ``adopt_next`` and the session
-    :attr:`epoch` of the query channels the subclass builds before it
-    hands its warehouse to :meth:`host`, which resumes it and starts
-    logging.
+    restarted on the same directory recovers and resumes mid-protocol
+    (:mod:`repro.durability`); only queue-driven algorithms can.
     """
 
-    def __init__(self, runtime, label: str, views, durable_dir: str | None):
+    def __init__(
+        self,
+        runtime,
+        links,
+        config: ExperimentConfig,
+        workload: Workload,
+        member,
+        views: list[ViewDefinition],
+        sources,
+        codec: WireCodec,
+        expected: int,
+        family: bool = False,
+        durable_dir: str | None = None,
+    ):
+        self.info = algorithm_info(config.algorithm)
+        if family and config.algorithm not in FAMILY_SCHEDULERS:
+            raise ValueError(
+                f"a view family runs under {'/'.join(FAMILY_SCHEDULERS)},"
+                f" not {config.algorithm!r}"
+            )
+        if durable_dir is not None and not (
+            family or issubclass(self.info.cls, QueueDrivenWarehouse)
+        ):
+            raise RecoveryError(
+                f"algorithm {self.info.name!r} is not queue-driven and"
+                " cannot run with --durable-dir"
+            )
         self.runtime = runtime
+        self.links = links
+        self.config = config
+        self.workload = workload
+        self.member = member
+        self.label = destination_label(member)
+        self.views = views
+        self.sources = sources
+        self.codec = codec
+        self.family = family
         self.durable_dir = durable_dir
-        self.recovered_state = (
-            load_state(durable_dir, list(views))
-            if durable_dir is not None
-            else None
+        self.recovered_state = state = (
+            load_state(durable_dir, list(views)) if durable_dir is not None else None
         )
         mailbox = LoggingMailbox if durable_dir is not None else Mailbox
-        self.inbox: Mailbox = mailbox(runtime, f"{label}-inbox")
-        self.listener = None
+        self.inbox: Mailbox = mailbox(runtime, f"{self.label}-inbox")
+        #: view name -> oracle recorder (a migrating view's moves with it).
+        self.recorders = {view.name: RunRecorder(view) for view in views}
+        chain = workload.view
+        for recorder in self.recorders.values():
+            for index in range(1, chain.n_relations + 1):
+                name = chain.name_of(index)
+                recorder.register_source(index, name, workload.initial_states[name])
+        self.primary_recorder = self.recorders[views[0].name]
+        self.expected = expected
+        if state is not None:
+            # Only this incarnation's deliveries count: the replayed
+            # checkpoint/WAL pending, plus whatever the durable marks
+            # have not fenced off as redeliveries.
+            self.expected += len(state.pending) - state.delivered_total
+        self.listener = links.bind(
+            {
+                f"{site_name(workload.view, index)}->{self.label}": self.inbox
+                for index in sources
+            },
+            codec,
+            adopt_next=state is not None,
+        )
         self.query_channels: dict = {}
         self.warehouse = None
         self.durability: DurabilityManager | None = None
 
-    @property
-    def epoch(self) -> int:
-        """A recovered site announces a higher session epoch so the
-        sources' listeners reset their FIFO expectations to its hellos."""
-        state = self.recovered_state
-        return state.generation + 1 if state is not None else 0
-
-    def host(
+    def connect(
         self,
-        warehouse,
+        initial_views: dict,
+        metrics: MetricsCollector,
+        trace: TraceLog | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         fsync_batch: int = 8,
         crash_plan: CrashPlan | None = None,
     ) -> None:
-        self.warehouse = warehouse
+        """Dial the sources and host the warehouse over them, starting
+        from ``initial_views`` -- or, recovering, from its checkpoint."""
+        config, views, state = self.config, self.views, self.recovered_state
+        contents = state.view_states if state is not None else initial_views
+        # A recovered site announces a higher session epoch so the sources'
+        # listeners reset their FIFO expectations to its hellos.
+        epoch = state.generation + 1 if state is not None else 0
+        self.query_channels = {
+            index: self.links.channel(
+                f"{self.label}->{site_name(self.workload.view, index)}",
+                self.codec,
+                epoch,
+            )
+            for index in sorted(self.sources)
+        }
+        cls, options = self.info.cls, algorithm_kwargs(config)
+        if self.family:
+            cls = FAMILY_SCHEDULERS[config.algorithm]
+            if config.algorithm == "sweep":
+                options = {}  # the family's SWEEP takes no SweepOptions
+            options.update(
+                extra_views=views[1:],
+                initial_views=contents,
+                extra_recorders={v.name: self.recorders[v.name] for v in views[1:]},
+            )
+        self.warehouse = cls(
+            self.runtime,
+            views[0],
+            self.query_channels,
+            initial_view=contents[views[0].name],
+            recorder=self.primary_recorder,
+            metrics=metrics,
+            trace=trace,
+            inbox=self.inbox,
+            locality=build_locality(config, views, self.workload.initial_states),
+            **options,
+        )
         if self.durable_dir is not None:
             self.durability = attach_durability(
-                warehouse,
+                self.warehouse,
                 self.durable_dir,
-                self.recovered_state,
+                state,
                 policy=checkpoint_policy,
                 fsync_batch=fsync_batch,
                 crash_plan=crash_plan,
             )
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """Where sources should dial their update/answer channel."""
-        return self.listener.address
+    def final_recorders(self, migrated: str | None = None) -> dict[str, RunRecorder]:
+        """The recorders once the run is over: every view's takes the
+        primary's delivery order -- except a ``migrated`` view's, which
+        owns its spliced one (donor prefix + catch-up + steady state)."""
+        primary = self.views[0].name
+        for name, recorder in self.recorders.items():
+            if name not in (primary, migrated):
+                recorder.deliveries = list(self.primary_recorder.deliveries)
+        return self.recorders
 
     def quiescent(self) -> bool:
         """Inbox drained, no queued updates mid-algorithm, channels idle."""
@@ -306,6 +467,13 @@ class WarehouseSite:
             return False
         return all(channel.idle for channel in self.query_channels.values())
 
+    def done(self) -> bool:
+        """Every expected update delivered, and nothing left to do."""
+        return (
+            self.primary_recorder.updates_delivered >= self.expected
+            and self.quiescent()
+        )
+
     async def aclose(self) -> None:
         if self.durability is not None:
             self.durability.close()
@@ -314,138 +482,53 @@ class WarehouseSite:
         if self.listener is not None:
             await self.listener.aclose()
 
+    def __repr__(self) -> str:
+        return f"WarehouseSite({self.label}, views={[v.name for v in self.views]})"
 
-class WarehouseNode(WarehouseSite):
-    """The warehouse site: hosts any registered maintenance algorithm.
 
-    Building is two steps because the sites of a fleet need each other:
-    the constructor reads the durable state under ``durable_dir`` and
-    binds the inbox as ``"<source>->wh"`` for each of :attr:`sources`
-    (now sources can address it); :meth:`connect` then asks the links for
-    the query channels and hosts the warehouse.  :attr:`sources` are the
-    relation indices, or ``[0]`` for the centralized architecture -- the
-    key of the central query channel.
+# ---------------------------------------------------------------------------
+# One fleet
+# ---------------------------------------------------------------------------
 
-    Only queue-driven algorithms can run with ``durable_dir``; the rest
-    are rejected loudly.
+class Sites:
+    """The sites of one fleet, and the updaters driving them.
+
+    :attr:`warehouses` maps each member to its site; a member in
+    :attr:`dead` (its process gone) no longer counts towards quiescence.
     """
 
     def __init__(
         self,
-        runtime,
-        links,
-        config: ExperimentConfig,
-        workload: Workload,
-        durable_dir: str | None = None,
-    ):
-        self.info = algorithm_info(config.algorithm)
-        if durable_dir is not None and not issubclass(
-            self.info.cls, QueueDrivenWarehouse
-        ):
-            raise RecoveryError(
-                f"algorithm {self.info.name!r} is not queue-driven and"
-                " cannot run with --durable-dir"
-            )
-        self.view = view = workload.view
-        super().__init__(runtime, "warehouse", [view], durable_dir)
-        self.links = links
-        self.config = config
-        self.workload = workload
-        self.codec = WireCodec(view)
-        if self.info.architecture == "centralized":
-            self.sources = [0]
-        else:
-            self.sources = list(range(1, view.n_relations + 1))
-        self.listener = links.bind(
-            {f"{site_name(view, index)}->wh": self.inbox for index in self.sources},
-            self.codec,
-            adopt_next=self.recovered_state is not None,
-        )
-
-    def connect(
-        self,
-        sources,
-        recorder: RunRecorder,
-        metrics: MetricsCollector,
-        trace: TraceLog | None = None,
-        checkpoint_policy: CheckpointPolicy | None = None,
-        fsync_batch: int = 8,
-    ) -> None:
-        """Dial ``sources`` (indices) and host the warehouse over them."""
-        view, config = self.view, self.config
-        initial, state = self.workload.initial_states, self.recovered_state
-        # A recovering warehouse starts from its checkpoint, not a join.
-        initial_view = state.view_states[view.name] if state else view.evaluate(initial)
-        self.query_channels = {
-            index: self.links.channel(
-                f"wh->{site_name(view, index)}", self.codec, self.epoch
-            )
-            for index in sorted(sources)
-        }
-        warehouse = self.info.cls(
-            self.runtime,
-            view,
-            self.query_channels,
-            initial_view=initial_view,
-            recorder=recorder,
-            metrics=metrics,
-            trace=trace,
-            inbox=self.inbox,
-            locality=build_locality(config, [view], initial),
-            **algorithm_kwargs(config),
-        )
-        self.host(warehouse, checkpoint_policy, fsync_batch)
-
-    def __repr__(self) -> str:
-        return (
-            f"WarehouseNode({self.info.name!r},"
-            f" sources={sorted(self.query_channels)})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# One single-warehouse fleet
-# ---------------------------------------------------------------------------
-
-class Sites:
-    """The sites of one single-warehouse fleet, and the updaters driving
-    them."""
-
-    def __init__(
-        self,
-        warehouse_site: WarehouseNode,
-        sources: list[SourceSite],
+        warehouses: dict,
+        sources: dict[int, SourceSite],
         updaters: list[ScheduledUpdater],
     ):
-        self.warehouse_site = warehouse_site
+        self.warehouses = warehouses
         self.sources = sources
         self.updaters = updaters
+        self.dead: set = set()
 
     def quiescent(self) -> bool:
+        """Every updater done, every live warehouse done, every source
+        quiescent."""
         return (
             all(updater.done for updater in self.updaters)
-            and self.warehouse_site.quiescent()
-            and all(source.quiescent() for source in self.sources)
+            and all(
+                site.done()
+                for member, site in self.warehouses.items()
+                if member not in self.dead
+            )
+            and all(source.quiescent() for source in self.sources.values())
         )
 
     def close(self) -> None:
         """Release the sources' backends (all a simulated fleet holds)."""
-        for source in self.sources:
+        for source in self.sources.values():
             source.close()
 
     async def aclose(self) -> None:
-        for site in (self.warehouse_site, *self.sources):
+        for site in (*self.warehouses.values(), *self.sources.values()):
             await site.aclose()
-
-
-def make_recorder(workload: Workload) -> RunRecorder:
-    """An oracle recorder that knows every source's initial state."""
-    view = workload.view
-    recorder = RunRecorder(view)
-    for index in range(1, view.n_relations + 1):
-        name = view.name_of(index)
-        recorder.register_source(index, name, workload.initial_states[name])
-    return recorder
 
 
 async def build_sites(
@@ -453,55 +536,104 @@ async def build_sites(
     links,
     config: ExperimentConfig,
     workload: Workload,
-    recorder: RunRecorder,
     metrics: MetricsCollector,
-    trace: TraceLog | None,
+    trace: TraceLog | None = None,
+    plan: SitePlan | None = None,
+    server=DataSourceServer,
 ) -> Sites:
-    """Build the sites in the order they need each other: the warehouse's
-    inbox, the sources that send to it, the updaters that drive them, the
-    warehouse that queries them.
+    """Build ``plan``'s sites (default: :func:`one_warehouse`) in the
+    order they need each other: the warehouses' inboxes, the sources that
+    send to them, the updaters that drive the sources, the warehouses that
+    query them.  Every view starts from one wide join per sweep class of
+    the family, however many members host it; a recovering member joins
+    nothing.  ``server`` is :class:`SourceSite`'s.
 
-    Processes start in that order too (sources, updaters, warehouse);
+    Processes start in that order too (sources, updaters, warehouses);
     on the simulator, zero-delay starts fire in spawn order, so the order
     is part of every simulated result.  ``links.start()`` only suspends
     on links with something to start (TCP listeners).
     """
-    warehouse = WarehouseNode(runtime, links, config, workload)
-    await links.start()
-    sources = {
-        index: SourceSite(runtime, links, config, workload, index, trace)
-        for index in warehouse.sources
-    }
-    for site in sources.values():
-        site.server.add_update_listener(recorder.on_source_update)
-    await links.start()
-
-    def local_update(index: int):
-        if 0 in sources:  # the central site holds every relation
-            return partial(sources[0].server.local_update, index)
-        return sources[index].server.local_update
-
-    updaters = [
-        ScheduledUpdater(
-            runtime, workload.view.name_of(index), local_update(index), schedule
+    plan = plan if plan is not None else one_warehouse(config, workload)
+    family = plan.family or [workload.view]
+    codec = family_codec(family)
+    warehouses = {
+        member: WarehouseSite(
+            runtime,
+            links,
+            config,
+            workload,
+            member,
+            views,
+            plan.fanout,
+            codec,
+            plan.expected[member],
+            family=plan.family is not None,
+            durable_dir=plan.durable_dirs.get(member),
         )
-        for index, schedule in sorted(workload.schedules.items())
-    ]
-    warehouse.connect(sources, recorder, metrics, trace)
-    return Sites(warehouse, list(sources.values()), updaters)
+        for member, views in plan.hosted.items()
+    }
+    await links.start()
+    sources: dict[int, SourceSite] = {}
+    updaters: list[ScheduledUpdater] = []
+    if not plan.remote_sources:
+        # Every recorder -- each member classifies against its own
+        # delivery order -- sees every source commit.
+        recorders = [
+            recorder
+            for site in warehouses.values()
+            for recorder in site.recorders.values()
+        ]
+
+        def on_source_update(notice) -> None:
+            for recorder in recorders:
+                recorder.history.on_source_update(notice)
+
+        for index, members in sorted(plan.fanout.items()):
+            source = sources[index] = SourceSite(
+                runtime, links, config, workload, index, trace,
+                destinations=members, codec=codec, server=server,
+            )
+            source.server.add_update_listener(on_source_update)
+        await links.start()
+
+        def local_update(index: int):
+            if 0 in sources:  # the central site holds every relation
+                return partial(sources[0].server.local_update, index)
+            return sources[index].server.local_update
+
+        updaters = [
+            ScheduledUpdater(
+                runtime, workload.view.name_of(index), local_update(index), schedule
+            )
+            for index, schedule in sorted(workload.schedules.items())
+        ]
+    initial_views = {}
+    if any(site.recovered_state is None for site in warehouses.values()):
+        initial_views = evaluate_views(family, workload.initial_states)
+    for member, site in warehouses.items():
+        site.connect(
+            initial_views,
+            metrics,
+            trace,
+            plan.checkpoint_policy,
+            plan.fsync_batch,
+            plan.crash_plans.get(member),
+        )
+    return Sites(warehouses, sources, updaters)
 
 
 __all__ = [
+    "FAMILY_SCHEDULERS",
     "WAREHOUSE",
+    "SitePlan",
     "SourceSite",
     "Sites",
-    "WarehouseNode",
     "WarehouseSite",
     "algorithm_kwargs",
     "build_sites",
     "family_codec",
     "make_backend",
-    "make_recorder",
+    "one_warehouse",
     "replica_group",
     "site_name",
 ]

@@ -21,11 +21,14 @@ Entry points:
   view family partitioned across warehouse shards (:mod:`.shard`).
 
 Every fleet, single-warehouse or sharded, on one loop or one site per
-process, is built from the sites of :mod:`repro.harness.sites` (and
-:mod:`.shard.node`'s member site) over a *links* object -- :class:`LocalLinks` or
-:class:`TcpLinks` from :mod:`.nodes` -- that is all a transport is.  The
-simulator builds the same sites over its own links
-(:class:`~repro.simulation.links.SimLinks`).
+process, is built by :func:`repro.harness.sites.build_sites` -- one
+:class:`~repro.harness.sites.WarehouseSite` per warehouse member, one
+:class:`~repro.harness.sites.SourceSite` per source -- over a *links*
+object, :class:`LocalLinks` or :class:`TcpLinks` from :mod:`.nodes`, that
+is all a transport is.  The simulator builds the same sites over its own
+links (:class:`~repro.simulation.links.SimLinks`).  Both serve paths share
+:func:`.nodes.serve_site`, and both judge their views
+(:class:`VerificationError`).
 """
 
 # ``bench/trace.py`` imports ``binwire`` from this package and patches
@@ -41,7 +44,7 @@ from repro.formats.errors import (
     TransportRetriesExceeded,
     WireProtocolError,
 )
-from repro.harness.sites import SourceSite, WarehouseNode
+from repro.harness.sites import SourceSite, WarehouseSite
 from repro.runtime.chaos import (
     PROFILES,
     ChaosConfig,
@@ -59,7 +62,7 @@ from repro.runtime.distributed import (
     serve_warehouse_async,
 )
 from repro.runtime.kernel import AsyncRuntime
-from repro.runtime.nodes import LocalLinks, TcpLinks
+from repro.runtime.nodes import LocalLinks, TcpLinks, VerificationError
 from repro.runtime.shard import (
     CLEAN_FAILURE_EXIT,
     FailoverSpec,
@@ -67,9 +70,7 @@ from repro.runtime.shard import (
     RebalanceCoordinator,
     RebalanceSpec,
     ShardCrashed,
-    ShardNode,
     ShardSupervisor,
-    ShardVerificationError,
     ShardedRunResult,
     build_sharded_supervisor,
     free_port,
@@ -102,9 +103,7 @@ __all__ = [
     "RuntimeChannel",
     "RuntimeHostError",
     "ShardCrashed",
-    "ShardNode",
     "ShardSupervisor",
-    "ShardVerificationError",
     "ShardedRunResult",
     "SourceSite",
     "TcpChannel",
@@ -113,7 +112,8 @@ __all__ = [
     "TransportError",
     "TransportOverflowError",
     "TransportRetriesExceeded",
-    "WarehouseNode",
+    "VerificationError",
+    "WarehouseSite",
     "WireCodec",
     "WireProtocolError",
     "build_sharded_supervisor",

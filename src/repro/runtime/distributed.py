@@ -14,10 +14,10 @@ trace, consistency oracle and verdict, report rendering -- is the same
 machinery, so a distributed run and a simulator run are directly
 comparable.
 
-Quiescence detection replaces the simulator's empty event heap: the run is
-over when every scheduled update was applied and delivered, every process
-is parked on a mailbox, and no transport has frames in flight -- stable
-across two consecutive polls.
+Quiescence replaces the simulator's empty event heap: the run is over when
+the kernel is settled and the fleet quiescent
+(:meth:`~repro.harness.sites.Sites.quiescent`, the test a sharded fleet
+uses too) -- every update delivered, no transport frame in flight.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.results import RunResult
 from repro.harness.runner import build_workload, record_predicate_cache_delta
 from repro.harness.sites import (
+    WAREHOUSE,
     SourceSite,
-    WarehouseNode,
     build_sites,
     family_codec,
-    make_recorder,
+    one_warehouse,
     replica_group,
-    site_name,
 )
 from repro.relational.predicate import compile_cache_stats
 from repro.runtime.chaos import ChaosConfig, ChaosStats, profile
@@ -46,8 +45,9 @@ from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.nodes import (
     TcpLinks,
     drained_for,
-    hold_until_delivered,
     links_for,
+    require_claimed,
+    serve_site,
 )
 from repro.runtime.tcp import TcpChannelConfig, probe_peer
 from repro.simulation.metrics import MetricsCollector
@@ -105,105 +105,56 @@ async def run_distributed_async(
     chaos = profile(chaos)
     predicate_stats_before = compile_cache_stats()
     workload = build_workload(config, RngRegistry(config.seed))
-    info = algorithm_info(config.algorithm)
-
     runtime = AsyncRuntime(time_scale=time_scale)
     metrics = MetricsCollector()
-    trace = TraceLog(enabled=config.trace)
-    recorder = make_recorder(workload)
+    trace = TraceLog(enabled=True) if config.trace else None
     links = links_for(
         transport, runtime, metrics, chaos, config.seed, host, tcp_config
     )
-    sites = await build_sites(
-        runtime,
-        links,
-        config,
-        workload,
-        recorder,
-        metrics,
-        trace if config.trace else None,
-    )
+    sites = await build_sites(runtime, links, config, workload, metrics, trace)
 
     started = _time.perf_counter()
     try:
-        total = workload.total_updates
-
-        def finished() -> bool:
-            return (
-                recorder.updates_delivered >= total
-                and runtime.settled()
-                and sites.quiescent()
-            )
-
-        await runtime.wait_until(finished, timeout=timeout)
+        await runtime.wait_until(
+            lambda: runtime.settled() and sites.quiescent(), timeout=timeout
+        )
         wall = _time.perf_counter() - started
         record_predicate_cache_delta(metrics, predicate_stats_before)
 
-        warehouse = sites.warehouse_site.warehouse
-        result = DistributedRunResult(
-            config=config,
-            info=info,
-            final_view=warehouse.current_view(),
-            sim_time=runtime.now,
-            wall_seconds=wall,
-            metrics=metrics,
-            recorder=recorder,
-            warehouse=warehouse,
-            trace=trace if config.trace else None,
+        return DistributedRunResult.judged(
+            sites.warehouses[WAREHOUSE],
+            runtime.now,
+            wall,
+            metrics,
+            trace,
             transport=transport,
             time_scale=time_scale,
             chaos_profile=chaos.name if chaos is not None else None,
             chaos_stats=links.chaos_stats,
         )
-        result.judge()
-        return result
     finally:
         await sites.aclose()
         await links.aclose()
         await runtime.aclose()
 
 
-def run_distributed(
-    config: ExperimentConfig,
-    transport: str = "tcp",
-    time_scale: float = 0.01,
-    host: str = "127.0.0.1",
-    timeout: float = 60.0,
-    tcp_config: TcpChannelConfig | None = None,
-    chaos: "ChaosConfig | str | None" = None,
-) -> DistributedRunResult:
-    """Blocking wrapper: run one distributed experiment in a fresh loop."""
-    return asyncio.run(
-        run_distributed_async(
-            config,
-            transport=transport,
-            time_scale=time_scale,
-            host=host,
-            timeout=timeout,
-            tcp_config=tcp_config,
-            chaos=chaos,
-        )
-    )
+def run_distributed(config: ExperimentConfig, **options) -> DistributedRunResult:
+    """Blocking wrapper: run one distributed experiment in a fresh loop
+    (``options`` are :func:`run_distributed_async`'s)."""
+    return asyncio.run(run_distributed_async(config, **options))
 
 
 def quick_distributed(
     algorithm: str = "sweep",
-    n_sources: int = 3,
-    n_updates: int = 20,
-    seed: int = 0,
     transport: str = "tcp",
     time_scale: float = 0.01,
+    timeout: float = 60.0,
     **overrides,
 ) -> DistributedRunResult:
-    """Distributed twin of :func:`repro.quick_run` (one-call entry point)."""
-    timeout = overrides.pop("timeout", 60.0)
-    config = ExperimentConfig(
-        algorithm=algorithm,
-        n_sources=n_sources,
-        n_updates=n_updates,
-        seed=seed,
-        **overrides,
-    )
+    """Distributed twin of :func:`repro.quick_run` (one-call entry point);
+    ``overrides`` are :class:`~repro.harness.config.ExperimentConfig`
+    fields."""
+    config = ExperimentConfig(algorithm=algorithm, **overrides)
     return run_distributed(
         config, transport=transport, time_scale=time_scale, timeout=timeout
     )
@@ -227,18 +178,17 @@ async def serve_warehouse_async(
     checkpoint_policy=None,
     fsync_batch: int = 8,
 ) -> DistributedRunResult:
-    """Host the warehouse site of a multi-process deployment.
+    """Host the warehouse site of a multi-process deployment: the path
+    of ``serve-shard`` (:func:`~repro.runtime.nodes.serve_site`, whose
+    ``probe`` and ``expect_updates`` these are; ``None`` serves until
+    cancelled).
 
     Every participating process derives the identical view and initial
-    state from ``config`` (same seed, same generator streams).  When
-    ``expect_updates`` is given the call returns a result after that many
-    updates were delivered and the site went quiescent; otherwise it
-    serves until cancelled.
-
-    With ``probe=True`` every source address is connectivity-checked up
-    front (with the channel retry budget), so a mistyped or dead peer
-    surfaces as :class:`~repro.formats.errors.TransportRetriesExceeded`
-    instead of the site waiting forever for updates that cannot arrive.
+    state from ``config`` (same seed, same generator streams), so the
+    site rebuilds the source histories from the seeded schedule and
+    judges its own view: one below the algorithm's claimed consistency
+    level raises :class:`~repro.runtime.nodes.VerificationError` (the CLI
+    exits non-zero), unless ``config.check_consistency`` is off.
 
     ``durable_dir`` makes the site crash-restartable: it checkpoints and
     WAL-logs there, and a process restarted on the same directory
@@ -253,78 +203,38 @@ async def serve_warehouse_async(
             " `repro run-distributed`"
         )
     workload = build_workload(config, RngRegistry(config.seed))
-    view = workload.view
-    runtime = AsyncRuntime(time_scale=time_scale)
-    metrics = MetricsCollector()
-    trace = TraceLog(enabled=config.trace)
-    recorder = make_recorder(workload)
-    links = TcpLinks(
-        runtime, metrics, tcp_config=tcp_config, listen=(listen_host, listen_port)
+    plan = one_warehouse(
+        config,
+        workload,
+        durable_dirs={WAREHOUSE: durable_dir},
+        checkpoint_policy=checkpoint_policy,
+        fsync_batch=fsync_batch,
     )
-    links.peers.update(
-        {
-            f"wh->{site_name(view, index)}": address
-            for index, address in source_addresses.items()
-        }
-    )
-    node = WarehouseNode(runtime, links, config, workload, durable_dir)
-    node.connect(
-        source_addresses,
-        recorder,
-        metrics,
-        trace if config.trace else None,
-        checkpoint_policy,
-        fsync_batch,
-    )
-    await links.start()
-    print(
-        f"warehouse[{config.algorithm}] listening on"
-        f" {node.address[0]}:{node.address[1]}"
-    )
-    recovered = node.recovered_state
-    if recovered is not None:
-        print(
-            f"warehouse recovered generation {recovered.generation}:"
-            f" {recovered.installs} installs, {len(recovered.pending)}"
-            f" pending update(s) replayed"
+
+    def judged(site, wall, metrics, trace) -> DistributedRunResult:
+        result = DistributedRunResult.judged(
+            site, site.runtime.now, wall, metrics, trace,
+            transport="tcp", time_scale=time_scale,
         )
-        if expect_updates is not None:
-            # This incarnation only sees what the durable state has not
-            # yet installed: the replayed pending plus the remainder.
-            expect_updates += len(recovered.pending) - recovered.delivered_total
-    started = _time.perf_counter()
-    try:
-        if probe:
-            for index, (phost, pport) in sorted(source_addresses.items()):
-                await probe_peer(phost, pport, tcp_config, what=f"source R{index}")
-        if expect_updates is None:
-            await runtime.until_failure()  # serve until cancelled (Ctrl-C)
-        hold_until_delivered(runtime, recorder, expect_updates)
-        await runtime.wait_until(
-            lambda: recorder.updates_delivered >= expect_updates
-            and runtime.settled()
-            and node.quiescent(),
-            timeout=timeout,
-        )
-        result = DistributedRunResult(
-            config=config,
-            info=info,
-            final_view=node.warehouse.current_view(),
-            sim_time=runtime.now,
-            wall_seconds=_time.perf_counter() - started,
-            metrics=metrics,
-            recorder=recorder,
-            warehouse=node.warehouse,
-            trace=trace if config.trace else None,
-            transport="tcp",
-            time_scale=time_scale,
-        )
-        # Source histories live in other processes; only warehouse-local
-        # consistency accounting is possible here.
+        if result.classified_level is not None:
+            levels = {site.views[0].name: result.classified_level}
+            require_claimed("warehouse", levels, config)
         return result
-    finally:
-        await node.aclose()
-        await runtime.aclose()
+
+    return await serve_site(
+        AsyncRuntime(time_scale=time_scale),
+        config,
+        workload,
+        plan,
+        source_addresses,
+        (listen_host, listen_port),
+        tcp_config,
+        timeout,
+        judged,
+        probe=probe,
+        expect_updates=expect_updates,
+        forever=expect_updates is None,
+    )
 
 
 async def serve_source_async(

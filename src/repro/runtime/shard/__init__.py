@@ -38,24 +38,26 @@ One description, one way to build
 :class:`FleetSpec` (:mod:`.spec`) is the one description of a fleet: its
 fields are the keyword arguments of every entry point, it derives the
 workload, family, plan, replica groups and fan-out once, and its
-constructor is the only place a fleet shape is rejected.  Two sites
-host it -- :class:`ShardNode` (:mod:`.node`) per member and the
-single-warehouse fleet's :class:`~repro.harness.sites.SourceSite` per
-source -- over a *links* object that is all a transport is.
+constructor is the only place a fleet shape is rejected.  Its
+:meth:`~FleetSpec.site_plan` is what
+:func:`~repro.harness.sites.build_sites` builds -- the one builder of
+every fleet, the single warehouse being the one-member, one-view case:
+a :class:`~repro.harness.sites.WarehouseSite` per member and a
+:class:`~repro.harness.sites.SourceSite` per source, over a *links*
+object that is all a transport is (the simulator's ``SimLinks`` too).
 :func:`run_sharded` (:mod:`.run`) builds every site on one event loop,
-:func:`serve_shard_async` (:mod:`.serve`) and
-:func:`repro.runtime.distributed.serve_source_async` one site per OS
-process, and :func:`build_sharded_supervisor` (:mod:`.supervisor`)
-launches those processes from command lines the spec derives and checks.
-Faults (:mod:`.faults`, :mod:`.rebalance`) are hooks a spec asks for,
-armed on the built fleet; an un-faulted fleet has nothing installed.
+:func:`serve_shard_async` (:mod:`.serve`) one member per OS process --
+``serve-warehouse``'s path, verdict included -- and
+:func:`build_sharded_supervisor` (:mod:`.supervisor`) launches those
+processes from command lines the spec derives and checks.  Faults
+(:mod:`.faults`, :mod:`.rebalance`) are hooks a spec asks for, armed on
+the built fleet; an un-faulted fleet has nothing installed.
 """
 
 # Not used here: tests/runtime/conftest.py replaces this attribute with a
 # quiescence-checking subclass, and ``run.new_runtime`` reads it back.
 from repro.runtime.kernel import AsyncRuntime  # noqa: F401
 from repro.runtime.shard.faults import FailoverSpec, ProtocolTrigger
-from repro.runtime.shard.node import ShardNode, build_shard_warehouse
 from repro.runtime.shard.rebalance import RebalanceCoordinator, RebalanceSpec
 # ShardedSourceFront is DataSourceServer under the name bench/ traces
 # (see run.py); a bench-only change removes it.
@@ -65,11 +67,7 @@ from repro.runtime.shard.run import (
     run_sharded,
     run_sharded_async,
 )
-from repro.runtime.shard.serve import (
-    ShardVerificationError,
-    seed_history_from_workload,
-    serve_shard_async,
-)
+from repro.runtime.shard.serve import serve_shard_async
 from repro.runtime.shard.spec import FleetSpec, free_port
 from repro.runtime.shard.supervisor import (
     CLEAN_FAILURE_EXIT,
@@ -87,17 +85,13 @@ __all__ = [
     "RebalanceCoordinator",
     "RebalanceSpec",
     "ShardCrashed",
-    "ShardNode",
     "ShardSupervisor",
-    "ShardVerificationError",
     "ShardedRunResult",
     "ShardedSourceFront",
-    "build_shard_warehouse",
     "build_sharded_supervisor",
     "free_port",
     "launch_sharded_processes",
     "run_sharded",
     "run_sharded_async",
-    "seed_history_from_workload",
     "serve_shard_async",
 ]

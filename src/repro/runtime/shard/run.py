@@ -15,13 +15,12 @@ from repro.relational.predicate import compile_cache_stats
 from repro.relational.relation import Relation
 from repro.runtime.chaos import ChaosStats
 from repro.formats.errors import RuntimeHostError
-from repro.harness.sites import SourceSite, family_codec
-from repro.runtime.shard.node import ShardNode, make_links
+from repro.harness.sites import Sites, SourceSite, WarehouseSite, build_sites
+from repro.runtime.nodes import links_for
 from repro.runtime.shard.spec import FleetSpec
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
 from repro.sources.server import DataSourceServer
-from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.sharding import ShardMember, ShardPlan
 
 
@@ -167,7 +166,7 @@ class ShardedRunResult:
 
 def collect_result(
     spec: FleetSpec,
-    sites: dict[int, ShardNode],
+    sites: dict[int, WarehouseSite],
     wall_seconds: float,
     plan: ShardPlan,
     migrated: str | None = None,
@@ -177,22 +176,15 @@ def collect_result(
     site (``sites``: shard id -> the member that speaks for it).
 
     ``plan`` is the assignment at the *end* of the run (the launch plan
-    unless a rebalance moved ``migrated``).  Views other than a shard's
-    primary share the primary's delivery order -- except the migrated
-    one, whose recorder owns its own spliced order (donor prefix +
-    catch-up + steady state).
+    unless a rebalance moved ``migrated``; see
+    :meth:`~repro.harness.sites.WarehouseSite.final_recorders`).
     """
     recorders: dict[str, RunRecorder] = {}
     final_views: dict[str, Relation] = {}
     for shard, site in sorted(sites.items()):
-        primary = site.views[0].name
+        recorders.update(site.final_recorders(migrated))
         for view in plan.views_for(shard):
-            if view.name not in (primary, migrated):
-                site.recorders[view.name].deliveries = list(
-                    site.primary_recorder.deliveries
-                )
             final_views[view.name] = site.warehouse.view_contents(view.name)
-        recorders.update(site.recorders)
     levels: dict[str, ConsistencyLevel] = {}
     if spec.config.check_consistency:
         levels = {
@@ -243,20 +235,28 @@ def new_runtime(spec: FleetSpec):
 class Fleet:
     """Every site of one :class:`FleetSpec`, live on one runtime.
 
-    What a fault hook may touch: :attr:`members` / :attr:`sources` (the
-    sites), :meth:`kill`, and the :attr:`promotions`, :attr:`armed` and
-    :attr:`on_death` the fleet keeps for the hooks.
+    :meth:`start` builds the sites with
+    :func:`~repro.harness.sites.build_sites` over the spec's
+    :meth:`~FleetSpec.site_plan`.  What a fault hook may touch:
+    :attr:`members` / :attr:`sources` (the sites), :meth:`kill`, and the
+    :attr:`promotions`, :attr:`armed` and :attr:`on_death` the fleet
+    keeps for the hooks.
     """
 
     def __init__(self, spec: FleetSpec):
         self.spec = spec
         self.runtime = new_runtime(spec)
         self.metrics = MetricsCollector()
-        self.links = make_links(spec, self.runtime, self.metrics)
-        self.members: dict[ShardMember, ShardNode] = {}
-        self.sources: dict[int, SourceSite] = {}
-        self.updaters: list[ScheduledUpdater] = []
-        self.dead: set[ShardMember] = set()
+        self.links = links_for(
+            spec.transport,
+            self.runtime,
+            self.metrics,
+            spec.chaos,
+            spec.config.seed,
+            spec.host,
+            spec.tcp_config,
+        )
+        self.sites = Sites({}, {}, [])
         #: shard id -> label of the member promoted after its primary died.
         self.promotions: dict[int, str] = {}
         #: fault spec -> whatever its ``arm`` keeps for its ``settle``.
@@ -265,55 +265,30 @@ class Fleet:
         self.on_death: list = []
 
     async def start(self) -> None:
-        """Build the sites in the order they need each other: the members'
-        inboxes, the sources that send to them, the members' warehouses
-        that query the sources -- then start the updaters."""
-        spec, runtime, links = self.spec, self.runtime, self.links
+        spec = self.spec
         trace = TraceLog(enabled=True) if spec.config.trace else None
-        for member in spec.rplan.members:
-            self.members[member] = ShardNode(
-                spec, runtime, member, links, spec.member_dir(member),
-                self.metrics, trace,
-            )
-        await links.start()
-        # One recorder set per member (primary and standby each classify
-        # against their own delivery order); all see every source commit.
-        recorders = [
-            recorder
-            for site in self.members.values()
-            for recorder in site.recorders.values()
-        ]
-        codec = family_codec(spec.family)
-        for index in spec.source_indices:
-            source = self.sources[index] = SourceSite(
-                runtime,
-                links,
-                spec.config,
-                spec.workload,
-                index,
-                trace,
-                destinations=spec.fanout[index],
-                codec=codec,
-                server=ShardedSourceFront,
-            )
-            source.server.add_update_listener(
-                lambda notice: [
-                    r.history.on_source_update(notice) for r in recorders
-                ]
-            )
-        await links.start()
-        for member, site in self.members.items():
-            site.connect(spec.source_indices, spec.crash_plan(member))
-        spec.started()
-        self.updaters = [
-            ScheduledUpdater(
-                runtime,
-                self.sources[index].name,
-                self.sources[index].server.local_update,
-                schedule,
-            )
-            for index, schedule in sorted(spec.workload.schedules.items())
-        ]
+        self.sites = await build_sites(
+            self.runtime,
+            self.links,
+            spec.config,
+            spec.workload,
+            self.metrics,
+            trace,
+            spec.site_plan(),
+            server=ShardedSourceFront,
+        )
+
+    @property
+    def members(self) -> dict[ShardMember, WarehouseSite]:
+        return self.sites.warehouses
+
+    @property
+    def sources(self) -> dict[int, SourceSite]:
+        return self.sites.sources
+
+    @property
+    def dead(self) -> set[ShardMember]:
+        return self.sites.dead
 
     def kill(self, member: ShardMember) -> None:
         """The member is gone: its inbox is sealed (models the process
@@ -324,7 +299,7 @@ class Fleet:
         for hook in self.on_death:
             hook(member)
 
-    def authority(self, shard: int) -> ShardNode:
+    def authority(self, shard: int) -> WarehouseSite:
         """Who speaks for ``shard``: its primary, or -- after a failover
         -- the first surviving standby (mute on the answer path until
         promoted).  Only its views, verdicts and recorders appear on the
@@ -335,16 +310,7 @@ class Fleet:
         raise RuntimeHostError(f"shard {shard}: no surviving member")
 
     def quiescent(self) -> bool:
-        return (
-            all(updater.done for updater in self.updaters)
-            and self.runtime.settled()
-            and all(
-                site.done()
-                for member, site in self.members.items()
-                if member not in self.dead
-            )
-            and all(source.quiescent() for source in self.sources.values())
-        )
+        return self.runtime.settled() and self.sites.quiescent()
 
     def result(self, wall_seconds: float, plan=None, **fields) -> ShardedRunResult:
         plan = plan if plan is not None else self.spec.plan
@@ -368,8 +334,7 @@ class Fleet:
         )
 
     async def aclose(self) -> None:
-        for site in (*self.members.values(), *self.sources.values()):
-            await site.aclose()
+        await self.sites.aclose()
         await self.links.aclose()
         await self.runtime.aclose()
 

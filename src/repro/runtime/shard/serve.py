@@ -12,57 +12,20 @@ cannot derive -- where its peers listen -- it is told.
 
 from __future__ import annotations
 
-import time as _time
+from functools import partial
 
-from repro.consistency.oracle import RunRecorder
 from repro.durability.manager import CheckpointPolicy
 from repro.durability.recovery import seed_standby_dir
 from repro.harness.config import ExperimentConfig
-from repro.formats.errors import RuntimeHostError
-from repro.runtime.nodes import TcpLinks, hold_until_delivered
-from repro.runtime.shard.node import ShardNode
+from repro.runtime.nodes import require_claimed, serve_site
 from repro.runtime.shard.run import (
     ShardedRunResult,
     collect_result,
     new_runtime,
 )
 from repro.runtime.shard.spec import FleetSpec
-from repro.runtime.tcp import TcpChannelConfig, probe_peer
-from repro.simulation.metrics import MetricsCollector
-from repro.simulation.trace import TraceLog
-from repro.sources.messages import UpdateNotice
-from repro.warehouse.registry import algorithm_info
+from repro.runtime.tcp import TcpChannelConfig
 from repro.warehouse.sharding import ShardMember
-from repro.workloads.scenarios import Workload
-
-
-class ShardVerificationError(RuntimeHostError):
-    """A shard's views failed their claimed consistency level."""
-
-
-def seed_history_from_workload(
-    recorders: dict[str, RunRecorder], workload: Workload
-) -> None:
-    """Reconstruct every source's update history from the shared schedule.
-
-    A serve-mode shard never observes remote sources' commits directly,
-    but the schedule is a pure function of the shared config -- so the
-    history the oracle needs (dense per-source sequence of deltas) can be
-    derived locally, exactly as the source process will replay it.
-    """
-    for index, schedule in sorted(workload.schedules.items()):
-        ordered = sorted(schedule, key=lambda u: u.time)
-        for seq, update in enumerate(ordered, start=1):
-            notice = UpdateNotice(
-                source_index=index,
-                seq=seq,
-                delta=update.delta,
-                applied_at=update.time,
-                txn_id=update.txn_id,
-                txn_total=update.txn_total,
-            )
-            for recorder in recorders.values():
-                recorder.history.on_source_update(notice)
 
 
 async def serve_shard_async(
@@ -87,11 +50,11 @@ async def serve_shard_async(
 ) -> ShardedRunResult:
     """Host one warehouse shard of a multi-process sharded deployment.
 
-    Source histories are reconstructed locally from the seeded schedule,
-    which lets this shard verify its views' consistency in-process; with
-    ``verify=True`` a view falling short of its scheduler's claimed level
-    raises :class:`ShardVerificationError` (and the CLI exits non-zero)
-    -- the supervisor's oracle gate for free.
+    ``serve-warehouse``'s path (:func:`~repro.runtime.nodes.serve_site`): source
+    histories are rebuilt from the seeded schedule, so the shard verifies
+    its views in-process; with ``verify=True`` a view below its
+    scheduler's claimed level raises :class:`VerificationError` (the CLI
+    exits non-zero) -- the supervisor's oracle gate for free.
 
     ``durable_dir`` is *this member's* directory (a fleet's
     ``FleetSpec.member_dir``): the shard checkpoints and WAL-logs there,
@@ -127,102 +90,38 @@ async def serve_shard_async(
                 f" {seed_from} at generation {seeded}",
                 flush=True,
             )
-    node = await _host_shard(
-        spec, member, source_addresses, (listen_host, listen_port),
-        durable_dir, expect_updates,
+    return await serve_site(
+        new_runtime(spec),
+        config,
+        spec.workload,
+        spec.site_plan([member], durable_dirs={member: durable_dir}),
+        source_addresses,
+        (listen_host, listen_port),
+        tcp_config,
+        timeout,
+        partial(_judged, spec, verify),
+        probe=probe,
+        expect_updates=expect_updates,
     )
-    try:
-        result = await _until_delivered(
-            spec, node, source_addresses if probe else {}
-        )
-        if verify:
-            _require_claimed(spec, shard_id, result)
-        return result
-    finally:
-        await node.aclose()
-        await node.runtime.aclose()
 
 
-def _require_claimed(spec: FleetSpec, shard_id: int, result) -> None:
-    claimed = algorithm_info(spec.config.algorithm).claimed_consistency
-    failing = {
-        name: level.name.lower()
-        for name, level in result.levels.items()
-        if level < claimed
-    }
-    if failing:
-        raise ShardVerificationError(
-            f"shard {shard_id}: views below claimed"
-            f" {claimed.name.lower()}: {failing}"
-        )
-
-
-async def _host_shard(
-    spec: FleetSpec, member, source_addresses, listen, durable_dir, expect_updates
-) -> ShardNode:
-    """Build, connect and start one member site; announce where it listens."""
-    runtime = new_runtime(spec)
-    metrics = MetricsCollector()
-    links = TcpLinks(runtime, metrics, tcp_config=spec.tcp_config, listen=listen)
-    links.peers.update(
-        {
-            f"{member.label}->{spec.chain.name_of(index)}": address
-            for index, address in source_addresses.items()
-        }
-    )
-    trace = TraceLog(enabled=True) if spec.config.trace else None
-    node = ShardNode(
-        spec, runtime, member, links, durable_dir, metrics, trace, expect_updates
-    )
-    seed_history_from_workload(node.recorders, spec.workload)
-    node.connect(source_addresses)
-    spec.started()
-    await links.start()
-    recovered = node.recovered_state
-    print(
-        f"shard[{member.label}/{spec.n_shards}] hosting"
-        f" {[v.name for v in node.views]} listening on"
-        f" {node.address[0]}:{node.address[1]}"
-        + (
-            f" (recovered generation {recovered.generation},"
-            f" {len(recovered.pending)} pending replayed)"
-            if recovered is not None
-            else ""
-        ),
-        flush=True,
-    )
-    return node
-
-
-async def _until_delivered(
-    spec: FleetSpec, node: ShardNode, probe: dict
-) -> ShardedRunResult:
-    """Probe the ``probe`` addresses (source index -> address), serve until
-    the member is done, and read its result off it."""
-    runtime, shard = node.runtime, node.member.shard
-    started = _time.perf_counter()
-    for index, (host, port) in sorted(probe.items()):
-        await probe_peer(host, port, spec.tcp_config, what=f"source R{index}")
-    hold_until_delivered(runtime, node.primary_recorder, node.expected)
-    await runtime.wait_until(
-        lambda: runtime.settled() and node.done(), timeout=spec.timeout
-    )
-    recovered = node.recovered_state
-    return collect_result(
+def _judged(spec: FleetSpec, verify: bool, site, wall: float, metrics, trace):
+    """The member's result; with ``verify``, its views held to the claim."""
+    shard, recovered = site.member.shard, site.recovered_state
+    result = collect_result(
         spec,
-        {shard: node},
-        _time.perf_counter() - started,
+        {shard: site},
+        wall,
         spec.plan,
-        metrics=node.metrics,
-        updates_total=node.expected,
+        metrics=metrics,
+        updates_total=site.expected,
         recovered_pending=(
             {shard: len(recovered.pending)} if recovered is not None else None
         ),
     )
+    if verify:
+        require_claimed(f"shard {shard}", result.levels, spec.config)
+    return result
 
 
-__all__ = [
-    "ShardVerificationError",
-    "seed_history_from_workload",
-    "serve_shard_async",
-]
+__all__ = ["serve_shard_async"]

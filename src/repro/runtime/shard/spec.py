@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 from repro.durability.manager import CheckpointPolicy, CrashPlan
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import build_workload
-from repro.relational.relation import Relation
-from repro.relational.view import ViewDefinition, evaluate_views
+from repro.harness.sites import SitePlan
+from repro.relational.view import ViewDefinition
 from repro.runtime.chaos import ChaosConfig, profile
 from repro.runtime.tcp import TcpChannelConfig
 from repro.simulation.rng import RngRegistry
@@ -124,17 +124,6 @@ class FleetSpec:
             return self.views
         return view_family(self.workload.view, max(1, self.config.n_views))
 
-    @cached_property
-    def initial_views(self) -> dict[str, Relation]:
-        """Every family view over the initial source states, one wide
-        join per sweep class however many members and shards it has.
-        Start-up only: :meth:`started` drops it."""
-        return evaluate_views(self.family, self.workload.initial_states)
-
-    def started(self) -> None:
-        """Every member is built (its stores copied their contents)."""
-        vars(self).pop("initial_views", None)
-
     @property
     def chain(self) -> ViewDefinition:
         """The family's base view: names and schemas of the sources."""
@@ -189,14 +178,32 @@ class FleetSpec:
             return None
         return os.path.join(self.durable_dir, member_name(member))
 
-    def crash_plan(self, member: ShardMember) -> CrashPlan | None:
-        if not self.crash_plans or not member.is_primary:
-            return None
-        return self.crash_plans.get(member.shard)
+    def site_plan(self, members=None, **fields) -> SitePlan:
+        """This fleet as :func:`~repro.harness.sites.build_sites` builds it:
+        every replica-group member (or only ``members``), each hosting its
+        shard's views, fed as :attr:`fanout` says.  ``crash_plans`` crash
+        primaries only.  ``fields`` override the
+        :class:`~repro.harness.sites.SitePlan`'s."""
+        members = self.rplan.members if members is None else members
+        crash_plans = self.crash_plans or {}
+        plan = dict(
+            hosted={m: self.hosted_views(m.shard) for m in members},
+            fanout=self.fanout,
+            expected={m: self.expected_deliveries(m) for m in members},
+            family=self.family,
+            durable_dirs={m: self.member_dir(m) for m in members},
+            crash_plans={
+                m: crash_plans.get(m.shard) for m in members if m.is_primary
+            },
+            checkpoint_policy=self.checkpoint_policy,
+            fsync_batch=self.fsync_batch,
+        )
+        return SitePlan(**{**plan, **fields})
 
     def expected_deliveries(self, member: ShardMember) -> int:
         """Updates a member is sent: those of the sources its shard's
-        views reference."""
+        views reference (a standby's too, whether or not this spec's
+        ``replicas`` counts it: a served standby's spec does not)."""
         fanout = self.plan.source_fanout()
         return sum(
             len(self.workload.schedules.get(index, ()))

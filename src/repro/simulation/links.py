@@ -16,9 +16,11 @@ class SimLinks:
     """``channel(name)`` is a :class:`Channel` into the mailbox bound
     under ``name``, FIFO unless ``config.fifo_channels`` is off, its
     latency drawn from ``config``'s model (``latency_model`` around
-    ``latency``) on the stream ``latency:<site>-up`` for ``"<site>->wh"``
-    or ``latency:<site>-down`` for ``"wh-><site>"``.  Bind before asking
-    for the channel."""
+    ``latency``) on the stream ``latency:<site>-up`` for ``"<site>->wh"``,
+    ``latency:<site>-down`` for ``"wh-><site>"`` and ``latency:<name>``
+    for a shard member's channel (``"R1->sh0"``, ``"sh0r1->R1"``), so
+    every channel draws from its own stream.  Bind before asking for the
+    channel."""
 
     def __init__(
         self,
@@ -38,7 +40,12 @@ class SimLinks:
 
     def channel(self, name: str, codec, epoch: int = 0) -> Channel:
         sender, _, receiver = name.partition("->")
-        end = f"{sender}-up" if receiver == "wh" else f"{receiver}-down"
+        if receiver == "wh":
+            end = f"{sender}-up"
+        elif sender == "wh":
+            end = f"{receiver}-down"
+        else:
+            end = name
         latency = build_latency_model(
             self.config.latency_model,
             self.config.latency,

@@ -29,7 +29,7 @@ from repro.formats.errors import UnsupportedFormatError
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.sources.messages import UpdateNotice
-from tests.hostile import check_hostile, lying_varint
+from tests.hostile import check_hostile, fresh_copies, lying_varint
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 #: A format-1 (JSON envelope) checkpoint, written before that writer was
@@ -137,16 +137,15 @@ def test_hostile_checkpoint_is_corruption(tmp_path, paper_view):
     """Every truncation and bit flip of the pinned format-4 checkpoint,
     and a lying body length, read through recovery: each recovers or
     raises :class:`CheckpointCorruptionError` -- nothing else escapes."""
-    directory = shutil.copytree(os.path.join(DATA, "format3"), tmp_path / "dir")
-    path = checkpoint_path(str(directory), 2)
+    fixture = os.path.join(DATA, "format3")
+    path = checkpoint_path(fixture, 2)
     blob = open(path, "rb").read()
     body = binwire.loads(blob)["body"]
     assert blob.endswith(body)  # the body is the envelope's last value
+    place = fresh_copies(fixture, os.path.basename(path), tmp_path)
 
     def recover(data: bytes):
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return load_state(str(directory), [paper_view])
+        return load_state(place(data), [paper_view])
 
     # Past the body document's magic, format and bytes tag: its length.
     lie = lying_varint(blob, len(blob) - len(binwire.dumps(body)) + 3)

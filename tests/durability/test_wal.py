@@ -7,7 +7,6 @@ recovery never replays a damaged update into the view.
 """
 
 import os
-import shutil
 import struct
 import zlib
 
@@ -27,7 +26,7 @@ from repro.relational.schema import Schema
 from repro.relational.view import ViewDefinition
 from repro.sources.messages import UpdateNotice
 from tests.durability.test_checkpoint import _checkpoint
-from tests.hostile import check_hostile, lying_field
+from tests.hostile import check_hostile, fresh_copies, lying_field
 
 
 #: Any chain whose sources are two columns wide writes these records.
@@ -210,16 +209,14 @@ _LENGTHS = {"header": 0, "first record": 18, "last record": 65}
 
 
 def _recover_wal(tmp_path, paper_view):
-    """(the pinned log's bytes, a reader that recovers the directory with
-    those bytes in its place)."""
-    directory = shutil.copytree(_PINNED, tmp_path / "dir")
-    path = wal_path(str(directory), 2)
+    """(the pinned log's bytes, a reader that recovers a fresh copy of the
+    directory with those bytes in its place)."""
+    path = wal_path(_PINNED, 2)
     blob = open(path, "rb").read()
+    place = fresh_copies(_PINNED, os.path.basename(path), tmp_path)
 
     def recover(data: bytes):
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return load_state(str(directory), [paper_view])
+        return load_state(place(data), [paper_view])
 
     return blob, recover
 

@@ -8,8 +8,109 @@ import pytest
 import repro.cli
 from repro.cli import build_parser, main
 
+#: Every subcommand's option strings (``_option_string_actions``), sorted:
+#: adding, renaming or dropping a flag is a deliberate edit of this table.
+OPTIONS = {
+    "advise": (
+        "--centralized-ok --fresh --global-txns --help --keys --latency "
+        "--rate --require --sources -h -n"
+    ),
+    "algorithms": "--help -h",
+    "conformance": (
+        "--algorithms --help --json --localities --profiles --runs --seed "
+        "--seeds --sources --time-scale --timeout --transport --updates "
+        "-h -n -s -u"
+    ),
+    "experiments": "--help --save -h",
+    "failover-sweep": (
+        "--help --json --runs --seed --seeds --smoke --tcp-every "
+        "--time-scale --timeout -h -s"
+    ),
+    "fig5": "--help --spacing -h",
+    "rebalance": (
+        "--adaptive-batch --after-deliveries --after-installs --algorithm "
+        "--backend --batch-max --compress-min --connect-timeout --help "
+        "--host --insert-fraction --interarrival --locality "
+        "--locality-budget --max-retries --no-check --replicas --rows "
+        "--seed --shards --sources --strategy --time-scale --timeout "
+        "--to-shard --transport --updates --view --views -a -h -n -s -u"
+    ),
+    "rebalance-sweep": (
+        "--help --json --runs --seed --seeds --tcp-every --time-scale "
+        "--timeout -h -s"
+    ),
+    "recovery-sweep": (
+        "--help --json --runs --seed --seeds --smoke --tcp-every "
+        "--time-scale --timeout -h -s"
+    ),
+    "run": (
+        "--algorithm --backend --global-txn-fraction --help "
+        "--insert-fraction --interarrival --latency --latency-model "
+        "--locality --locality-budget --no-check --no-keys --rows --seed "
+        "--show-view --sources --trace --updates -a -h -n -s -u"
+    ),
+    "run-distributed": (
+        "--adaptive-batch --algorithm --backend --batch-max --chaos "
+        "--compress-min --connect-timeout --help --host --insert-fraction "
+        "--interarrival --locality --locality-budget --max-retries "
+        "--no-check --rows --seed --show-view --sources --time-scale "
+        "--timeout --transport --updates --views -a -h -n -s -u"
+    ),
+    "run-sharded": (
+        "--adaptive-batch --algorithm --backend --batch-max --chaos "
+        "--checkpoint-every --compress-min --connect-timeout "
+        "--durable-dir --fsync-batch --help --host --insert-fraction "
+        "--interarrival --locality --locality-budget --max-restarts "
+        "--max-retries --no-check --processes --replicas --restart --rows "
+        "--seed --shards --sources --strategy --time-scale --timeout "
+        "--transport --updates --views -a -h -n -s -u"
+    ),
+    "serve-shard": (
+        "--adaptive-batch --algorithm --backend --batch-max "
+        "--checkpoint-every --compress-min --connect-timeout "
+        "--durable-dir --expect-updates --fsync-batch --help "
+        "--insert-fraction --interarrival --listen --locality "
+        "--locality-budget --max-retries --no-verify --replica --rows "
+        "--seed --seed-from --shard-id --shards --source --sources "
+        "--standby-of --strategy --time-scale --timeout --updates --views "
+        "-a -h -n -s -u"
+    ),
+    "serve-source": (
+        "--adaptive-batch --algorithm --backend --batch-max "
+        "--compress-min --connect-timeout --help --index "
+        "--insert-fraction --interarrival --linger --listen --locality "
+        "--locality-budget --max-retries --no-drive --rows --seed "
+        "--serve-forever --shard --sources --time-scale --timeout "
+        "--updates --views --warehouse -a -h -i -n -s -u"
+    ),
+    "serve-warehouse": (
+        "--adaptive-batch --algorithm --backend --batch-max "
+        "--checkpoint-every --compress-min --connect-timeout "
+        "--durable-dir --expect-updates --fsync-batch --help "
+        "--insert-fraction --interarrival --listen --locality "
+        "--locality-budget --max-retries --rows --seed --source --sources "
+        "--time-scale --timeout --updates --views -a -h -n -s -u"
+    ),
+    "table1": "--baselines --help --seed --sources --updates -h",
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
 
 class TestParser:
+    def test_the_option_surface_is_pinned(self):
+        surface = {
+            name: " ".join(sorted(parser._option_string_actions))
+            for name, parser in _subcommands().items()
+        }
+        assert surface == OPTIONS
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -52,12 +153,8 @@ class TestParser:
         assert args.index == 2 and args.warehouse == "127.0.0.1:9000"
 
     def test_docstring_lists_exactly_the_registered_commands(self):
-        (subparsers,) = (
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
         documented = re.findall(r"^``([a-z0-9-]+)``", repro.cli.__doc__, re.M)
-        assert sorted(documented) == sorted(subparsers.choices)
+        assert sorted(documented) == sorted(_subcommands())
 
     def test_retired_throughput_command_is_gone(self, capsys):
         # bench/run.py is the one benchmark; no alias command was kept.
@@ -96,12 +193,8 @@ class TestParser:
 
     def test_checkpoint_interval_flag_is_gone(self):
         # Checkpoints roll on installs only.
-        (subparsers,) = (
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
         for command in ("serve-warehouse", "serve-shard"):
-            options = subparsers.choices[command]._option_string_actions
+            options = _subcommands()[command]._option_string_actions
             assert "--checkpoint-every" in options
             assert "--checkpoint-interval" not in options
 

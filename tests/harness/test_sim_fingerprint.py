@@ -8,6 +8,11 @@ metrics (less the process-global ``predicate_cache_*`` counters), the
 classified level and the trace text with request ids masked (they come
 from a process-wide counter).
 
+The simulator hosts sharded fleets too: :func:`build_sites` over
+:class:`SimLinks` builds a :class:`FleetSpec`'s members and sources the
+way ``run_sharded`` does on the runtime, and each view of a 2-member
+``sweep`` and ``batched-sweep`` fleet is pinned the same way.
+
 Never regenerate the expected digests to make this test pass: a digest
 that moves means a simulator number moved.
 """
@@ -18,9 +23,17 @@ import re
 
 import pytest
 
+from types import SimpleNamespace
+
 from repro.harness.config import ExperimentConfig
-from repro.harness.runner import run_experiment
-from repro.warehouse.registry import ALGORITHMS
+from repro.harness.runner import built, run_experiment
+from repro.harness.sites import build_sites
+from repro.runtime.shard import FleetSpec
+from repro.simulation.kernel import Simulator
+from repro.simulation.links import SimLinks
+from repro.simulation.metrics import MetricsCollector
+from repro.simulation.rng import RngRegistry
+from repro.warehouse.registry import ALGORITHMS, algorithm_info
 from repro.warehouse.sharding import canonical_view_bytes
 
 BASE = dict(n_sources=3, n_updates=16, mean_interarrival=4.0)
@@ -116,3 +129,70 @@ def test_simulator_output_is_pinned(case):
     result = run_experiment(ExperimentConfig(**BASE, **CASES[case]))
     assert fingerprint(result) == EXPECTED[case]
 
+
+
+# ---------------------------------------------------------------------------
+# Sharded fleets: two members, four views, on the simulator
+# ---------------------------------------------------------------------------
+
+FLEET_ALGORITHMS = ("sweep", "batched-sweep")
+
+#: "<algorithm>/<view>" -> SHA-256 of :func:`fingerprint`.
+FLEET_EXPECTED = dict(
+    line.split()
+    for line in """
+batched-sweep/V 47f848dc3365a0c64eb3929aeeb8cf05e3b10c0525c0e48d978b74a39e2a4326
+batched-sweep/V#s1 48b68d1861b7659875ed21315a21a78214eebcaecd6c7c3982739451fd2488de
+batched-sweep/V#s2 d2df0b3f6124e87f85faf6e6431bd4adf90af27a78be8b9b7e7f4aa9568a2f07
+batched-sweep/V#s3 a2e124d0ee8eeddb97334ba4c6fdc27bc267bcbc808642e4b2ead79f6379eeb9
+sweep/V 4fb25b16f7fa451caec99eb22668a7ec2b516965b85c6bb91766f35a3b41424c
+sweep/V#s1 59eb14334eb90e36f14c5ecc34a02b44c45330850e825c77b2c476a2eda1c1ee
+sweep/V#s2 517cfc58a4ed4b12d953dd84f508ddea65999bb593b6b89a46181d6355b43fb4
+sweep/V#s3 c0d7438263c187de2539db34356f4de3b53f4dacd5ecf0902a96fb4c0c301dc1
+""".splitlines()
+    if line
+)
+
+
+def run_simulated_fleet(algorithm: str) -> dict:
+    """View name -> a result-shaped record of that view, for a 2-member
+    fleet of ``algorithm`` hosting a 4-view family on the simulator."""
+    config = ExperimentConfig(**BASE, algorithm=algorithm, n_views=4)
+    spec = FleetSpec(config, n_shards=2, strategy="round-robin")
+    sim, metrics, rngs = Simulator(), MetricsCollector(), RngRegistry(config.seed)
+    sites = built(
+        build_sites(
+            sim,
+            SimLinks(sim, config, rngs, metrics),
+            config,
+            spec.workload,
+            metrics,
+            plan=spec.site_plan(),
+        )
+    )
+    sim.run(max_events=config.max_events)
+    sites.close()
+    views = {}
+    for site in sites.warehouses.values():
+        for name, recorder in site.final_recorders().items():
+            views[name] = SimpleNamespace(
+                final_view=site.warehouse.view_contents(name),
+                sim_time=sim.now,
+                metrics=metrics,
+                recorder=recorder,
+                classified_level=recorder.classify(
+                    max_vectors=config.max_check_vectors
+                ),
+                trace=None,
+            )
+    return views
+
+
+@pytest.mark.parametrize("algorithm", FLEET_ALGORITHMS)
+def test_simulated_sharded_fleet_is_pinned(algorithm):
+    views = run_simulated_fleet(algorithm)
+    claimed = algorithm_info(algorithm).claimed_consistency
+    assert len(views) == 4
+    for name, view in sorted(views.items()):
+        assert view.classified_level >= claimed, name
+        assert fingerprint(view) == FLEET_EXPECTED[f"{algorithm}/{name}"], name

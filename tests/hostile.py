@@ -7,10 +7,15 @@ where its prefixes sit; :func:`lying_varint` and :func:`lying_field`
 build them).  Each case must either decode or raise the reader's typed
 error; anything else escaping -- a bare ``KeyError``, a ``struct.error``,
 a codec error where a durability error is promised -- fails the test.
+
+:func:`fresh_copies` gives a reader of a directory (recovery) each case
+in a new copy of its fixture directory.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from collections.abc import Callable, Iterable, Iterator
 
 
@@ -75,3 +80,25 @@ def check_hostile(
         decoded.append(label)
     assert not escaped, f"{len(escaped)} case(s) escaped untyped: {escaped[:8]}"
     return decoded
+
+
+def fresh_copies(fixture: str, name: str, root) -> Callable[[bytes], str]:
+    """``place(data)``: a fresh copy of the flat ``fixture`` directory
+    under ``root`` whose file ``name`` holds ``data``.  Each case goes
+    into new files: rewriting one file in place a thousand times costs a
+    truncating ``open`` per case, which is slow on some filesystems."""
+    files = {
+        entry: open(os.path.join(fixture, entry), "rb").read()
+        for entry in os.listdir(fixture)
+    }
+    cases = itertools.count()
+
+    def place(data: bytes) -> str:
+        directory = os.path.join(root, f"case{next(cases)}")
+        os.mkdir(directory)
+        for entry, blob in {**files, name: data}.items():
+            with open(os.path.join(directory, entry), "xb") as handle:
+                handle.write(blob)
+        return directory
+
+    return place

@@ -23,7 +23,7 @@ from repro.runtime.shard.supervisor import (
     ShardSupervisor,
     build_sharded_supervisor,
 )
-from repro.warehouse.sharding import view_family
+from repro.warehouse.sharding import ShardMember, view_family
 
 
 def config_for(**overrides):
@@ -109,6 +109,16 @@ def test_valid_spec_derives_the_fleet_once(nothing_is_built):
     assert [durable.member_dir(m) for m in durable.rplan.members] == [
         "/d/shard0", "/d/shard0r1", "/d/shard1", "/d/shard1r1"
     ]
+
+
+def test_a_served_standby_expects_its_primarys_deliveries():
+    """``serve-shard --standby-of`` builds a spec without replicas: its
+    site plan must still expect every update its shard is sent."""
+    spec = FleetSpec(config_for(), **RR)
+    primary, standby = ShardMember(0), ShardMember(0, 1)
+    expected = spec.site_plan([standby]).expected
+    assert expected == {standby: spec.site_plan([primary]).expected[primary]}
+    assert expected[standby] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,15 @@ import pytest
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
-from repro.harness.sites import Sites, WarehouseSite
+from repro.harness.runner import build_workload
+from repro.harness.sites import WAREHOUSE, Sites, WarehouseSite
 from repro.runtime import run_distributed
 from repro.simulation.channel import Message
 from repro.simulation.kernel import Simulator
+from repro.simulation.links import SimLinks
 from repro.simulation.mailbox import Mailbox
+from repro.simulation.metrics import MetricsCollector
+from repro.simulation.rng import RngRegistry
 from repro.sources.memory import MemoryBackend
 from repro.warehouse.base import WarehouseBase
 from repro.warehouse.sweep import SweepWarehouse
@@ -86,9 +90,15 @@ def test_driver_quiescence_consults_pending_work():
         def pending_work(self):
             return self.pending
 
-    site = WarehouseSite(Simulator(), "warehouse", [], durable_dir=None)
+    sim, config = Simulator(), ExperimentConfig()
+    workload = build_workload(config, RngRegistry(config.seed))
+    links = SimLinks(sim, config, RngRegistry(config.seed), MetricsCollector())
+    site = WarehouseSite(
+        sim, links, config, workload, WAREHOUSE, [workload.view],
+        sources=[], codec=None, expected=0,
+    )
     site.warehouse = StubWarehouse()
-    system = Sites(site, sources=[], updaters=[])
+    system = Sites({WAREHOUSE: site}, sources={}, updaters=[])
     assert not system.quiescent()
     site.warehouse.pending = False
     assert system.quiescent()

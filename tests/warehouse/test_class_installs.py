@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.consistency.levels import ConsistencyLevel
-from repro.harness import multiview_runner
+from repro.harness import sites
 from repro.harness.config import ExperimentConfig
 from repro.harness.multiview_runner import run_multi_view
 from repro.relational.view import ViewDefinition
@@ -110,10 +110,8 @@ SIMULATED_COUNTS = {
 @pytest.mark.parametrize("algorithm", ["sweep", "batched-sweep"])
 def test_simulated_family_pays_per_class(algorithm, class_spy, monkeypatch):
     if algorithm == "batched-sweep":
-        monkeypatch.setattr(
-            multiview_runner,
-            "MultiViewSweepWarehouse",
-            BatchedSweepWarehouse,
+        monkeypatch.setitem(
+            sites.FAMILY_SCHEDULERS, "sweep", BatchedSweepWarehouse
         )
     workload = simulated_workload()
     views = view_family(workload.view, 8)
