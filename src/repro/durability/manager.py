@@ -53,7 +53,9 @@ class CheckpointPolicy:
 
 
 class CrashPlan:
-    """Deterministic kill switch: crash after N deliveries or N installs."""
+    """Deterministic kill switch: crash after N deliveries, or at the
+    install that makes the view reflect N updates -- updates, not install
+    units, which a batched scheduler folds by arrival timing."""
 
     def __init__(
         self,
@@ -63,16 +65,15 @@ class CrashPlan:
         self.after_deliveries = after_deliveries
         self.after_installs = after_installs
         self.deliveries = 0
-        self.installs = 0
         self.fired = False
 
     def tick_delivery(self) -> None:
         self.deliveries += 1
         self._maybe_fire("delivery", self.deliveries, self.after_deliveries)
 
-    def tick_install(self) -> None:
-        self.installs += 1
-        self._maybe_fire("install", self.installs, self.after_installs)
+    def tick_install(self, reflected: int) -> None:
+        """An install after which the view reflects ``reflected`` updates."""
+        self._maybe_fire("installed update", reflected, self.after_installs)
 
     def _maybe_fire(self, what: str, count: int, after: int | None) -> None:
         if not self.fired and after is not None and count >= after:
@@ -270,7 +271,9 @@ class DurabilityManager:
     def on_install(self) -> None:
         self._installs_since += 1
         if self.crash_plan is not None:
-            self.crash_plan.tick_install()
+            self.crash_plan.tick_install(
+                sum(self.warehouse.applied_counts.values())
+            )
 
     def maybe_checkpoint(self) -> bool:
         """Roll a generation if the policy is due.  Stable points only."""

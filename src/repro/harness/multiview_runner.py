@@ -41,39 +41,32 @@ class MultiViewResult:
 
 
 def run_multi_view(
-    views: Sequence[ViewDefinition],
-    workload: Workload,
-    seed: int = 0,
-    latency: float = 5.0,
-    latency_model: str = "uniform",
-    backend: str = "memory",
-    max_check_vectors: int = 20_000,
-    max_events: int = 2_000_000,
+    views: Sequence[ViewDefinition], workload: Workload, **fields
 ) -> MultiViewResult:
     """Maintain ``views`` (views[0] primary) over ``workload``'s sources.
 
     ``workload.view`` is ignored; its initial states and schedules drive
-    the sources.  One warehouse hosts the family under SWEEP's family
-    scheduler, and every view gets an independent consistency verdict.
+    the sources.  ``fields`` are :class:`ExperimentConfig`'s (``seed``,
+    ``latency``, ``backend``, ``algorithm`` -- ``sweep`` by default, or
+    ``batched-sweep`` -- and its options, ...).  One warehouse hosts the
+    family, and every view gets an independent consistency verdict.
     """
     views = list(views)
     workload = replace(workload, view=views[0])
-    config = ExperimentConfig(
-        seed=seed, backend=backend, latency=latency, latency_model=latency_model
-    )
+    config = ExperimentConfig(**fields)
     sim = Simulator()
     metrics = MetricsCollector()
     sites = built(
         build_sites(
             sim,
-            SimLinks(sim, config, RngRegistry(seed), metrics),
+            SimLinks(sim, config, RngRegistry(config.seed), metrics),
             config,
             workload,
             metrics,
             plan=one_warehouse(config, workload, family=views),
         )
     )
-    sim.run(max_events=max_events)
+    sim.run(max_events=config.max_events)
     sites.close()
 
     site = sites.warehouses[WAREHOUSE]
@@ -83,7 +76,9 @@ def run_multi_view(
             view.name: site.warehouse.view_contents(view.name) for view in views
         },
         levels={
-            view.name: recorders[view.name].classify(max_vectors=max_check_vectors)
+            view.name: recorders[view.name].classify(
+                max_vectors=config.max_check_vectors
+            )
             for view in views
         },
         recorders=recorders,

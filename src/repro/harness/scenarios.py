@@ -120,7 +120,8 @@ def crash_spec(seed: int) -> dict:
 
     Even seeds crash on a delivery count (deliveries tick inside the
     dispatcher, which interleaves with sweep steps -- mid-compensation),
-    odd seeds on an install count (mid-batch for the batched scheduler).
+    odd seeds once installs reflect that many updates (mid-batch for the
+    batched scheduler, however its bursts fold into batches).
     """
     if seed % 2 == 0:
         return {"after_deliveries": 4 + (seed // 2) % 7}
@@ -344,8 +345,9 @@ class CrashRestart(Perturbation):
 
     Durability on (checkpoints + WAL in a fresh directory) and a
     :class:`~repro.durability.manager.CrashPlan` kills one shard after
-    its N-th delivery (mid-compensation) or N-th install (between the
-    member installs of one composite batch); the run must die with
+    its N-th delivery (mid-compensation) or at the install that reflects
+    its N-th update (between the member installs of one composite
+    batch); the run must die with
     :class:`~repro.durability.errors.SimulatedCrash`, and the identical
     run re-entered over the same directory must recover every shard
     (checkpoint + WAL replay), re-issue the in-flight sweeps and end

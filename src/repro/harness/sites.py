@@ -51,9 +51,7 @@ from repro.sources.server import DataSourceServer, destination_label
 from repro.sources.sqlite import SqliteBackend
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.base import QueueDrivenWarehouse
-from repro.warehouse.batched import BatchedSweepWarehouse
 from repro.warehouse.locality import build_locality
-from repro.warehouse.multiview import MultiViewSweepWarehouse
 from repro.warehouse.registry import algorithm_info
 from repro.warehouse.sweep import SweepOptions
 from repro.workloads.scenarios import Workload
@@ -248,13 +246,6 @@ class SourceSite:
         )
 
 
-#: algorithm -> the scheduler that hosts a view family under it.
-FAMILY_SCHEDULERS = {
-    "sweep": MultiViewSweepWarehouse,
-    "batched-sweep": BatchedSweepWarehouse,
-}
-
-
 @dataclass
 class SitePlan:
     """The members x sources that :func:`build_sites` wires.
@@ -265,10 +256,10 @@ class SitePlan:
     for; ``fanout`` maps each source index to the members its updates
     travel to (every member binds and queries every source of it).
     ``family`` is the view family every site's codec spans, each member
-    hosting its views with the family's scheduler
-    (:data:`FAMILY_SCHEDULERS`); ``None`` is the single warehouse of the
-    workload's own view under the registered algorithm (Figure 4's
-    :class:`~repro.warehouse.sweep.SweepWarehouse` for ``sweep``).
+    hosting its views under the registered algorithm (``sweep`` or
+    ``batched-sweep``: one class per scheduler, a single view being the
+    one-view family); ``None`` is the single warehouse of the workload's
+    own view.
     ``remote_sources`` leaves the source sites to other processes.
     """
 
@@ -339,13 +330,13 @@ class WarehouseSite:
         durable_dir: str | None = None,
     ):
         self.info = algorithm_info(config.algorithm)
-        if family and config.algorithm not in FAMILY_SCHEDULERS:
+        if family and config.algorithm not in ("sweep", "batched-sweep"):
             raise ValueError(
-                f"a view family runs under {'/'.join(FAMILY_SCHEDULERS)},"
+                "a view family runs under sweep/batched-sweep,"
                 f" not {config.algorithm!r}"
             )
-        if durable_dir is not None and not (
-            family or issubclass(self.info.cls, QueueDrivenWarehouse)
+        if durable_dir is not None and not issubclass(
+            self.info.cls, QueueDrivenWarehouse
         ):
             raise RecoveryError(
                 f"algorithm {self.info.name!r} is not queue-driven and"
@@ -417,17 +408,14 @@ class WarehouseSite:
             )
             for index in sorted(self.sources)
         }
-        cls, options = self.info.cls, algorithm_kwargs(config)
+        options = algorithm_kwargs(config)
         if self.family:
-            cls = FAMILY_SCHEDULERS[config.algorithm]
-            if config.algorithm == "sweep":
-                options = {}  # the family's SWEEP takes no SweepOptions
             options.update(
                 extra_views=views[1:],
                 initial_views=contents,
                 extra_recorders={v.name: self.recorders[v.name] for v in views[1:]},
             )
-        self.warehouse = cls(
+        self.warehouse = self.info.cls(
             self.runtime,
             views[0],
             self.query_channels,
@@ -623,7 +611,6 @@ async def build_sites(
 
 
 __all__ = [
-    "FAMILY_SCHEDULERS",
     "WAREHOUSE",
     "SitePlan",
     "SourceSite",

@@ -245,13 +245,18 @@ class DataSourceServer:
             answer = build_answer(
                 request, self.backend, self.index, self.update_seq
             )
-            if self.trace and isinstance(answer, QueryAnswer):
+            if self.trace and isinstance(answer, (QueryAnswer, MultiQueryAnswer)):
+                partials = (
+                    answer.partials
+                    if isinstance(answer, MultiQueryAnswer)
+                    else [answer.partial]
+                )
+                rows = sum(partial.delta.distinct_count for partial in partials)
                 self.trace.record(
                     self.sim.now,
                     self.name,
                     "compute-join",
-                    f"req={request.request_id} ->"
-                    f" {answer.partial.delta.distinct_count} rows",
+                    f"req={request.request_id} -> {rows} rows",
                 )
             channel.send(Message(kind="answer", sender=self.name, payload=answer))
 

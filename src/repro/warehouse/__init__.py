@@ -33,7 +33,6 @@ from repro.warehouse.eca import EcaWarehouse
 from repro.warehouse.errors import UnsupportedViewError, WarehouseError
 from repro.warehouse.global_txn import GlobalSweepWarehouse
 from repro.warehouse.bootstrap import BootstrapSweepWarehouse
-from repro.warehouse.multiview import MultiViewSweepWarehouse
 from repro.warehouse.nested_sweep import NestedSweepWarehouse
 from repro.warehouse.pipelined import PipelinedSweepWarehouse
 from repro.warehouse.recompute import RecomputeWarehouse
@@ -47,7 +46,6 @@ __all__ = [
     "AlgorithmInfo",
     "BootstrapSweepWarehouse",
     "ConvergentWarehouse",
-    "MultiViewSweepWarehouse",
     "CStrobeWarehouse",
     "EcaWarehouse",
     "GlobalSweepWarehouse",

@@ -200,8 +200,9 @@ class QueueDrivenWarehouse(WarehouseBase):
 
     Subclasses implement :meth:`view_change`, a generator receiving one
     update notice and returning the full-width :class:`PartialView` to
-    install (SWEEP) -- or install internally and return None (C-Strobe's
-    local delete path).
+    install -- or install internally and return None (C-Strobe's local
+    delete path) -- or replace :meth:`process_update` altogether (the
+    SWEEP family's view-family schedulers).
     """
 
     def __init__(self, *args, **kwargs):
@@ -321,15 +322,6 @@ class QueueDrivenWarehouse(WarehouseBase):
             and not is_rebalance_fence(m.payload)
         )
 
-    def _live_locality(self):
-        """The locality layer, or None while its answers are unusable.
-
-        A recipient shard mid-migration has one view whose position lags
-        the shard's installed position; its sweeps must not consume
-        covered/cached answers pinned to the shared position.
-        """
-        return self.locality
-
     # ------------------------------------------------------------------
     # UpdateView
     # ------------------------------------------------------------------
@@ -384,7 +376,7 @@ class QueueDrivenWarehouse(WarehouseBase):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Sweep-step helpers shared by SWEEP / Nested SWEEP / C-Strobe
+    # Sweep-step helpers shared by the single-view sweeps
     # ------------------------------------------------------------------
     def query_and_await(self, index: int, partial: PartialView) -> Generator:
         """Send one ComputeJoin to source ``index`` and await its answer.
@@ -404,35 +396,6 @@ class QueueDrivenWarehouse(WarehouseBase):
                 f" {request.request_id}"
             )
         return answer.partial
-
-    def local_aux_answer(self, index: int, partial: PartialView):
-        """Sweep-step answer from the covered local copy, or None.
-
-        The copy sits at the installed position, which for queue-driven
-        (one unit of work at a time) warehouses is exactly the state the
-        remote answer plus local compensation would reconstruct -- so the
-        caller skips compensation entirely.
-        """
-        locality = self._live_locality()
-        if locality is None:
-            return None
-        return locality.aux_answer(index, partial)
-
-    def local_cached_answer(self, index: int, partial: PartialView):
-        """Cached sweep-step answer, or None.
-
-        A hit behaves exactly like a remote answer routed this instant:
-        the pending-updates snapshot is latched against the current queue
-        and the caller runs its ordinary compensation against it.
-        """
-        locality = self._live_locality()
-        if locality is None:
-            return None
-        hit = locality.cache_lookup(index, partial)
-        if hit is None:
-            return None
-        self._pending_at_answer = self._queued_update_payloads()
-        return hit
 
     def pending_updates_from(self, index: int) -> list[UpdateNotice]:
         """Updates from source ``index`` queued when the last answer arrived.

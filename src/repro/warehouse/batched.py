@@ -267,7 +267,7 @@ class BatchedSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
         for rep in reps:
             deltas: dict[int, Delta] = {}
             count: dict[int, int] = {}
-            for notice in assignment[rep.name]:
+            for notice in batch if assignment is None else assignment[rep.name]:
                 seen = deltas.get(notice.source_index)
                 if seen is None:
                     deltas[notice.source_index] = notice.delta.copy()

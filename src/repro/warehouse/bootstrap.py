@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.relational.delta import Delta
-from repro.relational.incremental import PartialView
 from repro.sources.messages import SnapshotRequest, next_request_id
 from repro.warehouse.errors import ProtocolError
 from repro.warehouse.sweep import SweepWarehouse
@@ -75,14 +74,10 @@ class BootstrapSweepWarehouse(SweepWarehouse):
                 self.update_queue.remove(queued)
         self.metrics.increment("bootstrap_absorbed", len(absorbed))
 
-        # Seed the sweep straight from the snapshot, as an insertion delta.
-        partial = PartialView.initial(
-            self.view, 1, Delta.from_relation(answer.relation)
+        # Sweep straight from the snapshot, as source 1's insertion delta.
+        (partial,) = yield from self._sweep(
+            1, Delta.from_relation(answer.relation), [self.view]
         )
-        for j in range(2, self.view.n_relations + 1):
-            temp = partial
-            got = yield from self.query_and_await(j, partial)
-            partial = self._compensate(j, got, temp)
 
         self.mark_applied(absorbed)
         self.install_wide(

@@ -121,7 +121,9 @@ class GlobalSweepWarehouse(SweepWarehouse):
             # Folded parts stop counting as interference for the remaining
             # parts' sweeps -- their effects now belong in the view change.
             self._held.remove(part)
-            partial = yield from self.view_change(part)
+            (partial,) = yield from self._sweep(
+                part.source_index, part.delta, [self.view]
+            )
             merged = partial if merged is None else merged.add(partial)
         self.mark_applied(parts)
         self.metrics.increment("txns_installed")

@@ -30,9 +30,9 @@ would each have used.
 copy: the per-view stores, the sweep classes, the remote sweep step and
 its compensation, and live migration of one member between shards (the
 protocol is described in :mod:`repro.warehouse.migration`).  Two
-schedulers hold it: :class:`MultiViewSweepWarehouse` (one sweep per
-update) and :class:`~repro.warehouse.batched.BatchedSweepWarehouse` (one
-composite sweep per drained batch).  A single view is the one-view
+schedulers hold it: :class:`~repro.warehouse.sweep.SweepWarehouse` (one
+sweep per update) and :class:`~repro.warehouse.batched.BatchedSweepWarehouse`
+(one composite sweep per drained batch).  A single view is the one-view
 family.
 """
 
@@ -56,7 +56,6 @@ from repro.sources.messages import (
     is_rebalance_fence,
     next_request_id,
 )
-from repro.warehouse.base import QueueDrivenWarehouse
 from repro.warehouse.errors import ProtocolError
 from repro.warehouse.migration import (
     GapComplete,
@@ -115,6 +114,11 @@ class MultiViewStateMixin:
     state is inert -- every hook answers as for a family at one position
     -- until the rebalance coordinator calls :meth:`attach_migration`.
     """
+
+    #: Section 5.3: one compensation term for a source's queued updates.
+    merge_queue_updates = True
+    #: trace each compensation as ``compensate src=j xK``.
+    trace_compensations = False
 
     def __init__(
         self,
@@ -205,17 +209,20 @@ class MultiViewStateMixin:
 
     def _partition_batch(
         self, batch: list[UpdateNotice]
-    ) -> dict[str, list[UpdateNotice]]:
+    ) -> dict[str, list[UpdateNotice]] | None:
         """Which of ``batch`` each view applies in this unit of work
-        (read-only lists: views at the shard's position share ``batch``).
+        (read-only lists: views at the shard's position share ``batch``),
+        or None while every view sits at the shard's position and
+        applies all of it -- the per-unit keying of
+        :meth:`_sweep_classes` is needed only otherwise.
 
         A caught-up migrated view drops the duplicates of updates its
         catch-up already applied; a hole is a protocol error.
         """
-        assignment = dict.fromkeys([view.name for view in self.views], batch)
         st = self._mig_active_view()
         if st is None:
-            return assignment
+            return None
+        assignment = dict.fromkeys([view.name for view in self.views], batch)
         mine: list[UpdateNotice] = []
         tentative = dict(st.pos)
         for notice in batch:
@@ -232,12 +239,6 @@ class MultiViewStateMixin:
             tentative[i] = seq
         assignment[st.view_def.name] = mine
         return assignment
-
-    def _positions_differ(self) -> bool:
-        """True while some view may apply other updates, or compensate
-        from another floor, than its shard -- the per-unit keying of
-        :meth:`_sweep_classes` is needed only then."""
-        return self._mig_active_view() is not None
 
     def _claimed_vector_for(self, view: ViewDefinition) -> dict[int, int]:
         """The per-source position vector ``view``'s next install claims
@@ -289,7 +290,7 @@ class MultiViewStateMixin:
         return floor
 
     def _note_applied_for_views(
-        self, assignment: dict[str, list[UpdateNotice]]
+        self, assignment: dict[str, list[UpdateNotice]] | None
     ) -> None:
         """Per-view position accounting, after ``mark_applied`` and before
         the installs of a unit of work: a caught-up migrated view advances
@@ -309,7 +310,7 @@ class MultiViewStateMixin:
     # Sweep classes: one partial view change per distinct sweep.
     # ------------------------------------------------------------------
     def _sweep_classes(
-        self, assignment: dict[str, list[UpdateNotice]]
+        self, assignment: dict[str, list[UpdateNotice]] | None
     ) -> list[list[ViewDefinition]]:
         """Group the participating views by the sweep they need.
 
@@ -326,7 +327,7 @@ class MultiViewStateMixin:
         shard state, built once by :meth:`_static_classes` and rebuilt
         only after :meth:`_views_changed`.
         """
-        if not self._positions_differ():
+        if assignment is None:
             plan = self._static_plan
             if plan is None:
                 plan = self._static_plan = self._static_classes()
@@ -398,15 +399,16 @@ class MultiViewStateMixin:
     # ------------------------------------------------------------------
     # The remote sweep step and its local compensation
     # ------------------------------------------------------------------
-    def _multi_query(
+    def _issue_query(
         self, index: int, partials: list[PartialView]
-    ) -> Generator:
-        """One sweep step: every partial visits source ``index`` at once,
-        in one :class:`MultiQueryRequest`.
+    ) -> tuple[list[PartialView] | None, tuple | None]:
+        """Start one sweep step: every partial visits source ``index`` at
+        once, in one :class:`MultiQueryRequest` -- ``(None, issued)``,
+        for :meth:`_query_answers` to read the answer by.
 
         With a locality layer, fingerprint-equal partials are sent once
-        (multi-query sharing) and cached answers satisfy the whole step
-        locally when every unique partial hits.
+        (multi-query sharing), and cached answers satisfy the whole step
+        locally when every unique partial hits: ``(answers, None)``.
         """
         send, mapping = partials, None
         locality = self._live_locality()
@@ -416,29 +418,42 @@ class MultiViewStateMixin:
             if hits is not None:
                 # A full cache hit is an answer routed this instant.
                 self._pending_at_answer = self._queued_update_payloads()
-                return locality.expand(hits, mapping)
+                return locality.expand(hits, mapping), None
         request = MultiQueryRequest(
             request_id=next_request_id(),
             partials=send,
             target_index=index,
         )
         self.send_query(index, request)
-        msg, pending = yield self._answer_box.get()
-        self._pending_at_answer = pending
-        answer = msg.payload
+        return None, (request, mapping)
+
+    def _query_answers(self, answer, issued: tuple) -> list[PartialView]:
+        """The per-partial answers of ``answer`` to an issued step."""
+        request, mapping = issued
         if answer.request_id != request.request_id:
             raise ProtocolError(
                 f"answer {answer.request_id} does not match request"
                 f" {request.request_id}"
             )
-        if len(answer.partials) != len(send):
+        if len(answer.partials) != len(request.partials):
             raise ProtocolError(
                 f"multi-query answer carries {len(answer.partials)} partials,"
-                f" expected {len(send)}"
+                f" expected {len(request.partials)}"
             )
         if mapping is None:
             return answer.partials
-        return locality.expand(answer.partials, mapping)
+        return self.locality.expand(answer.partials, mapping)
+
+    def _multi_query(
+        self, index: int, partials: list[PartialView]
+    ) -> Generator:
+        """One sweep step, awaited: the answers of every partial."""
+        hits, issued = self._issue_query(index, partials)
+        if issued is None:
+            return hits
+        msg, pending = yield self._answer_box.get()
+        self._pending_at_answer = pending
+        return self._query_answers(msg.payload, issued)
 
     def _compensate_queued(
         self,
@@ -450,7 +465,8 @@ class MultiViewStateMixin:
         """SWEEP's local compensation: any update from ``index`` still
         queued when the answer was routed was -- by FIFO -- applied
         before the query was evaluated, so its error term is rolled back
-        locally.
+        locally: one term for all of them (:attr:`merge_queue_updates`),
+        or one per queued update.
 
         ``floor`` (a class's :meth:`_pending_floor`) restricts the
         subtraction to queued seqs above it: lower seqs are already in
@@ -462,8 +478,16 @@ class MultiViewStateMixin:
         if not pending:
             return answer
         self.metrics.increment("compensations")
-        error = temp.extend(index, self.merged_pending_delta(pending))
-        return answer.compensate(error)
+        if self.trace and self.trace_compensations:
+            detail = f"src={index} x{len(pending)}"
+            self.trace.record(self.sim.now, "warehouse", "compensate", detail)
+        if self.merge_queue_updates:
+            error = temp.extend(index, self.merged_pending_delta(pending))
+            return answer.compensate(error)
+        for notice in pending:
+            answer = answer.compensate(temp.extend(index, notice.delta))
+            self.metrics.increment("compensation_terms")
+        return answer
 
     # ------------------------------------------------------------------
     # Queue hooks: rebalance frames share the update queue.  Only a member
@@ -521,8 +545,10 @@ class MultiViewStateMixin:
         raise ProtocolError(f"unexpected control frame {payload!r}")
 
     def _live_locality(self):
-        # A recipient mid-migration has one view whose position lags the
-        # shard's: no sweep may consume answers pinned to the shared one.
+        """The locality layer, or None while its answers are unusable: a
+        recipient mid-migration has one view whose position lags the
+        shard's, so no sweep may consume answers pinned to the shared
+        one."""
         st = self._mig
         if st is not None and st.suspended:
             return None
@@ -804,59 +830,7 @@ class MultiViewStateMixin:
         )
 
 
-class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
-    """SWEEP over a view family: one sweep per update, each step one
-    :class:`MultiQueryRequest` carrying one partial per sweep class."""
-
-    algorithm_name = "multi-view-sweep"
-
-    def process_update(self, notice: UpdateNotice) -> Generator:
-        self._mig_observe([notice])
-        i = notice.source_index
-        n = self.view.n_relations
-        assignment = self._partition_batch([notice])
-        classes = self._sweep_classes(assignment)
-        if not classes:
-            # Every view skipped this update (migration duplicate); the
-            # shard position still advances past it.
-            self.mark_applied([notice])
-            self._note_applied_for_views(assignment)
-            return
-        reps = [members[0] for members in classes]
-        partials = [PartialView.initial(rep, i, notice.delta) for rep in reps]
-        for j in [*range(i - 1, 0, -1), *range(i + 1, n + 1)]:
-            locality = self._live_locality()
-            if locality is not None and locality.covers(j):
-                # Covered source: every class's step is answered from the
-                # same local copy, compensation-free (sequential install
-                # order makes the copy exactly this update's position).
-                partials = [locality.aux_answer(j, p) for p in partials]
-                continue
-            answers = yield from self._multi_query(j, partials)
-            partials = [
-                self._compensate_queued(
-                    j,
-                    got,
-                    temp,
-                    floor=self._pending_floor(
-                        rep, j, after_batch=False, batch_count=0
-                    ),
-                )
-                for rep, got, temp in zip(reps, answers, partials)
-            ]
-
-        self.mark_applied([notice])
-        self._note_applied_for_views(assignment)
-        self._install_classes(
-            classes,
-            [partial.delta for partial in partials],
-            f"update src={notice.source_index} seq={notice.seq}",
-        )
-        self.metrics.increment("multiview_installs")
-
-
 __all__ = [
     "MultiViewStateMixin",
-    "MultiViewSweepWarehouse",
     "validate_same_chain",
 ]

@@ -16,6 +16,14 @@ Options reproduce the Section 5.3 optimizations:
   two half-results at the warehouse (halves the sweep's critical path);
 * ``merge_queue_updates`` -- coalesce multiple interfering updates from one
   source into a single compensation term (on by default, as in the paper).
+
+The warehouse hosts a view family
+(:class:`~repro.warehouse.multiview.MultiViewStateMixin`): each step
+carries one partial per *sweep class* -- the views that join alike share
+one -- and each class is compensated on its own.  The registered
+single-view ``sweep`` is the one-view, one-class case; a shard hosting
+many views, or adopting one by live migration, runs the same sweep, and
+the options above apply to every family.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from repro.relational.incremental import PartialView
 from repro.sources.messages import UpdateNotice
 from repro.warehouse.base import QueueDrivenWarehouse
 from repro.warehouse.errors import ProtocolError
+from repro.warehouse.multiview import MultiViewStateMixin
 
 
 @dataclass(frozen=True)
@@ -81,136 +90,138 @@ def merge_halves(
     return PartialView(view, 1, view.n_relations, out)
 
 
-class SweepWarehouse(QueueDrivenWarehouse):
-    """The SWEEP algorithm of Figure 4 (optionally with parallel sweeps)."""
+class SweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
+    """The SWEEP algorithm of Figure 4 over a view family: one sweep per
+    update, each step one :class:`MultiQueryRequest` carrying one partial
+    per sweep class (a single view is the one-view, one-class family)."""
 
     algorithm_name = "sweep"
+    trace_compensations = True
 
     def __init__(self, *args, options: SweepOptions | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.options = options if options is not None else SweepOptions()
+        self.merge_queue_updates = self.options.merge_queue_updates
 
-    # ------------------------------------------------------------------
-    def view_change(self, notice: UpdateNotice) -> Generator:
-        if self.options.parallel:
-            result = yield from self._view_change_parallel(notice)
-        else:
-            result = yield from self._view_change_sequential(notice)
-        return result
-
-    # ------------------------------------------------------------------
-    # The paper's sequential ViewChange (Figure 4)
-    # ------------------------------------------------------------------
-    def _view_change_sequential(self, notice: UpdateNotice) -> Generator:
-        i = notice.source_index
-        partial = PartialView.initial(self.view, i, notice.delta)
-        sweep_order = list(range(i - 1, 0, -1)) + list(
-            range(i + 1, self.view.n_relations + 1)
-        )
-        for j in sweep_order:
-            temp = partial  # the paper's TempView
-            local = self.local_aux_answer(j, partial)
-            if local is not None:
-                # Covered source: the copy is exactly at this update's
-                # position, so the local join needs no compensation.
-                partial = local
-                continue
-            cached = self.local_cached_answer(j, partial)
-            if cached is not None:
-                partial = self._compensate(j, cached, temp)
-                continue
-            answer = yield from self.query_and_await(
-                j, partial
+    def process_update(self, notice: UpdateNotice) -> Generator:
+        self._mig_observe([notice])
+        assignment = self._partition_batch([notice])
+        classes = self._sweep_classes(assignment)
+        if classes:
+            partials = yield from self._sweep(
+                notice.source_index,
+                notice.delta,
+                [members[0] for members in classes],
             )
-            partial = self._compensate(j, answer, temp)
-        return partial
+        # With no classes every view skipped this update (a migration
+        # duplicate); the shard position still advances past it.
+        self.mark_applied([notice])
+        self._note_applied_for_views(assignment)
+        if classes:
+            self._install_classes(
+                classes,
+                [partial.delta for partial in partials],
+                f"update src={notice.source_index} seq={notice.seq}",
+            )
 
     # ------------------------------------------------------------------
-    # Section 5.3 optimization: left and right sweeps in parallel
+    # ViewChange: the sequential sweep, or its two halves in parallel
     # ------------------------------------------------------------------
-    def _view_change_parallel(self, notice: UpdateNotice) -> Generator:
-        i = notice.source_index
+    def _sweep(self, i: int, delta: Delta, reps: list) -> Generator:
+        """Every class's full-width view change for ``delta`` at source
+        ``i`` (one per representative in ``reps``): left across
+        ``i-1 .. 1``, then right across ``i+1 .. n``."""
         n = self.view.n_relations
-        seed = PartialView.initial(self.view, i, notice.delta)
-        halves = {
-            "left": {"partial": seed, "next": i - 1, "stop": 0, "step": -1},
-            "right": {"partial": seed, "next": i + 1, "stop": n + 1, "step": +1},
-        }
-        outstanding: dict[int, tuple[str, PartialView]] = {}
+        partials = [PartialView.initial(rep, i, delta) for rep in reps]
+        if self.options.parallel and 1 < i < n:
+            return (yield from self._sweep_parallel(i, partials, reps))
+        for j in [*range(i - 1, 0, -1), *range(i + 1, n + 1)]:
+            locality = self._live_locality()
+            if locality is not None and locality.covers(j):
+                # Covered source: every class's step is answered from the
+                # same local copy, compensation-free (sequential install
+                # order makes the copy exactly this update's position).
+                partials = [locality.aux_answer(j, p) for p in partials]
+                continue
+            answers = yield from self._multi_query(j, partials)
+            partials = self._compensate_step(j, reps, answers, partials)
+        return partials
 
-        def launch(side: str) -> None:
-            state = halves[side]
-            while True:
-                j = state["next"]
-                if j == state["stop"]:
-                    return
-                temp = state["partial"]
-                local = self.local_aux_answer(j, temp)
-                if local is None:
-                    cached = self.local_cached_answer(j, temp)
-                    if cached is not None:
-                        local = self._compensate(j, cached, temp)
-                if local is not None:
-                    # Answered locally; keep advancing this half without
-                    # yielding -- installs cannot interleave mid-sweep.
-                    state["partial"] = local
-                    state["next"] = j + state["step"]
+    def _sweep_parallel(
+        self, i: int, seeds: list[PartialView], reps: list
+    ) -> Generator:
+        """Section 5.3: the left (``i-1 .. 1``) and right (``i+1 .. n``)
+        halves each keep their step in flight at once, and their results
+        are merged per class (``1 < i < n``)."""
+        halves = [
+            [seeds, list(range(i - 1, 0, -1))],
+            [seeds, list(range(i + 1, self.view.n_relations + 1))],
+        ]
+        outstanding: dict[int, tuple] = {}
+
+        def advance(half: list) -> None:
+            # Take the half's steps the warehouse answers itself, up to
+            # the first that must wait for its source; local steps never
+            # yield, so no install can interleave mid-sweep.
+            partials, sources = half
+            while sources:
+                j = sources.pop(0)
+                locality = self._live_locality()
+                if locality is not None and locality.covers(j):
+                    partials = [locality.aux_answer(j, p) for p in partials]
                     continue
-                request = self.make_sweep_query(j, temp)
-                self.send_query(j, request)
-                outstanding[request.request_id] = (side, temp, j)
-                return
+                hits, issued = self._issue_query(j, partials)
+                if issued is not None:
+                    outstanding[issued[0].request_id] = (half, j, issued)
+                    break
+                partials = self._compensate_step(j, reps, hits, partials)
+            half[0] = partials
 
-        launch("left")
-        launch("right")
+        for half in halves:
+            advance(half)
         while outstanding:
             msg, pending = yield self._answer_box.get()
             self._pending_at_answer = pending
             answer = msg.payload
-            if answer.request_id not in outstanding:
+            entry = outstanding.pop(answer.request_id, None)
+            if entry is None:
                 raise ProtocolError(
                     f"unexpected answer for request {answer.request_id}"
                 )
-            side, temp, j = outstanding.pop(answer.request_id)
-            state = halves[side]
-            state["partial"] = self._compensate(j, answer.partial, temp)
-            state["next"] = j + state["step"]
-            launch(side)
-
-        left, right = halves["left"]["partial"], halves["right"]["partial"]
-        if left.lo == 1 and left.hi == n:
-            return left  # i was an endpoint; one half did all the work
-        if right.lo == 1 and right.hi == n:
-            return right
-        return merge_halves(left, right, seed.delta)
-
-    # ------------------------------------------------------------------
-    # On-line local error correction (Section 4)
-    # ------------------------------------------------------------------
-    def _compensate(
-        self, index: int, answer: PartialView, temp: PartialView
-    ) -> PartialView:
-        """Subtract error terms of interfering updates from source ``index``."""
-        pending = self.pending_updates_from(index)
-        if not pending:
-            return answer
-        self.metrics.increment("compensations")
-        if self.trace:
-            self.trace.record(
-                self.sim.now,
-                "warehouse",
-                "compensate",
-                f"src={index} x{len(pending)}",
+            half, j, issued = entry
+            half[0] = self._compensate_step(
+                j, reps, self._query_answers(answer, issued), half[0]
             )
-        if self.options.merge_queue_updates:
-            error = temp.extend(index, self.merged_pending_delta(pending))
-            return answer.compensate(error)
-        result = answer
-        for notice in pending:
-            error = temp.extend(index, notice.delta)
-            result = result.compensate(error)
-            self.metrics.increment("compensation_terms")
-        return result
+            advance(half)
+        (left, _), (right, _) = halves
+        return [
+            merge_halves(lhalf, rhalf, seed.delta)
+            for lhalf, rhalf, seed in zip(left, right, seeds)
+        ]
+
+    def _compensate_step(
+        self,
+        index: int,
+        reps: list,
+        answers: list[PartialView],
+        temps: list[PartialView],
+    ) -> list[PartialView]:
+        """Every class's answer from source ``index``, compensated for the
+        updates queued from it (above the class's floor)."""
+        if self._mig is None:  # every class compensates from the shard's floor
+            return [
+                self._compensate_queued(index, answer, temp)
+                for answer, temp in zip(answers, temps)
+            ]
+        return [
+            self._compensate_queued(
+                index,
+                answer,
+                temp,
+                self._pending_floor(rep, index, after_batch=False, batch_count=0),
+            )
+            for rep, answer, temp in zip(reps, answers, temps)
+        ]
 
 
 __all__ = ["SweepOptions", "SweepWarehouse", "merge_halves"]

@@ -27,7 +27,7 @@ class NoCompensationSweep(SweepWarehouse):
 
     algorithm_name = "buggy-no-compensation"
 
-    def _compensate(self, index, answer, temp):
+    def _compensate_queued(self, index, answer, temp, floor=None):
         return answer
 
 
@@ -36,9 +36,9 @@ class DoubleCompensationSweep(SweepWarehouse):
 
     algorithm_name = "buggy-double-compensation"
 
-    def _compensate(self, index, answer, temp):
-        once = super()._compensate(index, answer, temp)
-        return super()._compensate(index, once, temp)
+    def _compensate_queued(self, index, answer, temp, floor=None):
+        once = super()._compensate_queued(index, answer, temp, floor)
+        return super()._compensate_queued(index, once, temp, floor)
 
 
 class SkipInstallSweep(SweepWarehouse):

@@ -186,7 +186,8 @@ def test_cadence_counts_units_of_work_not_views(tmp_path, n_views, units, every)
         time_scale=0.001,
     )
     counters = result.metrics.counters
-    assert counters["multiview_installs"] == units  # one sweep per update
+    # One sweep per update: the primary view installs once per update.
+    assert counters["installs"] == units
     assert counters["checkpoints_written"] == 1 + units // every
 
 

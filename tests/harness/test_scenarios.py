@@ -9,6 +9,7 @@ composition, process teardown, report shape and round-tripping.  The
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -16,6 +17,10 @@ import repro.runtime
 import repro.runtime.shard
 from repro.cli import main
 from repro.consistency.levels import ConsistencyLevel
+from repro.durability.errors import SimulatedCrash
+from repro.durability.manager import CrashPlan
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import built
 from repro.harness.scenarios import (
     ALGORITHMS,
     DEFAULT_ALGORITHMS,
@@ -37,10 +42,17 @@ from repro.harness.scenarios import (
     sigkill_smoke,
     write_report,
 )
+from repro.harness.sites import WAREHOUSE, build_sites, one_warehouse
 from repro.runtime.chaos import PROFILES
+from repro.simulation.kernel import Simulator
+from repro.simulation.links import SimLinks
+from repro.simulation.metrics import MetricsCollector
+from repro.simulation.rng import RngRegistry
 from repro.warehouse.registry import ALGORITHMS as REGISTRY
 from repro.warehouse.registry import AlgorithmInfo
 from repro.warehouse.sweep import SweepWarehouse
+from repro.workloads.scenarios import make_workload
+from repro.workloads.stream import UpdateStreamConfig
 
 FAST = dict(n_updates=8, mean_interarrival=4.0, time_scale=0.001)
 
@@ -160,6 +172,63 @@ class TestSinglePerturbations:
         row = run_case("sweep", 0, [CrashRestart()])
         assert not row["ok"] and not row["crash_fired"]
         assert "never fired" in row["error"]
+
+
+def run_one_burst(tmp_path, crash_plan=None) -> MetricsCollector:
+    """A durable batched-SWEEP warehouse on the simulator whose 12
+    updates all commit at once, so one composite batch installs them."""
+    workload = make_workload(
+        3,
+        random.Random(1),
+        rows_per_relation=10,
+        match_fraction=1.0,
+        stream=UpdateStreamConfig(n_updates=12, insert_fraction=0.5),
+    )
+    workload = dataclasses.replace(
+        workload,
+        schedules={
+            index: [dataclasses.replace(update, time=1.0) for update in updates]
+            for index, updates in workload.schedules.items()
+        },
+    )
+    config = ExperimentConfig(
+        algorithm="batched-sweep", locality="aux", latency_model="constant"
+    )
+    sim, metrics = Simulator(), MetricsCollector()
+    plan = one_warehouse(
+        config,
+        workload,
+        durable_dirs={WAREHOUSE: str(tmp_path)},
+        crash_plans={WAREHOUSE: crash_plan} if crash_plan else {},
+    )
+    sites = built(
+        build_sites(
+            sim,
+            SimLinks(sim, config, RngRegistry(config.seed), metrics),
+            config,
+            workload,
+            metrics,
+            plan=plan,
+        )
+    )
+    try:
+        sim.run(max_events=config.max_events)
+    finally:
+        sites.close()
+    return metrics
+
+
+@pytest.mark.parametrize("seed", range(1, 13, 2))
+def test_install_crash_plans_count_updates_not_batches(tmp_path, seed):
+    """An odd seed's plan crashes once installs reflect N updates: a burst
+    folded into a single install still crosses every threshold."""
+    metrics = run_one_burst(tmp_path / "twin")
+    assert metrics.counters["installs"] == 1
+    assert metrics.counters["updates_installed"] == 12
+    plan = CrashPlan(**crash_spec(seed))
+    with pytest.raises(SimulatedCrash, match="installed update #12"):
+        run_one_burst(tmp_path / "crash", plan)
+    assert plan.fired
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from repro.runtime.shard.run import Fleet
 from repro.simulation.process import Delay
 from repro.sources.updater import ScheduledUpdater
 from repro.warehouse.batched import BatchedSweepWarehouse
-from repro.warehouse.multiview import MultiViewStateMixin, MultiViewSweepWarehouse
+from repro.warehouse.multiview import MultiViewStateMixin
 from repro.warehouse.sharding import canonical_view_bytes
+from repro.warehouse.sweep import SweepWarehouse
 from tests.warehouse.helpers import final_states, mixed_family
 
 
@@ -105,6 +106,15 @@ def test_single_shard_degenerates_to_multiview_warehouse():
     )
     assert result.plan.active_shards == [0]
     assert result.verified_at(ConsistencyLevel.COMPLETE)
+
+
+def test_a_family_under_another_algorithm_is_refused():
+    config = config_for("nested-sweep")
+    with pytest.raises(ValueError, match="sweep/batched-sweep.*'nested-sweep'"):
+        run_sharded(
+            config, n_shards=2, transport="local", time_scale=0.001,
+            timeout=60.0, strategy="round-robin",
+        )
 
 
 def test_report_names_plan_views_and_verdicts():
@@ -250,7 +260,7 @@ def stall_donor_first_unit(monkeypatch, algorithm, delay=100.0):
     then all arrive before the donor seals.  Returns a list that records
     the stall."""
     cls, name = (
-        (MultiViewSweepWarehouse, "process_update") if algorithm == "sweep"
+        (SweepWarehouse, "process_update") if algorithm == "sweep"
         else (BatchedSweepWarehouse, "process_batch")
     )
     unit = getattr(cls, name)

@@ -14,12 +14,10 @@ import random
 import pytest
 
 from repro.consistency.levels import ConsistencyLevel
-from repro.harness import sites
 from repro.harness.config import ExperimentConfig
 from repro.harness.multiview_runner import run_multi_view
 from repro.relational.view import ViewDefinition
 from repro.runtime import run_sharded
-from repro.warehouse.batched import BatchedSweepWarehouse
 from repro.warehouse.multiview import MultiViewStateMixin
 from repro.warehouse.sharding import canonical_view_bytes, view_family
 from repro.workloads.scenarios import make_workload
@@ -108,14 +106,12 @@ SIMULATED_COUNTS = {
 
 
 @pytest.mark.parametrize("algorithm", ["sweep", "batched-sweep"])
-def test_simulated_family_pays_per_class(algorithm, class_spy, monkeypatch):
-    if algorithm == "batched-sweep":
-        monkeypatch.setitem(
-            sites.FAMILY_SCHEDULERS, "sweep", BatchedSweepWarehouse
-        )
+def test_simulated_family_pays_per_class(algorithm, class_spy):
     workload = simulated_workload()
     views = view_family(workload.view, 8)
-    result = run_multi_view(views, workload, seed=3, latency=2.0)
+    result = run_multi_view(
+        views, workload, algorithm=algorithm, seed=3, latency=2.0
+    )
 
     assert list(class_spy["built"].values()) == [1]
     assert_saved_per_view_work(class_spy)

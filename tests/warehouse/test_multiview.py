@@ -164,3 +164,44 @@ class TestSweepClasses:
         states = final_states(result)
         for view in views:
             assert result.final_views[view.name] == view.evaluate(states)
+
+
+class TestSweepOptionsOnFamilies:
+    """``SweepOptions`` apply to a hosted family as to a single view."""
+
+    @staticmethod
+    def run_family(**options):
+        """A 4-view family on the A1 sweep-variants workload."""
+        wl = make_workload(
+            6,
+            random.Random(6),
+            rows_per_relation=8,
+            match_fraction=1.0,
+            stream=UpdateStreamConfig(
+                n_updates=18, mean_interarrival=2.0, insert_fraction=0.5
+            ),
+        )
+        views = view_family(wl.view, 4)
+        result = run_multi_view(views, wl, seed=6, latency=6.0, **options)
+        states = final_states(result)
+        for view in views:
+            assert result.levels[view.name] == ConsistencyLevel.COMPLETE
+            assert canonical_view_bytes(result.final_views[view.name]) == (
+                canonical_view_bytes(view.evaluate(states))
+            ), view.name
+        return result
+
+    def test_parallel_family_installs_sooner(self):
+        sequential = self.run_family()
+        parallel = self.run_family(sweep_parallel=True)
+        assert parallel.queries_sent == sequential.queries_sent
+        assert parallel.metrics.mean_observation("install_delay") < (
+            sequential.metrics.mean_observation("install_delay")
+        )
+
+    def test_unmerged_family_subtracts_one_term_per_update(self):
+        merged = self.run_family()
+        unmerged = self.run_family(sweep_merge_queue_updates=False)
+        counters = unmerged.metrics.counters
+        assert counters["compensations"] == merged.metrics.counters["compensations"]
+        assert counters["compensation_terms"] > counters["compensations"]
