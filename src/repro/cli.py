@@ -522,11 +522,11 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 def _serve(args: argparse.Namespace, serve, **fields) -> int:
     """Host the warehouse site a serve command names, and report its run
     (a warehouse the program refuses to host is a usage error)."""
-    import asyncio
+    from repro.runtime.kernel import run
 
     listen_host, listen_port = _parse_address(args.listen)
     try:
-        result = asyncio.run(
+        result = run(
             serve(
                 _workload_config(args),
                 source_addresses=_source_addresses(args),
@@ -599,8 +599,6 @@ def _add_serve_source_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_serve_source(args: argparse.Namespace) -> int:
-    import asyncio
-
     config = _workload_config(args)
     listen_host, listen_port = _parse_address(args.listen)
     if bool(args.warehouse) == bool(args.shard):
@@ -624,8 +622,9 @@ def _cmd_serve_source(args: argparse.Namespace) -> int:
 
         destinations = {WAREHOUSE: _parse_address(args.warehouse)}
     from repro.runtime import serve_source_async
+    from repro.runtime.kernel import run
 
-    asyncio.run(
+    run(
         serve_source_async(
             config,
             args.index,

@@ -22,7 +22,6 @@ uses too) -- every update delivered, no transport frame in flight.
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from dataclasses import dataclass
 from functools import partial
@@ -41,7 +40,7 @@ from repro.harness.sites import (
 )
 from repro.relational.predicate import compile_cache_stats
 from repro.runtime.chaos import ChaosConfig, ChaosStats, profile
-from repro.runtime.kernel import AsyncRuntime
+from repro.runtime.kernel import AsyncRuntime, run
 from repro.runtime.nodes import (
     TcpLinks,
     drained_for,
@@ -141,7 +140,7 @@ async def run_distributed_async(
 def run_distributed(config: ExperimentConfig, **options) -> DistributedRunResult:
     """Blocking wrapper: run one distributed experiment in a fresh loop
     (``options`` are :func:`run_distributed_async`'s)."""
-    return asyncio.run(run_distributed_async(config, **options))
+    return run(run_distributed_async(config, **options))
 
 
 def quick_distributed(

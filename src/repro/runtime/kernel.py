@@ -13,13 +13,24 @@ number of wall seconds one virtual unit takes, so a workload generated for
 the simulator (commit times, service times) replays at a configurable real
 speed and the metrics (install delay, staleness) remain in the same units
 as simulator runs.
+
+The runtime keeps its own schedule.  Kernel timers live on one heap with
+one loop timer armed at the earliest deadline; when it fires, every
+kernel timer due by then runs, and then the zero-delay ready queue, in the
+same loop turn.  :func:`run` is how the program builds its loop: on
+Linux an :class:`OnTimeSelector`, because epoll cannot wake before a whole
+millisecond and would make every kernel timer late by half of one.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
+import select
+import selectors
 from collections import deque
 from collections.abc import Callable, Coroutine, Generator
+from typing import Any, TypeVar
 
 from repro.formats.errors import QuiescenceTimeout
 from repro.simulation.process import Process
@@ -29,13 +40,120 @@ from repro.simulation.process import Process
 #: long the ready queue keeps refilling itself.
 _PUMP_SLICE = 256
 
+#: glibc's ``FD_SETSIZE``: ``select(2)`` cannot wait on a descriptor
+#: numbered this high or higher.
+_FD_SETSIZE = 1024
+
+T = TypeVar("T")
+
+
+class _OnTimeEpoll:
+    """An epoll object whose ``poll`` waits with microsecond resolution.
+
+    ``EpollSelector.select`` rounds a positive timeout up to a whole
+    millisecond before it calls ``poll``; :class:`OnTimeSelector` leaves
+    the unrounded one in ``wait``.  That wait is spent in ``select(2)`` on
+    the epoll descriptor itself, which is readable once an event is ready,
+    and the events are then collected without blocking.  A descriptor too
+    high for ``select(2)`` keeps epoll's own millisecond wait.
+    """
+
+    def __init__(self) -> None:
+        epoll = select.epoll()
+        self.fd = epoll.fileno()
+        self.fileno = epoll.fileno
+        self.register = epoll.register
+        self.modify = epoll.modify
+        self.unregister = epoll.unregister
+        self.close = epoll.close
+        self._poll = epoll.poll
+        self.on_time = self.fd < _FD_SETSIZE
+        #: the timeout of the ``select`` in progress, unrounded
+        self.wait: float | None = None
+
+    def poll(self, timeout: float = -1, maxevents: int = -1) -> list:
+        if timeout > 0 and self.on_time:
+            select.select((self.fd,), (), (), self.wait)
+            timeout = 0
+        return self._poll(timeout, maxevents)
+
+
+class OnTimeSelector(selectors.DefaultSelector):
+    """The epoll selector, waking when the loop's earliest timer is due.
+
+    ``epoll_wait`` counts its timeout in whole milliseconds, so the stock
+    selector wakes up to 1 ms after the deadline asyncio asked for.  The
+    wait still happens inside ``super().select`` (what observes the loop
+    from outside, such as a tracer wrapping ``DefaultSelector.select``,
+    sees an ordinary selector), only with microsecond resolution.
+    Used only where ``DefaultSelector`` is epoll; see :func:`new_event_loop`.
+    """
+
+    _selector_cls = _OnTimeEpoll
+
+    def select(self, timeout: float | None = None) -> list:
+        self._selector.wait = timeout
+        return super().select(timeout)
+
+
+def new_event_loop() -> asyncio.AbstractEventLoop:
+    """A fresh event loop on the :class:`OnTimeSelector` where the
+    platform's selector is epoll, else the platform's own loop (kqueue
+    already counts its timeouts in nanoseconds)."""
+    if selectors.DefaultSelector is getattr(selectors, "EpollSelector", None):
+        return asyncio.SelectorEventLoop(OnTimeSelector())
+    return asyncio.new_event_loop()
+
+
+def run(coro: Coroutine[Any, Any, T]) -> T:
+    """Run ``coro`` to completion on a fresh :func:`new_event_loop`.
+
+    The program's one way to own a loop (``asyncio.run`` with the loop
+    chosen here): on return or failure, leftover tasks are cancelled,
+    async generators and the default executor are shut down and the loop
+    is closed.
+    """
+    loop = new_event_loop()
+    try:
+        asyncio.set_event_loop(loop)
+        return loop.run_until_complete(coro)
+    finally:
+        try:
+            _cancel_all_tasks(loop)
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            asyncio.set_event_loop(None)
+            loop.close()
+
+
+def _cancel_all_tasks(loop: asyncio.AbstractEventLoop) -> None:
+    """Cancel the tasks left on ``loop`` and let them finish, reporting
+    any that failed (what ``asyncio.run`` does on its way out)."""
+    pending = asyncio.all_tasks(loop)
+    for task in pending:
+        task.cancel()
+    if not pending:
+        return
+    loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+    for task in pending:
+        if not task.cancelled() and task.exception() is not None:
+            loop.call_exception_handler(
+                {
+                    "message": "unhandled exception during shutdown",
+                    "exception": task.exception(),
+                    "task": task,
+                }
+            )
+
 
 class AsyncRuntime:
     """Drop-in kernel for the protocol stack, backed by an asyncio loop.
 
     Must be constructed inside a running event loop (transports and
-    processes are loop-bound).  ``time_scale`` converts virtual time units
-    to wall seconds (``0.01`` replays a simulator workload at 100 units/s).
+    processes are loop-bound); any loop works, :func:`run`'s keeps time
+    best.  ``time_scale`` converts virtual time units to wall seconds
+    (``0.01`` replays a simulator workload at 100 units/s).
     """
 
     def __init__(self, time_scale: float = 1.0):
@@ -59,6 +177,14 @@ class AsyncRuntime:
         self._closed = False
         self._ready: deque[Callable[[], None]] = deque()
         self._pump_armed = False
+        #: kernel timers: (wall deadline, arming order, callback)
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._timer_seq = 0
+        #: the one loop timer, armed at the earliest kernel deadline
+        self._alarm: asyncio.TimerHandle | None = None
+        self._alarm_at = 0.0
+        #: number of the kernel callback running now (0: none is)
+        self.current_event = 0
 
     # ------------------------------------------------------------------
     # The kernel contract (duck-type of Simulator)
@@ -79,7 +205,7 @@ class AsyncRuntime:
         Zero-delay callbacks (process starts, mailbox wake-ups -- the hot
         path) go on a FIFO ready queue that one loop callback runs to
         completion, so a message's whole causal chain costs one loop turn
-        instead of one turn per hop.
+        instead of one turn per hop.  Later ones are kernel timers.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -89,14 +215,17 @@ class AsyncRuntime:
                 self._pump_armed = True
                 self._loop.call_soon(self._pump)
         else:
-            self._holds += 1
-            self._loop.call_later(
-                delay * self.time_scale, self._timer_fired, callback
-            )
+            self._add_timer(self._loop.time() + delay * self.time_scale, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute virtual ``time`` (clamped to now)."""
-        self.schedule(max(0.0, time - self.now), callback)
+        """Run ``callback`` at absolute virtual ``time`` (clamped to now).
+
+        Timers due at one virtual instant share one wall deadline.
+        """
+        if time > self.now:
+            self._add_timer(self._t0 + time * self.time_scale, callback)
+        else:
+            self.schedule(0.0, callback)
 
     def spawn(self, name: str, generator: Generator) -> Process:
         """Host an unchanged simulation process on the event loop."""
@@ -269,16 +398,51 @@ class AsyncRuntime:
         while ready and budget:
             budget -= 1
             self._guarded(ready.popleft())
+        self.current_event = 0
         if ready:
             self._loop.call_soon(self._pump)
         else:
             self._pump_armed = False
 
-    def _timer_fired(self, callback: Callable[[], None]) -> None:
-        # Released after the callback: a process that delays again re-arms
-        # first, so back-to-back ``Delay``s never read as "nothing held".
-        self._guarded(callback)
-        self._release()
+    def _add_timer(self, deadline: float, callback: Callable[[], None]) -> None:
+        self._holds += 1
+        self._timer_seq += 1
+        heapq.heappush(self._timers, (deadline, self._timer_seq, callback))
+        if self._alarm is None or deadline < self._alarm_at:
+            self._arm()
+
+    def _arm(self) -> None:
+        """Point the one loop timer at the earliest kernel deadline."""
+        if self._alarm is not None:
+            self._alarm.cancel()
+        self._alarm_at = self._timers[0][0]
+        self._alarm = self._loop.call_at(self._alarm_at, self._fire_timers)
+
+    def _fire_timers(self) -> None:
+        """Run every kernel timer due by now, then the ready queue.
+
+        Zero-delay callbacks the timers schedule wait until the last due
+        timer has run: a burst committed at one instant is all delivered
+        before anything reacts to it (batched SWEEP sees the whole burst).
+        """
+        timers = self._timers
+        due = max(self._loop.time(), self._alarm_at)
+        self._alarm = None
+        pump_pending = self._pump_armed
+        self._pump_armed = True
+        while timers and timers[0][0] <= due:
+            callback = heapq.heappop(timers)[2]
+            # Released after the callback: a process that delays again
+            # re-arms first, so back-to-back ``Delay``s never read as
+            # "nothing held".
+            self._guarded(callback)
+            self._release()
+        if timers and (self._alarm is None or timers[0][0] < self._alarm_at):
+            self._arm()
+        if pump_pending:
+            self.current_event = 0
+        else:
+            self._pump()
 
     def _release(self) -> None:
         self._holds -= 1
@@ -287,7 +451,7 @@ class AsyncRuntime:
             self._released = None
 
     def _guarded(self, callback: Callable[[], None]) -> None:
-        self._events_executed += 1
+        self.current_event = self._events_executed = self._events_executed + 1
         try:
             callback()
         except BaseException as exc:  # noqa: BLE001 - re-raised via check()
@@ -307,4 +471,4 @@ class AsyncRuntime:
         )
 
 
-__all__ = ["AsyncRuntime"]
+__all__ = ["AsyncRuntime", "OnTimeSelector", "new_event_loop", "run"]

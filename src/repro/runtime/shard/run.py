@@ -3,7 +3,6 @@ hosting of a fleet reports (:class:`ShardedRunResult`)."""
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from dataclasses import dataclass
 
@@ -13,6 +12,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.runner import record_predicate_cache_delta
 from repro.relational.predicate import compile_cache_stats
 from repro.relational.relation import Relation
+from repro.runtime import kernel
 from repro.runtime.chaos import ChaosStats
 from repro.formats.errors import RuntimeHostError
 from repro.harness.sites import Sites, SourceSite, WarehouseSite, build_sites
@@ -375,7 +375,7 @@ async def run_sharded_async(config: ExperimentConfig, **fields) -> ShardedRunRes
 
 def run_sharded(config: ExperimentConfig, **fields) -> ShardedRunResult:
     """Blocking wrapper: one sharded experiment in a fresh event loop."""
-    return asyncio.run(run_sharded_async(config, **fields))
+    return kernel.run(run_sharded_async(config, **fields))
 
 
 __all__ = [

@@ -100,8 +100,10 @@ class RuntimeChannel:
         message.sent_at = self.runtime.now
         self.sent_count += 1
         if self.metrics is not None:
+            # Every payload a channel carries is a protocol payload, which
+            # counts its own rows.
             self.metrics.record_message(
-                self.name, message.kind, message.payload_rows()
+                self.name, message.kind, message.payload.payload_size()
             )
 
     def __repr__(self) -> str:
@@ -114,7 +116,10 @@ class LocalChannel(RuntimeChannel):
     The mailbox wakes its consumer through a zero-delay kernel event, so
     the receiver is never re-entered from the sender and FIFO is the
     mailbox's own.  With no queue to fill, ``max_queue`` bounds what a
-    producer may hand off before it yields to the runtime's ready queue.
+    producer may hand off before it yields to the runtime.  A producer
+    inside a kernel callback yields when that callback returns, which
+    costs nothing to observe; one outside the kernel (an async task) has
+    a zero-delay callback mark its yield.
     """
 
     def __init__(
@@ -128,32 +133,43 @@ class LocalChannel(RuntimeChannel):
         super().__init__(runtime, name, metrics, max_queue)
         self.destination = destination
         self._unyielded = 0
+        #: the kernel callback (``AsyncRuntime.current_event``) those
+        #: hand-offs were made in, 0 for outside any; None when none are
+        self._sent_in: int | None = None
 
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
         self._account(message)
+        event = self.runtime.current_event
+        if event != self._sent_in:
+            # The earlier hand-offs' callback has returned: they yielded.
+            self._sent_in = event
+            self._unyielded = 0
+            if not event:
+                self.runtime.schedule(0.0, self._yielded)
         if self._unyielded >= self.max_queue:
             raise TransportOverflowError(
                 f"channel {self.name!r}: {self.max_queue} messages handed"
                 " off without yielding; pace the producer with drain()"
             )
-        if self._unyielded == 0:
-            self.runtime.schedule(0.0, self._yielded)
         self._unyielded += 1
         message.delivered_at = message.sent_at
         self.destination.put(message)
 
     @property
     def idle(self) -> bool:
-        return self._unyielded == 0
+        return self.queued == 0
 
     @property
     def queued(self) -> int:
+        sent_in = self._sent_in
+        if sent_in is None or (sent_in and sent_in != self.runtime.current_event):
+            return 0
         return self._unyielded
 
     # ------------------------------------------------------------------
     def _yielded(self) -> None:
-        self._unyielded = 0
+        self._sent_in = None
         self._dequeued()
 
 

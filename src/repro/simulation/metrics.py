@@ -50,10 +50,6 @@ class MessageStats:
     count: int = 0
     rows: int = 0
 
-    def record(self, size: int) -> None:
-        self.count += 1
-        self.rows += size
-
 
 @dataclass
 class MetricsCollector:
@@ -76,8 +72,12 @@ class MetricsCollector:
     def record_message(self, channel: str, kind: str, size: int) -> None:
         """Account one message of ``kind`` with ``size`` rows on ``channel``."""
         self.counters["messages_total"] += 1
-        self.by_kind[kind].record(size)
-        self.by_channel[channel].record(size)
+        stats = self.by_kind[kind]
+        stats.count += 1
+        stats.rows += size
+        stats = self.by_channel[channel]
+        stats.count += 1
+        stats.rows += size
 
     def increment(self, name: str, amount: int = 1) -> None:
         """Bump a named counter."""

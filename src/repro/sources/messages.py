@@ -192,7 +192,10 @@ class MultiQueryRequest:
     epoch: int = 0
 
     def payload_size(self) -> int:
-        return max(1, sum(p.delta.distinct_count for p in self.partials))
+        rows = 0
+        for partial in self.partials:
+            rows += partial.delta.distinct_count
+        return rows or 1
 
 
 @dataclass(slots=True)
@@ -204,7 +207,10 @@ class MultiQueryAnswer:
     epoch: int = 0
 
     def payload_size(self) -> int:
-        return max(1, sum(p.delta.distinct_count for p in self.partials))
+        rows = 0
+        for partial in self.partials:
+            rows += partial.delta.distinct_count
+        return rows or 1
 
 
 @dataclass(slots=True)

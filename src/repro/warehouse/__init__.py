@@ -6,8 +6,8 @@
   maintenance gets wrong).
 * :class:`~repro.warehouse.base.WarehouseBase` /
   :class:`~repro.warehouse.base.QueueDrivenWarehouse` -- the Figure 4
-  runtime: LogUpdates dispatcher, UpdateMessageQueue, query send/await,
-  install + snapshot instrumentation.
+  runtime: LogUpdates (the inbox's routing callback), UpdateMessageQueue,
+  query send/await, install + snapshot instrumentation.
 * Algorithms, one module each:
 
   ==================  =============================================

@@ -11,10 +11,12 @@
 * ``applied_counts``, the per-source count of updates whose effects are in
   the view -- each install's *claimed vector*.
 
-:class:`QueueDrivenWarehouse` adds the paper's two processes: *LogUpdates*
-(the dispatcher routing updates into the ``UpdateMessageQueue`` and answers
-to the waiting sweep) and *UpdateView* (pop an update, run the
+:class:`QueueDrivenWarehouse` adds the paper's two modules: *LogUpdates*
+(routing updates into the ``UpdateMessageQueue`` and answers to the waiting
+sweep) and *UpdateView* (a process: pop an update, run the
 algorithm-specific ``view_change`` coroutine, install the result).
+LogUpdates never blocks, so it is not a process but the inbox's routing
+callback (:meth:`~repro.simulation.mailbox.Mailbox.route`).
 ECA and Strobe are event-driven instead and subclass ``WarehouseBase``
 directly.
 """
@@ -198,6 +200,9 @@ class WarehouseBase:
 class QueueDrivenWarehouse(WarehouseBase):
     """Figure 4 runtime: LogUpdates + UpdateMessageQueue + UpdateView.
 
+    LogUpdates is :meth:`_log_update`, the inbox's router; UpdateView is
+    the one process.
+
     Subclasses implement :meth:`view_change`, a generator receiving one
     update notice and returning the full-width :class:`PartialView` to
     install -- or install internally and return None (C-Strobe's local
@@ -211,8 +216,12 @@ class QueueDrivenWarehouse(WarehouseBase):
         self._answer_box = Mailbox(self.sim, "warehouse-answers")
         #: queued updates latched when the most recent answer was routed.
         self._pending_at_answer: tuple[UpdateNotice, ...] = ()
-        self.sim.spawn("wh-LogUpdates", self._dispatch())
         self.sim.spawn("wh-UpdateView", self._update_view())
+        # LogUpdates is no process of its own: the inbox hands it each
+        # message in the kernel event that would have woken one.  Routing
+        # starts after UpdateView's start is scheduled, the order in
+        # which a dispatcher process started and first woke.
+        self.inbox.route(self._log_update)
 
     # ------------------------------------------------------------------
     def pending_work(self) -> bool:
@@ -228,65 +237,64 @@ class QueueDrivenWarehouse(WarehouseBase):
     # ------------------------------------------------------------------
     # LogUpdates (and answer routing)
     # ------------------------------------------------------------------
-    def _dispatch(self) -> Generator:
-        while True:
-            msg = yield self.inbox.get()
-            if msg.kind == "update":
-                if self._intercept_update(msg):
-                    continue
-                if self.durability is not None:
-                    # Fences redeliveries, logs new deliveries, and holds
-                    # recovered pending parked until the source's position
-                    # covers them (see DurabilityManager.ingest_update).
-                    self.durability.ingest_update(msg)
-                else:
-                    self.note_delivery(msg.payload)
-                    self.update_queue.put(msg)
-            elif msg.kind == "answer":
-                if (
-                    self.durability is not None
-                    and getattr(msg.payload, "epoch", 0)
-                    != self.durability.incarnation
-                ):
-                    # Answer to a query issued by an earlier incarnation.
-                    # The request-id floor below cannot fence these: ids
-                    # issued *after* the last checkpoint never reached
-                    # durable state, so only the epoch tag identifies
-                    # them.  The restarted protocol re-issues its own.
-                    self.metrics.increment("recovery_stale_answers_dropped")
-                    continue
-                if self.durability is not None and isinstance(
-                    msg.payload, PositionAnswer
-                ):
-                    self.durability.on_position(
-                        msg.payload.source_index, msg.payload.position
-                    )
-                    continue
-                if (
-                    self.stale_answer_floor
-                    and msg.payload.request_id <= self.stale_answer_floor
-                ):
-                    # Answer to a query a pre-crash incarnation issued;
-                    # the restarted sweep re-issued its own.
-                    self.metrics.increment("recovery_stale_answers_dropped")
-                    continue
-                if self.locality is not None:
-                    # Cache insertion must happen here, not when the sweep
-                    # consumes the answer: the same-instant delivery window
-                    # the pending snapshot below closes would otherwise
-                    # shift the entry off the delivered position.
-                    self.locality.on_answer_routed(msg.payload)
-                # Snapshot the queue contents *now*: an update delivered at
-                # the same virtual instant but after this answer must not be
-                # compensated against it (it was applied after the query was
-                # evaluated), yet its delivery event may fire before the
-                # sweep process wakes up.  The snapshot closes that window.
-                pending = self._queued_update_payloads()
-                self._answer_box.put((msg, pending))
-            elif msg.kind == "rebalance":
-                self._on_rebalance_message(msg)
-            else:  # pragma: no cover - defensive
-                raise ProtocolError(f"unexpected message kind {msg.kind!r}")
+    def _log_update(self, msg: Message) -> None:
+        """Route one inbox message (the inbox's router, see ``__init__``)."""
+        if msg.kind == "update":
+            if self._intercept_update(msg):
+                return
+            if self.durability is not None:
+                # Fences redeliveries, logs new deliveries, and holds
+                # recovered pending parked until the source's position
+                # covers them (see DurabilityManager.ingest_update).
+                self.durability.ingest_update(msg)
+            else:
+                self.note_delivery(msg.payload)
+                self.update_queue.put(msg)
+        elif msg.kind == "answer":
+            if (
+                self.durability is not None
+                and getattr(msg.payload, "epoch", 0)
+                != self.durability.incarnation
+            ):
+                # Answer to a query issued by an earlier incarnation.
+                # The request-id floor below cannot fence these: ids
+                # issued *after* the last checkpoint never reached
+                # durable state, so only the epoch tag identifies
+                # them.  The restarted protocol re-issues its own.
+                self.metrics.increment("recovery_stale_answers_dropped")
+                return
+            if self.durability is not None and isinstance(
+                msg.payload, PositionAnswer
+            ):
+                self.durability.on_position(
+                    msg.payload.source_index, msg.payload.position
+                )
+                return
+            if (
+                self.stale_answer_floor
+                and msg.payload.request_id <= self.stale_answer_floor
+            ):
+                # Answer to a query a pre-crash incarnation issued;
+                # the restarted sweep re-issued its own.
+                self.metrics.increment("recovery_stale_answers_dropped")
+                return
+            if self.locality is not None:
+                # Cache insertion must happen here, not when the sweep
+                # consumes the answer: the same-instant delivery window
+                # the pending snapshot below closes would otherwise
+                # shift the entry off the delivered position.
+                self.locality.on_answer_routed(msg.payload)
+            # Snapshot the queue contents *now*: an update delivered at
+            # the same virtual instant but after this answer must not be
+            # compensated against it (it was applied after the query was
+            # evaluated), yet its delivery event may fire before the
+            # sweep process wakes up.  The snapshot closes that window.
+            pending = self._queued_update_payloads()
+            self._answer_box.put((msg, pending))
+        elif msg.kind == "rebalance":
+            self._on_rebalance_message(msg)
+        else:  # pragma: no cover - defensive
+            raise ProtocolError(f"unexpected message kind {msg.kind!r}")
 
     # ------------------------------------------------------------------
     # Rebalance hooks (overridden by the view family's migration state,
@@ -382,7 +390,7 @@ class QueueDrivenWarehouse(WarehouseBase):
         """Send one ComputeJoin to source ``index`` and await its answer.
 
         Also latches the set of updates that were queued when the answer
-        was routed (see ``_dispatch``), which
+        was routed (see ``_log_update``), which
         :meth:`pending_updates_from` consults.
         """
         request = self.make_sweep_query(index, partial)

@@ -29,6 +29,7 @@ from repro.runtime import (
     run_distributed,
 )
 from repro.runtime.chaos import profile
+from repro.runtime.kernel import run
 from repro.simulation.channel import Message
 from repro.sources.messages import UpdateNotice
 from repro.warehouse.registry import algorithm_info
@@ -58,10 +59,6 @@ def make_notice(view, seq):
 
 def seqs(sink):
     return [m.payload.seq for m in sink.items]
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 # ---------------------------------------------------------------------------

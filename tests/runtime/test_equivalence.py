@@ -17,12 +17,14 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 from repro.harness.sites import WAREHOUSE
 from repro.runtime import (
+    distributed,
     free_port,
     run_distributed,
     run_distributed_async,
     serve_source_async,
     serve_warehouse_async,
 )
+from repro.simulation.process import Process
 
 from .loop_spy import LoopSpy
 
@@ -172,6 +174,45 @@ def test_local_sweep_costs_a_bounded_number_of_loop_turns_per_update():
     assert turns <= 6 * config.n_updates
     assert result.metrics.messages_total == 5 * config.n_updates
     assert result.final_view == run_experiment(config).final_view
+
+
+def test_local_sweep_costs_one_kernel_event_per_hop(monkeypatch):
+    """Each update makes 5 sends.  Its kernel events: the commit timer,
+    one delivery into the warehouse inbox and one into the update queue,
+    then per query one delivery at the source, one into the inbox and one
+    into the answer box -- 9, and 6 generator resumes (updater, the
+    source twice, UpdateView three times), whatever the time scale:
+    the processes' starts (one callback and one resume each) are not
+    counted, and an update that finds its commit time passed skips the
+    timer.  A send once cost an extra ``_yielded`` callback and the
+    LogUpdates dispatcher a resume per routed message: 13.4 callbacks
+    and 8.7 resumes here."""
+    runtimes, resumes = [], [0]
+    checking = distributed.AsyncRuntime
+
+    class Counted(checking):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    advance = Process._advance
+
+    def counted_advance(self, value):
+        resumes[0] += 1
+        return advance(self, value)
+
+    monkeypatch.setattr(distributed, "AsyncRuntime", Counted)
+    monkeypatch.setattr(Process, "_advance", counted_advance)
+    config = ExperimentConfig(algorithm="sweep", n_updates=600, seed=41)
+    result = run_distributed(
+        config, transport="local", time_scale=0.00005, timeout=60.0
+    )
+    assert result.metrics.messages_total == 5 * config.n_updates
+    (runtime,) = runtimes
+    starts = len(runtime.processes)
+    assert (runtime.events_executed - starts) / config.n_updates <= 9.0
+    assert (resumes[0] - starts) / config.n_updates <= 6.0
+    assert result.classified_level == ConsistencyLevel.COMPLETE
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])

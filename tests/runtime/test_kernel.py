@@ -1,23 +1,23 @@
 """AsyncRuntime drives unchanged simulation processes over a real loop."""
 
 import asyncio
+import selectors
+import statistics
+import time
 
 import pytest
 
 from repro.consistency.oracle import RunRecorder
 from repro.relational.delta import Delta
 from repro.runtime import AsyncRuntime, QuiescenceTimeout
-from repro.runtime.kernel import _PUMP_SLICE
+from repro.runtime import kernel
+from repro.runtime.kernel import _PUMP_SLICE, OnTimeSelector, run
 from repro.runtime.nodes import hold_until_delivered
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.process import Delay
 from repro.sources.messages import UpdateNotice
 
 from .loop_spy import LoopSpy
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def test_requires_running_loop():
@@ -420,3 +420,137 @@ def test_hold_until_delivered_releases_at_the_target_delivery(paper_view):
     held, delivered = run(main())
     assert held == [1, 1, 1, 0, 0, 0]
     assert delivered == 4
+
+
+# ---------------------------------------------------------------------------
+# Keeping time: one timer heap, a selector that wakes when asked
+# ---------------------------------------------------------------------------
+
+def _median_wait_ms(selector, timeout, tries=21):
+    waits = []
+    for _ in range(tries):
+        started = time.perf_counter()
+        selector.select(timeout)
+        waits.append((time.perf_counter() - started) * 1000.0)
+    return statistics.median(waits), min(waits)
+
+
+epoll_only = pytest.mark.skipif(
+    selectors.DefaultSelector is not getattr(selectors, "EpollSelector", None),
+    reason="the on-time selector replaces epoll only",
+)
+
+
+@epoll_only
+def test_the_runtimes_selector_wakes_when_asked_not_on_the_next_millisecond():
+    """epoll counts its timeout in whole milliseconds: a 0.2 ms select on
+    the stock selector waits at least 1 ms.  The loop :func:`run` builds
+    waits about what it was asked to."""
+
+    async def main():
+        return asyncio.get_running_loop()._selector
+
+    loop_selector = run(main())
+    assert isinstance(loop_selector, OnTimeSelector)
+    with OnTimeSelector() as selector:
+        median, _ = _median_wait_ms(selector, 0.0002)
+    assert median < 0.8
+
+
+@epoll_only
+def test_a_descriptor_select_cannot_hold_keeps_epolls_wait(monkeypatch):
+    monkeypatch.setattr(kernel, "_FD_SETSIZE", 0)
+    with OnTimeSelector() as selector:
+        _, shortest = _median_wait_ms(selector, 0.0002, tries=5)
+    assert shortest >= 0.9
+
+
+@epoll_only
+def test_the_on_time_wait_happens_inside_the_default_selectors_select(
+    monkeypatch,
+):
+    """What wraps ``DefaultSelector.select`` (a tracer setting idle time
+    apart) still sees the whole wait."""
+    inside = []
+    select = selectors.DefaultSelector.select
+
+    def timed(self, timeout=None):
+        started = time.perf_counter()
+        try:
+            return select(self, timeout)
+        finally:
+            inside.append(time.perf_counter() - started)
+
+    monkeypatch.setattr(selectors.DefaultSelector, "select", timed)
+    with OnTimeSelector() as selector:
+        selector.select(0.003)
+    assert inside and inside[0] >= 0.003
+
+
+def test_a_platform_selector_other_than_epoll_is_used_as_it_is(monkeypatch):
+    monkeypatch.setattr(selectors, "DefaultSelector", selectors.SelectSelector)
+
+    async def main():
+        return type(asyncio.get_running_loop()._selector)
+
+    assert run(main()) is selectors.SelectSelector
+
+
+def test_timers_due_at_one_instant_all_run_before_what_they_schedule():
+    """A burst committed at one instant: every due timer runs, then the
+    zero-delay callbacks they scheduled, and the loop armed one timer
+    for the three."""
+
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        order = []
+
+        def timer(name):
+            def fire():
+                order.append(name)
+                runtime.schedule(0.0, lambda: order.append(name.upper()))
+
+            return fire
+
+        spy = LoopSpy()
+        for name in "abc":
+            runtime.schedule_at(5.0, timer(name))
+        await runtime.wait_until(lambda: len(order) == 6, timeout=5.0)
+        armed = [cb for cb in spy.timers if cb == runtime._fire_timers]
+        return order, len(armed), runtime.holds
+
+    order, armed, holds = run(main())
+    assert order == ["a", "b", "c", "A", "B", "C"]
+    assert armed == 1
+    assert holds == 0
+
+
+def test_an_earlier_timer_rearms_the_one_loop_timer():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        order = []
+        runtime.schedule(40.0, lambda: order.append("late"))
+        runtime.schedule(10.0, lambda: order.append("early"))
+        runtime.schedule(10.0, lambda: order.append("early, second"))
+        await runtime.wait_until(lambda: len(order) == 3, timeout=5.0)
+        return order
+
+    assert run(main()) == ["early", "early, second", "late"]
+
+
+def test_the_runtime_keeps_working_on_a_callers_own_loop():
+    async def main():
+        runtime = AsyncRuntime(time_scale=0.001)
+        box = Mailbox(runtime, "box")
+        got = []
+
+        def consumer():
+            yield Delay(5.0)
+            got.append((yield box.get()))
+
+        process = runtime.spawn("consumer", consumer())
+        box.put("a")
+        await runtime.wait_until(lambda: process.finished, timeout=5.0)
+        return got, runtime.holds
+
+    assert asyncio.run(main()) == (["a"], 0)

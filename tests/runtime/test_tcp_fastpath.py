@@ -21,6 +21,7 @@ from repro.runtime import (
     WireCodec,
     WireProtocolError,
 )
+from repro.runtime.kernel import run
 from repro.runtime.tcp import read_frame, write_frame
 from repro.simulation.channel import Message
 from repro.simulation.metrics import MetricsCollector
@@ -59,10 +60,6 @@ def make_notice(view, seq, rows=None):
 
 def seqs(sink):
     return [m.payload.seq for m in sink.items]
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def decode_frame(data: bytes) -> dict:

@@ -14,6 +14,7 @@ from repro.runtime import (
     TransportRetriesExceeded,
     WireCodec,
 )
+from repro.runtime.kernel import run
 from repro.simulation.channel import Message
 from repro.sources.messages import UpdateNotice
 
@@ -47,10 +48,6 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def test_sender_retries_until_listener_appears(paper_view):

@@ -18,14 +18,11 @@ from repro.runtime import (
     TcpChannelConfig,
     WireCodec,
 )
+from repro.runtime.kernel import run
 from repro.runtime.tcp import _SilenceWatchdog, read_frame, write_frame
 
 from .loop_spy import LoopSpy
 from .test_tcp_flaky import Sink, make_message, seqs
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def test_watchdog_raises_timeout_error_after_the_silence_window():

@@ -16,6 +16,7 @@ from repro.runtime import (
     WireCodec,
     run_distributed,
 )
+from repro.runtime.kernel import run
 from repro.simulation.channel import Message
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
@@ -49,10 +50,6 @@ def make_notice(view, seq):
 
 def seqs(sink):
     return [m.payload.seq for m in sink.items]
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 # ---------------------------------------------------------------------------

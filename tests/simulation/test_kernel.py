@@ -4,6 +4,8 @@ import pytest
 
 from repro.simulation.errors import (
     DeadProcessError,
+    MailboxOwnershipError,
+    ProcessKilled,
     SimulationError,
     StalledSimulationError,
 )
@@ -261,3 +263,72 @@ class TestProcesses:
     def test_negative_delay_effect_rejected(self):
         with pytest.raises(ValueError):
             Delay(-1.0)
+
+
+class TestRoutedMailbox:
+    """A router takes a consumer process's place at no generator resume:
+    one message per zero-delay event, where the consumer would have been
+    woken."""
+
+    def _order(self, consume):
+        """Events of a run where two producers put at one instant and a
+        third event is scheduled between the puts."""
+        sim = Simulator()
+        box = Mailbox(sim, "box")
+        order = []
+        consume(sim, box, order)
+
+        def produce():
+            box.put("a")
+            sim.schedule(0.0, lambda: order.append("other"))
+            box.put("b")
+
+        sim.schedule(1.0, produce)
+        sim.run()
+        return order
+
+    def test_routes_in_the_order_a_consumer_process_would_receive(self):
+        def process(sim, box, order):
+            def consumer():
+                while True:
+                    order.append((yield box.get()))
+
+            sim.spawn("c", consumer())
+
+        def router(sim, box, order):
+            box.route(order.append)
+
+        assert self._order(router) == self._order(process) == [
+            "a", "other", "b",
+        ]
+
+    def test_process_killed_ends_the_routing_only(self):
+        sim = Simulator()
+        box = Mailbox(sim, "box")
+        routed = []
+
+        def router(message):
+            if message == "kill":
+                raise ProcessKilled("router")
+            routed.append(message)
+
+        box.route(router)
+        for message in ("a", "kill", "b"):
+            box.put(message)
+        sim.run()
+        assert routed == ["a"]
+        assert len(box) == 1  # "b" stays queued, as at a dead consumer
+
+    def test_a_routed_mailbox_has_no_other_consumer(self):
+        sim = Simulator()
+        box = Mailbox(sim, "box")
+        box.route(lambda message: None)
+        with pytest.raises(MailboxOwnershipError):
+            box.route(lambda message: None)
+
+        def consumer():
+            yield box.get()
+
+        sim.spawn("c", consumer())
+        with pytest.raises(MailboxOwnershipError, match="routed"):
+            sim.run()
